@@ -20,7 +20,9 @@ use crate::buddy::{assemble, verified_members_into, BuddyGroup};
 use crate::config::DdPoliceConfig;
 use crate::exchange::ExchangeState;
 use crate::indicator::{general_indicator, is_bad, single_indicator};
-use crate::verdict::{aggregate_group_traffic, AggregationPolicy, VerdictMachine, VerdictShard};
+use crate::verdict::{
+    aggregate_group_traffic, AggregationPolicy, IndexEdit, VerdictMachine, VerdictShard,
+};
 use ddp_sim::{
     Actions, Defense, FrozenTick, ReportDelivery, ReportOutcome, Tick, TickObservation,
     TrafficReport,
@@ -473,7 +475,8 @@ impl DdPolice {
     /// *suspect* rather than observer (`exchanged_stamp`, the `k(k-1)`
     /// exchange charge, the order-sensitive metric feeds) is recorded as a
     /// [`Deferred`] event in serial order and replayed here on the caller's
-    /// thread during the reduction.
+    /// thread during the reduction — as are the shards' edits to the verdict
+    /// machine's suspect → observers index.
     fn parallel_fast_tick(
         &mut self,
         obs: &TickObservation<'_>,
@@ -508,6 +511,7 @@ impl DdPolice {
             results.reverse();
         }
         for out in results {
+            self.verdicts.replay_index_edits(out.index_edits);
             for d in out.deferred {
                 match d {
                     Deferred::Missing { suspect } => {
@@ -558,6 +562,9 @@ struct PartitionOutcome {
     actions: Actions,
     trace: Vec<JudgmentTrace>,
     deferred: Vec<Deferred>,
+    /// The shard's edits to the suspect → observers index, see
+    /// [`VerdictShard::into_index_edits`].
+    index_edits: Vec<IndexEdit>,
 }
 
 /// Judge one contiguous observer range on a worker thread. Mirrors the fast
@@ -579,8 +586,12 @@ fn judge_partition(
     tracing: bool,
     mon: Mon<'_>,
 ) -> PartitionOutcome {
-    let mut out =
-        PartitionOutcome { actions: Actions::default(), trace: Vec::new(), deferred: Vec::new() };
+    let mut out = PartitionOutcome {
+        actions: Actions::default(),
+        trace: Vec::new(),
+        deferred: Vec::new(),
+        index_edits: Vec::new(),
+    };
     let record = |out: &mut PartitionOutcome, observer, suspect, g, s| {
         if tracing {
             out.trace.push(JudgmentTrace { tick: obs.tick, observer, suspect, g, s });
@@ -711,6 +722,7 @@ fn judge_partition(
             }
         }
     }
+    out.index_edits = shard.into_index_edits();
     out
 }
 

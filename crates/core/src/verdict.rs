@@ -38,6 +38,7 @@ use ddp_sim::{Actions, Tick, TrafficReport};
 use ddp_topology::NodeId;
 use std::collections::HashMap;
 
+use crate::exchange::HolderIndex;
 use crate::police::group_traffic_sums;
 
 /// How an observer combines the Buddy Group's traffic claims.
@@ -255,11 +256,48 @@ impl ddp_snapshot::Snapshottable for SuspectEntry {
     }
 }
 
+/// One change to the suspect → observers index: `observer` gained
+/// (`listed`) or dropped its entry about `suspect`. The per-observer
+/// state-machine bodies record these instead of touching the index, because
+/// on the parallel path the index — keyed by *suspect* — is shared across
+/// [`VerdictShard`]s; the machine applies them right after each serial call,
+/// and the parallel reducer replays each shard's log in partition order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexEdit {
+    observer: u32,
+    suspect: u32,
+    listed: bool,
+}
+
+impl IndexEdit {
+    fn listed(observer: NodeId, suspect: u32) -> Self {
+        IndexEdit { observer: observer.0, suspect, listed: true }
+    }
+
+    fn unlisted(observer: NodeId, suspect: u32) -> Self {
+        IndexEdit { observer: observer.0, suspect, listed: false }
+    }
+
+    fn apply(self, about: &mut HolderIndex) {
+        if self.listed {
+            about.list(self.suspect, self.observer);
+        } else {
+            about.unlist(self.suspect, self.observer);
+        }
+    }
+}
+
 /// All observers' suspicion state machines.
 #[derive(Debug)]
 pub struct VerdictMachine {
     /// Per-observer: suspect id → entry.
     entries: Vec<HashMap<u32, SuspectEntry>>,
+    /// Suspect → the observers holding an entry about it: the exact
+    /// transpose of `entries`, so a departure visits only those observers.
+    about: HolderIndex,
+    /// Scratch log the serial methods hand to the state-machine bodies
+    /// (see `with_map`); empty between calls.
+    edits: Vec<IndexEdit>,
 }
 
 fn ledger_state(state: SuspectState) -> PeerVerdict {
@@ -279,7 +317,34 @@ fn ledger_state(state: SuspectState) -> PeerVerdict {
 impl VerdictMachine {
     /// State machines for `n` observer slots.
     pub fn new(n: usize) -> Self {
-        VerdictMachine { entries: (0..n).map(|_| HashMap::new()).collect() }
+        VerdictMachine {
+            entries: (0..n).map(|_| HashMap::new()).collect(),
+            about: HolderIndex::new(n),
+            edits: Vec::new(),
+        }
+    }
+
+    /// Replay the edit log a [`VerdictShard`] handed back through
+    /// [`VerdictShard::into_index_edits`]. Call once per shard, in partition
+    /// order, before anything reads the index again.
+    pub fn replay_index_edits(&mut self, edits: Vec<IndexEdit>) {
+        for e in edits {
+            e.apply(&mut self.about);
+        }
+    }
+
+    /// Run a state-machine body on `observer`'s map, then bring the index up
+    /// to date with the edits it logged.
+    fn with_map<R>(
+        &mut self,
+        observer: NodeId,
+        body: impl FnOnce(&mut HashMap<u32, SuspectEntry>, &mut Vec<IndexEdit>) -> R,
+    ) -> R {
+        let result = body(&mut self.entries[observer.index()], &mut self.edits);
+        for e in self.edits.drain(..) {
+            e.apply(&mut self.about);
+        }
+        result
     }
 
     /// The entry `observer` holds about `suspect`, if any (for tests).
@@ -311,20 +376,22 @@ impl VerdictMachine {
     /// Expire probations that ended at or before `tick`: the suspect is
     /// fully readmitted and its suspicion state dropped.
     pub fn expire_probations(&mut self, observer: NodeId, tick: Tick, actions: &mut Actions) {
-        expire_probations_in(&mut self.entries[observer.index()], observer, tick, actions)
+        self.with_map(observer, |map, edits| {
+            expire_probations_in(map, observer, tick, actions, edits)
+        })
     }
 
     /// The suspect dropped below the warning threshold from `observer`'s
     /// position: a Watching chain is broken (entry dropped); quarantine and
     /// probation are unaffected (they are clocked, not traffic-driven).
     pub fn below_warning(&mut self, observer: NodeId, suspect: NodeId) {
-        below_warning_in(&mut self.entries[observer.index()], suspect)
+        self.with_map(observer, |map, edits| below_warning_in(map, observer, suspect, edits))
     }
 
     /// Record a missing neighbor-list snapshot for an over-warning suspect
     /// and return the updated consecutive-miss streak.
     pub fn note_list_missing(&mut self, observer: NodeId, suspect: NodeId) -> u8 {
-        note_list_missing_in(&mut self.entries[observer.index()], suspect)
+        self.with_map(observer, |map, edits| note_list_missing_in(map, observer, suspect, edits))
     }
 
     /// A usable snapshot arrived: the miss streak resets.
@@ -349,16 +416,19 @@ impl VerdictMachine {
         readmission: ReadmissionPolicy,
         actions: &mut Actions,
     ) -> bool {
-        judged_in(
-            &mut self.entries[observer.index()],
-            observer,
-            suspect,
-            over_ct,
-            tick,
-            hysteresis,
-            readmission,
-            actions,
-        )
+        self.with_map(observer, |map, edits| {
+            judged_in(
+                map,
+                observer,
+                suspect,
+                over_ct,
+                tick,
+                hysteresis,
+                readmission,
+                actions,
+                edits,
+            )
+        })
     }
 
     /// An overlay edge between `u` and `v` vanished (cut or churn): drop
@@ -369,6 +439,7 @@ impl VerdictMachine {
             if let Some(e) = self.entries[a.index()].get(&b.0) {
                 if !matches!(e.state, SuspectState::Quarantined { .. }) {
                     self.entries[a.index()].remove(&b.0);
+                    self.about.unlist(b.0, a.0);
                 }
             }
         }
@@ -378,6 +449,9 @@ impl VerdictMachine {
     /// is gone (matches the pre-PR streak wipe; other observers keep their
     /// verdicts about `node` — identity is positional in this simulator).
     pub fn reset_observer(&mut self, node: NodeId) {
+        for &suspect in self.entries[node.index()].keys() {
+            self.about.unlist(suspect, node.0);
+        }
         self.entries[node.index()].clear();
     }
 
@@ -385,13 +459,12 @@ impl VerdictMachine {
     /// is about to be recycled): every observer drops whatever verdict it
     /// holds about that identity — including quarantine, since there is
     /// nobody left to probe and a future occupant of the address must not
-    /// inherit the sentence.
+    /// inherit the sentence. Visits only the observers the index lists.
     pub fn forget_suspect(&mut self, suspect: NodeId) {
-        for map in &mut self.entries {
-            if !map.is_empty() {
-                map.remove(&suspect.0);
-            }
+        for &observer in self.about.holders(suspect.0) {
+            self.entries[observer as usize].remove(&suspect.0);
         }
+        self.about.clear(suspect.0);
     }
 
     /// Grow to at least `n` observer slots (session-model node growth).
@@ -399,6 +472,7 @@ impl VerdictMachine {
         if self.entries.len() < n {
             self.entries.resize_with(n, HashMap::new);
         }
+        self.about.ensure_slots(n);
     }
 
     /// Number of observer slots currently allocated — the value
@@ -423,7 +497,9 @@ impl VerdictMachine {
         ttl: Tick,
         online: &[bool],
     ) -> usize {
-        expire_stale_in(&mut self.entries[observer.index()], tick, ttl, online)
+        self.with_map(observer, |map, edits| {
+            expire_stale_in(map, observer, tick, ttl, online, edits)
+        })
     }
 
     /// Split the machine into disjoint per-partition [`VerdictShard`]s along
@@ -439,7 +515,7 @@ impl VerdictMachine {
         let mut rest: &mut [HashMap<u32, SuspectEntry>] = &mut self.entries;
         for w in bounds.windows(2) {
             let (head, tail) = rest.split_at_mut(w[1] - w[0]);
-            shards.push(VerdictShard { base: w[0], entries: head });
+            shards.push(VerdictShard { base: w[0], entries: head, edits: Vec::new() });
             rest = tail;
         }
         shards
@@ -464,7 +540,14 @@ impl VerdictMachine {
 
     /// How many observers hold an entry about `suspect` (diagnostics).
     pub fn entries_about(&self, suspect: NodeId) -> usize {
-        self.entries.iter().filter(|m| m.contains_key(&suspect.0)).count()
+        self.holders_of(suspect).len()
+    }
+
+    /// The observers currently holding an entry about `suspect`, in no
+    /// particular order — the index's answer, for diagnostics and the
+    /// index-exactness tests.
+    pub fn holders_of(&self, suspect: NodeId) -> &[u32] {
+        self.about.holders(suspect.0)
     }
 
     /// Serialize every observer's entries, each map sorted by suspect id —
@@ -489,17 +572,25 @@ impl VerdictMachine {
     ) -> Result<Self, ddp_snapshot::SnapshotError> {
         let n = dec.len("verdict observers")?;
         let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
+        let mut about = HolderIndex::new(n);
+        for observer in 0..n {
             let k = dec.len("verdict entries")?;
             let mut map = HashMap::with_capacity(k);
             for _ in 0..k {
                 let s = dec.u32()?;
                 let e: SuspectEntry = dec.get()?;
-                map.insert(s, e);
+                if s as usize >= n {
+                    return Err(ddp_snapshot::SnapshotError::Corrupt {
+                        what: "verdict suspect id",
+                    });
+                }
+                if map.insert(s, e).is_none() {
+                    about.list(s, observer as u32);
+                }
             }
             entries.push(map);
         }
-        Ok(VerdictMachine { entries })
+        Ok(VerdictMachine { entries, about, edits: Vec::new() })
     }
 
     /// Every entry `observer` holds, sorted by suspect id — the canonical
@@ -525,11 +616,25 @@ impl VerdictMachine {
 pub struct VerdictShard<'a> {
     base: usize,
     entries: &'a mut [HashMap<u32, SuspectEntry>],
+    /// Every index edit this shard's operations made, in call order. The
+    /// suspect-keyed index is shared across shards, so the worker hands the
+    /// log back for [`VerdictMachine::replay_index_edits`] on the reducer.
+    edits: Vec<IndexEdit>,
 }
 
 impl VerdictShard<'_> {
-    fn map_mut(&mut self, observer: NodeId) -> &mut HashMap<u32, SuspectEntry> {
-        &mut self.entries[observer.index() - self.base]
+    /// `observer`'s map, plus the edit log its mutations are recorded in.
+    fn parts(
+        &mut self,
+        observer: NodeId,
+    ) -> (&mut HashMap<u32, SuspectEntry>, &mut Vec<IndexEdit>) {
+        (&mut self.entries[observer.index() - self.base], &mut self.edits)
+    }
+
+    /// Finish the shard, yielding its index-edit log. The machine's index is
+    /// stale until every shard's log has been replayed.
+    pub fn into_index_edits(self) -> Vec<IndexEdit> {
+        self.edits
     }
 
     /// [`VerdictMachine::fire_probes`] for an observer in this shard.
@@ -540,27 +645,30 @@ impl VerdictShard<'_> {
         readmission: ReadmissionPolicy,
         actions: &mut Actions,
     ) {
-        fire_probes_in(self.map_mut(observer), observer, tick, readmission, actions)
+        fire_probes_in(self.parts(observer).0, observer, tick, readmission, actions)
     }
 
     /// [`VerdictMachine::expire_probations`] for an observer in this shard.
     pub fn expire_probations(&mut self, observer: NodeId, tick: Tick, actions: &mut Actions) {
-        expire_probations_in(self.map_mut(observer), observer, tick, actions)
+        let (map, edits) = self.parts(observer);
+        expire_probations_in(map, observer, tick, actions, edits)
     }
 
     /// [`VerdictMachine::below_warning`] for an observer in this shard.
     pub fn below_warning(&mut self, observer: NodeId, suspect: NodeId) {
-        below_warning_in(self.map_mut(observer), suspect)
+        let (map, edits) = self.parts(observer);
+        below_warning_in(map, observer, suspect, edits)
     }
 
     /// [`VerdictMachine::note_list_missing`] for an observer in this shard.
     pub fn note_list_missing(&mut self, observer: NodeId, suspect: NodeId) -> u8 {
-        note_list_missing_in(self.map_mut(observer), suspect)
+        let (map, edits) = self.parts(observer);
+        note_list_missing_in(map, observer, suspect, edits)
     }
 
     /// [`VerdictMachine::note_list_ok`] for an observer in this shard.
     pub fn note_list_ok(&mut self, observer: NodeId, suspect: NodeId) {
-        note_list_ok_in(self.map_mut(observer), suspect)
+        note_list_ok_in(self.parts(observer).0, suspect)
     }
 
     /// [`VerdictMachine::judged`] for an observer in this shard.
@@ -575,16 +683,8 @@ impl VerdictShard<'_> {
         readmission: ReadmissionPolicy,
         actions: &mut Actions,
     ) -> bool {
-        judged_in(
-            self.map_mut(observer),
-            observer,
-            suspect,
-            over_ct,
-            tick,
-            hysteresis,
-            readmission,
-            actions,
-        )
+        let (map, edits) = self.parts(observer);
+        judged_in(map, observer, suspect, over_ct, tick, hysteresis, readmission, actions, edits)
     }
 
     /// [`VerdictMachine::expire_stale`] for an observer in this shard.
@@ -595,7 +695,8 @@ impl VerdictShard<'_> {
         ttl: Tick,
         online: &[bool],
     ) -> usize {
-        expire_stale_in(self.map_mut(observer), tick, ttl, online)
+        let (map, edits) = self.parts(observer);
+        expire_stale_in(map, observer, tick, ttl, online, edits)
     }
 }
 
@@ -646,6 +747,7 @@ fn expire_probations_in(
     observer: NodeId,
     tick: Tick,
     actions: &mut Actions,
+    edits: &mut Vec<IndexEdit>,
 ) {
     let mut done: Vec<u32> = map
         .iter()
@@ -657,6 +759,7 @@ fn expire_probations_in(
     done.sort_unstable();
     for s in done {
         map.remove(&s);
+        log_unlisted(edits, observer, s);
         actions.transition(VerdictTransition {
             tick,
             observer: observer.0,
@@ -667,7 +770,12 @@ fn expire_probations_in(
     }
 }
 
-fn below_warning_in(map: &mut HashMap<u32, SuspectEntry>, suspect: NodeId) {
+fn below_warning_in(
+    map: &mut HashMap<u32, SuspectEntry>,
+    observer: NodeId,
+    suspect: NodeId,
+    edits: &mut Vec<IndexEdit>,
+) {
     // Hot path: this runs once per (observer, neighbor) per tick and
     // almost every observer tracks no suspects — skip the key hash.
     if map.is_empty() {
@@ -676,12 +784,43 @@ fn below_warning_in(map: &mut HashMap<u32, SuspectEntry>, suspect: NodeId) {
     if let Some(e) = map.get(&suspect.0) {
         if matches!(e.state, SuspectState::Watching { .. }) {
             map.remove(&suspect.0);
+            log_unlisted(edits, observer, suspect.0);
         }
     }
 }
 
-fn note_list_missing_in(map: &mut HashMap<u32, SuspectEntry>, suspect: NodeId) -> u8 {
-    let entry = map.entry(suspect.0).or_insert_with(SuspectEntry::fresh);
+/// Log that `observer` dropped its entry about `suspect`. An entry created
+/// and dropped back to back (the common judged-and-forgotten window) cancels
+/// out of the log and never reaches the index.
+fn log_unlisted(edits: &mut Vec<IndexEdit>, observer: NodeId, suspect: u32) {
+    if edits.last() == Some(&IndexEdit::listed(observer, suspect)) {
+        edits.pop();
+    } else {
+        edits.push(IndexEdit::unlisted(observer, suspect));
+    }
+}
+
+/// `map`'s entry about `suspect`, created fresh (and logged as listed) when
+/// there is none.
+fn entry_or_fresh<'m>(
+    map: &'m mut HashMap<u32, SuspectEntry>,
+    observer: NodeId,
+    suspect: NodeId,
+    edits: &mut Vec<IndexEdit>,
+) -> &'m mut SuspectEntry {
+    map.entry(suspect.0).or_insert_with(|| {
+        edits.push(IndexEdit::listed(observer, suspect.0));
+        SuspectEntry::fresh()
+    })
+}
+
+fn note_list_missing_in(
+    map: &mut HashMap<u32, SuspectEntry>,
+    observer: NodeId,
+    suspect: NodeId,
+    edits: &mut Vec<IndexEdit>,
+) -> u8 {
+    let entry = entry_or_fresh(map, observer, suspect, edits);
     entry.list_streak = entry.list_streak.saturating_add(1);
     entry.list_streak
 }
@@ -702,8 +841,9 @@ fn judged_in(
     hysteresis: Hysteresis,
     readmission: ReadmissionPolicy,
     actions: &mut Actions,
+    edits: &mut Vec<IndexEdit>,
 ) -> bool {
-    let entry = map.entry(suspect.0).or_insert_with(SuspectEntry::fresh);
+    let entry = entry_or_fresh(map, observer, suspect, edits);
     let (cut, from, next_backoff) = match entry.state {
         SuspectState::Watching { history } => {
             let (required, window) = hysteresis.effective();
@@ -727,6 +867,7 @@ fn judged_in(
                     // Nothing worth remembering: keep the footprint of
                     // the pre-PR protocol (no entry at all).
                     map.remove(&suspect.0);
+                    log_unlisted(edits, observer, suspect.0);
                 }
                 (false, PeerVerdict::Normal, None)
             }
@@ -767,7 +908,7 @@ fn judged_in(
     });
     if readmission.enabled {
         let backoff = next_backoff.unwrap_or(readmission.base_backoff_ticks).max(1);
-        let entry = map.entry(suspect.0).or_insert_with(SuspectEntry::fresh);
+        let entry = entry_or_fresh(map, observer, suspect, edits);
         // Saturating: near the end of a u32 tick space the probe simply
         // never fires (a wrapped deadline would fire immediately).
         entry.state = SuspectState::Quarantined { until: tick.saturating_add(backoff), backoff };
@@ -775,15 +916,18 @@ fn judged_in(
     } else {
         // Permanent cut (the paper): nothing left to track.
         map.remove(&suspect.0);
+        log_unlisted(edits, observer, suspect.0);
     }
     true
 }
 
 fn expire_stale_in(
     map: &mut HashMap<u32, SuspectEntry>,
+    observer: NodeId,
     tick: Tick,
     ttl: Tick,
     online: &[bool],
+    edits: &mut Vec<IndexEdit>,
 ) -> usize {
     if map.is_empty() {
         return 0;
@@ -791,7 +935,7 @@ fn expire_stale_in(
     let before = map.len();
     map.retain(|&s, e| {
         let gone = !online.get(s as usize).copied().unwrap_or(false);
-        match e.state {
+        let keep = match e.state {
             SuspectState::Watching { .. } => !gone,
             SuspectState::Quarantined { until, .. } | SuspectState::Probation { until, .. } => {
                 if gone {
@@ -800,7 +944,11 @@ fn expire_stale_in(
                     tick <= until.saturating_add(ttl)
                 }
             }
+        };
+        if !keep {
+            log_unlisted(edits, observer, s);
         }
+        keep
     });
     before - map.len()
 }
@@ -1063,6 +1211,28 @@ mod tests {
         m.forget_suspect(sus);
         assert_eq!(m.entries_about(sus), 0);
         assert_eq!(m.total_entries(), 0);
+    }
+
+    #[test]
+    fn load_state_rebuilds_the_index_and_rejects_out_of_range_suspects() {
+        let mut m = VerdictMachine::new(3);
+        assert_eq!(m.note_list_missing(NodeId(0), NodeId(2)), 1);
+        let mut enc = ddp_snapshot::Enc::new();
+        m.save_state(&mut enc);
+        let mut bytes = enc.into_bytes();
+        let reloaded = VerdictMachine::load_state(&mut ddp_snapshot::Dec::new(&bytes)).unwrap();
+        assert_eq!(reloaded.holders_of(NodeId(2)), [0], "the index is rebuilt, not stored");
+        // Observers: count, then observer 0 = one entry whose suspect id
+        // comes first.
+        let suspect_at = 2 * std::mem::size_of::<u64>();
+        assert_eq!(bytes[suspect_at..suspect_at + 4], 2u32.to_le_bytes());
+        bytes[suspect_at..suspect_at + 4].copy_from_slice(&3u32.to_le_bytes());
+        match VerdictMachine::load_state(&mut ddp_snapshot::Dec::new(&bytes)) {
+            Err(ddp_snapshot::SnapshotError::Corrupt { what }) => {
+                assert_eq!(what, "verdict suspect id")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -205,4 +205,22 @@ fn long_churn_run_keeps_defense_state_bounded() {
         fin_snapshots <= 2 * mid_snapshots + 64,
         "snapshot state grew between samples: {mid_snapshots} -> {fin_snapshots}"
     );
+
+    // The transposed indexes the departure hooks walk must not leak either:
+    // after 80 ticks of recycled and grown slots they list exactly what the
+    // stores hold — checked against a scan of every (holder, identity) pair.
+    let (verdicts, exchange) = (sim.defense().verdicts(), sim.defense().exchange());
+    let ids = || (0..slots).map(NodeId::from_index);
+    let listed_verdicts: usize = ids().map(|j| verdicts.holders_of(j).len()).sum();
+    let listed_snapshots: usize = ids().map(|j| exchange.holders_of(j).len()).sum();
+    assert_eq!((listed_verdicts, listed_snapshots), (fin_verdicts, fin_snapshots));
+    for j in ids() {
+        let observers = ids().filter(|&o| verdicts.entry(o, j).is_some()).count();
+        assert_eq!(verdicts.entries_about(j), observers, "verdict index about {j:?}");
+        let mut listed = exchange.holders_of(j).to_vec();
+        listed.sort_unstable();
+        let viewers: Vec<u32> =
+            ids().filter(|&i| exchange.snapshot(i, j).is_some()).map(|i| i.0).collect();
+        assert_eq!(listed, viewers, "holder index of {j:?}");
+    }
 }

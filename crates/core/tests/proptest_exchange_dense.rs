@@ -11,6 +11,14 @@
 //! same seed, so the dice agree draw-for-draw. After every tick the dense
 //! views, the returned message counts, and the full resilience accounting of
 //! both planes must match exactly.
+//!
+//! The same op sequences pin the announcer → viewers **holder index** that
+//! `forget_about` walks instead of every view: after every op — stores and
+//! late-list applies inside a tick, `forget_edge`, `reset_peer`,
+//! `forget_about`, the sharded refresh at widths 1/2/4, a save → load round
+//! trip — `holders_of` must equal the brute-force transpose of the views.
+//! `planted_reset_leak_is_caught` flips the `set_reset_leaks_holders`
+//! sabotage lever to prove that check has teeth.
 
 use ddp_police::exchange::ExchangeState;
 use ddp_police::ExchangePolicy;
@@ -26,22 +34,30 @@ const N: usize = 8;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Advance one tick and run the exchange on both models.
-    Tick,
+    /// Advance one tick and run the exchange on both models, the dense one
+    /// at this worker width (widths above 1 shard the reliable refresh).
+    Tick(usize),
     AddEdge(u32, u32),
     RemoveEdge(u32, u32),
     /// Peer restart: its accumulated views are wiped.
     ResetPeer(u32),
+    /// The identity departed for good: everyone's snapshot of it is dropped.
+    ForgetAbout(u32),
+    /// Serialize the dense state and continue on the reloaded copy (the
+    /// holder index is not in the bytes; `load_state` rebuilds it).
+    SaveLoad,
     ToggleOnline(u32),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let n = N as u32;
     prop_oneof![
-        5 => Just(Op::Tick),
+        5 => prop_oneof![Just(1usize), Just(2), Just(4)].prop_map(Op::Tick),
         3 => (0..n, 0..n).prop_map(|(u, v)| Op::AddEdge(u, v)),
         2 => (0..n, 0..n).prop_map(|(u, v)| Op::RemoveEdge(u, v)),
         1 => (0..n).prop_map(Op::ResetPeer),
+        1 => (0..n).prop_map(Op::ForgetAbout),
+        1 => Just(Op::SaveLoad),
         1 => (0..n).prop_map(Op::ToggleOnline),
     ]
 }
@@ -119,6 +135,54 @@ fn shadow_tick(
     msgs
 }
 
+/// Where the holder index disagrees with the brute-force transpose of the
+/// views (`None` = exact): for every announcer `j`, `holders_of(j)` must be
+/// exactly the viewers `i` with `snapshot(i, j)`, each listed once.
+fn holder_index_divergence(ex: &ExchangeState) -> Option<String> {
+    for j in 0..N as u32 {
+        let mut listed = ex.holders_of(NodeId(j)).to_vec();
+        listed.sort_unstable();
+        let holding: Vec<u32> =
+            (0..N as u32).filter(|&i| ex.snapshot(NodeId(i), NodeId(j)).is_some()).collect();
+        if listed != holding {
+            return Some(format!("holders_of({j}) = {listed:?}, but {holding:?} hold a snapshot"));
+        }
+    }
+    None
+}
+
+/// Teeth: `reset_peer` forgetting to unlist the viewer leaks a holder entry
+/// without changing any view, so only the index check can see it.
+#[test]
+fn planted_reset_leak_is_caught() {
+    for leak in [false, true] {
+        let mut g = DynamicGraph::new(N);
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(1), NodeId(2));
+        let overlay = Overlay::new(g, &[BandwidthClass::Ethernet; N]);
+        let obs = TickObservation {
+            tick: 1,
+            overlay: &overlay,
+            online: &[true; N],
+            runs_defense: &[true; N],
+            report_behavior: &[ReportBehavior::Honest; N],
+            list_behavior: &[ListBehavior::Truthful; N],
+            faults: None,
+        };
+        let mut ex = ExchangeState::new(N);
+        ex.set_reset_leaks_holders(leak);
+        ex.on_tick(ExchangePolicy::Periodic { minutes: 1 }, &obs);
+        assert_eq!(holder_index_divergence(&ex), None, "the leak only bites on reset");
+        ex.reset_peer(NodeId(1));
+        assert!(ex.snapshot(NodeId(1), NodeId(0)).is_none(), "the view itself is wiped");
+        assert_eq!(
+            holder_index_divergence(&ex).is_some(),
+            leak,
+            "the index check must report the planted leak, and only it"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -160,7 +224,7 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Tick => {
+                Op::Tick(width) => {
                     tick += 1;
                     plane_dense.begin_tick(tick);
                     plane_shadow.begin_tick(tick);
@@ -173,7 +237,7 @@ proptest! {
                         list_behavior: &lists,
                         faults: Some(&plane_dense),
                     };
-                    let got = ex.on_tick(policy, &obs_dense);
+                    let got = ex.on_tick_with_threads(policy, &obs_dense, width);
                     let obs_shadow = TickObservation {
                         faults: Some(&plane_shadow),
                         ..obs_dense
@@ -208,10 +272,22 @@ proptest! {
                     ex.reset_peer(NodeId(u));
                     shadow.retain(|&(viewer, _), _| viewer != u);
                 }
+                Op::ForgetAbout(u) => {
+                    ex.forget_about(NodeId(u));
+                    shadow.retain(|&(_, announcer), _| announcer != u);
+                }
+                Op::SaveLoad => {
+                    let mut enc = ddp_snapshot::Enc::new();
+                    ex.save_state(&mut enc);
+                    let bytes = enc.into_bytes();
+                    ex = ExchangeState::load_state(&mut ddp_snapshot::Dec::new(&bytes))
+                        .expect("a state just saved loads");
+                }
                 Op::ToggleOnline(u) => {
                     online[u as usize] = !online[u as usize];
                 }
             }
+            prop_assert_eq!(holder_index_divergence(&ex), None);
 
             // Snapshot-for-snapshot agreement over the full pair grid.
             for i in 0..N as u32 {

@@ -19,7 +19,7 @@ use ddp_workload::ContentCatalog;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// One defensive disconnection, for observability and post-hoc analysis.
@@ -58,6 +58,59 @@ enum Emission {
     Good { origin: NodeId, object: ddp_workload::ObjectId },
     /// An attacker's per-link flood of `count` bogus queries.
     Attack { origin: NodeId, slot: u32, count: u32 },
+}
+
+/// Open wrongful-cut intervals, reachable from either endpoint: a departure
+/// closes the intervals naming the departed peer without looking at the rest
+/// (thousands stay open under churn, and every departure asks).
+#[derive(Debug, Default)]
+struct WrongfulOpen {
+    /// `(observer, suspect)` → tick the good peer's edge was severed.
+    started: BTreeMap<(NodeId, NodeId), Tick>,
+    /// The same keys transposed to `(suspect, observer)`, so a departing
+    /// suspect finds its intervals by range, as a departing observer does.
+    by_suspect: BTreeSet<(NodeId, NodeId)>,
+}
+
+impl WrongfulOpen {
+    fn insert(&mut self, key: (NodeId, NodeId), start: Tick) {
+        self.by_suspect.insert((key.1, key.0));
+        self.started.insert(key, start);
+    }
+
+    fn remove(&mut self, key: &(NodeId, NodeId)) -> Option<Tick> {
+        self.by_suspect.remove(&(key.1, key.0));
+        self.started.remove(key)
+    }
+
+    fn contains(&self, key: &(NodeId, NodeId)) -> bool {
+        self.started.contains_key(key)
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.started.is_empty()
+    }
+
+    fn len(&self) -> usize {
+        self.started.len()
+    }
+
+    /// Every open interval in ascending `(observer, suspect)` order — the
+    /// canonical order snapshots and the run-end censoring use.
+    fn iter(&self) -> impl Iterator<Item = ((NodeId, NodeId), Tick)> + '_ {
+        self.started.iter().map(|(&k, &t)| (k, t))
+    }
+
+    /// The keys naming `node` as either endpoint, ascending.
+    fn naming(&self, node: NodeId) -> Vec<(NodeId, NodeId)> {
+        let span = (node, NodeId(0))..=(node, NodeId(u32::MAX));
+        let mut keys: Vec<(NodeId, NodeId)> =
+            self.started.range(span.clone()).map(|(&k, _)| k).collect();
+        keys.extend(self.by_suspect.range(span).map(|&(suspect, observer)| (observer, suspect)));
+        keys.sort_unstable();
+        keys
+    }
 }
 
 /// The simulation: overlay + peers + workload + attack + defense.
@@ -123,7 +176,7 @@ pub struct Simulation<D: Defense> {
     /// Open wrongful-cut intervals: `(observer, suspect)` → tick the good
     /// peer's edge was severed. Closed when the pair re-links (any add-edge
     /// path) or either endpoint departs; censored at run end.
-    wrongful_open: HashMap<(NodeId, NodeId), Tick>,
+    wrongful_open: WrongfulOpen,
     /// Closed (or censored) wrongful-cut durations, in ticks.
     wrongful_durations: Vec<u32>,
     /// Streaming 95th-percentile response time over the whole run.
@@ -202,7 +255,7 @@ impl<D: Defense> Simulation<D> {
             counted_wrongly_cut: vec![false; n],
             cut_log: Vec::new(),
             verdict_ledger: VerdictLedger::new(),
-            wrongful_open: HashMap::new(),
+            wrongful_open: WrongfulOpen::default(),
             wrongful_durations: Vec::new(),
             response_p95: P2Quantile::new(0.95),
             tick: 0,
@@ -424,13 +477,10 @@ impl<D: Defense> Simulation<D> {
                 }
             }
         }
-        // Censor wrongful-cut intervals still open at run end. Drain in
-        // sorted key order: HashMap iteration order differs between equal
-        // maps, and the duration list's order feeds f64 summary sums.
+        // Censor wrongful-cut intervals still open at run end, in sorted key
+        // order: the duration list's order feeds f64 summary sums.
         let final_tick = self.tick;
-        let mut open: Vec<((NodeId, NodeId), Tick)> = self.wrongful_open.drain().collect();
-        open.sort_unstable_by_key(|&((a, b), _)| (a.0, b.0));
-        for (_, start) in open {
+        for (_, start) in self.wrongful_open.iter() {
             self.wrongful_durations.push(final_tick.saturating_sub(start));
         }
         let mut summary =
@@ -535,13 +585,10 @@ impl<D: Defense> Simulation<D> {
     /// `node` left the overlay: intervals involving it no longer measure a
     /// wrongful severance (the peer is gone either way).
     fn close_wrongful_for(&mut self, node: NodeId) {
-        // Close in sorted key order, not HashMap iteration order: the
-        // duration list is serialized into snapshots verbatim, so its push
-        // order must be a pure function of simulation state.
-        let mut closing: Vec<(NodeId, NodeId)> =
-            self.wrongful_open.keys().filter(|&&(a, b)| a == node || b == node).copied().collect();
-        closing.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
-        for key in closing {
+        // Close in sorted key order: the duration list is serialized into
+        // snapshots verbatim, so its push order must be a pure function of
+        // simulation state.
+        for key in self.wrongful_open.naming(node) {
             let start = self.wrongful_open.remove(&key).expect("just listed");
             self.wrongful_durations.push(self.tick.saturating_sub(start));
         }
@@ -1038,7 +1085,9 @@ impl<D: Defense> Simulation<D> {
                 }
             } else {
                 self.good_peers_cut += 1;
-                self.wrongful_open.entry((observer, suspect)).or_insert(self.tick);
+                if !self.wrongful_open.contains(&(observer, suspect)) {
+                    self.wrongful_open.insert((observer, suspect), self.tick);
+                }
                 // "False negative is the number of good peers that are
                 // wrongly disconnected" — count each peer once, however many
                 // neighbors cut it.
@@ -1159,14 +1208,10 @@ impl<D: Defense> Simulation<D> {
         enc.put(&self.counted_wrongly_cut);
         enc.put(&self.cut_log);
         enc.put(&self.verdict_ledger);
-        // HashMap iteration order is nondeterministic; serialize sorted.
-        let mut wrongful: Vec<((u32, u32), Tick)> =
-            self.wrongful_open.iter().map(|(&(a, b), &t)| ((a.0, b.0), t)).collect();
-        wrongful.sort_unstable();
-        enc.usize(wrongful.len());
-        for ((a, b), t) in wrongful {
-            enc.u32(a);
-            enc.u32(b);
+        enc.usize(self.wrongful_open.len());
+        for ((a, b), t) in self.wrongful_open.iter() {
+            enc.u32(a.0);
+            enc.u32(b.0);
             enc.u32(t);
         }
         enc.put(&self.wrongful_durations);
@@ -1234,7 +1279,7 @@ impl<D: Defense> Simulation<D> {
         let cut_log: Vec<CutRecord> = dec.get()?;
         let verdict_ledger: VerdictLedger = dec.get()?;
         let wrongful_n = dec.len("wrongful_open")?;
-        let mut wrongful_open = HashMap::with_capacity(wrongful_n);
+        let mut wrongful_open = WrongfulOpen::default();
         for _ in 0..wrongful_n {
             let a = NodeId(dec.u32()?);
             let b = NodeId(dec.u32()?);
@@ -1480,6 +1525,25 @@ mod tests {
         sim.close_wrongful_for(NodeId(6));
         assert_eq!(sim.wrongful_durations, vec![3, 5]);
         assert!(sim.wrongful_open.is_empty());
+    }
+
+    #[test]
+    fn departure_closes_only_its_intervals_in_sorted_key_order() {
+        let mut cfg = small_cfg(60);
+        cfg.churn = false;
+        let mut sim = Simulation::new(cfg, NoDefense, 3);
+        sim.tick = 10;
+        // Start ticks chosen so each closed duration names its interval.
+        for (a, b, start) in [(7, 5, 6), (5, 9, 7), (1, 2, 1), (5, 2, 8), (3, 5, 9)] {
+            sim.wrongful_open.insert((NodeId(a), NodeId(b)), start);
+        }
+        sim.close_wrongful_for(NodeId(5));
+        // (3,5), (5,2), (5,9), (7,5): ascending (observer, suspect), whichever
+        // side names the departed peer.
+        assert_eq!(sim.wrongful_durations, vec![1, 2, 3, 4]);
+        assert_eq!(sim.wrongful_open.iter().collect::<Vec<_>>(), [((NodeId(1), NodeId(2)), 1)]);
+        sim.close_wrongful_for(NodeId(5));
+        assert_eq!(sim.wrongful_durations.len(), 4, "nothing left naming peer 5");
     }
 
     #[test]

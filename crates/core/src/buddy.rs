@@ -10,100 +10,32 @@
 //! suspect's current neighbors (the members themselves confirm the list,
 //! §3.1's consistency check), which removes staleness at extra message cost.
 
-use crate::exchange::ExchangeState;
-use ddp_sim::{FrozenTick, TickObservation};
+use ddp_sim::FrozenTick;
 use ddp_topology::NodeId;
 
-/// The Buddy Group an observer assembled for one suspect.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BuddyGroup {
-    /// The suspect whose behavior is being policed.
-    pub suspect: NodeId,
-    /// Members (the suspect's believed neighbors), observer included.
-    pub members: Vec<NodeId>,
-}
-
-impl BuddyGroup {
-    /// Number of members `k` (the indicator denominator).
-    pub fn k(&self) -> usize {
-        self.members.len()
-    }
-}
-
-/// Assemble `BGr-suspect` as seen by `observer`.
+/// `BGr-suspect` as every observer holding the announcement `announced`
+/// sees it: the suspect's announced list filtered by the §3.1 consistency
+/// check and (at radius ≥ 2) the current-neighbor cross-verification. Written
+/// into a caller-owned buffer (cleared first), so per-tick rebuilds reuse one
+/// allocation per suspect.
 ///
-/// Returns `None` when the observer holds no snapshot of the suspect's list
-/// (it has not completed a neighbor-list exchange with it yet — "a joining
-/// peer creates its BG membership after its first neighbor list exchanging
-/// operation").
-pub fn assemble(
-    observer: NodeId,
-    suspect: NodeId,
-    exchange: &ExchangeState,
-    obs: &TickObservation<'_>,
-    radius: u8,
-    verify: bool,
-) -> Option<BuddyGroup> {
-    let snap = exchange.snapshot(observer, suspect)?;
-    // Resilience accounting: how stale is the view this judgment runs on?
-    obs.note_snapshot_age(obs.tick.saturating_sub(snap.taken_at));
-    let mut members = snap.members.clone();
-    if verify {
-        // §3.1: "when peers exchange their neighbor lists, they will confirm
-        // the correctness of the lists with the corresponding peers." A
-        // member that does not confirm the claimed adjacency is dropped —
-        // which dismantles phantom padding (unless the phantom itself is a
-        // colluding agent that vouches back).
-        members.retain(|&m| m == observer || obs.confirm_membership(m, suspect));
-    }
-    if radius >= 2 {
-        // Cross-verification with the suspect's r-hop neighborhood: members
-        // confirm who is actually connected, removing stale entries and
-        // adding joiners the snapshot missed.
-        let current: Vec<NodeId> = obs.overlay.neighbors(suspect).iter().map(|h| h.peer).collect();
-        for m in current {
-            if !members.contains(&m) {
-                members.push(m);
-            }
-        }
-        members.retain(|&m| obs.overlay.contains_edge(m, suspect) || m == observer);
-    }
-    if !members.contains(&observer) {
-        // The observer polices the suspect because they share a link; it is a
-        // member by construction even if the announced list omitted it.
-        members.push(observer);
-    }
-    Some(BuddyGroup { suspect, members })
-}
-
-/// The observer-independent core of [`assemble`]: the suspect's announced
-/// list filtered by the §3.1 consistency check and (at radius ≥ 2) the
-/// current-neighbor cross-verification.
+/// §3.1: "when peers exchange their neighbor lists, they will confirm the
+/// correctness of the lists with the corresponding peers." A member that
+/// does not confirm the claimed adjacency is dropped — which dismantles
+/// phantom padding (unless the phantom itself is a colluding agent that
+/// vouches back). At radius ≥ 2 the members additionally confirm who is
+/// actually connected, removing stale entries and adding joiners the
+/// snapshot missed.
 ///
-/// [`assemble`] short-circuits the checks for the observer itself, but an
-/// observer is always a *current* neighbor of the suspect, and a current
-/// online neighbor passes both checks unconditionally (`confirm_membership`
-/// answers `true` for any real adjacency, colluding or not). The result is
-/// therefore identical for every observer holding the same announcement,
-/// and [`crate::police::DdPolice`] shares one verification across all of a
-/// suspect's observers within a tick.
-pub fn verified_members(
-    suspect: NodeId,
-    announced: &[NodeId],
-    obs: &FrozenTick<'_>,
-    radius: u8,
-    verify: bool,
-) -> Vec<NodeId> {
-    let mut members = Vec::new();
-    verified_members_into(suspect, announced, obs, radius, verify, &mut members);
-    members
-}
-
-/// [`verified_members`] writing into a caller-owned buffer (cleared first),
-/// so per-tick rebuilds reuse one allocation per suspect. Takes the
-/// [`FrozenTick`] view — everything it consults is a pure function of the
-/// tick's frozen counters, so the parallel fast path can call it from any
-/// worker and get the serial answer.
+/// No observer is special-cased: an observer is always a *current* neighbor
+/// of the suspect, and a current online neighbor passes both checks
+/// unconditionally (`confirm_membership` answers `true` for any real
+/// adjacency, colluding or not). The result is therefore identical for every
+/// observer, and [`crate::police::DdPolice`] shares one verification across
+/// all of a suspect's observers within a tick; an observer the list omitted
+/// counts itself in (it polices the suspect because they share a link).
+/// Everything consulted is a pure function of the [`FrozenTick`], so any
+/// shard computes the same list.
 pub fn verified_members_into(
     suspect: NodeId,
     announced: &[NodeId],
@@ -131,7 +63,7 @@ pub fn verified_members_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::ExchangePolicy;
+    use crate::exchange::{ExchangePolicy, ExchangeState};
     use ddp_sim::{Overlay, ReportBehavior, TickObservation};
     use ddp_topology::DynamicGraph;
     use ddp_workload::BandwidthClass;
@@ -163,6 +95,17 @@ mod tests {
             }
         }
 
+        /// The group `observer` would judge suspect 0 on at `tick`, sorted.
+        fn group(&self, ex: &ExchangeState, observer: u32, tick: u32, r: u8, v: bool) -> Vec<u32> {
+            let snap = ex.snapshot(NodeId(observer), NodeId(0)).expect("list was exchanged");
+            let mut members = Vec::new();
+            let frozen = self.obs(tick).frozen();
+            verified_members_into(NodeId(0), &snap.members, &frozen, r, v, &mut members);
+            let mut ids: Vec<u32> = members.iter().map(|m| m.0).collect();
+            ids.sort_unstable();
+            ids
+        }
+
         fn obs(&self, tick: u32) -> TickObservation<'_> {
             TickObservation {
                 tick,
@@ -182,18 +125,7 @@ mod tests {
         let f = Fixture::new(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]); // j = 0
         let mut ex = ExchangeState::new(5);
         ex.on_tick(ExchangePolicy::Periodic { minutes: 1 }, &f.obs(1));
-        let bg = assemble(NodeId(1), NodeId(0), &ex, &f.obs(1), 1, true).unwrap();
-        assert_eq!(bg.k(), 4);
-        let mut ids: Vec<u32> = bg.members.iter().map(|m| m.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn no_snapshot_means_no_group() {
-        let f = Fixture::new(3, &[(0, 1), (0, 2)]);
-        let ex = ExchangeState::new(3);
-        assert!(assemble(NodeId(1), NodeId(0), &ex, &f.obs(1), 1, true).is_none());
+        assert_eq!(f.group(&ex, 1, 1, 1, true), vec![1, 2, 3, 4]);
     }
 
     #[test]
@@ -206,13 +138,11 @@ mod tests {
         f.overlay.add_edge(NodeId(0), NodeId(3));
 
         // Without verification, r=1 works from the stale snapshot alone.
-        let bg1 = assemble(NodeId(1), NodeId(0), &ex, &f.obs(2), 1, false).unwrap();
-        let ids1: Vec<u32> = bg1.members.iter().map(|m| m.0).collect();
+        let ids1 = f.group(&ex, 1, 2, 1, false);
         assert!(ids1.contains(&2), "r=1 keeps the stale member");
         assert!(!ids1.contains(&3), "r=1 misses the joiner");
 
-        let bg2 = assemble(NodeId(1), NodeId(0), &ex, &f.obs(2), 2, false).unwrap();
-        let ids2: Vec<u32> = bg2.members.iter().map(|m| m.0).collect();
+        let ids2 = f.group(&ex, 1, 2, 2, false);
         assert!(!ids2.contains(&2), "r=2 cross-verification drops the stale member");
         assert!(ids2.contains(&3), "r=2 discovers the joiner");
     }
@@ -226,8 +156,7 @@ mod tests {
         let mut ex = ExchangeState::new(4);
         ex.on_tick(ExchangePolicy::Periodic { minutes: 10 }, &f.obs(1));
         f.overlay.remove_edge(NodeId(0), NodeId(2));
-        let bg = assemble(NodeId(1), NodeId(0), &ex, &f.obs(2), 1, true).unwrap();
-        let ids: Vec<u32> = bg.members.iter().map(|m| m.0).collect();
+        let ids = f.group(&ex, 1, 2, 1, true);
         assert!(!ids.contains(&2), "unconfirmed member must be dropped: {ids:?}");
         assert!(ids.contains(&1));
     }
@@ -240,29 +169,20 @@ mod tests {
         f.lists[0] = ddp_sim::ListBehavior::PadFake { extra: 4 };
         let mut ex = ExchangeState::new(8);
         ex.on_tick(ExchangePolicy::Periodic { minutes: 1 }, &f.obs(1));
-        let unverified = assemble(NodeId(1), NodeId(0), &ex, &f.obs(1), 1, false).unwrap();
-        let verified = assemble(NodeId(1), NodeId(0), &ex, &f.obs(1), 1, true).unwrap();
+        let unverified = f.group(&ex, 1, 1, 1, false);
+        let verified = f.group(&ex, 1, 1, 1, true);
         assert!(
-            unverified.k() > verified.k(),
-            "padding must inflate the unverified group: {} vs {}",
-            unverified.k(),
-            verified.k()
+            unverified.len() > verified.len(),
+            "padding must inflate the unverified group: {unverified:?} vs {verified:?}"
         );
-        let ids: Vec<u32> = verified.members.iter().map(|m| m.0).collect();
-        for id in &ids {
-            assert!(
-                [1u32, 2].contains(id),
-                "verified group may only contain real neighbors: {ids:?}"
-            );
-        }
+        assert_eq!(verified, vec![1, 2], "verified group may only contain real neighbors");
     }
 
     #[test]
-    fn observer_is_always_a_member() {
+    fn observer_passes_its_own_verification() {
         let f = Fixture::new(3, &[(0, 1), (0, 2)]);
         let mut ex = ExchangeState::new(3);
         ex.on_tick(ExchangePolicy::Periodic { minutes: 1 }, &f.obs(1));
-        let bg = assemble(NodeId(2), NodeId(0), &ex, &f.obs(1), 1, true).unwrap();
-        assert!(bg.members.contains(&NodeId(2)));
+        assert!(f.group(&ex, 2, 1, 1, true).contains(&2));
     }
 }

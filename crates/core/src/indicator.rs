@@ -5,6 +5,9 @@
 //! which is what lets DD-POLICE tell a flooding attacker from an innocent
 //! peer that merely forwards a lot (Figure 1).
 
+use crate::config::DdPoliceConfig;
+use ddp_sim::TrafficReport;
+
 /// Definition 2.1 — the **General Indicator** of suspect `j` at time `t`:
 ///
 /// ```
@@ -62,6 +65,30 @@ pub fn single_indicator(
 /// threshold `CT`, studied in §3.7.2).
 pub fn is_bad(g: f64, s: f64, cut_threshold: f64) -> bool {
     g > cut_threshold || s > cut_threshold
+}
+
+/// One judgment: `(g, s, over CT?)` for a suspect, from the judging peer's
+/// `own` counters on their shared link and the Buddy Group's combined claims
+/// (`own` included, `k` members counting the judging peer). The simulator's
+/// judgment loop and the wire servent both end here.
+///
+/// A group of one (`k = 1`, the sums just `own`) is the own-counters-only
+/// judgment of a suspect that never announced a list: nobody else's input
+/// explains any of its output, so `g = s = Q_{j→i} / q`.
+pub fn judge(
+    own: TrafficReport,
+    sum_out_of_suspect: f64,
+    sum_into_suspect: f64,
+    k: usize,
+    cfg: &DdPoliceConfig,
+) -> (f64, f64, bool) {
+    let g = general_indicator(sum_out_of_suspect, sum_into_suspect, k, cfg.q_qpm);
+    let s = single_indicator(
+        own.received_from_suspect as f64,
+        sum_into_suspect - own.sent_to_suspect as f64,
+        cfg.q_qpm,
+    );
+    (g, s, is_bad(g, s, cfg.cut_threshold))
 }
 
 #[cfg(test)]

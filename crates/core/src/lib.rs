@@ -33,6 +33,9 @@ pub mod verdict;
 
 pub use baselines::NaiveRateLimit;
 pub use config::{DdPoliceConfig, MonitorBackend, SketchParams};
+/// One peer's traffic claim about a suspect — the input type of
+/// [`indicator::judge`] and [`aggregate_group_traffic`].
+pub use ddp_sim::TrafficReport;
 pub use exchange::ExchangePolicy;
 pub use police::{group_traffic_sums, DdPolice, JudgmentTrace, SketchStats};
 pub use verdict::{

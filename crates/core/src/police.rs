@@ -5,7 +5,7 @@
 //! 1. refreshes neighbor-list snapshots per the exchange policy (§3.1),
 //! 2. scans its per-neighbor `In_query` counters; a neighbor `j` above the
 //!    warning threshold becomes a *suspect* (§3.3),
-//! 3. assembles `BGr-j` from its snapshot of `j`'s list, exchanges
+//! 3. takes `BGr-j` from its snapshot of `j`'s list, exchanges
 //!    `Neighbor_Traffic` messages with the members (charged once per suspect
 //!    per tick — the paper's 50-second re-send suppression), treating
 //!    missing reports as zeroes,
@@ -15,11 +15,26 @@
 //! A suspect that never produces a neighbor list (a Silent attacker refusing
 //! the exchange step) is judged after a grace period from the observer's own
 //! counters alone — refusing to participate cannot be a shield.
+//!
+//! # One driver
+//!
+//! Steps 2–4 are `judge_range`: one loop over a contiguous observer range
+//! holding that range's [`VerdictShard`], with one per-(observer, suspect)
+//! body that ends in [`indicator::judge`]. A tick runs it over one
+//! whole-range shard on the caller's thread, or over
+//! [`Partition::by_degree`] shards on the worker pool. Either way the loop
+//! touches nothing keyed by *suspect*: those effects are logged as
+//! `Deferred` events and replayed by [`Defense::on_tick`] in ascending
+//! observer order, so a sharded tick leaves exactly the bytes the one-shard
+//! tick does.
+//!
+//! One step of the body has two implementations — turning the suspect's
+//! cached member answers into `(Σout, Σin)`; see `SuspectTickCache`.
 
-use crate::buddy::{assemble, verified_members_into, BuddyGroup};
+use crate::buddy::verified_members_into;
 use crate::config::DdPoliceConfig;
-use crate::exchange::ExchangeState;
-use crate::indicator::{general_indicator, is_bad, single_indicator};
+use crate::exchange::{ExchangeState, Snapshot};
+use crate::indicator;
 use crate::verdict::{
     aggregate_group_traffic, AggregationPolicy, IndexEdit, VerdictMachine, VerdictShard,
 };
@@ -36,8 +51,8 @@ use std::ops::Range;
 /// reads its per-neighbor query counts from. `Exact` reads the overlay's
 /// frozen counters — the code path that existed before backends were
 /// pluggable, byte-for-byte. `Sketch` reads the count-min estimates ingested
-/// at the top of the tick. `Copy` so every judgment worker can carry it over
-/// the frozen tick (the sketch is only ever read during judgment).
+/// at the top of the tick. `Copy` so every shard can carry it over the
+/// frozen tick (the sketch is only ever read during judgment).
 #[derive(Clone, Copy)]
 enum Mon<'a> {
     Exact,
@@ -58,8 +73,8 @@ impl Mon<'_> {
 
     /// What `reporter` would answer a `Neighbor_Traffic` request about
     /// `suspect`: the monitor's counters, shaped by the reporter's fixed
-    /// cheating behavior. Observer-independent either way, so the shared
-    /// fast path's preconditions are unchanged by the backend choice.
+    /// cheating behavior. Observer-independent either way, so one answer per
+    /// `(reporter, suspect)` serves every observer under either backend.
     #[inline]
     fn answer(
         &self,
@@ -150,51 +165,56 @@ pub struct DdPolice {
     /// equal to the current tick means the suspect's group already exchanged;
     /// ticks are monotone and start at 1, so 0 reads as "never".
     exchanged_stamp: Vec<Tick>,
-    /// Per-tick memo of what `(reporter, suspect)` *would answer* to a
-    /// Neighbor_Traffic request. The answer reads only the tick's frozen
-    /// counters and the reporter's fixed behavior, so it is identical for
-    /// every observer that asks — without the memo, every observer of a
-    /// high-degree suspect re-scans the suspect's adjacency row per member,
-    /// an O(deg³) blowup on hub nodes. Transport faults stay per-observer:
-    /// only the answer's *content* is shared. Cleared each tick.
-    report_memo: HashMap<(u32, u32), Option<TrafficReport>>,
-    /// Per-suspect shared judgment inputs under the reliable/Sum fast path:
-    /// the verified member list and the report sums over it, both functions
-    /// of `(suspect, announcement tick)` alone. Each observer then adjusts
-    /// the sums for its own membership in O(1) instead of re-resolving every
-    /// member. Entries are stamped per tick; a stale stamp means "rebuild".
-    suspect_cache: Vec<SuspectTickCache>,
     /// When `Some`, every `(g, s)` judgment is appended here (differential
     /// testing against the reference oracle). Off by default: zero cost.
     trace: Option<Vec<JudgmentTrace>>,
-    /// Test-only sabotage switch: take the shared-judgment fast path even
-    /// when its exactness preconditions do not hold. The differential
-    /// harness's mutation check flips this to prove divergence is caught.
+    /// Test-only sabotage switch: take the shared-sum step even when its
+    /// exactness preconditions do not hold. The differential harness's
+    /// mutation check flips this to prove divergence is caught.
     force_fast_path: bool,
     /// Worker-pool width from [`Defense::set_parallelism`]. Never serialized:
     /// a snapshot written at any width must restore identically at any other.
     threads: usize,
-    /// Test-only sabotage switch: merge worker partitions in *reverse* order
+    /// Test-only sabotage switch: merge shard outcomes in *reverse* order
     /// instead of canonical ascending order. An unordered reduction is the
     /// classic parallel-determinism bug; the differential suite flips this to
-    /// prove it actually detects one. No-op at `threads <= 1`.
+    /// prove it actually detects one. No-op on a one-shard tick.
     unordered_reduction: bool,
-    /// Per-worker [`suspect_cache`](Self::suspect_cache) equivalents, kept
-    /// only so their allocations survive across ticks. Like the serial cache
-    /// they are per-tick memos: never serialized, cleared on restore.
-    worker_caches: Vec<HashMap<u32, SuspectTickCache>>,
+    /// One [`SuspectTickCache`] map per shard, kept only so the entries'
+    /// allocations survive across ticks. Per-tick memos (an entry with a
+    /// stale stamp is rebuilt): never serialized, cleared on restore.
+    shard_caches: Vec<HashMap<u32, SuspectTickCache>>,
     /// The sketch monitor when `cfg.monitor` selects the sketch backend
     /// (`None` under the exact default — the exact path allocates nothing).
-    /// Ingest runs serially at the top of `on_tick`; judgments — serial or
-    /// parallel — only read it. Cross-tick state (the heavy-hitter table and
-    /// its buckets) is serialized after the existing payload fields.
+    /// Ingest runs serially at the top of `on_tick`; judgments — on any
+    /// number of shards — only read it. Cross-tick state (the heavy-hitter
+    /// table and its buckets) is serialized after the existing payload fields.
     monitor: Option<SketchMonitor>,
     /// See [`SketchStats`]. Diagnostics only: never serialized, never read
     /// by judgments, so it cannot influence detection behavior.
     sketch_stats: SketchStats,
 }
 
-/// See [`DdPolice::suspect_cache`].
+/// What one tick knows about one suspect, shared by every observer in the
+/// shard that holds the same announcement of its list: the verified members
+/// and what each answers a `Neighbor_Traffic` request with. Both are pure
+/// functions of `(suspect, announcement tick)` on the frozen tick, so the
+/// adjacency scans behind them run once per suspect, not once per observer
+/// (an O(deg³) blowup on hub nodes otherwise), and every shard computes the
+/// same values.
+///
+/// A judgment turns the entry into `(Σout, Σin)` in one of two ways:
+///
+/// * [`shared_sums`](Self::shared_sums) — O(1): the sums over all members
+///   are kept here and the observer subtracts its own slot back out. Exact
+///   only when every observer would compute the same per-member terms:
+///   plain summation (integer-valued f64 sums are order-independent below
+///   2^53), no per-link clamp, and a transport that rolls no per-observer
+///   fault dice.
+/// * per member — each answer goes through [`resolve_report`]'s transport
+///   legs, the link clamp and [`aggregate_group_traffic`].
+///
+/// [`Defense::on_tick`] picks by exactly that predicate, per tick.
 #[derive(Debug, Clone, Default)]
 struct SuspectTickCache {
     /// Tick the entry was built in (0 = never; ticks start at 1).
@@ -205,7 +225,7 @@ struct SuspectTickCache {
     /// The suspect's verified members (no observer adjustments applied).
     members: Vec<NodeId>,
     /// What each member answers a Neighbor_Traffic request with, aligned
-    /// with `members` — each observer subtracts its own slot back out.
+    /// with `members`.
     answers: Vec<Option<TrafficReport>>,
     /// Σ members' claimed received-from-suspect, missing reports as zero.
     sum_out: f64,
@@ -214,6 +234,72 @@ struct SuspectTickCache {
     /// Members that answered / refused (for bulk resilience accounting).
     n_answered: u32,
     n_refused: u32,
+}
+
+/// The group of a suspect that never announced a list: no members, so the
+/// observer judges from its own counters alone (`k = 1`, no messages).
+static NO_MEMBERS: SuspectTickCache = SuspectTickCache {
+    stamp: 0,
+    taken_at: 0,
+    members: Vec::new(),
+    answers: Vec::new(),
+    sum_out: 0.0,
+    sum_in: 0.0,
+    n_answered: 0,
+    n_refused: 0,
+};
+
+impl SuspectTickCache {
+    /// Rebuild the entry from `snap`, `suspect`'s announced list.
+    fn rebuild(&mut self, suspect: NodeId, snap: &Snapshot, ctx: &TickCtx<'_>) {
+        self.stamp = ctx.obs.tick;
+        self.taken_at = snap.taken_at;
+        verified_members_into(
+            suspect,
+            &snap.members,
+            &ctx.obs,
+            ctx.cfg.radius,
+            ctx.cfg.verify_lists,
+            &mut self.members,
+        );
+        self.answers.clear();
+        self.sum_out = 0.0;
+        self.sum_in = 0.0;
+        self.n_answered = 0;
+        self.n_refused = 0;
+        for &m in &self.members {
+            let answer = ctx.mon.answer(&ctx.obs, m, suspect);
+            match answer {
+                Some(r) => {
+                    self.n_answered += 1;
+                    self.sum_out += r.received_from_suspect as f64;
+                    self.sum_in += r.sent_to_suspect as f64;
+                }
+                None => self.n_refused += 1,
+            }
+            self.answers.push(answer);
+        }
+    }
+
+    /// `(Σout, Σin, fresh, refused)` for the observer at `own_slot`: it never
+    /// messages itself — its ground-truth counters stand in for its own (by
+    /// construction identical) report.
+    fn shared_sums(&self, own: TrafficReport, own_slot: Option<usize>) -> (f64, f64, u32, u32) {
+        let mut sum_out = own.received_from_suspect as f64 + self.sum_out;
+        let mut sum_in = own.sent_to_suspect as f64 + self.sum_in;
+        let (mut fresh, mut refused) = (self.n_answered, self.n_refused);
+        if let Some(slot) = own_slot {
+            match self.answers[slot] {
+                Some(r) => {
+                    fresh -= 1;
+                    sum_out -= r.received_from_suspect as f64;
+                    sum_in -= r.sent_to_suspect as f64;
+                }
+                None => refused -= 1,
+            }
+        }
+        (sum_out, sum_in, fresh, refused)
+    }
 }
 
 impl DdPolice {
@@ -228,13 +314,11 @@ impl DdPolice {
             exchange: ExchangeState::new(n),
             verdicts: VerdictMachine::new(n),
             exchanged_stamp: vec![0; n],
-            report_memo: HashMap::new(),
-            suspect_cache: vec![SuspectTickCache::default(); n],
             trace: None,
             force_fast_path: false,
             threads: 1,
             unordered_reduction: false,
-            worker_caches: Vec::new(),
+            shard_caches: Vec::new(),
             monitor,
             sketch_stats: SketchStats::default(),
         }
@@ -266,31 +350,25 @@ impl DdPolice {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Force the shared-judgment fast path regardless of its exactness
-    /// preconditions. This deliberately *breaks* the defense under configs
-    /// the fast path cannot handle (per-link clamping, robust aggregation,
-    /// faulty transport) — it exists solely so the differential harness can
-    /// prove it catches such breakage. Never set this outside tests.
+    /// Force the shared-sum step regardless of its exactness preconditions.
+    /// This deliberately *breaks* the defense under configs that step cannot
+    /// handle (per-link clamping, robust aggregation, faulty transport) — it
+    /// exists solely so the differential harness can prove it catches such
+    /// breakage. Never set this outside tests.
     #[doc(hidden)]
     pub fn set_force_fast_path(&mut self, on: bool) {
         self.force_fast_path = on;
     }
 
-    /// Sabotage the parallel reduction: merge worker partitions in reverse
-    /// order. This plants exactly the nondeterminism bug the serial-vs-
-    /// parallel differential suite exists to catch (who pays a suspect's
-    /// `k(k-1)` exchange charge, cut/reconnect ordering, snapshot-age
-    /// quantile feed order) — the suite's mutation check flips it and
-    /// asserts divergence is detected. Never set this outside tests.
+    /// Sabotage the reduction: merge shard outcomes in reverse order. This
+    /// plants exactly the nondeterminism bug the serial-vs-parallel
+    /// differential suite exists to catch (who pays a suspect's `k(k-1)`
+    /// exchange charge, cut/reconnect ordering, snapshot-age quantile feed
+    /// order) — the suite's mutation check flips it and asserts divergence
+    /// is detected. Never set this outside tests.
     #[doc(hidden)]
     pub fn set_unordered_reduction(&mut self, on: bool) {
         self.unordered_reduction = on;
-    }
-
-    fn record_trace(&mut self, tick: Tick, observer: NodeId, suspect: NodeId, g: f64, s: f64) {
-        if let Some(t) = self.trace.as_mut() {
-            t.push(JudgmentTrace { tick, observer, suspect, g, s });
-        }
     }
 
     /// The sketch monitor, when the sketch backend is active (tests,
@@ -320,10 +398,10 @@ impl DdPolice {
     /// to the top-k table (filling its leaky bucket, drained by the warning
     /// budget), then run a verify pass recording the realized worst
     /// overestimate. Runs serially on the caller's thread *before* any
-    /// judgment worker spawns: judgments only ever read the monitor, so the
-    /// parallel fast path needs no sketch merging or deferral at all — the
-    /// sketch analogue of the `Deferred` replay rule for suspect-shared
-    /// state is "mutate before the fork, freeze across it".
+    /// judgment: judgments only ever read the monitor, so sharding them
+    /// needs no sketch merging or deferral at all — the sketch analogue of
+    /// the `Deferred` replay rule for suspect-shared state is "mutate before
+    /// the fork, freeze across it".
     fn sketch_ingest(&mut self, obs: &TickObservation<'_>) {
         let Some(mon) = self.monitor.as_mut() else { return };
         mon.begin_tick(self.cfg.warning_threshold_qpm as u64);
@@ -366,198 +444,87 @@ impl DdPolice {
     pub fn state_footprint(&self) -> (usize, usize) {
         (self.verdicts.total_entries(), self.exchange.total_snapshots())
     }
+}
 
-    /// Resolve one member's `Neighbor_Traffic` report over the (possibly
-    /// faulty) transport. Transport failures are retried up to the bounded
-    /// budget (each retry charged one control message via `retry_msgs`),
-    /// then a late reply from an earlier round within the timeout window is
-    /// accepted, then §3.4's assume-zero rule applies. Refusals are final —
-    /// a silent peer stays silent no matter how often it is asked.
-    fn resolve_report(
-        &self,
-        observer: NodeId,
-        reporter: NodeId,
-        suspect: NodeId,
-        answer: Option<TrafficReport>,
-        obs: &TickObservation<'_>,
-        retry_msgs: &mut u64,
-    ) -> Option<TrafficReport> {
-        let mut attempt = 0u32;
-        loop {
-            match obs.deliver_prepared_report(observer, reporter, suspect, answer, attempt) {
-                ReportDelivery::Fresh(r) => {
-                    obs.note_report_outcome(ReportOutcome::Fresh);
-                    return Some(r);
+/// Resolve one member's `Neighbor_Traffic` report over the (possibly faulty)
+/// transport. Transport failures are retried up to the bounded budget (each
+/// retry charged one control message via `retry_msgs`), then a late reply
+/// from an earlier round within the timeout window is accepted, then §3.4's
+/// assume-zero rule applies. Refusals are final — a silent peer stays silent
+/// no matter how often it is asked.
+fn resolve_report(
+    cfg: &DdPoliceConfig,
+    obs: &TickObservation<'_>,
+    observer: NodeId,
+    reporter: NodeId,
+    suspect: NodeId,
+    answer: Option<TrafficReport>,
+    retry_msgs: &mut u64,
+) -> Option<TrafficReport> {
+    let mut attempt = 0u32;
+    loop {
+        match obs.deliver_prepared_report(observer, reporter, suspect, answer, attempt) {
+            ReportDelivery::Fresh(r) => {
+                obs.note_report_outcome(ReportOutcome::Fresh);
+                return Some(r);
+            }
+            ReportDelivery::Refused => {
+                obs.note_report_outcome(ReportOutcome::Refused);
+                return None;
+            }
+            ReportDelivery::Faulted => {
+                if attempt < cfg.max_report_retries {
+                    attempt += 1;
+                    *retry_msgs += 1;
+                    obs.note_retries(1);
+                    continue;
                 }
-                ReportDelivery::Refused => {
-                    obs.note_report_outcome(ReportOutcome::Refused);
-                    return None;
-                }
-                ReportDelivery::Faulted => {
-                    if attempt < self.cfg.max_report_retries {
-                        attempt += 1;
-                        *retry_msgs += 1;
-                        obs.note_retries(1);
-                        continue;
-                    }
-                    if let Some((r, sent_at)) = obs.stale_report(observer, reporter, suspect) {
-                        if obs.tick.saturating_sub(sent_at) <= self.cfg.report_timeout_ticks {
-                            obs.note_report_outcome(ReportOutcome::Stale);
-                            return Some(r);
-                        }
-                    }
-                    obs.note_report_outcome(ReportOutcome::AssumedZero);
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Judge one suspect from one observer's position. Returns the pair of
-    /// indicators actually computed (for diagnostics/tests) and the control
-    /// messages spent on transport retries.
-    #[allow(clippy::too_many_arguments)] // one per input plane; bundling would just rename the problem
-    fn judge(
-        &self,
-        observer: NodeId,
-        group: &BuddyGroup,
-        own: TrafficReport,
-        q_suspect_to_observer: u32,
-        obs: &TickObservation<'_>,
-        mon: Mon<'_>,
-        memo: &mut HashMap<(u32, u32), Option<TrafficReport>>,
-    ) -> (f64, f64, u64) {
-        let suspect = group.suspect;
-        let mut retry_msgs = 0u64;
-        let mut member_reports = Vec::with_capacity(group.members.len());
-        for &m in &group.members {
-            if m == observer {
-                continue; // own counters are summed directly, no message
-            }
-            let answer = *memo
-                .entry((m.0, suspect.0))
-                .or_insert_with(|| mon.answer(&obs.frozen(), m, suspect));
-            let report = self
-                .resolve_report(observer, m, suspect, answer, obs, &mut retry_msgs)
-                .map(|mut r| {
-                    if self.cfg.clamp_reports_to_link {
-                        // No member can have pushed more into the suspect
-                        // than the physical link allows; impossible claims
-                        // are capped (the collusive-inflation hardening).
-                        r.sent_to_suspect =
-                            r.sent_to_suspect.min(obs.overlay.link_capacity(m, suspect));
-                    }
-                    r
-                });
-            member_reports.push(report);
-        }
-        let (sum_out_of_suspect, sum_into_suspect) =
-            aggregate_group_traffic(own, &member_reports, self.cfg.aggregation);
-        let g = general_indicator(sum_out_of_suspect, sum_into_suspect, group.k(), self.cfg.q_qpm);
-        let s = single_indicator(
-            q_suspect_to_observer as f64,
-            sum_into_suspect - own.sent_to_suspect as f64,
-            self.cfg.q_qpm,
-        );
-        (g, s, retry_msgs)
-    }
-
-    /// The sharded fast-path tick: partition the observers by degree weight,
-    /// judge each partition on its own worker over the frozen tick view,
-    /// then reduce the partition outcomes in canonical (ascending-observer)
-    /// order. Contiguous ascending partitions make concatenation identical
-    /// to the serial observer loop, so every byte of engine state — verdict
-    /// entries, cut/reconnect ordering, control-message totals, the
-    /// snapshot-age quantile feed — lands exactly as a `threads == 1` run
-    /// would leave it.
-    ///
-    /// Workers never touch the cross-suspect shared state. Anything keyed by
-    /// *suspect* rather than observer (`exchanged_stamp`, the `k(k-1)`
-    /// exchange charge, the order-sensitive metric feeds) is recorded as a
-    /// [`Deferred`] event in serial order and replayed here on the caller's
-    /// thread during the reduction — as are the shards' edits to the verdict
-    /// machine's suspect → observers index.
-    fn parallel_fast_tick(
-        &mut self,
-        obs: &TickObservation<'_>,
-        mon: Mon<'_>,
-        actions: &mut Actions,
-    ) {
-        let frozen = obs.frozen();
-        let part = Partition::by_degree(obs.overlay.graph(), self.threads);
-        if self.worker_caches.len() < part.parts() {
-            self.worker_caches.resize_with(part.parts(), HashMap::new);
-        }
-        let cfg = &self.cfg;
-        let exchange = &self.exchange;
-        let tracing = self.trace.is_some();
-        let shards = self.verdicts.shards(part.boundaries());
-        let mut results: Vec<PartitionOutcome> = Vec::with_capacity(part.parts());
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(part.parts());
-            for ((p, shard), cache) in shards.into_iter().enumerate().zip(&mut self.worker_caches) {
-                let range = part.range(p);
-                handles.push(scope.spawn(move || {
-                    judge_partition(range, shard, cache, frozen, exchange, cfg, tracing, mon)
-                }));
-            }
-            for h in handles {
-                results.push(h.join().expect("judgment worker panicked"));
-            }
-        });
-        if self.unordered_reduction {
-            // Sabotage (see `set_unordered_reduction`): a reversed merge is
-            // what a racy unordered reduction would produce.
-            results.reverse();
-        }
-        for out in results {
-            self.verdicts.replay_index_edits(out.index_edits);
-            for d in out.deferred {
-                match d {
-                    Deferred::Missing { suspect } => {
-                        // Own-counters-only judgment: stamps without paying
-                        // (the group is {observer}, no messages).
-                        self.exchanged_stamp[suspect as usize] = obs.tick;
-                    }
-                    Deferred::Shared { suspect, age, k, fresh, refused } => {
-                        obs.note_snapshot_age(age);
-                        if self.exchanged_stamp[suspect as usize] != obs.tick {
-                            self.exchanged_stamp[suspect as usize] = obs.tick;
-                            actions.control_msgs += k * k.saturating_sub(1);
-                        }
-                        obs.note_report_outcomes(ReportOutcome::Fresh, fresh);
-                        obs.note_report_outcomes(ReportOutcome::Refused, refused);
+                if let Some((r, sent_at)) = obs.stale_report(observer, reporter, suspect) {
+                    if obs.tick.saturating_sub(sent_at) <= cfg.report_timeout_ticks {
+                        obs.note_report_outcome(ReportOutcome::Stale);
+                        return Some(r);
                     }
                 }
-            }
-            actions.cuts.extend(out.actions.cuts);
-            actions.reconnects.extend(out.actions.reconnects);
-            actions.transitions.extend(out.actions.transitions);
-            actions.control_msgs += out.actions.control_msgs;
-            if let Some(t) = self.trace.as_mut() {
-                t.extend(out.trace);
+                obs.note_report_outcome(ReportOutcome::AssumedZero);
+                return None;
             }
         }
     }
 }
 
-/// A fast-path side effect on suspect-keyed shared state, recorded by a
-/// worker in its partition's serial order and replayed on the reducing
-/// thread. The replay point is the only place `exchanged_stamp` and the
-/// order-sensitive engine metrics are touched during a parallel tick, so
-/// "first observer pays the suspect's `k(k-1)` charge" resolves exactly as
-/// the serial loop would.
-enum Deferred {
-    /// A missing-snapshot judgment past its grace streak stamped the suspect.
-    Missing { suspect: u32 },
-    /// A shared-snapshot judgment: feed the snapshot-age quantile, charge
-    /// `k(k-1)` if this is the suspect's first exchange this tick, and add
-    /// the bulk report-outcome tallies.
-    Shared { suspect: u32, age: Tick, k: u64, fresh: u64, refused: u64 },
+/// What every shard of one tick reads, all of it frozen for the tick (and
+/// `Sync`, so the pool's workers share one copy).
+#[derive(Clone, Copy)]
+struct TickCtx<'a> {
+    obs: FrozenTick<'a>,
+    exchange: &'a ExchangeState,
+    cfg: &'a DdPoliceConfig,
+    mon: Mon<'a>,
+    tracing: bool,
 }
 
-/// Everything one worker produced: partition-local actions and traces (in
-/// that partition's serial order) plus the deferred shared-state events.
+/// One judgment's effects on suspect-keyed shared state, logged by
+/// [`judge_range`] in its range's serial order and replayed by
+/// [`Defense::on_tick`] in ascending shard order. The replay is the only
+/// place `exchanged_stamp` and the order-sensitive engine metrics are
+/// touched, so "first observer pays the suspect's `k(k-1)` charge" resolves
+/// the same however the observers were sharded.
+struct Deferred {
+    suspect: u32,
+    /// Age of the snapshot judged on, for the snapshot-age quantile feed;
+    /// `None` for a suspect that never announced a list.
+    age: Option<Tick>,
+    /// Group size: the suspect's first judgment this tick pays `k(k-1)`.
+    k: u32,
+    /// Bulk report-outcome tallies of the shared-sum step (the per-member
+    /// step notes each lookup as it resolves it).
+    fresh: u32,
+    refused: u32,
+}
+
+/// Everything one [`judge_range`] call produced: the range's actions and
+/// traces in serial order, plus what must be replayed on the shared state.
+#[derive(Default)]
 struct PartitionOutcome {
     actions: Actions,
     trace: Vec<JudgmentTrace>,
@@ -567,53 +534,51 @@ struct PartitionOutcome {
     index_edits: Vec<IndexEdit>,
 }
 
-/// Judge one contiguous observer range on a worker thread. Mirrors the fast
-/// path of the serial loop in [`DdPolice::on_tick`] statement for statement;
-/// the only divergences are mechanical: verdict access goes through the
-/// partition's [`VerdictShard`], the suspect cache is worker-local (same
-/// values — entries are pure functions of `(suspect, announcement tick)` on
-/// the frozen tick), and suspect-keyed effects become [`Deferred`] events.
-/// The monitor view is read-only and tick-frozen, so sketch reads need no
-/// shard-locality treatment: every worker sees the identical sketch.
-#[allow(clippy::too_many_arguments)]
-fn judge_partition(
+/// Run every observer in `range` through its lifecycle clocks and judge each
+/// of its over-warning neighbors. `shard` holds the range's verdict state
+/// and `cache` is private to the call; everything else is read-only, so
+/// calls over disjoint ranges may run concurrently.
+///
+/// `per_member` selects how member answers become sums (see
+/// [`SuspectTickCache`]): `None` adjusts the shared sums, `Some` resolves
+/// every member's report through the full observation's transport. The
+/// fault plane behind that observation is single-threaded state, so a
+/// `Some` call must cover the whole observer range on the caller's thread.
+fn judge_range(
     range: Range<usize>,
     mut shard: VerdictShard<'_>,
     cache: &mut HashMap<u32, SuspectTickCache>,
-    obs: FrozenTick<'_>,
-    exchange: &ExchangeState,
-    cfg: &DdPoliceConfig,
-    tracing: bool,
-    mon: Mon<'_>,
+    ctx: TickCtx<'_>,
+    per_member: Option<&TickObservation<'_>>,
 ) -> PartitionOutcome {
-    let mut out = PartitionOutcome {
-        actions: Actions::default(),
-        trace: Vec::new(),
-        deferred: Vec::new(),
-        index_edits: Vec::new(),
-    };
-    let record = |out: &mut PartitionOutcome, observer, suspect, g, s| {
-        if tracing {
-            out.trace.push(JudgmentTrace { tick: obs.tick, observer, suspect, g, s });
-        }
-    };
+    let TickCtx { obs, exchange, cfg, mon, tracing } = ctx;
+    let mut out = PartitionOutcome::default();
+    let mut reports = Vec::new();
     for i in range {
         if !obs.runs_defense[i] {
             continue;
         }
         let observer = NodeId::from_index(i);
         if cfg.suspect_ttl_ticks != u32::MAX {
+            // Sweep before the lifecycle clocks: a probe about a suspect
+            // that already left must be collected, not fired into a dead
+            // slot (the recycled identity would inherit the probation).
             shard.expire_stale(observer, obs.tick, cfg.suspect_ttl_ticks, obs.online);
         }
         if cfg.readmission.enabled {
+            // Lifecycle clocks first: probations that survived their
+            // window readmit; quarantines whose backoff matured re-dial
+            // (one control message per probe) and enter probation.
             shard.expire_probations(observer, obs.tick, &mut out.actions);
             let before = out.actions.reconnects.len();
             shard.fire_probes(observer, obs.tick, cfg.readmission, &mut out.actions);
             out.actions.control_msgs += (out.actions.reconnects.len() - before) as u64;
         }
-        let neigh = obs.overlay.neighbors(observer);
-        for (slot, &half) in neigh.iter().enumerate() {
+        for (slot, &half) in obs.overlay.neighbors(observer).iter().enumerate() {
             let suspect = half.peer;
+            // In_query(suspect) read through the reciprocal index
+            // (receiver-side, duplicate-filtered) — or the sketch estimate
+            // of the same directed edge.
             let q_ji = mon.flow(&obs, suspect, half.ridx as usize, observer);
             if q_ji <= cfg.warning_threshold_qpm {
                 shard.below_warning(observer, suspect);
@@ -623,96 +588,63 @@ fn judge_partition(
                 sent_to_suspect: mon.flow(&obs, observer, slot, suspect),
                 received_from_suspect: q_ji,
             };
-            let Some(snap) = exchange.snapshot(observer, suspect) else {
-                let streak = shard.note_list_missing(observer, suspect);
-                if streak < cfg.missing_list_grace {
-                    continue;
+            let (entry, age) = match exchange.snapshot(observer, suspect) {
+                Some(snap) => {
+                    shard.note_list_ok(observer, suspect);
+                    let entry = cache.entry(suspect.0).or_default();
+                    if entry.stamp != obs.tick || entry.taken_at != snap.taken_at {
+                        entry.rebuild(suspect, snap, &ctx);
+                    }
+                    (&*entry, Some(obs.tick.saturating_sub(snap.taken_at)))
                 }
-                out.deferred.push(Deferred::Missing { suspect: suspect.0 });
-                let g = general_indicator(
-                    own.received_from_suspect as f64,
-                    own.sent_to_suspect as f64,
-                    1,
-                    cfg.q_qpm,
-                );
-                let s = single_indicator(q_ji as f64, 0.0, cfg.q_qpm);
-                record(&mut out, observer, suspect, g, s);
-                if shard.judged(
-                    observer,
-                    suspect,
-                    is_bad(g, s, cfg.cut_threshold),
-                    obs.tick,
-                    cfg.hysteresis,
-                    cfg.readmission,
-                    &mut out.actions,
-                ) {
-                    out.actions.cut(observer, suspect);
+                None => {
+                    let streak = shard.note_list_missing(observer, suspect);
+                    if streak < cfg.missing_list_grace {
+                        continue; // wait for the first exchange
+                    }
+                    (&NO_MEMBERS, None)
                 }
-                continue;
             };
-            let age = obs.tick.saturating_sub(snap.taken_at);
-            shard.note_list_ok(observer, suspect);
-            let entry = cache.entry(suspect.0).or_default();
-            if entry.stamp != obs.tick || entry.taken_at != snap.taken_at {
-                entry.stamp = obs.tick;
-                entry.taken_at = snap.taken_at;
-                verified_members_into(
-                    suspect,
-                    &snap.members,
-                    &obs,
-                    cfg.radius,
-                    cfg.verify_lists,
-                    &mut entry.members,
-                );
-                entry.answers.clear();
-                entry.sum_out = 0.0;
-                entry.sum_in = 0.0;
-                entry.n_answered = 0;
-                entry.n_refused = 0;
-                for &m in &entry.members {
-                    let answer = mon.answer(&obs, m, suspect);
-                    match answer {
-                        Some(r) => {
-                            entry.n_answered += 1;
-                            entry.sum_out += r.received_from_suspect as f64;
-                            entry.sum_in += r.sent_to_suspect as f64;
-                        }
-                        None => entry.n_refused += 1,
-                    }
-                    entry.answers.push(answer);
-                }
-            }
+            // The observer polices the suspect because they share a link: it
+            // is a member by construction even if the list omitted it.
             let own_slot = entry.members.iter().position(|&m| m == observer);
-            let in_group = own_slot.is_some();
-            let k = entry.members.len() + usize::from(!in_group);
-            let mut sum_out = own.received_from_suspect as f64 + entry.sum_out;
-            let mut sum_in = own.sent_to_suspect as f64 + entry.sum_in;
-            let mut fresh = entry.n_answered as u64;
-            let mut refused = entry.n_refused as u64;
-            if let Some(own_idx) = own_slot {
-                match entry.answers[own_idx] {
-                    Some(r) => {
-                        fresh -= 1;
-                        sum_out -= r.received_from_suspect as f64;
-                        sum_in -= r.sent_to_suspect as f64;
+            let k = entry.members.len() + usize::from(own_slot.is_none());
+            let (sum_out, sum_in, fresh, refused) = match per_member {
+                None => entry.shared_sums(own, own_slot),
+                Some(full) => {
+                    reports.clear();
+                    for (&m, &answer) in entry.members.iter().zip(&entry.answers) {
+                        if m == observer {
+                            continue; // own counters are summed directly, no message
+                        }
+                        let retry_msgs = &mut out.actions.control_msgs;
+                        let report =
+                            resolve_report(cfg, full, observer, m, suspect, answer, retry_msgs);
+                        reports.push(report.map(|mut r| {
+                            if cfg.clamp_reports_to_link {
+                                // No member can have pushed more into the
+                                // suspect than the physical link allows;
+                                // impossible claims are capped (the
+                                // collusive-inflation hardening).
+                                r.sent_to_suspect =
+                                    r.sent_to_suspect.min(obs.overlay.link_capacity(m, suspect));
+                            }
+                            r
+                        }));
                     }
-                    None => refused -= 1,
+                    let (sum_out, sum_in) = aggregate_group_traffic(own, &reports, cfg.aggregation);
+                    (sum_out, sum_in, 0, 0)
                 }
+            };
+            out.deferred.push(Deferred { suspect: suspect.0, age, k: k as u32, fresh, refused });
+            let (g, s, over_ct) = indicator::judge(own, sum_out, sum_in, k, cfg);
+            if tracing {
+                out.trace.push(JudgmentTrace { tick: obs.tick, observer, suspect, g, s });
             }
-            out.deferred.push(Deferred::Shared {
-                suspect: suspect.0,
-                age,
-                k: k as u64,
-                fresh,
-                refused,
-            });
-            let g = general_indicator(sum_out, sum_in, k, cfg.q_qpm);
-            let s = single_indicator(q_ji as f64, sum_in - own.sent_to_suspect as f64, cfg.q_qpm);
-            record(&mut out, observer, suspect, g, s);
             if shard.judged(
                 observer,
                 suspect,
-                is_bad(g, s, cfg.cut_threshold),
+                over_ct,
                 obs.tick,
                 cfg.hysteresis,
                 cfg.readmission,
@@ -745,256 +677,92 @@ impl Defense for DdPolice {
             self.exchange.on_tick_with_threads(self.cfg.exchange, obs, self.threads);
 
         // Sketch backend: replay the frozen counters into this tick's window
-        // before any judgment (serial or parallel) reads an estimate.
+        // before any judgment reads an estimate.
         self.sketch_ingest(obs);
-        // Taken out so the judgment loops can hold a read view of it while
-        // mutating the rest of `self`; restored at every return point.
-        let monitor = self.monitor.take();
-        let mon = match &monitor {
-            Some(m) => Mon::Sketch(m),
-            None => Mon::Exact,
-        };
 
         let n = obs.overlay.node_count();
         if self.exchanged_stamp.len() < n {
             self.exchanged_stamp.resize(n, 0);
         }
-        // Counters are frozen for the whole tick, so reporter answers cached
-        // by the previous observer stay valid for the next one.
-        let mut memo = std::mem::take(&mut self.report_memo);
-        memo.clear();
-        let mut cache = std::mem::take(&mut self.suspect_cache);
-        if cache.len() < n {
-            cache.resize(n, SuspectTickCache::default());
-        }
-        // The shared-judgment fast path is exact only when every observer of
-        // a suspect computes the same per-member terms: reliable transport
-        // (no per-observer fault dice), plain summation (integer-valued f64
-        // sums are order-independent below 2^53), and no per-link clamping.
-        let fast = self.force_fast_path
+        self.verdicts.ensure_slots(n);
+        let slots = self.verdicts.slot_count();
+
+        // See `SuspectTickCache` for why the shared sums need all three.
+        let shared = self.force_fast_path
             || (self.cfg.aggregation == AggregationPolicy::Sum
                 && !self.cfg.clamp_reports_to_link
                 && obs.faults.is_none_or(|f| f.config().is_inert()));
-        // The slow path stays serial at any width: its per-observer fault
-        // dice and retry loops are inherently order-coupled.
-        self.verdicts.ensure_slots(n);
-        if fast && self.threads > 1 && n > 1 && self.verdicts.slot_count() == n {
-            self.parallel_fast_tick(obs, mon, actions);
-            self.report_memo = memo;
-            self.suspect_cache = cache;
-            self.monitor = monitor;
-            return;
+        // Shard bounds over the verdict slots. The per-member step is one
+        // whole-range shard at any width (see `judge_range`).
+        let bounds = if shared && self.threads > 1 && n > 1 && slots == n {
+            Partition::by_degree(obs.overlay.graph(), self.threads).boundaries().to_vec()
+        } else {
+            vec![0, slots]
+        };
+        let parts = bounds.len() - 1;
+        if self.shard_caches.len() < parts {
+            self.shard_caches.resize_with(parts, HashMap::new);
         }
-        for i in 0..n {
-            if !obs.runs_defense[i] {
-                continue;
-            }
-            let observer = NodeId::from_index(i);
-            if self.cfg.suspect_ttl_ticks != u32::MAX {
-                // Sweep before the lifecycle clocks: a probe about a suspect
-                // that already left must be collected, not fired into a dead
-                // slot (the recycled identity would inherit the probation).
-                self.verdicts.expire_stale(
-                    observer,
-                    obs.tick,
-                    self.cfg.suspect_ttl_ticks,
-                    obs.online,
-                );
-            }
-            if self.cfg.readmission.enabled {
-                // Lifecycle clocks first: probations that survived their
-                // window readmit; quarantines whose backoff matured re-dial
-                // (one control message per probe) and enter probation.
-                self.verdicts.expire_probations(observer, obs.tick, actions);
-                let before = actions.reconnects.len();
-                self.verdicts.fire_probes(observer, obs.tick, self.cfg.readmission, actions);
-                actions.control_msgs += (actions.reconnects.len() - before) as u64;
-            }
-            // One adjacency fetch per observer; the slot loop below never
-            // mutates the overlay.
-            let neigh = obs.overlay.neighbors(observer);
-            for (slot, &half) in neigh.iter().enumerate() {
-                let suspect = half.peer;
-                // In_query(suspect) read through the reciprocal index
-                // (receiver-side, duplicate-filtered) — or the sketch
-                // estimate of the same directed edge.
-                let q_ji = mon.flow(&obs.frozen(), suspect, half.ridx as usize, observer);
-                if q_ji <= self.cfg.warning_threshold_qpm {
-                    self.verdicts.below_warning(observer, suspect);
-                    continue;
+        let ctx = TickCtx {
+            obs: obs.frozen(),
+            exchange: &self.exchange,
+            cfg: &self.cfg,
+            mon: match &self.monitor {
+                Some(m) => Mon::Sketch(m),
+                None => Mon::Exact,
+            },
+            tracing: self.trace.is_some(),
+        };
+        let mut shards = self.verdicts.shards(&bounds);
+        let mut outcomes: Vec<PartitionOutcome> = if shared {
+            // One work cell per shard: its verdict state, its cache, and the
+            // slot its outcome lands in.
+            let mut cells: Vec<_> = shards
+                .into_iter()
+                .zip(&mut self.shard_caches)
+                .map(|(shard, cache)| (Some(shard), cache, None))
+                .collect();
+            let cell_bounds: Vec<usize> = (0..=parts).collect();
+            ddp_sim::pool::run_chunked(self.threads, &mut cells, &cell_bounds, |first, chunk| {
+                for (p, (shard, cache, out)) in (first..).zip(chunk) {
+                    let shard = shard.take().expect("each cell is judged once");
+                    let range = bounds[p]..bounds[p + 1].min(n);
+                    *out = Some(judge_range(range, shard, cache, ctx, None));
                 }
-                if fast {
-                    // Own counters via the slots already in hand (identical
-                    // to `obs.own_counters`, minus its two adjacency scans).
-                    let own = TrafficReport {
-                        sent_to_suspect: mon.flow(&obs.frozen(), observer, slot, suspect),
-                        received_from_suspect: q_ji,
-                    };
-                    let Some(snap) = self.exchange.snapshot(observer, suspect) else {
-                        let streak = self.verdicts.note_list_missing(observer, suspect);
-                        if streak < self.cfg.missing_list_grace {
-                            continue; // wait for the first exchange
-                        }
-                        // Own-counters-only judgment of a silent suspect:
-                        // the group is {observer}, no messages, k = 1.
-                        self.exchanged_stamp[suspect.index()] = obs.tick;
-                        let g = general_indicator(
-                            own.received_from_suspect as f64,
-                            own.sent_to_suspect as f64,
-                            1,
-                            self.cfg.q_qpm,
-                        );
-                        let s = single_indicator(q_ji as f64, 0.0, self.cfg.q_qpm);
-                        self.record_trace(obs.tick, observer, suspect, g, s);
-                        if self.verdicts.judged(
-                            observer,
-                            suspect,
-                            is_bad(g, s, self.cfg.cut_threshold),
-                            obs.tick,
-                            self.cfg.hysteresis,
-                            self.cfg.readmission,
-                            actions,
-                        ) {
-                            actions.cut(observer, suspect);
-                        }
-                        continue;
-                    };
-                    obs.note_snapshot_age(obs.tick.saturating_sub(snap.taken_at));
-                    self.verdicts.note_list_ok(observer, suspect);
-                    let entry = &mut cache[suspect.index()];
-                    if entry.stamp != obs.tick || entry.taken_at != snap.taken_at {
-                        entry.stamp = obs.tick;
-                        entry.taken_at = snap.taken_at;
-                        verified_members_into(
-                            suspect,
-                            &snap.members,
-                            &obs.frozen(),
-                            self.cfg.radius,
-                            self.cfg.verify_lists,
-                            &mut entry.members,
-                        );
-                        entry.answers.clear();
-                        entry.sum_out = 0.0;
-                        entry.sum_in = 0.0;
-                        entry.n_answered = 0;
-                        entry.n_refused = 0;
-                        for &m in &entry.members {
-                            let answer = mon.answer(&obs.frozen(), m, suspect);
-                            match answer {
-                                Some(r) => {
-                                    entry.n_answered += 1;
-                                    entry.sum_out += r.received_from_suspect as f64;
-                                    entry.sum_in += r.sent_to_suspect as f64;
-                                }
-                                None => entry.n_refused += 1,
-                            }
-                            entry.answers.push(answer);
-                        }
-                    }
-                    // Adjust the shared sums for this observer: it never
-                    // messages itself — its ground-truth counters stand in
-                    // for its own (by construction identical) report.
-                    let own_slot = entry.members.iter().position(|&m| m == observer);
-                    let in_group = own_slot.is_some();
-                    let k = entry.members.len() + usize::from(!in_group);
-                    if self.exchanged_stamp[suspect.index()] != obs.tick {
-                        self.exchanged_stamp[suspect.index()] = obs.tick;
-                        let ku = k as u64;
-                        actions.control_msgs += ku * ku.saturating_sub(1);
-                    }
-                    let mut sum_out = own.received_from_suspect as f64 + entry.sum_out;
-                    let mut sum_in = own.sent_to_suspect as f64 + entry.sum_in;
-                    let mut fresh = entry.n_answered as u64;
-                    let mut refused = entry.n_refused as u64;
-                    if let Some(slot) = own_slot {
-                        match entry.answers[slot] {
-                            Some(r) => {
-                                fresh -= 1;
-                                sum_out -= r.received_from_suspect as f64;
-                                sum_in -= r.sent_to_suspect as f64;
-                            }
-                            None => refused -= 1,
-                        }
-                    }
-                    obs.note_report_outcomes(ReportOutcome::Fresh, fresh);
-                    obs.note_report_outcomes(ReportOutcome::Refused, refused);
-                    let g = general_indicator(sum_out, sum_in, k, self.cfg.q_qpm);
-                    let s = single_indicator(
-                        q_ji as f64,
-                        sum_in - own.sent_to_suspect as f64,
-                        self.cfg.q_qpm,
-                    );
-                    self.record_trace(obs.tick, observer, suspect, g, s);
-                    if self.verdicts.judged(
-                        observer,
-                        suspect,
-                        is_bad(g, s, self.cfg.cut_threshold),
-                        obs.tick,
-                        self.cfg.hysteresis,
-                        self.cfg.readmission,
-                        actions,
-                    ) {
-                        actions.cut(observer, suspect);
-                    }
-                    continue;
+            });
+            cells.into_iter().map(|(_, _, out)| out.expect("every cell was judged")).collect()
+        } else {
+            let shard = shards.pop().expect("one whole-range shard");
+            vec![judge_range(0..n, shard, &mut self.shard_caches[0], ctx, Some(obs))]
+        };
+        if self.unordered_reduction {
+            // Sabotage (see `set_unordered_reduction`): a reversed merge is
+            // what a racy unordered reduction would produce.
+            outcomes.reverse();
+        }
+        for out in outcomes {
+            self.verdicts.replay_index_edits(out.index_edits);
+            for d in out.deferred {
+                if let Some(age) = d.age {
+                    obs.note_snapshot_age(age);
                 }
-                // Suspicious: assemble the Buddy Group.
-                let group = match assemble(
-                    observer,
-                    suspect,
-                    &self.exchange,
-                    obs,
-                    self.cfg.radius,
-                    self.cfg.verify_lists,
-                ) {
-                    Some(bg) => {
-                        self.verdicts.note_list_ok(observer, suspect);
-                        bg
-                    }
-                    None => {
-                        let streak = self.verdicts.note_list_missing(observer, suspect);
-                        if streak < self.cfg.missing_list_grace {
-                            continue; // wait for the first exchange
-                        }
-                        // The suspect never announced a list: judge it from
-                        // the observer's own counters alone.
-                        BuddyGroup { suspect, members: vec![observer] }
-                    }
-                };
-                // Neighbor_Traffic exchange: k(k-1) messages, once per
-                // suspect per tick across all its observers (suppression).
-                if self.exchanged_stamp[suspect.index()] != obs.tick {
-                    self.exchanged_stamp[suspect.index()] = obs.tick;
-                    let k = group.k() as u64;
+                let stamp = &mut self.exchanged_stamp[d.suspect as usize];
+                if *stamp != obs.tick {
+                    *stamp = obs.tick;
+                    let k = d.k as u64;
                     actions.control_msgs += k * k.saturating_sub(1);
                 }
-                // Own counters via the slots already in hand (identical to
-                // `obs.own_counters`, minus its two adjacency scans).
-                let own = TrafficReport {
-                    sent_to_suspect: mon.flow(&obs.frozen(), observer, slot, suspect),
-                    received_from_suspect: q_ji,
-                };
-                let (g, s, retry_msgs) =
-                    self.judge(observer, &group, own, q_ji, obs, mon, &mut memo);
-                actions.control_msgs += retry_msgs;
-                self.record_trace(obs.tick, observer, suspect, g, s);
-                let over_ct = is_bad(g, s, self.cfg.cut_threshold);
-                if self.verdicts.judged(
-                    observer,
-                    suspect,
-                    over_ct,
-                    obs.tick,
-                    self.cfg.hysteresis,
-                    self.cfg.readmission,
-                    actions,
-                ) {
-                    actions.cut(observer, suspect);
-                }
+                obs.note_report_outcomes(ReportOutcome::Fresh, d.fresh as u64);
+                obs.note_report_outcomes(ReportOutcome::Refused, d.refused as u64);
+            }
+            actions.cuts.extend(out.actions.cuts);
+            actions.reconnects.extend(out.actions.reconnects);
+            actions.transitions.extend(out.actions.transitions);
+            actions.control_msgs += out.actions.control_msgs;
+            if let Some(t) = self.trace.as_mut() {
+                t.extend(out.trace);
             }
         }
-        self.report_memo = memo;
-        self.suspect_cache = cache;
-        self.monitor = monitor;
     }
 
     fn set_parallelism(&mut self, threads: usize) {
@@ -1031,9 +799,6 @@ impl Defense for DdPolice {
         self.verdicts.ensure_slots(n);
         if self.exchanged_stamp.len() < n {
             self.exchanged_stamp.resize(n, 0);
-        }
-        if self.suspect_cache.len() < n {
-            self.suspect_cache.resize(n, SuspectTickCache::default());
         }
     }
 
@@ -1078,11 +843,11 @@ impl Defense for DdPolice {
         if let Some(m) = &self.monitor {
             ddp_snapshot::Snapshottable::save(m, enc);
         }
-        // Deliberately absent: `report_memo` and `suspect_cache` are per-tick
-        // memos rebuilt from scratch at the top of `on_tick` (stamp != tick),
-        // `trace` contents are drained each tick by the harness — at a tick
-        // boundary both are empty/stale by construction — and `sketch_stats`
-        // is diagnostics that never feeds back into detection.
+        // Deliberately absent: `shard_caches` are per-tick memos rebuilt from
+        // scratch on first use each tick (stamp != tick), `trace` contents
+        // are drained each tick by the harness — at a tick boundary both are
+        // empty/stale by construction — and `sketch_stats` is diagnostics
+        // that never feeds back into detection.
     }
 
     fn restore_state(
@@ -1103,12 +868,9 @@ impl Defense for DdPolice {
         if let Some(m) = self.monitor.as_mut() {
             m.restore_into(dec)?;
         }
-        let n = self.exchange.len().max(self.exchanged_stamp.len());
-        self.report_memo = HashMap::new();
-        self.suspect_cache = vec![SuspectTickCache::default(); n];
         // Per-tick memos from the pre-restore timeline would carry stamps
         // that can collide with the resumed tick counter: drop them.
-        self.worker_caches.clear();
+        self.shard_caches.clear();
         Ok(())
     }
 }

@@ -259,9 +259,9 @@ impl ddp_snapshot::Snapshottable for SuspectEntry {
 /// One change to the suspect → observers index: `observer` gained
 /// (`listed`) or dropped its entry about `suspect`. The per-observer
 /// state-machine bodies record these instead of touching the index, because
-/// on the parallel path the index — keyed by *suspect* — is shared across
-/// [`VerdictShard`]s; the machine applies them right after each serial call,
-/// and the parallel reducer replays each shard's log in partition order.
+/// the index — keyed by *suspect* — is shared across [`VerdictShard`]s; the
+/// machine applies them right after each serial call, and `DdPolice::on_tick`
+/// replays each shard's log in partition order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexEdit {
     observer: u32,
@@ -610,9 +610,9 @@ impl VerdictMachine {
 /// A disjoint slice of a [`VerdictMachine`]: the suspicion state of one
 /// contiguous observer range `base..base + entries.len()`, carved out by
 /// [`VerdictMachine::shards`]. Exposes exactly the per-observer operations
-/// the judgment fast path needs; each delegates to the same free function
-/// the whole-machine method uses, so a sharded run makes bit-identical
-/// per-observer decisions to a serial one.
+/// the judgment driver (`police::judge_range`) needs; each delegates to the
+/// same free function the whole-machine method uses, so a sharded run makes
+/// bit-identical per-observer decisions to a serial one.
 pub struct VerdictShard<'a> {
     base: usize,
     entries: &'a mut [HashMap<u32, SuspectEntry>],

@@ -28,7 +28,6 @@ use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
 /// a verbatim copy of the crate's hot paths as of the commit that introduced
 /// this suite; it must never be "optimized" — its whole value is staying put.
 mod reference {
-    use ddp_police::buddy::BuddyGroup;
     use ddp_police::config::DdPoliceConfig;
     use ddp_police::exchange::ExchangePolicy;
     use ddp_police::verdict::{aggregate_group_traffic, VerdictMachine};
@@ -135,6 +134,18 @@ mod reference {
 
         pub fn reset_peer(&mut self, u: NodeId) {
             self.views[u.index()].clear();
+        }
+    }
+
+    /// Verbatim copy of the pre-refactor `buddy::BuddyGroup`.
+    pub struct BuddyGroup {
+        pub suspect: NodeId,
+        pub members: Vec<NodeId>,
+    }
+
+    impl BuddyGroup {
+        pub fn k(&self) -> usize {
+            self.members.len()
         }
     }
 

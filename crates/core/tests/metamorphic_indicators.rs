@@ -1,6 +1,6 @@
 //! Metamorphic properties of the §2 indicators.
 //!
-//! Three relations the formulas must satisfy for *any* inputs, not just the
+//! Four relations the formulas must satisfy for *any* inputs, not just the
 //! paper's worked example:
 //!
 //! 1. **Permutation invariance** — a Buddy Group is a set; reordering the
@@ -14,9 +14,13 @@
 //!    size `k >= 2`, not just the figure's `k = 3`: the integer sums are
 //!    exact in f64 and IEEE division rounds the same rational value the
 //!    same way on both sides.
+//! 4. **A group of one** — the judgment kernel fed an empty member list is
+//!    bit-exactly the own-counters closed form (`k = 1`, nobody else's
+//!    input to subtract) under every aggregation policy: the judgment of a
+//!    suspect that never announced a list needs no branch of its own.
 
-use ddp_police::group_traffic_sums;
-use ddp_police::indicator::{general_indicator, single_indicator};
+use ddp_police::indicator::{general_indicator, is_bad, judge, single_indicator};
+use ddp_police::{aggregate_group_traffic, group_traffic_sums, AggregationPolicy, DdPoliceConfig};
 use ddp_sim::TrafficReport;
 use proptest::prelude::*;
 
@@ -133,6 +137,37 @@ proptest! {
             s.to_bits(), expected.to_bits(),
             "s = {s:?}, q0/q = {expected:?} (k = {})", member_inputs.len()
         );
+    }
+
+    /// Relation 4: with no other member, every policy's sums are the
+    /// observer's own counters, and the kernel reproduces
+    /// `g = general_indicator(recv, sent, 1, q)`, `s = single_indicator(recv,
+    /// 0, q)` to the bit — over the whole `u32` counter range, `q = 0`
+    /// included.
+    #[test]
+    fn empty_member_list_is_the_own_counters_closed_form(
+        sent in any::<u32>(),
+        recv in any::<u32>(),
+        q in 0u32..100_000,
+        ct_tenths in 0u32..1_000,
+        trim_percent in 0u32..50,
+    ) {
+        let own = report(sent, recv);
+        let (ct, trim) = (ct_tenths as f64 / 10.0, trim_percent as f64 / 100.0);
+        let cfg = DdPoliceConfig { q_qpm: q, cut_threshold: ct, ..DdPoliceConfig::default() };
+        let want_g = general_indicator(recv as f64, sent as f64, 1, q);
+        let want_s = single_indicator(recv as f64, 0.0, q);
+        for policy in [
+            AggregationPolicy::Sum,
+            AggregationPolicy::Median,
+            AggregationPolicy::TrimmedMean { trim },
+        ] {
+            let (sum_out, sum_in) = aggregate_group_traffic(own, &[], policy);
+            let (g, s, over_ct) = judge(own, sum_out, sum_in, 1, &cfg);
+            prop_assert_eq!(g.to_bits(), want_g.to_bits(), "g under {:?}", policy);
+            prop_assert_eq!(s.to_bits(), want_s.to_bits(), "s under {:?}", policy);
+            prop_assert_eq!(over_ct, is_bad(want_g, want_s, ct));
+        }
     }
 }
 

@@ -10,7 +10,6 @@
 //! complete audit: every applied cut and every readmission appears in it.
 
 use ddp_metrics::{PeerVerdict, VerdictSummary};
-use ddp_police::buddy::{assemble, BuddyGroup};
 use ddp_police::exchange::ExchangeState;
 use ddp_police::indicator::{general_indicator, is_bad, single_indicator};
 use ddp_police::{group_traffic_sums, DdPolice, DdPoliceConfig, ReadmissionPolicy};
@@ -20,6 +19,49 @@ use ddp_sim::{
 };
 use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
 use std::collections::{HashMap, HashSet};
+
+/// The pre-PR `buddy::BuddyGroup`.
+struct BuddyGroup {
+    suspect: NodeId,
+    members: Vec<NodeId>,
+}
+
+impl BuddyGroup {
+    fn k(&self) -> usize {
+        self.members.len()
+    }
+}
+
+/// The pre-PR `buddy::assemble`: the observer's snapshot of the suspect's
+/// list, verified, with the observer always a member.
+fn assemble(
+    observer: NodeId,
+    suspect: NodeId,
+    exchange: &ExchangeState,
+    obs: &TickObservation<'_>,
+    radius: u8,
+    verify: bool,
+) -> Option<BuddyGroup> {
+    let snap = exchange.snapshot(observer, suspect)?;
+    obs.note_snapshot_age(obs.tick.saturating_sub(snap.taken_at));
+    let mut members = snap.members.clone();
+    if verify {
+        members.retain(|&m| m == observer || obs.confirm_membership(m, suspect));
+    }
+    if radius >= 2 {
+        let current: Vec<NodeId> = obs.overlay.neighbors(suspect).iter().map(|h| h.peer).collect();
+        for m in current {
+            if !members.contains(&m) {
+                members.push(m);
+            }
+        }
+        members.retain(|&m| obs.overlay.contains_edge(m, suspect) || m == observer);
+    }
+    if !members.contains(&observer) {
+        members.push(observer);
+    }
+    Some(BuddyGroup { suspect, members })
+}
 
 /// The pre-PR DD-POLICE bad-peer recognition, kept byte-for-byte in spirit:
 /// a per-observer missing-list streak map and an unconditional cut the first

@@ -1,8 +1,9 @@
 //! The peer state machine.
 
 use bytes::Bytes;
-use ddp_police::indicator::{general_indicator, is_bad, single_indicator};
-use ddp_police::{DdPoliceConfig, MonitorBackend};
+use ddp_police::{
+    aggregate_group_traffic, indicator, DdPoliceConfig, MonitorBackend, TrafficReport,
+};
 use ddp_protocol::routing::Offer;
 use ddp_protocol::{
     decode_message, encode_message, Bye, Guid, Message, NeighborList, NeighborTraffic, Payload,
@@ -469,30 +470,27 @@ impl Servent {
             let inv = self.investigations.remove(&suspect_key).expect("just listed");
             let suspect = NodeId(suspect_key);
             let Some(link) = self.links.get(&suspect_key) else { continue };
-            // Assemble the sums: own counters plus reports; missing => 0.
+            // Own counters plus one claim per other member; missing => 0.
             // Q_{me→j} uses the suspect's receipt (its fresh-In from us);
             // a suspect that issues no receipts forfeits the discount.
-            let mut sum_out_of_suspect = link.in_prev as f64; // Q_{j→me}
-            let mut sum_into_suspect = link.receipt_prev as f64; // Q_{me→j}
-            let mut k = 1usize;
-            for &m in &inv.members {
-                if m == self.id {
-                    continue;
-                }
-                k += 1;
-                if let Some(&(m_to_j, j_to_m)) = inv.reports.get(&m.0) {
-                    sum_into_suspect += m_to_j as f64;
-                    sum_out_of_suspect += j_to_m as f64;
-                }
-            }
-            let q = self.cfg.police.q_qpm;
-            let g = general_indicator(sum_out_of_suspect, sum_into_suspect, k, q);
-            let s = single_indicator(
-                link.in_prev as f64,
-                sum_into_suspect - link.receipt_prev as f64,
-                q,
-            );
-            let bad = is_bad(g, s, self.cfg.police.cut_threshold);
+            let own = TrafficReport {
+                sent_to_suspect: link.receipt_prev,
+                received_from_suspect: link.in_prev,
+            };
+            let reports: Vec<Option<TrafficReport>> = inv
+                .members
+                .iter()
+                .filter(|&&m| m != self.id)
+                .map(|m| {
+                    inv.reports.get(&m.0).map(|&(m_to_j, j_to_m)| TrafficReport {
+                        sent_to_suspect: m_to_j,
+                        received_from_suspect: j_to_m,
+                    })
+                })
+                .collect();
+            let police = &self.cfg.police;
+            let (sum_out, sum_in) = aggregate_group_traffic(own, &reports, police.aggregation);
+            let (g, s, bad) = indicator::judge(own, sum_out, sum_in, reports.len() + 1, police);
             self.verdict_log.push((now, suspect, g, s, bad));
             if bad {
                 let bye = Message::new(

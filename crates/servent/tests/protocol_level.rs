@@ -1,6 +1,11 @@
 //! End-to-end protocol-level tests: full servents over encoded frames.
 
-use ddp_servent::{Harness, HarnessConfig, ServentConfig, ServentRole};
+use ddp_police::{AggregationPolicy, DdPoliceConfig};
+use ddp_protocol::{
+    encode_message, Guid, Message, NeighborList, NeighborTraffic, Payload, PeerAddr, Query,
+};
+use ddp_servent::servent::Outbox;
+use ddp_servent::{Harness, HarnessConfig, Servent, ServentConfig, ServentRole};
 use ddp_topology::{DynamicGraph, NodeId, TopologyConfig, TopologyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -181,4 +186,64 @@ fn bg_liveness_pings_flow_and_refresh() {
     // Pings/pongs happened (frames well beyond the handful of queries).
     assert!(r.frames > r.issued as u64 * 10, "{} frames for {} queries", r.frames, r.issued);
     assert!(r.cuts.is_empty());
+}
+
+/// Servent 0 investigates its neighbor 1, a good peer that merely forwards:
+/// members 2..=5 each pushed 200 queries into it and it relayed 800 to the
+/// observer and 600 to each of them, so honest reports explain all of its
+/// output. Member 5 frames it by claiming 50x the queries it really received.
+/// Returns the observer after its investigation deadline.
+fn framed_forwarder_judged_under(aggregation: AggregationPolicy) -> Servent {
+    let (suspect, liar) = (NodeId(1), NodeId(5));
+    let cfg = ServentConfig {
+        police: DdPoliceConfig { aggregation, ..DdPoliceConfig::default() },
+        ..ServentConfig::default()
+    };
+    let mut observer = Servent::new(NodeId(0), ServentRole::Good, cfg);
+    observer.connect(suspect);
+    let mut out = Outbox::new();
+    let mut seq = 0u64;
+    let mut deliver = |s: &mut Servent, from: NodeId, now: u64, payload: Payload| {
+        seq += 1;
+        let frame = encode_message(&Message::new(Guid::derived(from.0, seq), 1, payload));
+        s.handle_frame(from, frame, now, &mut out);
+    };
+    let group = (0..=5).filter(|&i| i != suspect.0).map(PeerAddr::from_node_index).collect();
+    deliver(&mut observer, suspect, 1, Payload::NeighborList(NeighborList { neighbors: group }));
+    for i in 0..800u64 {
+        let query = Query { min_speed: 0, criteria: format!("relayed-{i}") };
+        deliver(&mut observer, suspect, 2 + i % 50, Payload::Query(query));
+    }
+    observer.on_minute(60, 1, &mut Outbox::new());
+    for m in 2..=5 {
+        let report = NeighborTraffic {
+            source_ip: PeerAddr::from_node_index(m).ip,
+            suspect_ip: PeerAddr::from_node_index(suspect.0).ip,
+            timestamp: 65,
+            outgoing_queries: 200,
+            incoming_queries: if NodeId(m) == liar { 50 * 600 } else { 600 },
+        };
+        deliver(&mut observer, NodeId(m), 65, Payload::NeighborTraffic(report));
+    }
+    for now in 61..=111 {
+        observer.on_second(now, &mut Outbox::new());
+    }
+    assert_eq!(observer.verdict_log.len(), 1, "exactly one investigation concluded");
+    observer
+}
+
+#[test]
+fn aggregation_policy_reaches_the_wire_judgment() {
+    let suspect = NodeId(1);
+    let summed = framed_forwarder_judged_under(AggregationPolicy::Sum);
+    let (_, who, g, s, cut) = summed.verdict_log[0];
+    assert_eq!(who, suspect);
+    assert!(cut && g > 50.0 && s == 0.0, "one inflated claim convicts under Sum: g={g} s={s}");
+    assert_eq!(summed.cut_log, vec![(110, suspect)]);
+    assert!(!summed.is_neighbor(suspect));
+
+    let median = framed_forwarder_judged_under(AggregationPolicy::Median);
+    let (_, _, g, s, cut) = median.verdict_log[0];
+    assert!(!cut && g < 1.0 && s == 0.0, "the median ignores the lone outlier: g={g} s={s}");
+    assert!(median.cut_log.is_empty() && median.is_neighbor(suspect));
 }

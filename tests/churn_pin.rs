@@ -16,14 +16,20 @@
 //! proof that change is bit-identical under churn. Re-bless only for a change
 //! that is meant to alter simulation behaviour.
 //!
-//! Two scenarios: `reliable` runs at worker widths 1 and 2 (the parallel
-//! exchange refresh and the sharded judgment fast path must reproduce the
-//! serial trajectory), `lossy` adds message loss and delay so the serial slow
-//! path and late neighbor-list mail run too.
+//! Three scenarios, each at worker widths 1 and 2. `reliable` takes the
+//! shared-sum judgment step, so width 2 shards it and the parallel exchange
+//! refresh must reproduce the serial trajectory. `lossy` adds message loss
+//! and delay, so the per-member step and late neighbor-list mail run; that
+//! step is one whole-range shard at any width. `robust` adds the link clamp,
+//! trimmed-mean aggregation and radius-2 cross-verification on top of loss.
+//! The `robust` section was recorded at the commit *before* the serial and
+//! sharded judgment loops were merged into one driver and appended to the
+//! fixture; the `reliable` and `lossy` lines above it are the originals.
 
 use ddpolice::attack::AttackPlan;
 use ddpolice::police::{
-    DdPolice, DdPoliceConfig, Hysteresis, MonitorBackend, ReadmissionPolicy, SketchParams,
+    AggregationPolicy, DdPolice, DdPoliceConfig, Hysteresis, MonitorBackend, ReadmissionPolicy,
+    SketchParams,
 };
 use ddpolice::sim::{FaultConfig, SessionConfig, SimConfig, Simulation};
 use ddpolice::snapshot::fnv1a64;
@@ -41,20 +47,33 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/churn_pin.txt")
 }
 
-fn scenarios() -> [(&'static str, FaultConfig, &'static [usize]); 2] {
+/// `(name, transport faults, police config)`; [`run`] lays the pin's fixed
+/// monitor, hysteresis, readmission and TTL settings over the police config.
+fn scenarios() -> [(&'static str, FaultConfig, DdPoliceConfig); 3] {
+    let paper = DdPoliceConfig::default();
     [
-        ("reliable", FaultConfig::default(), &[1, 2]),
+        ("reliable", FaultConfig::default(), paper),
         (
             "lossy",
             FaultConfig { loss: 0.05, delay_prob: 0.1, delay_ticks: 1, ..FaultConfig::default() },
-            &[1],
+            paper,
+        ),
+        (
+            "robust",
+            FaultConfig { loss: 0.1, ..FaultConfig::default() },
+            DdPoliceConfig {
+                clamp_reports_to_link: true,
+                aggregation: AggregationPolicy::TrimmedMean { trim: 0.2 },
+                radius: 2,
+                ..paper
+            },
         ),
     ]
 }
 
 /// Run one scenario and render it the way the fixture stores it: one
 /// `<scenario> <tick> <state hash>` line per tick, then the snapshot digest.
-fn run(name: &str, faults: FaultConfig, threads: usize) -> String {
+fn run(name: &str, faults: FaultConfig, police: DdPoliceConfig, threads: usize) -> String {
     let sim_cfg = SimConfig {
         topology: TopologyConfig { n: PEERS, model: TopologyModel::BarabasiAlbert { m: 3 } },
         ttl: 3,
@@ -73,7 +92,7 @@ fn run(name: &str, faults: FaultConfig, threads: usize) -> String {
             probation_ticks: 2,
         },
         suspect_ttl_ticks: 6,
-        ..DdPoliceConfig::default()
+        ..police
     };
     let mut sim = Simulation::new(sim_cfg, DdPolice::new(police_cfg, PEERS), SEED);
     AttackPlan::new(PEERS / 20).apply(&mut sim, &mut StdRng::seed_from_u64(SEED ^ 0xdd05_ee1f));
@@ -103,8 +122,10 @@ fn run(name: &str, faults: FaultConfig, threads: usize) -> String {
 fn churn_trajectory_matches_the_pre_index_fixture() {
     let path = fixture_path();
     if std::env::var_os("DDP_BLESS").is_some() {
-        let recorded: String =
-            scenarios().into_iter().map(|(name, faults, _)| run(name, faults, 1)).collect();
+        let recorded: String = scenarios()
+            .into_iter()
+            .map(|(name, faults, police)| run(name, faults, police, 1))
+            .collect();
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, recorded).unwrap();
         return;
@@ -112,11 +133,11 @@ fn churn_trajectory_matches_the_pre_index_fixture() {
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing fixture {} ({e}); run with DDP_BLESS=1", path.display())
     });
-    for (name, faults, widths) in scenarios() {
+    for (name, faults, police) in scenarios() {
         let want: Vec<&str> = golden.lines().filter(|l| l.starts_with(name)).collect();
         assert_eq!(want.len(), TICKS + 1, "fixture has no complete `{name}` section");
-        for &threads in widths {
-            let got = run(name, faults.clone(), threads);
+        for threads in [1, 2] {
+            let got = run(name, faults.clone(), police, threads);
             for (g, w) in got.lines().zip(&want) {
                 assert_eq!(g, *w, "first divergence from the fixture, threads={threads}");
             }

@@ -17,6 +17,7 @@
 //! | [`runners::cheating`] | §3.4 report-cheating strategies |
 //! | `runners::ablate_*` | design-choice ablations (warning threshold, BG radius, forwarding policy, attacker rejoin, report clamp, list lying, topology) |
 
+pub mod bench_report;
 pub mod output;
 pub mod runners;
 pub mod scenario;

@@ -13,17 +13,27 @@
 //!   consequences       figures 9-11 from one sweep
 //!   fig12       damage rate over time per cut threshold
 //!   fig13 fig14 errors / recovery time vs cut threshold
+//!   ct          figures 13-14 from one sweep
 //!   exchange    neighbor-list exchange policy study (§3.7.1)
-//!   scale       throughput sweep over overlay size × attacker fraction
-//!   churn       session-model churn × whitewashing attackers (extension)
-//!   fuzz        differential fuzz: engine vs naive reference oracle
-//!   soak        crash-recovery chaos soak on the wire mesh
 //!   cheating    report-cheating strategies (§3.4)
 //!   resilience  lossy/delayed control plane sweep (extension)
 //!   collusion   coordinated report-cheating coalitions sweep (extension)
 //!   ablations   design-choice ablations
-//!   all         everything above
+//!   structured  flooding overlay vs Chord-like DHT (§5 future work)
+//!   all         every command above, one run each
+//!
+//!   not part of `all` (they write artifacts, spawn processes or gate CI):
+//!   scale       throughput sweep over overlay size × attacker fraction
+//!   sketch      exact-vs-sketch monitor memory/accuracy sweep
+//!   churn       session-model churn × whitewashing attackers (extension)
+//!   fuzz        differential fuzz: engine vs naive reference oracle
+//!   testbed     sim-vs-wire cross-validation on a servent mesh
+//!   soak        crash-recovery chaos soak on the wire mesh
 //! ```
+//!
+//! Sweeps fan their grid cells out over `ddp_sim::pool` at the host's
+//! available parallelism; `--threads` is the tick engine's width inside the
+//! timed `scale` cells. Tables are byte-identical at every width of either.
 
 use ddp_experiments::runners::{self, emit};
 use ddp_experiments::{ensure_writable_dir, ExpOptions};
@@ -161,8 +171,15 @@ usage: ddp-experiments <command> [options]
 
 commands:
   table1 fig2 fig5 fig6 fig9 fig10 fig11 consequences
-  fig12 fig13 fig14 ct exchange cheating resilience collusion structured
-  scale sketch churn fuzz ablations testbed soak all
+  fig12 fig13 fig14 ct exchange cheating resilience collusion ablations
+  structured
+  all      every command above, one run each
+  scale sketch churn fuzz testbed soak
+           not part of `all`: they write BENCH_*.json, spawn servent
+           processes or gate CI, and are run by name
+
+Sweeps run their grid cells in parallel on every available core; results
+are collected in grid order, so output does not depend on the core count.
 
 scale sweeps overlay size × attacker fraction, reporting ticks/sec,
 queries/sec, and a peak-heap proxy, and writes BENCH_scale.json.
@@ -190,8 +207,9 @@ options:
   --replicates N   averaged seeds per configuration (default 1)
   --csv DIR        also write each table as DIR/<name>.csv
   --paper-scale    shorthand for --peers 20000 (the paper's §3.5 setting)
-  --smoke          (scale/churn/fuzz/testbed/soak) reduced grid that just validates the pipeline
-  --threads N      tick-engine worker count (default 1; results are
+  --smoke          (scale/sketch/churn/fuzz/testbed/soak) reduced grid that just
+                   validates the pipeline; BENCH_*.json is checked, not written
+  --threads N      (scale) tick-engine worker count (default 1; results are
                    byte-identical at every width, only wall clock changes)
 
 testbed runs the sim-vs-wire cross-validation: the same topology and attack

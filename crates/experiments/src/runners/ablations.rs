@@ -1,10 +1,10 @@
 //! Ablations of DESIGN.md's called-out design choices.
 
+use super::par_map;
 use crate::output::{f, pct, Table};
 use crate::scenario::{DefenseKind, ExpOptions, Scenario};
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 use ddp_workload::LifetimeModel;
-use rayon::prelude::*;
 
 fn damage_row(
     opts: &ExpOptions,
@@ -30,23 +30,19 @@ fn damage_row(
 /// triggers constant Buddy-Group exchanges; too high delays detection.
 pub fn ablate_warning(opts: &ExpOptions) -> Table {
     let thresholds = [100u32, 250, 500, 1_000, 2_000, 5_000];
-    let rows: Vec<Vec<String>> = thresholds
-        .par_iter()
-        .enumerate()
-        .map(|(ci, &w)| {
-            let (fneg, fpos, damage, control) = damage_row(opts, ci, |seed| {
-                let cfg = DdPoliceConfig { warning_threshold_qpm: w, ..DdPoliceConfig::default() };
-                Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(DefenseKind::DdPoliceFull(cfg))
-                    .seed(seed)
-                    .build()
-            });
-            vec![w.to_string(), f(fneg, 1), f(fpos, 1), pct(damage), f(control, 0)]
-        })
-        .collect();
+    let rows = par_map(&thresholds, |ci, &w| {
+        let (fneg, fpos, damage, control) = damage_row(opts, ci, |seed| {
+            let cfg = DdPoliceConfig { warning_threshold_qpm: w, ..DdPoliceConfig::default() };
+            Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .defense(DefenseKind::DdPoliceFull(cfg))
+                .seed(seed)
+                .build()
+        });
+        vec![w.to_string(), f(fneg, 1), f(fpos, 1), pct(damage), f(control, 0)]
+    });
     let mut t = Table::new(
         "ablate_warning_threshold",
         format!("Ablation: warning threshold ({} agents)", opts.agents),
@@ -67,35 +63,31 @@ pub fn ablate_warning(opts: &ExpOptions) -> Table {
 /// Buddy-Group radius r ∈ {1, 2} under *heavy* churn (mean lifetime 5 min):
 /// r = 2's cross-verified membership resists snapshot staleness.
 pub fn ablate_radius(opts: &ExpOptions) -> Table {
-    let rows: Vec<Vec<String>> = [1u8, 2]
-        .par_iter()
-        .enumerate()
-        .map(|(ci, &radius)| {
-            let (fneg, fpos, damage, _) = damage_row(opts, ci, |seed| {
-                let cfg = DdPoliceConfig {
-                    radius,
-                    exchange: ExchangePolicy::Periodic { minutes: 4 }, // extra staleness
-                    ..DdPoliceConfig::default()
-                };
-                let sim = ddp_sim::SimConfig {
-                    topology: ddp_topology::TopologyConfig {
-                        n: opts.peers,
-                        model: ddp_topology::TopologyModel::BarabasiAlbert { m: 3 },
-                    },
-                    lifetime: LifetimeModel::LogNormal { mean_min: 5.0, var_min: 2.5 },
-                    ..ddp_sim::SimConfig::default()
-                };
-                Scenario::builder()
-                    .sim_config(sim)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(DefenseKind::DdPoliceFull(cfg))
-                    .seed(seed)
-                    .build()
-            });
-            vec![format!("r={radius}"), f(fneg, 1), f(fpos, 1), pct(damage)]
-        })
-        .collect();
+    let rows = par_map(&[1u8, 2], |ci, &radius| {
+        let (fneg, fpos, damage, _) = damage_row(opts, ci, |seed| {
+            let cfg = DdPoliceConfig {
+                radius,
+                exchange: ExchangePolicy::Periodic { minutes: 4 }, // extra staleness
+                ..DdPoliceConfig::default()
+            };
+            let sim = ddp_sim::SimConfig {
+                topology: ddp_topology::TopologyConfig {
+                    n: opts.peers,
+                    model: ddp_topology::TopologyModel::BarabasiAlbert { m: 3 },
+                },
+                lifetime: LifetimeModel::LogNormal { mean_min: 5.0, var_min: 2.5 },
+                ..ddp_sim::SimConfig::default()
+            };
+            Scenario::builder()
+                .sim_config(sim)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .defense(DefenseKind::DdPoliceFull(cfg))
+                .seed(seed)
+                .build()
+        });
+        vec![format!("r={radius}"), f(fneg, 1), f(fpos, 1), pct(damage)]
+    });
     let mut t = Table::new(
         "ablate_bg_radius",
         format!("Ablation: Buddy-Group radius under heavy churn ({} agents)", opts.agents),
@@ -115,30 +107,26 @@ pub fn ablate_forwarding(opts: &ExpOptions) -> Table {
         ("fair-share forwarding", DefenseKind::FairShare),
         ("DD-POLICE (CT=5)", DefenseKind::DdPolice { cut_threshold: 5.0 }),
     ];
-    let rows: Vec<Vec<String>> = configs
-        .par_iter()
-        .enumerate()
-        .map(|(ci, (label, defense))| {
-            let mut success = 0.0;
-            let mut response = 0.0;
-            let mut damage = 0.0;
-            for r in 0..opts.replicates {
-                let dr = Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(defense.clone())
-                    .seed(opts.seed_for(ci, r))
-                    .build()
-                    .run_with_damage();
-                success += dr.attacked.summary.success_rate_stable;
-                response += dr.attacked.summary.response_time_mean_secs;
-                damage += dr.stable_damage();
-            }
-            let n = opts.replicates.max(1) as f64;
-            vec![label.to_string(), pct(success / n), f(response / n, 2), pct(damage / n)]
-        })
-        .collect();
+    let rows = par_map(&configs, |ci, (label, defense)| {
+        let mut success = 0.0;
+        let mut response = 0.0;
+        let mut damage = 0.0;
+        for r in 0..opts.replicates {
+            let dr = Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .defense(defense.clone())
+                .seed(opts.seed_for(ci, r))
+                .build()
+                .run_with_damage();
+            success += dr.attacked.summary.success_rate_stable;
+            response += dr.attacked.summary.response_time_mean_secs;
+            damage += dr.stable_damage();
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![label.to_string(), pct(success / n), f(response / n, 2), pct(damage / n)]
+    });
     let mut t = Table::new(
         "ablate_forwarding_policy",
         format!("Baseline comparison: forwarding policy vs detection ({} agents)", opts.agents),
@@ -159,36 +147,32 @@ pub fn ablate_rejoin(opts: &ExpOptions) -> Table {
         ("5 min".into(), 5),
         ("2 min".into(), 2),
     ];
-    let rows: Vec<Vec<String>> = delays
-        .par_iter()
-        .enumerate()
-        .map(|(ci, (label, delay))| {
-            let mut damage = 0.0;
-            let mut cuts = 0.0;
-            for r in 0..opts.replicates {
-                let sim = ddp_sim::SimConfig {
-                    topology: ddp_topology::TopologyConfig {
-                        n: opts.peers,
-                        model: ddp_topology::TopologyModel::BarabasiAlbert { m: 3 },
-                    },
-                    attacker_rejoin_delay_ticks: *delay,
-                    ..ddp_sim::SimConfig::default()
-                };
-                let dr = Scenario::builder()
-                    .sim_config(sim)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-                    .seed(opts.seed_for(ci, r))
-                    .build()
-                    .run_with_damage();
-                damage += dr.stable_damage();
-                cuts += dr.attacked.summary.attackers_cut as f64;
-            }
-            let n = opts.replicates.max(1) as f64;
-            vec![label.clone(), pct(damage / n), f(cuts / n, 0)]
-        })
-        .collect();
+    let rows = par_map(&delays, |ci, (label, delay)| {
+        let mut damage = 0.0;
+        let mut cuts = 0.0;
+        for r in 0..opts.replicates {
+            let sim = ddp_sim::SimConfig {
+                topology: ddp_topology::TopologyConfig {
+                    n: opts.peers,
+                    model: ddp_topology::TopologyModel::BarabasiAlbert { m: 3 },
+                },
+                attacker_rejoin_delay_ticks: *delay,
+                ..ddp_sim::SimConfig::default()
+            };
+            let dr = Scenario::builder()
+                .sim_config(sim)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
+                .seed(opts.seed_for(ci, r))
+                .build()
+                .run_with_damage();
+            damage += dr.stable_damage();
+            cuts += dr.attacked.summary.attackers_cut as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![label.clone(), pct(damage / n), f(cuts / n, 0)]
+    });
     let mut t = Table::new(
         "ablate_attacker_rejoin",
         format!("Extension: attacker rejoin delay ({} agents, DD-POLICE CT=5)", opts.agents),
@@ -242,30 +226,26 @@ pub fn ablate_clamp(opts: &ExpOptions) -> Table {
         ("inflating agents, no clamp", CheatStrategy::InflateSent, false),
         ("inflating agents, clamp on", CheatStrategy::InflateSent, true),
     ];
-    let rows: Vec<Vec<String>> = configs
-        .par_iter()
-        .map(|(label, cheat, clamp)| {
-            let mut damage = 0.0;
-            let mut never = 0.0;
-            for r in 0..opts.replicates {
-                let cfg =
-                    DdPoliceConfig { clamp_reports_to_link: *clamp, ..DdPoliceConfig::default() };
-                let dr = Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .cheat(*cheat)
-                    .defense(DefenseKind::DdPoliceFull(cfg))
-                    .seed(opts.seed_for(0, r))
-                    .build()
-                    .run_with_damage();
-                damage += dr.stable_damage();
-                never += dr.attacked.summary.attackers_never_cut as f64;
-            }
-            let n = opts.replicates.max(1) as f64;
-            vec![label.to_string(), pct(damage / n), f(never / n, 1)]
-        })
-        .collect();
+    let rows = par_map(&configs, |_, (label, cheat, clamp)| {
+        let mut damage = 0.0;
+        let mut never = 0.0;
+        for r in 0..opts.replicates {
+            let cfg = DdPoliceConfig { clamp_reports_to_link: *clamp, ..DdPoliceConfig::default() };
+            let dr = Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .cheat(*cheat)
+                .defense(DefenseKind::DdPoliceFull(cfg))
+                .seed(opts.seed_for(0, r))
+                .build()
+                .run_with_damage();
+            damage += dr.stable_damage();
+            never += dr.attacked.summary.attackers_never_cut as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![label.to_string(), pct(damage / n), f(never / n, 1)]
+    });
     let mut t = Table::new(
         "ablate_report_clamp",
         format!(
@@ -290,39 +270,39 @@ pub fn ablate_lists(opts: &ExpOptions) -> Table {
         ("omit all", ListBehavior::Omit),
         ("refuse exchange", ListBehavior::Refuse),
     ];
-    let rows: Vec<Vec<String>> = behaviors
-        .par_iter()
-        .flat_map(|(label, lists)| {
-            [true, false].into_par_iter().map(move |verify| {
-                let mut damage = 0.0;
-                let mut never = 0.0;
-                let mut fneg = 0.0;
-                for r in 0..opts.replicates {
-                    let cfg = DdPoliceConfig { verify_lists: verify, ..DdPoliceConfig::default() };
-                    let dr = Scenario::builder()
-                        .peers(opts.peers)
-                        .ticks(opts.ticks)
-                        .attackers(opts.agents)
-                        .lists(*lists)
-                        .defense(DefenseKind::DdPoliceFull(cfg))
-                        .seed(opts.seed_for(0, r))
-                        .build()
-                        .run_with_damage();
-                    damage += dr.stable_damage();
-                    never += dr.attacked.summary.attackers_never_cut as f64;
-                    fneg += dr.attacked.summary.errors.false_negative as f64;
-                }
-                let n = opts.replicates.max(1) as f64;
-                vec![
-                    label.to_string(),
-                    if verify { "on" } else { "off" }.to_string(),
-                    pct(damage / n),
-                    f(never / n, 1),
-                    f(fneg / n, 1),
-                ]
-            })
-        })
+    // One flat behavior × check grid, so all eight cells share the pool.
+    let grid: Vec<(&str, ListBehavior, bool)> = behaviors
+        .iter()
+        .flat_map(|&(label, lists)| [true, false].map(|verify| (label, lists, verify)))
         .collect();
+    let rows = par_map(&grid, |_, &(label, lists, verify)| {
+        let mut damage = 0.0;
+        let mut never = 0.0;
+        let mut fneg = 0.0;
+        for r in 0..opts.replicates {
+            let cfg = DdPoliceConfig { verify_lists: verify, ..DdPoliceConfig::default() };
+            let dr = Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .lists(lists)
+                .defense(DefenseKind::DdPoliceFull(cfg))
+                .seed(opts.seed_for(0, r))
+                .build()
+                .run_with_damage();
+            damage += dr.stable_damage();
+            never += dr.attacked.summary.attackers_never_cut as f64;
+            fneg += dr.attacked.summary.errors.false_negative as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![
+            label.to_string(),
+            if verify { "on" } else { "off" }.to_string(),
+            pct(damage / n),
+            f(never / n, 1),
+            f(fneg / n, 1),
+        ]
+    });
     let mut t = Table::new(
         "ablate_list_lying",
         format!(
@@ -386,37 +366,34 @@ pub fn ablate_topology(opts: &ExpOptions) -> Table {
         ("Erdos-Renyi d=6", TopologyModel::ErdosRenyi { mean_degree: 6.0 }),
         ("super-peer 20%", TopologyModel::SuperPeer { super_fraction: 0.2, core_m: 3 }),
     ];
-    let rows: Vec<Vec<String>> = models
-        .par_iter()
-        .map(|(label, model)| {
-            let mut undef = 0.0;
-            let mut def = 0.0;
-            let mut fneg = 0.0;
-            for r in 0..opts.replicates {
-                let sim = ddp_sim::SimConfig {
-                    topology: TopologyConfig { n: opts.peers, model: *model },
-                    ..ddp_sim::SimConfig::default()
-                };
-                let mk = |defense: DefenseKind, sim: ddp_sim::SimConfig| {
-                    Scenario::builder()
-                        .sim_config(sim)
-                        .ticks(opts.ticks)
-                        .attackers(opts.agents)
-                        .defense(defense)
-                        .seed(opts.seed_for(0, r))
-                        .build()
-                        .run_with_damage()
-                };
-                let u = mk(DefenseKind::None, sim.clone());
-                let d = mk(DefenseKind::DdPolice { cut_threshold: 5.0 }, sim);
-                undef += u.stable_damage();
-                def += d.stable_damage();
-                fneg += d.attacked.summary.errors.false_negative as f64;
-            }
-            let n = opts.replicates.max(1) as f64;
-            vec![label.to_string(), pct(undef / n), pct(def / n), f(fneg / n, 1)]
-        })
-        .collect();
+    let rows = par_map(&models, |_, (label, model)| {
+        let mut undef = 0.0;
+        let mut def = 0.0;
+        let mut fneg = 0.0;
+        for r in 0..opts.replicates {
+            let sim = ddp_sim::SimConfig {
+                topology: TopologyConfig { n: opts.peers, model: *model },
+                ..ddp_sim::SimConfig::default()
+            };
+            let mk = |defense: DefenseKind, sim: ddp_sim::SimConfig| {
+                Scenario::builder()
+                    .sim_config(sim)
+                    .ticks(opts.ticks)
+                    .attackers(opts.agents)
+                    .defense(defense)
+                    .seed(opts.seed_for(0, r))
+                    .build()
+                    .run_with_damage()
+            };
+            let u = mk(DefenseKind::None, sim.clone());
+            let d = mk(DefenseKind::DdPolice { cut_threshold: 5.0 }, sim);
+            undef += u.stable_damage();
+            def += d.stable_damage();
+            fneg += d.attacked.summary.errors.false_negative as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![label.to_string(), pct(undef / n), pct(def / n), f(fneg / n, 1)]
+    });
     let mut t = Table::new(
         "ablate_topology",
         format!("Ablation: overlay architecture under the same attack ({} agents)", opts.agents),

@@ -17,19 +17,19 @@
 //! inflicts through the defense. Emits the machine-readable
 //! `BENCH_churn.json` tracked PR-over-PR.
 
+use crate::bench_report::{self, BenchCell, Field, Value};
 use crate::output::{f, Table};
 use crate::scenario::ExpOptions;
 use ddp_attack::WhitewashPlan;
-use ddp_metrics::{damage_rate, json_array, JsonObj, TimeSeries};
+use ddp_metrics::{damage_rate, TimeSeries};
 use ddp_police::{DdPolice, DdPoliceConfig, ReadmissionPolicy};
 use ddp_sim::{CutRecord, SessionConfig, SimConfig, Simulation, WhitewashRecord};
 use ddp_topology::{TopologyConfig, TopologyModel};
 use ddp_workload::LifetimeModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
-use super::detection_latency;
+use super::{detection_latency, par_map};
 
 /// Swept mean session lengths (ticks = minutes).
 pub const MEAN_SESSIONS: [f64; 2] = [10.0, 5.0];
@@ -83,53 +83,38 @@ pub struct ChurnCell {
     pub residual_damage: f64,
 }
 
-impl ChurnCell {
-    fn to_json(&self) -> String {
-        JsonObj::new()
-            .u64("peers", self.peers as u64)
-            .u64("ticks", self.ticks as u64)
-            .u64("agents", self.agents as u64)
-            .f64("mean_session_ticks", self.mean_session_ticks)
-            .str("session_model", &self.session_model)
-            .u64("dwell_ticks", u64::from(self.dwell_ticks))
-            .str("readmission", if self.readmission { "on" } else { "off" })
-            .f64("joins", self.joins)
-            .f64("departures", self.departures)
-            .f64("rebirths", self.rebirths)
-            .f64("detection_latency", self.detection_latency)
-            .f64("redetected", self.redetected)
-            .f64("redetection_latency", self.redetection_latency)
-            .f64("redetection_rate", self.redetection_rate)
-            .f64("cuts_total", self.cuts_total)
-            .f64("wrongful_cut_rate", self.wrongful_cut_rate)
-            .f64("residual_damage", self.residual_damage)
-            .finish()
-    }
+impl BenchCell for ChurnCell {
+    const SCHEMA: &'static str = "ddp-bench-churn/v1";
+    const GENERATED_BY: &'static str = "ddp-experiments churn";
+    const FILE: &'static str = "BENCH_churn.json";
+    const FIELDS: &'static [Field<Self>] = &[
+        ("peers", |c| Value::U64(c.peers as u64)),
+        ("ticks", |c| Value::U64(c.ticks as u64)),
+        ("agents", |c| Value::U64(c.agents as u64)),
+        ("mean_session_ticks", |c| Value::F64(c.mean_session_ticks)),
+        ("session_model", |c| Value::Str(&c.session_model)),
+        ("dwell_ticks", |c| Value::U64(u64::from(c.dwell_ticks))),
+        ("readmission", |c| Value::Str(on_off(c.readmission))),
+        ("joins", |c| Value::F64(c.joins)),
+        ("departures", |c| Value::F64(c.departures)),
+        ("rebirths", |c| Value::F64(c.rebirths)),
+        ("detection_latency", |c| Value::F64(c.detection_latency)),
+        ("redetected", |c| Value::F64(c.redetected)),
+        ("redetection_latency", |c| Value::F64(c.redetection_latency)),
+        ("redetection_rate", |c| Value::F64(c.redetection_rate)),
+        ("cuts_total", |c| Value::F64(c.cuts_total)),
+        ("wrongful_cut_rate", |c| Value::F64(c.wrongful_cut_rate)),
+        ("residual_damage", |c| Value::F64(c.residual_damage)),
+    ];
 }
 
-/// Every key a cell object must carry, in emission order (the schema).
-pub const CHURN_CELL_KEYS: [&str; 17] = [
-    "peers",
-    "ticks",
-    "agents",
-    "mean_session_ticks",
-    "session_model",
-    "dwell_ticks",
-    "readmission",
-    "joins",
-    "departures",
-    "rebirths",
-    "detection_latency",
-    "redetected",
-    "redetection_latency",
-    "redetection_rate",
-    "cuts_total",
-    "wrongful_cut_rate",
-    "residual_damage",
-];
-
-/// Schema identifier embedded in the emitted JSON.
-pub const CHURN_SCHEMA: &str = "ddp-bench-churn/v1";
+fn on_off(flag: bool) -> &'static str {
+    if flag {
+        "on"
+    } else {
+        "off"
+    }
+}
 
 fn session_length(model: &str, mean: f64) -> LifetimeModel {
     match model {
@@ -246,13 +231,14 @@ fn residual_damage(attacked: &[f64], baseline: &[f64]) -> f64 {
     damage.tail_mean((damage.len() / 4).max(1))
 }
 
+/// One grid point: `(peers, ticks, agents, mean_session, model, dwell,
+/// readmission)`.
+pub type ChurnParams = (usize, usize, usize, f64, &'static str, u32, bool);
+
 /// The sweep grid: `(mean_session, model, dwell, readmission)` plus the
 /// per-cell run scale. Smoke keeps two cells that still exercise both
 /// readmission policies end to end.
-#[allow(clippy::type_complexity)]
-pub fn churn_grid_params(
-    opts: &ExpOptions,
-) -> Vec<(usize, usize, usize, f64, &'static str, u32, bool)> {
+pub fn churn_grid_params(opts: &ExpOptions) -> Vec<ChurnParams> {
     if opts.smoke {
         return vec![
             (300, 15, 6, 5.0, "exponential", 1, false),
@@ -283,118 +269,75 @@ pub fn churn_grid_params(
 /// Run the full grid. Exposed separately from [`churn`] so tests can assert
 /// on the numbers rather than on formatted strings.
 pub fn churn_grid(opts: &ExpOptions) -> Vec<ChurnCell> {
-    let grid = churn_grid_params(opts);
-    grid.par_iter()
-        .enumerate()
-        .map(|(c, &(peers, ticks, agents, mean, model, dwell, readmission))| {
-            let sess = SessionConfig {
-                arrival_rate_per_tick: peers as f64 / mean.max(1.0),
-                session_length: session_length(model, mean),
-                crash_fraction: 0.25,
-                max_peers: peers.saturating_mul(2),
-            };
-            let mut cell = ChurnCell {
-                peers,
-                ticks,
-                agents,
-                mean_session_ticks: mean,
-                session_model: model.to_string(),
-                dwell_ticks: dwell,
-                readmission,
-                joins: 0.0,
-                departures: 0.0,
-                rebirths: 0.0,
-                detection_latency: 0.0,
-                redetected: 0.0,
-                redetection_latency: 0.0,
-                redetection_rate: 0.0,
-                cuts_total: 0.0,
-                wrongful_cut_rate: 0.0,
-                residual_damage: 0.0,
-            };
-            for r in 0..opts.replicates.max(1) {
-                let seed = opts.seed_for(c, r);
-                let run = run_once(peers, ticks, agents, &sess, dwell, readmission, seed);
-                // Paired baseline: same seed, same churn stream, no agents.
-                let base = run_once(peers, ticks, 0, &sess, dwell, readmission, seed);
-                cell.joins += run.joins as f64;
-                cell.departures += run.departures as f64;
-                cell.rebirths += run.rebirths as f64;
-                cell.detection_latency += run.detection_latency;
-                cell.redetected += run.redetected as f64;
-                cell.redetection_latency += run.redetection_latency;
-                cell.redetection_rate += if run.rebirths > 0 {
-                    run.redetected as f64 / run.rebirths as f64
-                } else {
-                    0.0
-                };
-                cell.cuts_total += run.cuts_total as f64;
-                cell.wrongful_cut_rate += if run.cuts_total > 0 {
-                    run.wrongful_cuts as f64 / run.cuts_total as f64
-                } else {
-                    0.0
-                };
-                cell.residual_damage += residual_damage(&run.success_rate, &base.success_rate);
-            }
-            let n = opts.replicates.max(1) as f64;
-            cell.joins /= n;
-            cell.departures /= n;
-            cell.rebirths /= n;
-            cell.detection_latency /= n;
-            cell.redetected /= n;
-            cell.redetection_latency /= n;
-            cell.redetection_rate /= n;
-            cell.cuts_total /= n;
-            cell.wrongful_cut_rate /= n;
-            cell.residual_damage /= n;
-            cell
-        })
-        .collect()
+    par_map(&churn_grid_params(opts), |c, params| measure_churn_cell(opts, c, params))
 }
 
-/// Render the sweep results as the committed `BENCH_churn.json` document.
-pub fn churn_json(cells: &[ChurnCell], seed: u64) -> String {
-    JsonObj::new()
-        .str("schema", CHURN_SCHEMA)
-        .str("generated_by", "ddp-experiments churn")
-        .u64("seed", seed)
-        .raw("cells", &json_array(cells.iter().map(|c| c.to_json())))
-        .finish()
-}
-
-/// Structural validation of a `BENCH_churn.json` document: schema tag,
-/// balanced nesting, and every cell carrying every schema key. (The
-/// workspace has no JSON parser; this is the CI smoke check.)
-pub fn validate_churn_json(doc: &str) -> Result<(), String> {
-    let doc = doc.trim();
-    if !doc.starts_with(&format!("{{\"schema\":\"{CHURN_SCHEMA}\"")) {
-        return Err(format!("document does not start with the {CHURN_SCHEMA} schema tag"));
-    }
-    if doc.matches('{').count() != doc.matches('}').count()
-        || doc.matches('[').count() != doc.matches(']').count()
-    {
-        return Err("unbalanced braces/brackets".into());
-    }
-    let Some(cells_at) = doc.find("\"cells\":[") else {
-        return Err("missing cells array".into());
+/// Measure grid point `c`: `opts.replicates` attacked runs, each paired with
+/// a zero-agent baseline on the same seed, averaged.
+fn measure_churn_cell(
+    opts: &ExpOptions,
+    c: usize,
+    &(peers, ticks, agents, mean, model, dwell, readmission): &ChurnParams,
+) -> ChurnCell {
+    let sess = SessionConfig {
+        arrival_rate_per_tick: peers as f64 / mean.max(1.0),
+        session_length: session_length(model, mean),
+        crash_fraction: 0.25,
+        max_peers: peers.saturating_mul(2),
     };
-    let cells = &doc[cells_at + "\"cells\":[".len()..];
-    let n_cells = cells.matches("{\"peers\":").count();
-    if n_cells == 0 {
-        return Err("cells array contains no cell objects".into());
+    let mut cell = ChurnCell {
+        peers,
+        ticks,
+        agents,
+        mean_session_ticks: mean,
+        session_model: model.to_string(),
+        dwell_ticks: dwell,
+        readmission,
+        joins: 0.0,
+        departures: 0.0,
+        rebirths: 0.0,
+        detection_latency: 0.0,
+        redetected: 0.0,
+        redetection_latency: 0.0,
+        redetection_rate: 0.0,
+        cuts_total: 0.0,
+        wrongful_cut_rate: 0.0,
+        residual_damage: 0.0,
+    };
+    for r in 0..opts.replicates.max(1) {
+        let seed = opts.seed_for(c, r);
+        let run = run_once(peers, ticks, agents, &sess, dwell, readmission, seed);
+        // Paired baseline: same seed, same churn stream, no agents.
+        let base = run_once(peers, ticks, 0, &sess, dwell, readmission, seed);
+        cell.joins += run.joins as f64;
+        cell.departures += run.departures as f64;
+        cell.rebirths += run.rebirths as f64;
+        cell.detection_latency += run.detection_latency;
+        cell.redetected += run.redetected as f64;
+        cell.redetection_latency += run.redetection_latency;
+        cell.redetection_rate +=
+            if run.rebirths > 0 { run.redetected as f64 / run.rebirths as f64 } else { 0.0 };
+        cell.cuts_total += run.cuts_total as f64;
+        cell.wrongful_cut_rate +=
+            if run.cuts_total > 0 { run.wrongful_cuts as f64 / run.cuts_total as f64 } else { 0.0 };
+        cell.residual_damage += residual_damage(&run.success_rate, &base.success_rate);
     }
-    for key in CHURN_CELL_KEYS {
-        let quoted = format!("\"{key}\":");
-        let found = cells.matches(quoted.as_str()).count();
-        if found != n_cells {
-            return Err(format!("key {key} present in {found}/{n_cells} cells"));
-        }
-    }
-    Ok(())
+    let n = opts.replicates.max(1) as f64;
+    cell.joins /= n;
+    cell.departures /= n;
+    cell.rebirths /= n;
+    cell.detection_latency /= n;
+    cell.redetected /= n;
+    cell.redetection_latency /= n;
+    cell.redetection_rate /= n;
+    cell.cuts_total /= n;
+    cell.wrongful_cut_rate /= n;
+    cell.residual_damage /= n;
+    cell
 }
 
-/// Run the sweep, write `BENCH_churn.json` into the current directory, and
-/// return the human-readable table.
+/// Run the sweep, publish `BENCH_churn.json` (validated always, written for
+/// the full grid), and return the human-readable table.
 pub fn churn(opts: &ExpOptions) -> Table {
     let cells = churn_grid(opts);
     let mut table = Table::new(
@@ -420,7 +363,7 @@ pub fn churn(opts: &ExpOptions) -> Table {
             c.session_model.clone(),
             f(c.mean_session_ticks, 0),
             c.dwell_ticks.to_string(),
-            if c.readmission { "on" } else { "off" }.to_string(),
+            on_off(c.readmission).to_string(),
             f(c.joins, 0),
             f(c.departures, 0),
             f(c.rebirths, 1),
@@ -431,18 +374,7 @@ pub fn churn(opts: &ExpOptions) -> Table {
             f(c.residual_damage, 3),
         ]);
     }
-    let doc = churn_json(&cells, opts.seed);
-    if let Err(e) = validate_churn_json(&doc) {
-        // A document that fails its own schema must never be committed; the
-        // CI smoke run relies on this exit to catch emission drift.
-        eprintln!("[churn] FATAL: emitted JSON failed validation: {e}");
-        std::process::exit(2);
-    }
-    let path = "BENCH_churn.json";
-    match std::fs::write(path, format!("{doc}\n")) {
-        Ok(()) => println!("[churn] wrote {path}"),
-        Err(e) => eprintln!("[churn] failed to write {path}: {e}"),
-    }
+    bench_report::publish(&cells, opts.seed, opts.smoke);
     table
 }
 
@@ -450,43 +382,6 @@ pub fn churn(opts: &ExpOptions) -> Table {
 mod tests {
     use super::*;
     use ddp_topology::NodeId;
-
-    fn fake_cell(readmission: bool) -> ChurnCell {
-        ChurnCell {
-            peers: 300,
-            ticks: 15,
-            agents: 6,
-            mean_session_ticks: 5.0,
-            session_model: "exponential".into(),
-            dwell_ticks: 1,
-            readmission,
-            joins: 800.0,
-            departures: 790.0,
-            rebirths: 9.0,
-            detection_latency: 3.5,
-            redetected: 7.0,
-            redetection_latency: 4.1,
-            redetection_rate: 0.78,
-            cuts_total: 60.0,
-            wrongful_cut_rate: 0.05,
-            residual_damage: 0.02,
-        }
-    }
-
-    #[test]
-    fn emitted_json_validates() {
-        let doc = churn_json(&[fake_cell(false), fake_cell(true)], 42);
-        validate_churn_json(&doc).unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_drift() {
-        let doc = churn_json(&[fake_cell(true)], 42);
-        assert!(validate_churn_json(&doc.replace("redetection_rate", "rr")).is_err());
-        assert!(validate_churn_json(&doc.replace("ddp-bench-churn/v1", "v2")).is_err());
-        assert!(validate_churn_json("{\"schema\":\"ddp-bench-churn/v1\",\"cells\":[]}").is_err());
-        validate_churn_json(&doc).unwrap();
-    }
 
     #[test]
     fn redetection_censors_never_recut_rebirths() {
@@ -527,5 +422,22 @@ mod tests {
             assert!(c.redetection_latency > 0.0);
             assert!(c.detection_latency > 0.0);
         }
+    }
+    /// The pool swap's pin: the same grid through the pool at widths 1 and 2
+    /// yields the same cells in the same order. That the cell closure is
+    /// accepted at all is the compile-time half: the pool demands
+    /// `Fn + Sync`, which the sequential shim it replaced never enforced.
+    #[test]
+    fn grid_is_identical_at_pool_widths_one_and_two() {
+        let opts = ExpOptions { seed: 42, ..ExpOptions::default() };
+        let grid: Vec<ChurnParams> = [(1, false), (1, true), (3, false), (3, true), (2, true)]
+            .map(|(dwell, readmission)| (150, 8, 4, 5.0, "exponential", dwell, readmission))
+            .to_vec();
+        let cell = |c: usize, params: &ChurnParams| measure_churn_cell(&opts, c, params);
+        let serial = crate::runners::par_map_at(1, &grid, cell);
+        let pooled = crate::runners::par_map_at(2, &grid, cell);
+        assert_eq!(serial.len(), grid.len());
+        assert!(serial.iter().any(|c| c.cuts_total > 0.0), "the grid must measure something");
+        assert_eq!(bench_report::render(&serial, 42), bench_report::render(&pooled, 42));
     }
 }

@@ -15,6 +15,7 @@
 //! framed victim: with readmission probes on, a wrongful cut heals after
 //! the backoff instead of lasting forever.
 
+use super::par_map;
 use crate::output::{f, pct, Table};
 use crate::scenario::ExpOptions;
 use ddp_attack::CollusionPlan;
@@ -23,7 +24,6 @@ use ddp_sim::{RunResult, SimConfig, Simulation};
 use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Swept colluder fractions (of the victim's neighborhood in frame mode; of
 /// `opts.agents` in shield mode). 0 = the no-colluder reference.
@@ -130,59 +130,57 @@ pub fn collusion_grid(opts: &ExpOptions) -> Vec<CollusionCell> {
         })
         .collect();
 
-    grid.par_iter()
-        .map(|&(mode, fi, pi, hi)| {
-            let fraction = FRACTIONS[fi];
-            let (policy, policy_label) = POLICIES[pi];
-            let hysteresis = HYSTERESES[hi];
-            let mut cell = CollusionCell {
-                mode: match mode {
-                    Mode::Frame => "frame",
-                    Mode::Shield => "shield",
+    par_map(&grid, |_, &(mode, fi, pi, hi)| {
+        let fraction = FRACTIONS[fi];
+        let (policy, policy_label) = POLICIES[pi];
+        let hysteresis = HYSTERESES[hi];
+        let mut cell = CollusionCell {
+            mode: match mode {
+                Mode::Frame => "frame",
+                Mode::Shield => "shield",
+            },
+            fraction,
+            policy: policy_label,
+            hysteresis,
+            victim_cut_events: 0.0,
+            victim_ever_cut: 0.0,
+            good_peers_cut: 0.0,
+            attackers_never_cut: 0.0,
+            success_stable: 0.0,
+            ledger_cuts: 0.0,
+        };
+        for r in 0..opts.replicates {
+            let police_cfg =
+                DdPoliceConfig { aggregation: policy, hysteresis, ..DdPoliceConfig::default() };
+            // Paired per (mode, fraction): every policy × hysteresis
+            // cell sees the identical run.
+            let seed = opts.seed_for(
+                match mode {
+                    Mode::Frame => fi,
+                    Mode::Shield => FRACTIONS.len() + fi,
                 },
-                fraction,
-                policy: policy_label,
-                hysteresis,
-                victim_cut_events: 0.0,
-                victim_ever_cut: 0.0,
-                good_peers_cut: 0.0,
-                attackers_never_cut: 0.0,
-                success_stable: 0.0,
-                ledger_cuts: 0.0,
-            };
-            for r in 0..opts.replicates {
-                let police_cfg =
-                    DdPoliceConfig { aggregation: policy, hysteresis, ..DdPoliceConfig::default() };
-                // Paired per (mode, fraction): every policy × hysteresis
-                // cell sees the identical run.
-                let seed = opts.seed_for(
-                    match mode {
-                        Mode::Frame => fi,
-                        Mode::Shield => FRACTIONS.len() + fi,
-                    },
-                    r,
-                );
-                let (result, victim) = run_once(opts, mode, fraction, police_cfg, seed);
-                let victim_cuts = victim
-                    .map(|v| result.cut_log.iter().filter(|c| c.suspect == v).count())
-                    .unwrap_or(0);
-                cell.victim_cut_events += victim_cuts as f64;
-                cell.victim_ever_cut += f64::from(victim_cuts > 0);
-                cell.good_peers_cut += result.summary.errors.false_negative as f64;
-                cell.attackers_never_cut += result.summary.attackers_never_cut as f64;
-                cell.success_stable += result.summary.success_rate_stable;
-                cell.ledger_cuts += result.summary.verdicts.cuts as f64;
-            }
-            let n = opts.replicates.max(1) as f64;
-            cell.victim_cut_events /= n;
-            cell.victim_ever_cut /= n;
-            cell.good_peers_cut /= n;
-            cell.attackers_never_cut /= n;
-            cell.success_stable /= n;
-            cell.ledger_cuts /= n;
-            cell
-        })
-        .collect()
+                r,
+            );
+            let (result, victim) = run_once(opts, mode, fraction, police_cfg, seed);
+            let victim_cuts = victim
+                .map(|v| result.cut_log.iter().filter(|c| c.suspect == v).count())
+                .unwrap_or(0);
+            cell.victim_cut_events += victim_cuts as f64;
+            cell.victim_ever_cut += f64::from(victim_cuts > 0);
+            cell.good_peers_cut += result.summary.errors.false_negative as f64;
+            cell.attackers_never_cut += result.summary.attackers_never_cut as f64;
+            cell.success_stable += result.summary.success_rate_stable;
+            cell.ledger_cuts += result.summary.verdicts.cuts as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        cell.victim_cut_events /= n;
+        cell.victim_ever_cut /= n;
+        cell.good_peers_cut /= n;
+        cell.attackers_never_cut /= n;
+        cell.success_stable /= n;
+        cell.ledger_cuts /= n;
+        cell
+    })
 }
 
 /// The collusion sweep as a rendered table.
@@ -250,47 +248,44 @@ pub struct ReadmissionCell {
 /// cell (30% colluders, sum aggregation — the paper's policy wrongly cuts
 /// the victim there): readmission off (the paper's permanent cut) vs. on.
 pub fn readmission_grid(opts: &ExpOptions) -> Vec<ReadmissionCell> {
-    [false, true]
-        .par_iter()
-        .map(|&enabled| {
-            let mut cell = ReadmissionCell {
-                enabled,
-                wrongful_cuts: 0.0,
-                wrongful_cut_ticks_mean: 0.0,
-                probes: 0.0,
-                readmissions: 0.0,
-                recuts: 0.0,
-                readmission_latency: 0.0,
-                attackers_never_cut: 0.0,
+    par_map(&[false, true], |_, &enabled| {
+        let mut cell = ReadmissionCell {
+            enabled,
+            wrongful_cuts: 0.0,
+            wrongful_cut_ticks_mean: 0.0,
+            probes: 0.0,
+            readmissions: 0.0,
+            recuts: 0.0,
+            readmission_latency: 0.0,
+            attackers_never_cut: 0.0,
+        };
+        for r in 0..opts.replicates {
+            let police_cfg = DdPoliceConfig {
+                readmission: ReadmissionPolicy { enabled, ..ReadmissionPolicy::default() },
+                ..DdPoliceConfig::default()
             };
-            for r in 0..opts.replicates {
-                let police_cfg = DdPoliceConfig {
-                    readmission: ReadmissionPolicy { enabled, ..ReadmissionPolicy::default() },
-                    ..DdPoliceConfig::default()
-                };
-                // Same paired seed stream as the frame cells at 30%.
-                let seed = opts.seed_for(2, r);
-                let (result, _) = run_once(opts, Mode::Frame, 0.30, police_cfg, seed);
-                let v = &result.summary.verdicts;
-                cell.wrongful_cuts += v.wrongful_cuts as f64;
-                cell.wrongful_cut_ticks_mean += v.wrongful_cut_ticks_mean;
-                cell.probes += v.readmission_probes as f64;
-                cell.readmissions += v.readmissions as f64;
-                cell.recuts += v.recuts as f64;
-                cell.readmission_latency += v.readmission_latency_mean_ticks;
-                cell.attackers_never_cut += result.summary.attackers_never_cut as f64;
-            }
-            let n = opts.replicates.max(1) as f64;
-            cell.wrongful_cuts /= n;
-            cell.wrongful_cut_ticks_mean /= n;
-            cell.probes /= n;
-            cell.readmissions /= n;
-            cell.recuts /= n;
-            cell.readmission_latency /= n;
-            cell.attackers_never_cut /= n;
-            cell
-        })
-        .collect()
+            // Same paired seed stream as the frame cells at 30%.
+            let seed = opts.seed_for(2, r);
+            let (result, _) = run_once(opts, Mode::Frame, 0.30, police_cfg, seed);
+            let v = &result.summary.verdicts;
+            cell.wrongful_cuts += v.wrongful_cuts as f64;
+            cell.wrongful_cut_ticks_mean += v.wrongful_cut_ticks_mean;
+            cell.probes += v.readmission_probes as f64;
+            cell.readmissions += v.readmissions as f64;
+            cell.recuts += v.recuts as f64;
+            cell.readmission_latency += v.readmission_latency_mean_ticks;
+            cell.attackers_never_cut += result.summary.attackers_never_cut as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        cell.wrongful_cuts /= n;
+        cell.wrongful_cut_ticks_mean /= n;
+        cell.probes /= n;
+        cell.readmissions /= n;
+        cell.recuts /= n;
+        cell.readmission_latency /= n;
+        cell.attackers_never_cut /= n;
+        cell
+    })
 }
 
 /// The readmission lifecycle as a rendered table.
@@ -345,7 +340,7 @@ mod tests {
 
     #[test]
     fn robust_aggregation_spares_the_framed_victim() {
-        // The PR's acceptance criterion: with >= 30% framing colluders,
+        // The acceptance property: with >= 30% framing colluders,
         // median/trimmed aggregation wrongly cuts the victim strictly less
         // than the paper's sum.
         let cells = collusion_grid(&tiny_opts());
@@ -361,7 +356,7 @@ mod tests {
                 .expect("cell exists")
         };
         // 0.50 is past the robust centers' breakdown point (> half the
-        // Buddy Group lies), so the criterion is asserted at 0.30.
+        // Buddy Group lies), so the property is asserted at 0.30.
         let fraction = 0.30;
         let sum = pick("sum", fraction);
         assert!(

@@ -1,9 +1,9 @@
 //! Cut-threshold studies: Figures 12 (damage rate over time), 13 (errors vs
 //! CT), and 14 (damage recovery time vs CT).
 
+use super::par_map;
 use crate::output::{f, pct, Table};
 use crate::scenario::{DefenseKind, ExpOptions, Scenario};
-use rayon::prelude::*;
 
 /// Averaged outcome of one cut-threshold setting.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,44 +39,40 @@ pub fn ct_sweep(opts: &ExpOptions, cts: &[f64]) -> Vec<CtRow> {
     // Paired comparison: every CT value sees the same topologies, workloads
     // and churn (seed depends only on the replicate), so the curves isolate
     // the threshold's effect rather than run-to-run variance.
-    cts.par_iter()
-        .map(|&ct| {
-            let mut fneg = 0.0;
-            let mut fpos = 0.0;
-            let mut damages = 0.0;
-            let mut recoveries = Vec::new();
-            for r in 0..opts.replicates {
-                let scenario = ct_scenario(opts, ct, opts.seed_for(0, r));
-                let dr = match opts.checkpoint_stem(&format!("ct{ct}_r{r}")) {
-                    Some(stem) => scenario.run_with_damage_checkpointed(
-                        &stem,
-                        opts.checkpoint_every,
-                        opts.resume,
-                    ),
-                    None => scenario.run_with_damage(),
-                };
-                fneg += dr.attacked.summary.errors.false_negative as f64;
-                fpos += dr.attacked.summary.errors.false_positive as f64;
-                damages += dr.stable_damage();
-                if let Some(t) = dr.recovery_ticks {
-                    recoveries.push(t as f64);
+    par_map(cts, |_, &ct| {
+        let mut fneg = 0.0;
+        let mut fpos = 0.0;
+        let mut damages = 0.0;
+        let mut recoveries = Vec::new();
+        for r in 0..opts.replicates {
+            let scenario = ct_scenario(opts, ct, opts.seed_for(0, r));
+            let dr = match opts.checkpoint_stem(&format!("ct{ct}_r{r}")) {
+                Some(stem) => {
+                    scenario.run_with_damage_checkpointed(&stem, opts.checkpoint_every, opts.resume)
                 }
+                None => scenario.run_with_damage(),
+            };
+            fneg += dr.attacked.summary.errors.false_negative as f64;
+            fpos += dr.attacked.summary.errors.false_positive as f64;
+            damages += dr.stable_damage();
+            if let Some(t) = dr.recovery_ticks {
+                recoveries.push(t as f64);
             }
-            let n = opts.replicates.max(1) as f64;
-            CtRow {
-                cut_threshold: ct,
-                false_negative: fneg / n,
-                false_positive: fpos / n,
-                false_judgment: (fneg + fpos) / n,
-                recovery_ticks: if recoveries.is_empty() {
-                    None
-                } else {
-                    Some(recoveries.iter().sum::<f64>() / recoveries.len() as f64)
-                },
-                stable_damage: damages / n,
-            }
-        })
-        .collect()
+        }
+        let n = opts.replicates.max(1) as f64;
+        CtRow {
+            cut_threshold: ct,
+            false_negative: fneg / n,
+            false_positive: fpos / n,
+            false_judgment: (fneg + fpos) / n,
+            recovery_ticks: if recoveries.is_empty() {
+                None
+            } else {
+                Some(recoveries.iter().sum::<f64>() / recoveries.len() as f64)
+            },
+            stable_damage: damages / n,
+        }
+    })
 }
 
 /// The default CT grid of Figures 13/14.
@@ -102,13 +98,10 @@ pub fn fig12(opts: &ExpOptions) -> Table {
         .build();
     let undefended = run_pair(&undefended, "fig12_undefended");
     runs.push(("no DD-POLICE".to_string(), undefended.damage.values.clone()));
-    let defended: Vec<(String, Vec<f64>)> = cts
-        .par_iter()
-        .map(|&ct| {
-            let dr = run_pair(&ct_scenario(opts, ct, opts.seed), &format!("fig12_ct{ct}"));
-            (format!("DD-POLICE-{ct:.0}"), dr.damage.values.clone())
-        })
-        .collect();
+    let defended = par_map(&cts, |_, &ct| {
+        let dr = run_pair(&ct_scenario(opts, ct, opts.seed), &format!("fig12_ct{ct}"));
+        (format!("DD-POLICE-{ct:.0}"), dr.damage.values.clone())
+    });
     runs.extend(defended);
 
     let headers: Vec<&str> =

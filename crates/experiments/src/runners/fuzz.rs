@@ -8,10 +8,10 @@
 //! reproducer under `tests/repro/`, and fails the process — CI treats any
 //! divergence as a broken engine optimization.
 
+use super::par_map;
 use crate::output::Table;
 use crate::scenario::ExpOptions;
 use ddp_oracle::{run_lockstep, shrink, ScenarioSpec};
-use rayon::prelude::*;
 
 /// Scenarios in a `--smoke` campaign (the acceptance floor is 50).
 pub const FUZZ_SMOKE_SCENARIOS: u64 = 60;
@@ -35,14 +35,11 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
     let seeds: Vec<u64> = fuzz_seed_range(opts).collect();
     eprintln!("[fuzz] running {} seeded scenarios in lockstep", seeds.len());
 
-    let outcomes: Vec<(u64, ScenarioSpec, Result<ddp_oracle::harness::LockstepStats, _>)> = seeds
-        .par_iter()
-        .map(|&fuzz_seed| {
-            let spec = ScenarioSpec::random(fuzz_seed);
-            let outcome = run_lockstep(&spec);
-            (fuzz_seed, spec, outcome)
-        })
-        .collect();
+    let outcomes = par_map(&seeds, |_, &fuzz_seed| {
+        let spec = ScenarioSpec::random(fuzz_seed);
+        let outcome = run_lockstep(&spec);
+        (fuzz_seed, spec, outcome)
+    });
 
     // Handle the first divergence (by seed order, for determinism).
     if let Some((fuzz_seed, spec, Err(d))) = outcomes

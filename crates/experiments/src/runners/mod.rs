@@ -20,8 +20,8 @@ pub use ablations::{
     ablate_warning,
 };
 pub use churn::{
-    churn, churn_grid, churn_grid_params, churn_json, redetection_stats, validate_churn_json,
-    ChurnCell, CHURN_CELL_KEYS, CHURN_SCHEMA, DWELLS, MEAN_SESSIONS, SESSION_MODELS,
+    churn, churn_grid, churn_grid_params, redetection_stats, ChurnCell, ChurnParams, DWELLS,
+    MEAN_SESSIONS, SESSION_MODELS,
 };
 pub use collusion::{
     collusion, collusion_grid, readmission, readmission_grid, CollusionCell, ReadmissionCell,
@@ -30,14 +30,8 @@ pub use ct::{ct_sweep, fig12, fig13, fig14, CtRow, CT_GRID};
 pub use fuzz::{fuzz, fuzz_seed_range, FUZZ_SMOKE_SCENARIOS};
 pub use policy::{cheating, exchange};
 pub use resilience::{detection_latency, resilience, resilience_grid, ResilienceCell};
-pub use scale::{
-    measure_cell, scale, scale_grid, scale_json, validate_scale_json, ScaleCell, SCALE_CELL_KEYS,
-    SCALE_SCHEMA,
-};
-pub use sketch::{
-    measure_sketch_cell, sketch, sketch_grid, sketch_json, validate_sketch_json, SketchCell,
-    SKETCH_CELL_KEYS, SKETCH_SCHEMA,
-};
+pub use scale::{measure_cell, scale, scale_grid, ScaleCell};
+pub use sketch::{measure_sketch_cell, sketch, sketch_grid, SketchCell};
 pub use soak::soak;
 pub use static_figs::{fig2, fig5, fig6, table1};
 pub use structured::structured;
@@ -46,6 +40,25 @@ pub use testbed::testbed;
 
 use crate::output::Table;
 use crate::scenario::ExpOptions;
+
+/// Map `f(index, item)` over a sweep grid on the simulation worker pool,
+/// one cell per claim, as wide as the host allows. Results come back in item
+/// order and every cell derives its own seed, so tables are byte-identical
+/// at every width. Cells run the engine serially (`--threads` is read only
+/// by the timed, one-cell-at-a-time `scale` runner), so pools never nest.
+pub(crate) fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
+    let width = std::thread::available_parallelism().map_or(1, |n| n.get());
+    par_map_at(width, items, f)
+}
+
+/// [`par_map`] at a forced pool width (what the width-equivalence test pins).
+fn par_map_at<T: Sync, R: Send>(
+    width: usize,
+    items: &[T],
+    f: impl Fn(usize, &T) -> R + Sync,
+) -> Vec<R> {
+    ddp_sim::pool::run_partitioned(width, items.len(), |i| f(i, &items[i]))
+}
 
 /// Print a table and, if requested, persist it as CSV.
 pub fn emit(table: &Table, opts: &ExpOptions) {

@@ -1,11 +1,11 @@
 //! Protocol-policy studies: §3.7.1 neighbor-list exchange frequency and the
 //! §3.4 report-cheating strategies.
 
+use super::par_map;
 use crate::output::{f, pct, Table};
 use crate::scenario::{DefenseKind, ExpOptions, Scenario};
 use ddp_attack::CheatStrategy;
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
-use rayon::prelude::*;
 
 /// §3.7.1: periodic exchange every s ∈ {1, 2, 4, 5, 10} minutes vs the
 /// event-driven policy, under churn, with `opts.agents` attackers.
@@ -17,32 +17,29 @@ pub fn exchange(opts: &ExpOptions) -> Table {
         .collect();
 
     // Paired seeds: every policy sees the same churn and attack.
-    let rows: Vec<Vec<String>> = policies
-        .par_iter()
-        .map(|(label, policy)| {
-            let mut control = 0.0;
-            let mut fneg = 0.0;
-            let mut fpos = 0.0;
-            let mut damage = 0.0;
-            for r in 0..opts.replicates {
-                let cfg = DdPoliceConfig { exchange: *policy, ..DdPoliceConfig::default() };
-                let dr = Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(DefenseKind::DdPoliceFull(cfg))
-                    .seed(opts.seed_for(0, r))
-                    .build()
-                    .run_with_damage();
-                control += dr.attacked.summary.control_per_tick;
-                fneg += dr.attacked.summary.errors.false_negative as f64;
-                fpos += dr.attacked.summary.errors.false_positive as f64;
-                damage += dr.stable_damage();
-            }
-            let n = opts.replicates.max(1) as f64;
-            vec![label.clone(), f(control / n, 0), f(fneg / n, 1), f(fpos / n, 1), pct(damage / n)]
-        })
-        .collect();
+    let rows = par_map(&policies, |_, (label, policy)| {
+        let mut control = 0.0;
+        let mut fneg = 0.0;
+        let mut fpos = 0.0;
+        let mut damage = 0.0;
+        for r in 0..opts.replicates {
+            let cfg = DdPoliceConfig { exchange: *policy, ..DdPoliceConfig::default() };
+            let dr = Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .defense(DefenseKind::DdPoliceFull(cfg))
+                .seed(opts.seed_for(0, r))
+                .build()
+                .run_with_damage();
+            control += dr.attacked.summary.control_per_tick;
+            fneg += dr.attacked.summary.errors.false_negative as f64;
+            fpos += dr.attacked.summary.errors.false_positive as f64;
+            damage += dr.stable_damage();
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![label.clone(), f(control / n, 0), f(fneg / n, 1), f(fpos / n, 1), pct(damage / n)]
+    });
 
     let mut t = Table::new(
         "exchange_policy",
@@ -59,47 +56,44 @@ pub fn exchange(opts: &ExpOptions) -> Table {
 /// them helps; this experiment quantifies each.
 pub fn cheating(opts: &ExpOptions) -> Table {
     // Paired seeds across strategies.
-    let rows: Vec<Vec<String>> = CheatStrategy::all()
-        .par_iter()
-        .map(|&strategy| {
-            let mut cut = 0.0;
-            let mut never = 0.0;
-            let mut fneg = 0.0;
-            let mut damage = 0.0;
-            let mut recoveries = Vec::new();
-            for r in 0..opts.replicates {
-                let dr = Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .cheat(strategy)
-                    .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-                    .seed(opts.seed_for(0, r))
-                    .build()
-                    .run_with_damage();
-                cut += dr.attacked.summary.attackers_cut as f64;
-                never += dr.attacked.summary.attackers_never_cut as f64;
-                fneg += dr.attacked.summary.errors.false_negative as f64;
-                damage += dr.stable_damage();
-                if let Some(t) = dr.recovery_ticks {
-                    recoveries.push(t as f64);
-                }
+    let rows = par_map(&CheatStrategy::all(), |_, &strategy| {
+        let mut cut = 0.0;
+        let mut never = 0.0;
+        let mut fneg = 0.0;
+        let mut damage = 0.0;
+        let mut recoveries = Vec::new();
+        for r in 0..opts.replicates {
+            let dr = Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .cheat(strategy)
+                .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
+                .seed(opts.seed_for(0, r))
+                .build()
+                .run_with_damage();
+            cut += dr.attacked.summary.attackers_cut as f64;
+            never += dr.attacked.summary.attackers_never_cut as f64;
+            fneg += dr.attacked.summary.errors.false_negative as f64;
+            damage += dr.stable_damage();
+            if let Some(t) = dr.recovery_ticks {
+                recoveries.push(t as f64);
             }
-            let n = opts.replicates.max(1) as f64;
-            vec![
-                strategy.label().to_string(),
-                f(cut / n, 1),
-                f(never / n, 1),
-                f(fneg / n, 1),
-                pct(damage / n),
-                if recoveries.is_empty() {
-                    "not recovered".to_string()
-                } else {
-                    f(recoveries.iter().sum::<f64>() / recoveries.len() as f64, 1)
-                },
-            ]
-        })
-        .collect();
+        }
+        let n = opts.replicates.max(1) as f64;
+        vec![
+            strategy.label().to_string(),
+            f(cut / n, 1),
+            f(never / n, 1),
+            f(fneg / n, 1),
+            pct(damage / n),
+            if recoveries.is_empty() {
+                "not recovered".to_string()
+            } else {
+                f(recoveries.iter().sum::<f64>() / recoveries.len() as f64, 1)
+            },
+        ]
+    });
 
     let mut t = Table::new(
         "cheating_strategies",

@@ -8,11 +8,11 @@
 //! churn, and attack. Δ columns compare each cell against its own
 //! fault-free (loss = 0, delay = 0) cell.
 
+use super::par_map;
 use crate::output::{f, pct, Table};
 use crate::scenario::{DefenseKind, ExpOptions, Scenario};
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 use ddp_sim::{CutRecord, FaultConfig};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Swept per-message loss probabilities.
@@ -73,59 +73,56 @@ pub fn resilience_grid(opts: &ExpOptions) -> Vec<ResilienceCell> {
         .flat_map(|&s| LOSSES.iter().flat_map(move |&l| DELAYS.iter().map(move |&d| (s, l, d))))
         .collect();
 
-    grid.par_iter()
-        .map(|&(period, loss, delay)| {
-            let mut cell = ResilienceCell {
-                period,
-                loss,
-                delay,
-                missed_report_rate: 0.0,
-                snapshot_age: 0.0,
-                detection_latency: 0.0,
-                good_peers_cut: 0.0,
-                attackers_never_cut: 0.0,
-                retries: 0.0,
+    par_map(&grid, |_, &(period, loss, delay)| {
+        let mut cell = ResilienceCell {
+            period,
+            loss,
+            delay,
+            missed_report_rate: 0.0,
+            snapshot_age: 0.0,
+            detection_latency: 0.0,
+            good_peers_cut: 0.0,
+            attackers_never_cut: 0.0,
+            retries: 0.0,
+        };
+        for r in 0..opts.replicates {
+            let police = DdPoliceConfig {
+                exchange: ExchangePolicy::Periodic { minutes: period },
+                ..DdPoliceConfig::default()
             };
-            for r in 0..opts.replicates {
-                let police = DdPoliceConfig {
-                    exchange: ExchangePolicy::Periodic { minutes: period },
-                    ..DdPoliceConfig::default()
-                };
-                let report = Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(DefenseKind::DdPoliceFull(police))
-                    .faults(FaultConfig {
-                        loss,
-                        delay_prob: if delay > 0 { DELAY_PROB } else { 0.0 },
-                        delay_ticks: delay.max(1),
-                        crash_prob: 0.0,
-                    })
-                    // Paired per period: every (loss, delay) cell of one
-                    // period row sees identical topology/churn/attack.
-                    .seed(opts.seed_for(period as usize, r))
-                    .build()
-                    .run();
-                let res = &report.summary.resilience;
-                cell.missed_report_rate += res.missed_report_rate();
-                cell.snapshot_age += res.mean_snapshot_age();
-                cell.detection_latency +=
-                    detection_latency(&report.cut_log, opts.agents, opts.ticks);
-                cell.good_peers_cut += report.summary.errors.false_negative as f64;
-                cell.attackers_never_cut += report.summary.attackers_never_cut as f64;
-                cell.retries += res.report_retries as f64;
-            }
-            let n = opts.replicates.max(1) as f64;
-            cell.missed_report_rate /= n;
-            cell.snapshot_age /= n;
-            cell.detection_latency /= n;
-            cell.good_peers_cut /= n;
-            cell.attackers_never_cut /= n;
-            cell.retries /= n;
-            cell
-        })
-        .collect()
+            let report = Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(opts.agents)
+                .defense(DefenseKind::DdPoliceFull(police))
+                .faults(FaultConfig {
+                    loss,
+                    delay_prob: if delay > 0 { DELAY_PROB } else { 0.0 },
+                    delay_ticks: delay.max(1),
+                    crash_prob: 0.0,
+                })
+                // Paired per period: every (loss, delay) cell of one
+                // period row sees identical topology/churn/attack.
+                .seed(opts.seed_for(period as usize, r))
+                .build()
+                .run();
+            let res = &report.summary.resilience;
+            cell.missed_report_rate += res.missed_report_rate();
+            cell.snapshot_age += res.mean_snapshot_age();
+            cell.detection_latency += detection_latency(&report.cut_log, opts.agents, opts.ticks);
+            cell.good_peers_cut += report.summary.errors.false_negative as f64;
+            cell.attackers_never_cut += report.summary.attackers_never_cut as f64;
+            cell.retries += res.report_retries as f64;
+        }
+        let n = opts.replicates.max(1) as f64;
+        cell.missed_report_rate /= n;
+        cell.snapshot_age /= n;
+        cell.detection_latency /= n;
+        cell.good_peers_cut /= n;
+        cell.attackers_never_cut /= n;
+        cell.retries /= n;
+        cell
+    })
 }
 
 /// The resilience sweep as a rendered table, with Δ columns against each

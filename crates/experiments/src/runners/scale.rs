@@ -9,10 +9,11 @@
 //! timed region: the number the sweep pins is steady-state ticks/sec of the
 //! step loop, which is what every other experiment pays per data point.
 
+use crate::bench_report::{self, BenchCell, Field, Value};
 use crate::output::{f, Table};
 use crate::scenario::ExpOptions;
 use ddp_attack::AttackPlan;
-use ddp_metrics::{json_array, CountingAlloc, JsonObj};
+use ddp_metrics::CountingAlloc;
 use ddp_police::{DdPolice, DdPoliceConfig};
 use ddp_sim::{SimConfig, Simulation};
 use ddp_topology::{TopologyConfig, TopologyModel};
@@ -52,45 +53,26 @@ pub struct ScaleCell {
     pub attackers_cut: u64,
 }
 
-impl ScaleCell {
-    fn to_json(&self) -> String {
-        JsonObj::new()
-            .u64("peers", self.peers as u64)
-            .f64("attacker_fraction", self.attacker_fraction)
-            .u64("agents", self.agents as u64)
-            .u64("ticks", self.ticks as u64)
-            .u64("threads", self.threads as u64)
-            .f64("elapsed_secs", self.elapsed_secs)
-            .f64("ticks_per_sec", self.ticks_per_sec)
-            .f64("queries_per_sec", self.queries_per_sec)
-            .u64("query_hops_total", self.query_hops_total)
-            .u64("peak_alloc_bytes", self.peak_alloc_bytes)
-            .u64("step_allocations", self.step_allocations)
-            .f64("success_rate_mean", self.success_rate_mean)
-            .u64("attackers_cut", self.attackers_cut)
-            .finish()
-    }
+impl BenchCell for ScaleCell {
+    const SCHEMA: &'static str = "ddp-bench-scale/v2";
+    const GENERATED_BY: &'static str = "ddp-experiments scale";
+    const FILE: &'static str = "BENCH_scale.json";
+    const FIELDS: &'static [Field<Self>] = &[
+        ("peers", |c| Value::U64(c.peers as u64)),
+        ("attacker_fraction", |c| Value::F64(c.attacker_fraction)),
+        ("agents", |c| Value::U64(c.agents as u64)),
+        ("ticks", |c| Value::U64(c.ticks as u64)),
+        ("threads", |c| Value::U64(c.threads as u64)),
+        ("elapsed_secs", |c| Value::F64(c.elapsed_secs)),
+        ("ticks_per_sec", |c| Value::F64(c.ticks_per_sec)),
+        ("queries_per_sec", |c| Value::F64(c.queries_per_sec)),
+        ("query_hops_total", |c| Value::U64(c.query_hops_total)),
+        ("peak_alloc_bytes", |c| Value::U64(c.peak_alloc_bytes)),
+        ("step_allocations", |c| Value::U64(c.step_allocations)),
+        ("success_rate_mean", |c| Value::F64(c.success_rate_mean)),
+        ("attackers_cut", |c| Value::U64(c.attackers_cut)),
+    ];
 }
-
-/// Every key a cell object must carry, in emission order (the schema).
-pub const SCALE_CELL_KEYS: [&str; 13] = [
-    "peers",
-    "attacker_fraction",
-    "agents",
-    "ticks",
-    "threads",
-    "elapsed_secs",
-    "ticks_per_sec",
-    "queries_per_sec",
-    "query_hops_total",
-    "peak_alloc_bytes",
-    "step_allocations",
-    "success_rate_mean",
-    "attackers_cut",
-];
-
-/// Schema identifier embedded in the emitted JSON.
-pub const SCALE_SCHEMA: &str = "ddp-bench-scale/v2";
 
 /// Measure one cell: build a DD-POLICE-defended simulation, time the step
 /// loop, and collect throughput + allocation numbers.
@@ -166,49 +148,8 @@ pub fn scale_grid(smoke: bool, threads: usize) -> Vec<(usize, f64, usize, usize)
     grid
 }
 
-/// Render the sweep results as the committed `BENCH_scale.json` document.
-pub fn scale_json(cells: &[ScaleCell], seed: u64) -> String {
-    JsonObj::new()
-        .str("schema", SCALE_SCHEMA)
-        .str("generated_by", "ddp-experiments scale")
-        .u64("seed", seed)
-        .raw("cells", &json_array(cells.iter().map(|c| c.to_json())))
-        .finish()
-}
-
-/// Structural validation of a `BENCH_scale.json` document: schema tag,
-/// balanced nesting, and every cell carrying every schema key. (The
-/// workspace has no JSON parser; this is the CI smoke check.)
-pub fn validate_scale_json(doc: &str) -> Result<(), String> {
-    let doc = doc.trim();
-    if !doc.starts_with(&format!("{{\"schema\":\"{SCALE_SCHEMA}\"")) {
-        return Err(format!("document does not start with the {SCALE_SCHEMA} schema tag"));
-    }
-    if doc.matches('{').count() != doc.matches('}').count()
-        || doc.matches('[').count() != doc.matches(']').count()
-    {
-        return Err("unbalanced braces/brackets".into());
-    }
-    let Some(cells_at) = doc.find("\"cells\":[") else {
-        return Err("missing cells array".into());
-    };
-    let cells = &doc[cells_at + "\"cells\":[".len()..];
-    let n_cells = cells.matches("{\"peers\":").count();
-    if n_cells == 0 {
-        return Err("cells array contains no cell objects".into());
-    }
-    for key in SCALE_CELL_KEYS {
-        let quoted = format!("\"{key}\":");
-        let found = cells.matches(quoted.as_str()).count();
-        if found != n_cells {
-            return Err(format!("key {key} present in {found}/{n_cells} cells"));
-        }
-    }
-    Ok(())
-}
-
-/// Run the sweep, write `BENCH_scale.json` into the current directory, and
-/// return the human-readable table.
+/// Run the sweep, publish `BENCH_scale.json` (validated always, written for
+/// the full grid), and return the human-readable table.
 pub fn scale(opts: &ExpOptions, alloc: Option<&'static CountingAlloc>) -> Table {
     let smoke = opts.smoke;
     let grid = scale_grid(smoke, opts.threads);
@@ -245,57 +186,13 @@ pub fn scale(opts: &ExpOptions, alloc: Option<&'static CountingAlloc>) -> Table 
         ]);
         cells.push(cell);
     }
-    let doc = scale_json(&cells, opts.seed);
-    if let Err(e) = validate_scale_json(&doc) {
-        // A document that fails its own schema must never be committed; the
-        // CI smoke run relies on this exit to catch emission drift.
-        eprintln!("[scale] FATAL: emitted JSON failed validation: {e}");
-        std::process::exit(2);
-    }
-    let path = "BENCH_scale.json";
-    match std::fs::write(path, format!("{doc}\n")) {
-        Ok(()) => println!("[scale] wrote {path}"),
-        Err(e) => eprintln!("[scale] failed to write {path}: {e}"),
-    }
+    bench_report::publish(&cells, opts.seed, smoke);
     table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fake_cell(peers: usize) -> ScaleCell {
-        ScaleCell {
-            peers,
-            attacker_fraction: 0.05,
-            agents: peers / 20,
-            ticks: 4,
-            threads: 1,
-            elapsed_secs: 0.5,
-            ticks_per_sec: 8.0,
-            queries_per_sec: 1000.0,
-            query_hops_total: 500,
-            peak_alloc_bytes: 1 << 20,
-            step_allocations: 42,
-            success_rate_mean: 0.9,
-            attackers_cut: 3,
-        }
-    }
-
-    #[test]
-    fn emitted_json_validates() {
-        let doc = scale_json(&[fake_cell(2000), fake_cell(8000)], 42);
-        validate_scale_json(&doc).unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_drift() {
-        let doc = scale_json(&[fake_cell(2000)], 42);
-        assert!(validate_scale_json(&doc.replace("ticks_per_sec", "tps")).is_err());
-        assert!(validate_scale_json(&doc.replace("ddp-bench-scale/v2", "v1")).is_err());
-        assert!(validate_scale_json("{\"schema\":\"ddp-bench-scale/v1\",\"cells\":[]}").is_err());
-        validate_scale_json(&doc).unwrap();
-    }
 
     #[test]
     fn smoke_cell_measures_end_to_end() {

@@ -9,10 +9,10 @@
 //! (none, by the overestimate-only construction) and spurious good-peer
 //! cuts (the realized-overestimate tax). Emits `BENCH_sketch.json`.
 
+use crate::bench_report::{self, BenchCell, Field, Value};
 use crate::output::{f, Table};
 use crate::scenario::ExpOptions;
 use ddp_attack::AttackPlan;
-use ddp_metrics::{json_array, JsonObj};
 use ddp_police::{DdPolice, DdPoliceConfig, MonitorBackend, SketchParams, SketchStats};
 use ddp_sim::{RunResult, SimConfig, Simulation};
 use ddp_sketch::exact_state_bytes;
@@ -73,61 +73,34 @@ pub struct SketchCell {
     pub epsilon_n: f64,
 }
 
-impl SketchCell {
-    fn to_json(&self) -> String {
-        JsonObj::new()
-            .u64("peers", self.peers as u64)
-            .u64("agents", self.agents as u64)
-            .u64("attacker_rate_qpm", self.attacker_rate_qpm as u64)
-            .u64("ticks", self.ticks as u64)
-            .u64("ttl", self.ttl as u64)
-            .u64("width_log2", self.width_log2 as u64)
-            .u64("depth", self.depth as u64)
-            .u64("topk", self.topk as u64)
-            .str("monitor_backend", &self.monitor_backend)
-            .u64("exact_state_bytes", self.exact_state_bytes)
-            .u64("sketch_state_bytes", self.sketch_state_bytes)
-            .f64("memory_ratio", self.memory_ratio)
-            .f64("elapsed_secs", self.elapsed_secs)
-            .f64("ticks_per_sec", self.ticks_per_sec)
-            .u64("attackers_cut_exact", self.attackers_cut_exact)
-            .u64("attackers_cut_sketch", self.attackers_cut_sketch)
-            .u64("missed_cuts", self.missed_cuts)
-            .u64("extra_good_cuts", self.extra_good_cuts)
-            .u64("items_max", self.items_max)
-            .u64("max_excess", self.max_excess)
-            .f64("epsilon_n", self.epsilon_n)
-            .finish()
-    }
+impl BenchCell for SketchCell {
+    const SCHEMA: &'static str = "ddp-bench-sketch/v1";
+    const GENERATED_BY: &'static str = "ddp-experiments sketch";
+    const FILE: &'static str = "BENCH_sketch.json";
+    const FIELDS: &'static [Field<Self>] = &[
+        ("peers", |c| Value::U64(c.peers as u64)),
+        ("agents", |c| Value::U64(c.agents as u64)),
+        ("attacker_rate_qpm", |c| Value::U64(c.attacker_rate_qpm as u64)),
+        ("ticks", |c| Value::U64(c.ticks as u64)),
+        ("ttl", |c| Value::U64(c.ttl as u64)),
+        ("width_log2", |c| Value::U64(c.width_log2 as u64)),
+        ("depth", |c| Value::U64(c.depth as u64)),
+        ("topk", |c| Value::U64(c.topk as u64)),
+        ("monitor_backend", |c| Value::Str(&c.monitor_backend)),
+        ("exact_state_bytes", |c| Value::U64(c.exact_state_bytes)),
+        ("sketch_state_bytes", |c| Value::U64(c.sketch_state_bytes)),
+        ("memory_ratio", |c| Value::F64(c.memory_ratio)),
+        ("elapsed_secs", |c| Value::F64(c.elapsed_secs)),
+        ("ticks_per_sec", |c| Value::F64(c.ticks_per_sec)),
+        ("attackers_cut_exact", |c| Value::U64(c.attackers_cut_exact)),
+        ("attackers_cut_sketch", |c| Value::U64(c.attackers_cut_sketch)),
+        ("missed_cuts", |c| Value::U64(c.missed_cuts)),
+        ("extra_good_cuts", |c| Value::U64(c.extra_good_cuts)),
+        ("items_max", |c| Value::U64(c.items_max)),
+        ("max_excess", |c| Value::U64(c.max_excess)),
+        ("epsilon_n", |c| Value::F64(c.epsilon_n)),
+    ];
 }
-
-/// Every key a cell object must carry, in emission order (the schema).
-pub const SKETCH_CELL_KEYS: [&str; 21] = [
-    "peers",
-    "agents",
-    "attacker_rate_qpm",
-    "ticks",
-    "ttl",
-    "width_log2",
-    "depth",
-    "topk",
-    "monitor_backend",
-    "exact_state_bytes",
-    "sketch_state_bytes",
-    "memory_ratio",
-    "elapsed_secs",
-    "ticks_per_sec",
-    "attackers_cut_exact",
-    "attackers_cut_sketch",
-    "missed_cuts",
-    "extra_good_cuts",
-    "items_max",
-    "max_excess",
-    "epsilon_n",
-];
-
-/// Schema identifier embedded in the emitted JSON.
-pub const SKETCH_SCHEMA: &str = "ddp-bench-sketch/v1";
 
 /// Cut outcome of one run, split by ground truth.
 struct CutSets {
@@ -306,54 +279,11 @@ pub fn sketch_grid(smoke: bool) -> Vec<(usize, usize, u32, usize, u8, u8, u16)> 
     grid
 }
 
-/// Render the sweep results as the committed `BENCH_sketch.json` document.
-pub fn sketch_json(cells: &[SketchCell], seed: u64) -> String {
-    JsonObj::new()
-        .str("schema", SKETCH_SCHEMA)
-        .str("generated_by", "ddp-experiments sketch")
-        .u64("seed", seed)
-        .raw("cells", &json_array(cells.iter().map(|c| c.to_json())))
-        .finish()
-}
-
-/// Structural validation of a `BENCH_sketch.json` document: schema tag,
-/// balanced nesting, and every cell carrying every schema key. Cut accuracy
-/// is deliberately NOT validated here: the geometry sweep includes
-/// under-provisioned widths precisely to chart where detection degrades;
-/// the zero-missed-cuts acceptance applies to the ≥100k cells and is
-/// enforced by the runner before the document is written.
-pub fn validate_sketch_json(doc: &str) -> Result<(), String> {
-    let doc = doc.trim();
-    if !doc.starts_with(&format!("{{\"schema\":\"{SKETCH_SCHEMA}\"")) {
-        return Err(format!("document does not start with the {SKETCH_SCHEMA} schema tag"));
-    }
-    if doc.matches('{').count() != doc.matches('}').count()
-        || doc.matches('[').count() != doc.matches(']').count()
-    {
-        return Err("unbalanced braces/brackets".into());
-    }
-    let Some(cells_at) = doc.find("\"cells\":[") else {
-        return Err("missing cells array".into());
-    };
-    let cells = &doc[cells_at + "\"cells\":[".len()..];
-    let n_cells = cells.matches("{\"peers\":").count();
-    if n_cells == 0 {
-        return Err("cells array contains no cell objects".into());
-    }
-    for key in SKETCH_CELL_KEYS {
-        let quoted = format!("\"{key}\":");
-        let found = cells.matches(quoted.as_str()).count();
-        if found != n_cells {
-            return Err(format!("key {key} present in {found}/{n_cells} cells"));
-        }
-    }
-    Ok(())
-}
-
-/// Run the sweep, write `BENCH_sketch.json` into the current directory, and
-/// return the human-readable table. Exits non-zero when the emitted document
-/// fails its own schema or when the smoke acceptance (≥4× memory saving at
-/// the largest cell with zero missed cuts) does not hold.
+/// Run the sweep, publish `BENCH_sketch.json` (validated always, written for
+/// the full grid), and return the human-readable table. Exits non-zero when
+/// the emitted document fails its own schema or when the smoke acceptance
+/// (≥4× memory saving at the largest cell with zero missed cuts) does not
+/// hold.
 pub fn sketch(opts: &ExpOptions) -> Table {
     let smoke = opts.smoke;
     let grid = sketch_grid(smoke);
@@ -417,99 +347,13 @@ pub fn sketch(opts: &ExpOptions) -> Table {
             std::process::exit(2);
         }
     }
-    let doc = sketch_json(&cells, opts.seed);
-    if let Err(e) = validate_sketch_json(&doc) {
-        // A document that fails its own schema must never be committed; the
-        // CI smoke run relies on this exit to catch emission drift.
-        eprintln!("[sketch] FATAL: emitted JSON failed validation: {e}");
-        std::process::exit(2);
-    }
-    let path = "BENCH_sketch.json";
-    match std::fs::write(path, format!("{doc}\n")) {
-        Ok(()) => println!("[sketch] wrote {path}"),
-        Err(e) => eprintln!("[sketch] failed to write {path}: {e}"),
-    }
+    bench_report::publish(&cells, opts.seed, smoke);
     table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn fake_cell(peers: usize) -> SketchCell {
-        SketchCell {
-            peers,
-            agents: peers / 100,
-            attacker_rate_qpm: 1_500,
-            ticks: 8,
-            ttl: 4,
-            width_log2: 12,
-            depth: 4,
-            topk: 64,
-            monitor_backend: "sketch(w=2^12,d=4,k=64)".into(),
-            exact_state_bytes: 1 << 20,
-            sketch_state_bytes: 1 << 16,
-            memory_ratio: 16.0,
-            elapsed_secs: 0.5,
-            ticks_per_sec: 16.0,
-            attackers_cut_exact: 7,
-            attackers_cut_sketch: 7,
-            missed_cuts: 0,
-            extra_good_cuts: 1,
-            items_max: 100_000,
-            max_excess: 3,
-            epsilon_n: 66.4,
-        }
-    }
-
-    #[test]
-    fn emitted_json_validates() {
-        let doc = sketch_json(&[fake_cell(800), fake_cell(2_000)], 42);
-        validate_sketch_json(&doc).unwrap();
-    }
-
-    #[test]
-    fn validation_rejects_drift() {
-        let doc = sketch_json(&[fake_cell(800)], 42);
-        assert!(validate_sketch_json(&doc.replace("memory_ratio", "ratio")).is_err());
-        assert!(validate_sketch_json(&doc.replace("ddp-bench-sketch/v1", "v0")).is_err());
-        assert!(validate_sketch_json("{\"schema\":\"ddp-bench-sketch/v1\",\"cells\":[]}").is_err());
-        validate_sketch_json(&doc).unwrap();
-    }
-
-    #[test]
-    #[ignore = "manual diagnostics for the 100k acceptance cell"]
-    fn debug_100k_missed_cuts() {
-        use ddp_police::MonitorBackend;
-        let exact = super::run_once(100_000, 100, 20_000, 4, MonitorBackend::Exact, 42);
-        let params = ddp_police::SketchParams {
-            width_log2: 16,
-            depth: 4,
-            topk: 512,
-            salt: ddp_police::SketchParams::default().salt ^ 42,
-        };
-        let sk = super::run_once(100_000, 100, 20_000, 4, MonitorBackend::Sketch(params), 42);
-        let e = super::cut_sets(&exact.result);
-        let s = super::cut_sets(&sk.result);
-        for &a in e.attackers.difference(&s.attackers) {
-            let sv: Vec<String> = sk
-                .result
-                .verdict_log
-                .iter()
-                .filter(|v| v.suspect == a)
-                .map(|v| format!("t{} obs{} {:?}->{:?}", v.tick, v.observer, v.from, v.to))
-                .collect();
-            let ev: Vec<String> = exact
-                .result
-                .verdict_log
-                .iter()
-                .filter(|v| v.suspect == a)
-                .map(|v| format!("t{} obs{} {:?}->{:?}", v.tick, v.observer, v.from, v.to))
-                .collect();
-            eprintln!("missed attacker {a}:\n  sketch: {sv:?}\n  exact:  {ev:?}");
-        }
-        eprintln!("exact cut {} sketch cut {}", e.attackers.len(), s.attackers.len());
-    }
 
     #[test]
     fn smoke_cell_pairs_end_to_end() {

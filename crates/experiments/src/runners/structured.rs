@@ -6,10 +6,10 @@
 //! amplification that makes flooding overlays so fragile, and makes
 //! origination detection local (no Buddy Group needed).
 
+use super::par_map;
 use crate::output::{pct, Table};
 use crate::scenario::{DefenseKind, ExpOptions, Scenario};
 use ddp_dht::{DhtAttack, DhtConfig, DhtPolice, DhtSimulation};
-use rayon::prelude::*;
 
 /// Compare flooding-overlay vs DHT under the same agent counts.
 pub fn structured(opts: &ExpOptions) -> Table {
@@ -26,39 +26,36 @@ pub fn structured(opts: &ExpOptions) -> Table {
         dht_hotspot: f64,
     }
 
-    let rows: Vec<Row> = ks
-        .par_iter()
-        .map(|&k| {
-            let flood = |defense: DefenseKind| {
-                Scenario::builder()
-                    .peers(opts.peers)
-                    .ticks(opts.ticks)
-                    .attackers(k)
-                    .defense(defense)
-                    .seed(opts.seed)
-                    .build()
-                    .run()
-                    .summary
-                    .success_rate_stable
-            };
-            let dht = |attack: DhtAttack, defense: Option<DhtPolice>| {
-                let mut sim = DhtSimulation::new(
-                    DhtConfig { peers: opts.peers, attack, defense, ..DhtConfig::default() },
-                    opts.seed,
-                );
-                sim.compromise(k);
-                sim.run(opts.ticks).summary.success_rate_stable
-            };
-            Row {
-                agents: k,
-                flood_undef: flood(DefenseKind::None),
-                flood_def: flood(DefenseKind::DdPolice { cut_threshold: 5.0 }),
-                dht_undef: dht(DhtAttack::Uniform, None),
-                dht_def: dht(DhtAttack::Uniform, Some(DhtPolice::default())),
-                dht_hotspot: dht(DhtAttack::Hotspot { victim_key: 42 }, None),
-            }
-        })
-        .collect();
+    let rows = par_map(&ks, |_, &k| {
+        let flood = |defense: DefenseKind| {
+            Scenario::builder()
+                .peers(opts.peers)
+                .ticks(opts.ticks)
+                .attackers(k)
+                .defense(defense)
+                .seed(opts.seed)
+                .build()
+                .run()
+                .summary
+                .success_rate_stable
+        };
+        let dht = |attack: DhtAttack, defense: Option<DhtPolice>| {
+            let mut sim = DhtSimulation::new(
+                DhtConfig { peers: opts.peers, attack, defense, ..DhtConfig::default() },
+                opts.seed,
+            );
+            sim.compromise(k);
+            sim.run(opts.ticks).summary.success_rate_stable
+        };
+        Row {
+            agents: k,
+            flood_undef: flood(DefenseKind::None),
+            flood_def: flood(DefenseKind::DdPolice { cut_threshold: 5.0 }),
+            dht_undef: dht(DhtAttack::Uniform, None),
+            dht_def: dht(DhtAttack::Uniform, Some(DhtPolice::default())),
+            dht_hotspot: dht(DhtAttack::Hotspot { victim_key: 42 }, None),
+        }
+    });
 
     let mut t = Table::new(
         "structured_vs_flooding",

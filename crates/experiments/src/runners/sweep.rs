@@ -3,9 +3,9 @@
 //! DDoS agents, in three regimes: no attack, attack without defense, attack
 //! with DD-POLICE.
 
+use super::par_map;
 use crate::output::{f, pct, Table};
 use crate::scenario::{DefenseKind, ExpOptions, Scenario};
-use rayon::prelude::*;
 
 /// One sweep configuration's averaged results.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +59,7 @@ pub fn agent_counts(peers: usize) -> Vec<usize> {
     [1usize, 5, 10, 20, 50, 100, 200].iter().copied().filter(|&k| k * 20 <= peers).collect()
 }
 
-/// Run the three-regime sweep. Runs execute in parallel (rayon) with
+/// Run the three-regime sweep. Runs execute on the worker pool with
 /// deterministic per-run seeds.
 pub fn agent_sweep(opts: &ExpOptions) -> Vec<SweepRow> {
     let ks = agent_counts(opts.peers);
@@ -75,31 +75,26 @@ pub fn agent_sweep(opts: &ExpOptions) -> Vec<SweepRow> {
     };
 
     // Replicated baseline (agents = 0), shared across rows.
-    let baseline_stats: Vec<RegimeStats> = (0..opts.replicates)
-        .into_par_iter()
-        .map(|r| stats_of(&scenario(0, DefenseKind::None, opts.seed_for(0, r)).run()))
-        .collect();
+    let replicates: Vec<usize> = (0..opts.replicates).collect();
+    let baseline_stats = par_map(&replicates, |_, &r| {
+        stats_of(&scenario(0, DefenseKind::None, opts.seed_for(0, r)).run())
+    });
     let baseline = mean(&baseline_stats);
 
-    ks.par_iter()
-        .enumerate()
-        .map(|(ci, &k)| {
-            let per_regime = |defense: DefenseKind| {
-                let stats: Vec<RegimeStats> = (0..opts.replicates)
-                    .map(|r| {
-                        stats_of(&scenario(k, defense.clone(), opts.seed_for(ci + 1, r)).run())
-                    })
-                    .collect();
-                mean(&stats)
-            };
-            SweepRow {
-                agents: k,
-                baseline,
-                undefended: per_regime(DefenseKind::None),
-                defended: per_regime(DefenseKind::DdPolice { cut_threshold: 5.0 }),
-            }
-        })
-        .collect()
+    par_map(&ks, |ci, &k| {
+        let per_regime = |defense: DefenseKind| {
+            let stats: Vec<RegimeStats> = (0..opts.replicates)
+                .map(|r| stats_of(&scenario(k, defense.clone(), opts.seed_for(ci + 1, r)).run()))
+                .collect();
+            mean(&stats)
+        };
+        SweepRow {
+            agents: k,
+            baseline,
+            undefended: per_regime(DefenseKind::None),
+            defended: per_regime(DefenseKind::DdPolice { cut_threshold: 5.0 }),
+        }
+    })
 }
 
 /// Figure 9: average traffic cost vs number of agents.

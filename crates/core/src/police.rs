@@ -36,16 +36,18 @@ use crate::config::DdPoliceConfig;
 use crate::exchange::{ExchangeState, Snapshot};
 use crate::indicator;
 use crate::verdict::{
-    aggregate_group_traffic, AggregationPolicy, IndexEdit, VerdictMachine, VerdictShard,
+    aggregate_group_traffic_with, AggregationPolicy, IndexEdit, VerdictMachine, VerdictShard,
 };
+use ddp_metrics::PolicePhases;
 use ddp_sim::{
     Actions, Defense, FrozenTick, ReportDelivery, ReportOutcome, Tick, TickObservation,
     TrafficReport,
 };
 use ddp_sketch::{MonitorBackend, SketchMonitor};
-use ddp_topology::{NodeId, Partition};
+use ddp_topology::{Half, NodeId, Partition};
 use std::collections::HashMap;
 use std::ops::Range;
+use std::time::Instant;
 
 /// Read-only view of the active traffic monitor, the source every judgment
 /// reads its per-neighbor query counts from. `Exact` reads the overlay's
@@ -93,6 +95,26 @@ impl Mon<'_> {
                 },
             ),
         }
+    }
+
+    /// [`answer`](Self::answer) for the reporter found at `slot` of the
+    /// suspect's adjacency, `half`: the same answer, but both directions of
+    /// the link are read through the twin index instead of by scanning the
+    /// two adjacencies for each other.
+    #[inline]
+    fn answer_at(
+        &self,
+        obs: &FrozenTick<'_>,
+        suspect: NodeId,
+        slot: usize,
+        half: Half,
+    ) -> Option<TrafficReport> {
+        let reporter = half.peer;
+        let base = TrafficReport {
+            sent_to_suspect: self.flow(obs, reporter, half.ridx as usize, suspect),
+            received_from_suspect: self.flow(obs, suspect, slot, reporter),
+        };
+        obs.shape_neighbor_report(reporter, suspect, base)
     }
 }
 
@@ -193,6 +215,9 @@ pub struct DdPolice {
     /// See [`SketchStats`]. Diagnostics only: never serialized, never read
     /// by judgments, so it cannot influence detection behavior.
     sketch_stats: SketchStats,
+    /// Where `on_tick`'s wall time went. Diagnostics only, like
+    /// `sketch_stats`.
+    phases: PolicePhases,
 }
 
 /// What one tick knows about one suspect, shared by every observer in the
@@ -212,7 +237,7 @@ pub struct DdPolice {
 ///   2^53), no per-link clamp, and a transport that rolls no per-observer
 ///   fault dice.
 /// * per member — each answer goes through [`resolve_report`]'s transport
-///   legs, the link clamp and [`aggregate_group_traffic`].
+///   legs, the link clamp and [`aggregate_group_traffic_with`].
 ///
 /// [`Defense::on_tick`] picks by exactly that predicate, per tick.
 #[derive(Debug, Clone, Default)]
@@ -263,12 +288,20 @@ impl SuspectTickCache {
             &mut self.members,
         );
         self.answers.clear();
+        self.answers.reserve(self.members.len());
         self.sum_out = 0.0;
         self.sum_in = 0.0;
         self.n_answered = 0;
         self.n_refused = 0;
-        for &m in &self.members {
-            let answer = ctx.mon.answer(&ctx.obs, m, suspect);
+        let adjacency = ctx.obs.overlay.neighbors(suspect);
+        for (p, &m) in self.members.iter().enumerate() {
+            // A member listed where the suspect's adjacency has it (a fresh,
+            // truthful list) answers through the twin index; a stale, padded
+            // or hidden list falls back to the scans, member by member.
+            let answer = match adjacency.get(p) {
+                Some(&half) if half.peer == m => ctx.mon.answer_at(&ctx.obs, suspect, p, half),
+                _ => ctx.mon.answer(&ctx.obs, m, suspect),
+            };
             match answer {
                 Some(r) => {
                     self.n_answered += 1;
@@ -321,7 +354,13 @@ impl DdPolice {
             shard_caches: Vec::new(),
             monitor,
             sketch_stats: SketchStats::default(),
+            phases: PolicePhases::default(),
         }
+    }
+
+    /// Wall time [`Defense::on_tick`] has spent per phase so far.
+    pub fn phase_times(&self) -> PolicePhases {
+        self.phases
     }
 
     /// The active configuration.
@@ -553,7 +592,7 @@ fn judge_range(
 ) -> PartitionOutcome {
     let TickCtx { obs, exchange, cfg, mon, tracing } = ctx;
     let mut out = PartitionOutcome::default();
-    let mut reports = Vec::new();
+    let (mut reports, mut claims) = (Vec::new(), Vec::new());
     for i in range {
         if !obs.runs_defense[i] {
             continue;
@@ -606,8 +645,13 @@ fn judge_range(
                 }
             };
             // The observer polices the suspect because they share a link: it
-            // is a member by construction even if the list omitted it.
-            let own_slot = entry.members.iter().position(|&m| m == observer);
+            // is a member by construction even if the list omitted it. On a
+            // fresh, truthful list it sits where the suspect's adjacency has
+            // it, which the twin index names.
+            let own_slot = match entry.members.get(half.ridx as usize) {
+                Some(&m) if m == observer => Some(half.ridx as usize),
+                _ => entry.members.iter().position(|&m| m == observer),
+            };
             let k = entry.members.len() + usize::from(own_slot.is_none());
             let (sum_out, sum_in, fresh, refused) = match per_member {
                 None => entry.shared_sums(own, own_slot),
@@ -632,7 +676,8 @@ fn judge_range(
                             r
                         }));
                     }
-                    let (sum_out, sum_in) = aggregate_group_traffic(own, &reports, cfg.aggregation);
+                    let (sum_out, sum_in) =
+                        aggregate_group_traffic_with(own, &reports, cfg.aggregation, &mut claims);
                     (sum_out, sum_in, 0, 0)
                 }
             };
@@ -673,8 +718,10 @@ impl Defense for DdPolice {
     }
 
     fn on_tick(&mut self, obs: &TickObservation<'_>, actions: &mut Actions) {
+        let t0 = Instant::now();
         actions.control_msgs +=
             self.exchange.on_tick_with_threads(self.cfg.exchange, obs, self.threads);
+        let t1 = Instant::now();
 
         // Sketch backend: replay the frozen counters into this tick's window
         // before any judgment reads an estimate.
@@ -735,6 +782,7 @@ impl Defense for DdPolice {
             let shard = shards.pop().expect("one whole-range shard");
             vec![judge_range(0..n, shard, &mut self.shard_caches[0], ctx, Some(obs))]
         };
+        let t2 = Instant::now();
         if self.unordered_reduction {
             // Sabotage (see `set_unordered_reduction`): a reversed merge is
             // what a racy unordered reduction would produce.
@@ -763,6 +811,10 @@ impl Defense for DdPolice {
                 t.extend(out.trace);
             }
         }
+        self.phases.ticks += 1;
+        self.phases.exchange += t1 - t0;
+        self.phases.judge += t2 - t1;
+        self.phases.replay += t2.elapsed();
     }
 
     fn set_parallelism(&mut self, threads: usize) {
@@ -1025,6 +1077,17 @@ mod tests {
             res.summary.control_per_tick > 0.0,
             "list exchange + Neighbor_Traffic must appear as control traffic"
         );
+    }
+
+    #[test]
+    fn phase_times_cover_every_tick() {
+        let mut sim = lifecycle_sim(200, 42);
+        for _ in 0..3 {
+            sim.step();
+        }
+        let phases = sim.defense().phase_times();
+        assert_eq!(phases.ticks, 3);
+        assert!(phases.exchange + phases.judge > std::time::Duration::ZERO);
     }
 
     #[test]

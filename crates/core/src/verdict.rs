@@ -120,6 +120,17 @@ pub fn aggregate_group_traffic(
     member_reports: &[Option<TrafficReport>],
     policy: AggregationPolicy,
 ) -> (f64, f64) {
+    aggregate_group_traffic_with(own, member_reports, policy, &mut Vec::new())
+}
+
+/// [`aggregate_group_traffic`] with the robust policies' sort buffer supplied
+/// by the caller (cleared here), so a loop of judgments allocates it once.
+pub fn aggregate_group_traffic_with(
+    own: TrafficReport,
+    member_reports: &[Option<TrafficReport>],
+    policy: AggregationPolicy,
+    claims: &mut Vec<f64>,
+) -> (f64, f64) {
     match policy {
         AggregationPolicy::Sum => group_traffic_sums(own, member_reports),
         AggregationPolicy::TrimmedMean { .. } | AggregationPolicy::Median => {
@@ -131,7 +142,7 @@ pub fn aggregate_group_traffic(
             // Out-of-suspect: robust center × k. A missing report is the
             // assume-zero claim, so silence still drags the center down,
             // never up.
-            let mut claims: Vec<f64> = Vec::with_capacity(member_reports.len() + 1);
+            claims.clear();
             claims.push(own.received_from_suspect as f64);
             for r in member_reports {
                 claims.push(r.map_or(0.0, |r| r.received_from_suspect as f64));
@@ -139,8 +150,8 @@ pub fn aggregate_group_traffic(
             claims.sort_by(|a, b| a.partial_cmp(b).expect("claims are finite"));
             let k = claims.len();
             let center = match policy {
-                AggregationPolicy::Median => median_sorted(&claims),
-                AggregationPolicy::TrimmedMean { trim } => trimmed_mean_sorted(&claims, trim),
+                AggregationPolicy::Median => median_sorted(claims),
+                AggregationPolicy::TrimmedMean { trim } => trimmed_mean_sorted(claims, trim),
                 AggregationPolicy::Sum => unreachable!(),
             };
             (center * k as f64, into_suspect)

@@ -2,15 +2,22 @@
 //! shadow model.
 //!
 //! [`ExchangeState`] stores each peer's knowledge of its neighbors' lists in
-//! short dense `Vec<(neighbor, Snapshot)>` rows with in-place buffer reuse on
-//! the reliable path, and (since the inert-plane fast path) skips per-copy
-//! transport transmission entirely when the fault plane can neither lose,
-//! delay, nor crash anything. The shadow here replays the *naive* semantics —
-//! one `HashMap<(viewer, announcer), (members, taken_at)>`, every copy pushed
-//! through `FaultPlane::transmit_list` — on a twin fault plane built from the
-//! same seed, so the dice agree draw-for-draw. After every tick the dense
-//! views, the returned message counts, and the full resilience accounting of
-//! both planes must match exactly.
+//! short dense `Vec<(neighbor, Snapshot)>` rows whose member lists are handles
+//! to one shared buffer per announcement (reused from the previous
+//! announcement when the list did not change), and skips per-copy transport
+//! transmission entirely when the fault plane can neither lose, delay, nor
+//! crash anything. The shadow here replays the *naive* semantics — one
+//! `HashMap<(viewer, announcer), (members, taken_at, ..)>` with a private copy
+//! of the members per receiver, every copy pushed through
+//! `FaultPlane::transmit_list` — on a twin fault plane built from the same
+//! seed, so the dice agree draw-for-draw. After every op the dense views, the
+//! returned message counts, and the full resilience accounting of both planes
+//! must match exactly. Because the shadow's copies are private, a shared
+//! buffer rewritten or wrongly reused for a changed list shows as a receiver
+//! that missed the newer announcement (loss, delay, reset) no longer reading
+//! what it was sent. The shadow also remembers which entries came straight
+//! from a refresh: all such receivers of one announcement must hold the very
+//! same buffer.
 //!
 //! The same op sequences pin the announcer → viewers **holder index** that
 //! `forget_about` walks instead of every view: after every op — stores and
@@ -29,8 +36,14 @@ use ddp_topology::{DynamicGraph, NodeId};
 use ddp_workload::BandwidthClass;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 const N: usize = 8;
+
+/// `(viewer, announcer)` → `(members, taken_at, shared)`. `shared` is set on
+/// entries a refresh delivered and cleared for late mail and across a save →
+/// load, which hold buffers of their own.
+type Shadow = HashMap<(u32, u32), (Vec<NodeId>, Tick, bool)>;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -84,7 +97,7 @@ fn policy_strategy() -> impl Strategy<Value = ExchangePolicy> {
 /// transmission of every announcement.
 #[allow(clippy::too_many_arguments)]
 fn shadow_tick(
-    map: &mut HashMap<(u32, u32), (Vec<NodeId>, Tick)>,
+    map: &mut Shadow,
     pending_event_msgs: &mut u64,
     plane: &FaultPlane,
     obs: &TickObservation<'_>,
@@ -97,9 +110,9 @@ fn shadow_tick(
             if !obs.online[i_idx] || !obs.overlay.contains_edge(i, announcer) {
                 continue;
             }
-            let newer = map.get(&(i.0, announcer.0)).is_none_or(|&(_, at)| at < sent_at);
+            let newer = map.get(&(i.0, announcer.0)).is_none_or(|&(_, at, _)| at < sent_at);
             if newer {
-                map.insert((i.0, announcer.0), (members, sent_at));
+                map.insert((i.0, announcer.0), (members, sent_at, false));
                 plane.note_late_list_applied();
             }
         }
@@ -128,7 +141,7 @@ fn shadow_tick(
                 msgs += 1;
             }
             if let Some(delivered) = plane.transmit_list(obs.tick, j, h.peer, &members) {
-                map.insert((h.peer.0, j.0), (delivered, obs.tick));
+                map.insert((h.peer.0, j.0), (delivered, obs.tick, true));
             }
         }
     }
@@ -218,7 +231,7 @@ proptest! {
         let plane_shadow = FaultPlane::new(cfg, seed);
 
         let mut ex = ExchangeState::new(N);
-        let mut shadow: HashMap<(u32, u32), (Vec<NodeId>, Tick)> = HashMap::new();
+        let mut shadow = Shadow::new();
         let mut shadow_pending = 0u64;
         let mut tick: Tick = 0;
 
@@ -282,6 +295,7 @@ proptest! {
                     let bytes = enc.into_bytes();
                     ex = ExchangeState::load_state(&mut ddp_snapshot::Dec::new(&bytes))
                         .expect("a state just saved loads");
+                    shadow.values_mut().for_each(|entry| entry.2 = false);
                 }
                 Op::ToggleOnline(u) => {
                     online[u as usize] = !online[u as usize];
@@ -296,8 +310,8 @@ proptest! {
                     let model = shadow.get(&(i, j));
                     match (dense, model) {
                         (None, None) => {}
-                        (Some(s), Some((members, taken_at))) => {
-                            prop_assert_eq!(&s.members, members, "members for ({}, {})", i, j);
+                        (Some(s), Some((members, taken_at, _))) => {
+                            prop_assert_eq!(&s.members[..], &members[..], "members for ({}, {})", i, j);
                             prop_assert_eq!(s.taken_at, *taken_at, "taken_at for ({}, {})", i, j);
                         }
                         (dense, model) => {
@@ -308,6 +322,22 @@ proptest! {
                             );
                         }
                     }
+                }
+            }
+
+            // One announcement, one buffer: everyone a refresh at tick `t`
+            // delivered announcer `j`'s list to holds the same allocation.
+            for j in 0..N as u32 {
+                let mut first_at: HashMap<Tick, u32> = HashMap::new();
+                for i in 0..N as u32 {
+                    let Some(&(_, taken_at, true)) = shadow.get(&(i, j)) else { continue };
+                    let first = *first_at.entry(taken_at).or_insert(i);
+                    let held = |viewer| &ex.snapshot(NodeId(viewer), NodeId(j)).unwrap().members;
+                    prop_assert!(
+                        Arc::ptr_eq(held(first), held(i)),
+                        "peers {} and {} hold separate copies of {}'s tick-{} announcement",
+                        first, i, j, taken_at
+                    );
                 }
             }
         }

@@ -44,7 +44,7 @@ fn assemble(
 ) -> Option<BuddyGroup> {
     let snap = exchange.snapshot(observer, suspect)?;
     obs.note_snapshot_age(obs.tick.saturating_sub(snap.taken_at));
-    let mut members = snap.members.clone();
+    let mut members = snap.members.to_vec();
     if verify {
         members.retain(|&m| m == observer || obs.confirm_membership(m, suspect));
     }

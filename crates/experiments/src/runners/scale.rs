@@ -19,7 +19,7 @@ use ddp_sim::{SimConfig, Simulation};
 use ddp_topology::{TopologyConfig, TopologyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One measured grid cell.
 #[derive(Debug, Clone)]
@@ -107,6 +107,20 @@ pub fn measure_cell(
     let elapsed = start.elapsed().as_secs_f64();
     let step_allocations = alloc.map(|a| a.allocations() as u64 - allocs_before).unwrap_or(0);
     let peak_alloc_bytes = alloc.map(|a| a.peak_bytes() as u64).unwrap_or(0);
+    let (step, police) = (sim.phase_times(), sim.defense().phase_times());
+    let ms = |d: Duration| d.as_secs_f64() * 1e3 / step.ticks.max(1) as f64;
+    eprintln!(
+        "[scale]   ms/tick: churn {:.2} | emissions {:.2} | flood {:.2} | utilization {:.2} | \
+         defense {:.2} (exchange {:.2}, judge {:.2}, replay {:.2})",
+        ms(step.churn),
+        ms(step.emission_build),
+        ms(step.flood),
+        ms(step.utilization),
+        ms(step.defense),
+        ms(police.exchange),
+        ms(police.judge),
+        ms(police.replay),
+    );
     let result = sim.finish();
     let query_hops_total: u64 = result.series.traffic.values.iter().map(|&v| v as u64).sum();
     let safe_elapsed = elapsed.max(1e-9);

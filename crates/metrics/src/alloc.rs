@@ -1,8 +1,8 @@
 //! Counting global allocator: a deterministic peak-RSS proxy for benchmarks.
 //!
-//! The scale runner and the criterion benches install this as the
-//! `#[global_allocator]` and read back live/peak heap bytes plus allocation
-//! counts around a measured region. Unlike OS-level RSS sampling this is
+//! `ddp-benchmark`, the `ddp-experiments` binary and the tier-1 allocation
+//! gate install this as the `#[global_allocator]` and read back live/peak
+//! heap bytes plus allocation counts around a measured region. Unlike OS-level RSS sampling this is
 //! exact, portable, and reproducible: the same run produces the same numbers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// number of allocation calls since the last [`CountingAlloc::reset`].
 ///
 /// All counters use relaxed atomics: the benchmarks are single-threaded over
-/// the measured region, and even under `rayon` fan-out the counts stay exact
-/// (only the peak may be under-reported by a rarely-lost race, which is
-/// acceptable for a proxy metric).
+/// the measured region, and even under the worker pool's fan-out the counts
+/// stay exact (only the peak may be under-reported by a rarely-lost race,
+/// which is acceptable for a proxy metric).
 pub struct CountingAlloc {
     current: AtomicUsize,
     peak: AtomicUsize,

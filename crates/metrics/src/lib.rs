@@ -22,6 +22,7 @@ pub mod determinism;
 pub mod errors;
 pub mod histogram;
 pub mod jsonio;
+pub mod phases;
 pub mod quantile;
 pub mod recovery;
 pub mod resilience;
@@ -39,6 +40,7 @@ pub use determinism::{HashSeries, ParallelStats};
 pub use errors::DetectionErrors;
 pub use histogram::Histogram;
 pub use jsonio::{json_array, json_escape, json_f64, JsonObj};
+pub use phases::{PolicePhases, StepPhases};
 pub use quantile::P2Quantile;
 pub use recovery::{recovery_time, RecoveryThresholds};
 pub use resilience::ResilienceSummary;

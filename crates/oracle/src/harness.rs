@@ -286,7 +286,7 @@ fn compare_tick(
         .exchange()
         .all_snapshots()
         .into_iter()
-        .map(|(i, j, s)| (i, j, s.members.clone(), s.taken_at))
+        .map(|(i, j, s)| (i, j, s.members.to_vec(), s.taken_at))
         .collect();
     let oracle_snaps = oracle.defense().snapshots_canonical();
     if engine_snaps != oracle_snaps {

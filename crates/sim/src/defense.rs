@@ -88,14 +88,14 @@ impl<'a> FrozenTick<'a> {
     /// suspect* — that is the field whose misreporting §3.4 analyzes (it
     /// shifts blame between the suspect and the suspect's neighbors).
     pub fn request_report(&self, reporter: NodeId, suspect: NodeId) -> Option<TrafficReport> {
-        if !self.online[reporter.index()] || !self.overlay.contains_edge(reporter, suspect) {
+        if !self.overlay.contains_edge(reporter, suspect) {
             return None;
         }
         let base = TrafficReport {
             sent_to_suspect: self.overlay.accepted_between(reporter, suspect),
             received_from_suspect: self.overlay.accepted_between(suspect, reporter),
         };
-        self.shape_report(reporter, suspect, base)
+        self.shape_neighbor_report(reporter, suspect, base)
     }
 
     /// Apply `reporter`'s fixed report behavior to `base` counters: the
@@ -109,7 +109,22 @@ impl<'a> FrozenTick<'a> {
         suspect: NodeId,
         base: TrafficReport,
     ) -> Option<TrafficReport> {
-        if !self.online[reporter.index()] || !self.overlay.contains_edge(reporter, suspect) {
+        if !self.overlay.contains_edge(reporter, suspect) {
+            return None;
+        }
+        self.shape_neighbor_report(reporter, suspect, base)
+    }
+
+    /// [`shape_report`](Self::shape_report) for a caller that already knows
+    /// `reporter` and `suspect` share a link (it found one in the other's
+    /// adjacency), sparing the scan that would establish it again.
+    pub fn shape_neighbor_report(
+        &self,
+        reporter: NodeId,
+        suspect: NodeId,
+        base: TrafficReport,
+    ) -> Option<TrafficReport> {
+        if !self.online[reporter.index()] {
             return None;
         }
         let true_sent = base.sent_to_suspect;
@@ -155,24 +170,26 @@ impl<'a> FrozenTick<'a> {
         }
     }
 
-    /// The neighbor list `announcer` sends during the exchange step (§3.1),
-    /// or `None` if it refuses. Good peers announce the truth; a lying peer
-    /// pads, hides, or withholds. Phantom entries for `PadFake` are drawn
-    /// deterministically from the node-id space (plausible peer addresses
-    /// that simply are not the announcer's neighbors).
-    pub fn announced_list(&self, announcer: NodeId) -> Option<Vec<NodeId>> {
+    /// Write the neighbor list `announcer` sends during the exchange step
+    /// (§3.1) into `list` (cleared first); `false` if it refuses. Good peers
+    /// announce the truth; a lying peer pads, hides, or withholds. Phantom
+    /// entries for `PadFake` are drawn deterministically from the node-id
+    /// space (plausible peer addresses that simply are not the announcer's
+    /// neighbors).
+    pub fn announced_list_into(&self, announcer: NodeId, list: &mut Vec<NodeId>) -> bool {
+        list.clear();
         if !self.online[announcer.index()] {
-            return None;
+            return false;
         }
-        let truth = || -> Vec<NodeId> {
-            self.overlay.neighbors(announcer).iter().map(|h| h.peer).collect()
+        let truth = |list: &mut Vec<NodeId>| {
+            list.extend(self.overlay.neighbors(announcer).iter().map(|h| h.peer));
         };
         match self.list_behavior[announcer.index()] {
-            ListBehavior::Truthful => Some(truth()),
-            ListBehavior::Omit => Some(Vec::new()),
-            ListBehavior::Refuse => None,
+            ListBehavior::Truthful => truth(list),
+            ListBehavior::Omit => {}
+            ListBehavior::Refuse => return false,
             ListBehavior::PadFake { extra } => {
-                let mut list = truth();
+                truth(list);
                 let n = self.overlay.node_count() as u64;
                 let mut x = ((announcer.0 as u64) << 32) ^ (self.tick as u64) ^ 0x5eed;
                 for _ in 0..extra {
@@ -186,9 +203,16 @@ impl<'a> FrozenTick<'a> {
                         list.push(candidate);
                     }
                 }
-                Some(list)
             }
         }
+        true
+    }
+
+    /// [`announced_list_into`](Self::announced_list_into) into a list of its
+    /// own, `None` for a refusal.
+    pub fn announced_list(&self, announcer: NodeId) -> Option<Vec<NodeId>> {
+        let mut list = Vec::new();
+        self.announced_list_into(announcer, &mut list).then_some(list)
     }
 
     /// §3.1's consistency check: ask `member` whether it really is a
@@ -343,18 +367,21 @@ impl<'a> TickObservation<'a> {
     }
 
     /// Send one copy of `announcer`'s neighbor list to `receiver` through
-    /// the transport. `None` means the copy was lost or delayed (a delayed
-    /// copy surfaces later via [`matured_lists`](Self::matured_lists)).
+    /// the transport: whether it arrives this tick. Otherwise the copy was
+    /// lost or delayed (a delayed copy surfaces later via
+    /// [`all_matured_lists`](Self::all_matured_lists)).
+    pub fn list_arrives(&self, announcer: NodeId, receiver: NodeId, members: &[NodeId]) -> bool {
+        self.faults.is_none_or(|fp| fp.list_arrives(self.tick, announcer, receiver, members))
+    }
+
+    /// [`list_arrives`](Self::list_arrives), handing back the delivered copy.
     pub fn transmit_list(
         &self,
         announcer: NodeId,
         receiver: NodeId,
         members: &[NodeId],
     ) -> Option<Vec<NodeId>> {
-        match self.faults {
-            Some(fp) => fp.transmit_list(self.tick, announcer, receiver, members),
-            None => Some(members.to_vec()),
-        }
+        self.list_arrives(announcer, receiver, members).then(|| members.to_vec())
     }
 
     /// Drain every late list announcement that matured for `receiver`:
@@ -362,6 +389,18 @@ impl<'a> TickObservation<'a> {
     pub fn matured_lists(&self, receiver: NodeId) -> Vec<(NodeId, Vec<NodeId>, Tick)> {
         match self.faults {
             Some(fp) => fp.take_matured_lists(self.tick, receiver),
+            None => Vec::new(),
+        }
+    }
+
+    /// Drain every late list announcement that matured this tick, for all
+    /// receivers at once: `(receiver, announcer, members, sent_at)`, ascending
+    /// receiver and send order within one — the order calling
+    /// [`matured_lists`](Self::matured_lists) for receivers `0, 1, 2, …`
+    /// yields.
+    pub fn all_matured_lists(&self) -> Vec<(NodeId, NodeId, Vec<NodeId>, Tick)> {
+        match self.faults {
+            Some(fp) => fp.take_all_matured_lists(self.tick),
             None => Vec::new(),
         }
     }

@@ -10,8 +10,8 @@ use crate::session::{sample_poisson, SessionStats, WhitewashConfig, WhitewashRec
 use crate::Tick;
 use ddp_metrics::summary::{RunSeries, RunSummary};
 use ddp_metrics::{
-    DetectionErrors, HashSeries, P2Quantile, ParallelStats, ResponseStats, SuccessStats,
-    TrafficAccumulator, VerdictLedger, VerdictTransition,
+    DetectionErrors, HashSeries, P2Quantile, ParallelStats, ResponseStats, StepPhases,
+    SuccessStats, TrafficAccumulator, VerdictLedger, VerdictTransition,
 };
 use ddp_snapshot::{Dec, Enc, SnapshotError, Snapshottable};
 use ddp_topology::{DynamicGraph, Half, NodeId, Partition};
@@ -21,6 +21,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
+use std::time::Instant;
 
 /// One defensive disconnection, for observability and post-hoc analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,6 +192,8 @@ pub struct Simulation<D: Defense> {
     hash_trace: Option<HashSeries>,
     /// What the worker pool did this run (observability only).
     parallel_stats: ParallelStats,
+    /// Where `step`'s wall time went (observability only).
+    phases: StepPhases,
 }
 
 /// Draw one good peer's processing capacity (mean x uniform spread).
@@ -277,6 +280,7 @@ impl<D: Defense> Simulation<D> {
             threads: 1,
             hash_trace: None,
             parallel_stats: ParallelStats { threads: 1, ..ParallelStats::default() },
+            phases: StepPhases::default(),
         }
     }
 
@@ -320,6 +324,12 @@ impl<D: Defense> Simulation<D> {
     /// Worker-pool accounting for this run (never part of engine state).
     pub fn parallel_stats(&self) -> ParallelStats {
         self.parallel_stats
+    }
+
+    /// Wall time [`step`](Self::step) has spent per phase so far (never part
+    /// of engine state; not restored by snapshots).
+    pub fn phase_times(&self) -> StepPhases {
+        self.phases
     }
 
     /// Turn `node` into a DDoS agent with the configured rate.
@@ -422,6 +432,7 @@ impl<D: Defense> Simulation<D> {
 
     /// Advance the simulation by one tick (one minute).
     pub fn step(&mut self) {
+        let t0 = Instant::now();
         self.tick += 1;
         self.fault_plane.begin_tick(self.tick);
         self.churn_step();
@@ -433,10 +444,21 @@ impl<D: Defense> Simulation<D> {
         let mut traffic = TrafficAccumulator::default();
         let mut success = SuccessStats::default();
         let mut response = ResponseStats::default();
+        let t1 = Instant::now();
         self.build_emissions();
+        let t2 = Instant::now();
         self.execute_emissions(&mut traffic, &mut success, &mut response);
+        let t3 = Instant::now();
         self.update_utilization();
+        let t4 = Instant::now();
         self.run_defense(&mut traffic);
+        let t5 = Instant::now();
+        self.phases.ticks += 1;
+        self.phases.churn += t1 - t0;
+        self.phases.emission_build += t2 - t1;
+        self.phases.flood += t3 - t2;
+        self.phases.utilization += t4 - t3;
+        self.phases.defense += t5 - t4;
 
         self.series.success_rate.push(success.rate());
         self.series.response_time.push(response.mean());
@@ -1189,7 +1211,11 @@ impl<D: Defense> Simulation<D> {
                 enc.u32(h.ridx);
             }
         }
-        enc.put(&self.catalog.libraries().to_vec());
+        // The bytes of a `Vec<Vec<u32>>`, straight from the catalog's arena.
+        enc.usize(self.catalog.num_peers());
+        for u in 0..self.catalog.num_peers() {
+            enc.slice(self.catalog.library(NodeId::from_index(u)));
+        }
         save_rng(&mut enc, &self.rng_workload);
         save_rng(&mut enc, &self.rng_churn);
         save_rng(&mut enc, &self.rng_session);
@@ -1256,7 +1282,7 @@ impl<D: Defense> Simulation<D> {
         if libraries.len() != n {
             return Err(SnapshotError::Corrupt { what: "library count" });
         }
-        let catalog = ContentCatalog::from_libraries(libraries, &self.cfg.content);
+        let catalog = ContentCatalog::from_libraries(&libraries, &self.cfg.content);
         let rng_workload = load_rng(dec)?;
         let rng_churn = load_rng(dec)?;
         let rng_session = load_rng(dec)?;
@@ -1445,6 +1471,23 @@ mod tests {
         assert_eq!(a.series.traffic, b.series.traffic);
         let c = Simulation::new(small_cfg(200), NoDefense, 100).run(6);
         assert_ne!(a.series.traffic, c.series.traffic, "different seed, different run");
+    }
+
+    #[test]
+    fn phase_times_count_every_step_and_stay_out_of_the_state() {
+        let mut a = Simulation::new(small_cfg(120), NoDefense, 5);
+        let mut b = Simulation::new(small_cfg(120), NoDefense, 5);
+        a.step();
+        for _ in 0..3 {
+            a.step();
+            b.step();
+        }
+        b.step();
+        let (pa, pb) = (a.phase_times(), b.phase_times());
+        assert_eq!((pa.ticks, pb.ticks), (4, 4));
+        assert!(pa.flood > std::time::Duration::ZERO, "floods take time");
+        // Wall clocks never repeat; the state they sit beside does.
+        assert_eq!(a.state_hash(), b.state_hash());
     }
 
     #[test]

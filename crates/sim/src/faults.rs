@@ -209,20 +209,21 @@ impl FaultPlane {
         true
     }
 
-    /// Transmit one list announcement copy. Returns the members if delivered
-    /// this tick; a lost copy vanishes, a delayed copy is mailboxed.
-    pub fn transmit_list(
+    /// Transmit one list announcement copy: whether it is delivered this
+    /// tick. A lost copy vanishes; a delayed copy is mailboxed, the mailbox
+    /// keeping its own copy of `members` as they were at send time.
+    pub fn list_arrives(
         &self,
         tick: Tick,
         announcer: NodeId,
         receiver: NodeId,
         members: &[NodeId],
-    ) -> Option<Vec<NodeId>> {
+    ) -> bool {
         let mut st = self.state.borrow_mut();
         st.stats.lists_sent += 1;
         if self.lost(SALT_LIST_LOSS, tick, announcer, receiver, 0) {
             st.stats.lists_lost += 1;
-            return None;
+            return false;
         }
         if self.delayed(SALT_LIST_DELAY, tick, announcer, receiver, 0) {
             st.stats.lists_delayed += 1;
@@ -233,9 +234,21 @@ impl FaultPlane {
                 members: members.to_vec(),
                 sent_at: tick,
             });
-            return None;
+            return false;
         }
-        Some(members.to_vec())
+        true
+    }
+
+    /// [`list_arrives`](Self::list_arrives), returning the members if
+    /// delivered this tick.
+    pub fn transmit_list(
+        &self,
+        tick: Tick,
+        announcer: NodeId,
+        receiver: NodeId,
+        members: &[NodeId],
+    ) -> Option<Vec<NodeId>> {
+        self.list_arrives(tick, announcer, receiver, members).then(|| members.to_vec())
     }
 
     /// Drain every matured late list addressed to `receiver`, in send order.
@@ -256,6 +269,21 @@ impl FaultPlane {
         }
         st.lists = kept;
         out
+    }
+
+    /// Drain every matured late list, whoever it is addressed to, as
+    /// `(receiver, announcer, members, sent_at)`: ascending receiver, send
+    /// order within one. That is the order
+    /// [`take_matured_lists`](Self::take_matured_lists) yields when called
+    /// for receivers `0, 1, 2, …`, and the mailbox is left as those calls
+    /// leave it — in one pass over the mailbox instead of one per receiver.
+    pub fn take_all_matured_lists(&self, tick: Tick) -> Vec<(NodeId, NodeId, Vec<NodeId>, Tick)> {
+        let mut st = self.state.borrow_mut();
+        let (mut matured, kept): (Vec<DelayedList>, Vec<DelayedList>) =
+            std::mem::take(&mut st.lists).into_iter().partition(|l| l.deliver_at <= tick);
+        st.lists = kept;
+        matured.sort_by_key(|l| l.receiver); // stable: send order survives
+        matured.into_iter().map(|l| (l.receiver, l.announcer, l.members, l.sent_at)).collect()
     }
 
     /// Record that one matured late list was actually applied (the receiver
@@ -562,6 +590,38 @@ mod tests {
         assert_eq!((*announcer, sent_at), (NodeId(1), &5));
         assert_eq!(members, &[NodeId(7)]);
         assert!(p.take_matured_lists(8, NodeId(2)).is_empty(), "consumed");
+    }
+
+    #[test]
+    fn draining_all_matured_lists_equals_draining_receiver_by_receiver() {
+        // Twin planes fed the same interleaved mail: several receivers, two
+        // send ticks, letters that mature now and letters that do not.
+        let (a, b) = (plane(0.0, 1.0, 2), plane(0.0, 1.0, 2));
+        for p in [&a, &b] {
+            for (tick, announcer, receiver) in
+                [(3, 9, 2), (3, 1, 0), (4, 5, 2), (3, 7, 4), (4, 1, 0), (3, 8, 2), (3, 2, 0)]
+            {
+                let members = [NodeId(announcer), NodeId(tick)];
+                p.transmit_list(tick, NodeId(announcer), NodeId(receiver), &members);
+            }
+        }
+        let mut one_by_one = Vec::new();
+        for receiver in 0..6 {
+            for (announcer, members, sent_at) in a.take_matured_lists(5, NodeId(receiver)) {
+                one_by_one.push((NodeId(receiver), announcer, members, sent_at));
+            }
+        }
+        assert_eq!(one_by_one.len(), 5, "the two tick-4 letters mature at 6");
+        assert_eq!(b.take_all_matured_lists(5), one_by_one);
+        // The remainders are the same mailbox, byte for byte.
+        let bytes = |p: &FaultPlane| {
+            let mut enc = ddp_snapshot::Enc::new();
+            p.save_state(&mut enc);
+            enc.into_bytes()
+        };
+        assert_eq!(bytes(&a), bytes(&b));
+        assert_eq!(b.take_all_matured_lists(6).len(), 2);
+        assert!(b.take_all_matured_lists(7).is_empty());
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! assumption applied per BFS wave), and optionally probing for an object to
 //! compute success and response time.
 //!
+//! A hit never stops or steers a flood, so the probe is not part of the
+//! per-hop work: after each wave the kernel walks the wave's receivers in the
+//! order they were enqueued, up to the first holder. That is the hit a
+//! per-hop probe would have recorded first, but a wave's library lookups are
+//! independent loads the core can overlap instead of one dependent miss
+//! chain per hop.
+//!
 //! All scratch state (visited stamps, frontiers) is owned by [`FloodEngine`]
 //! and reused across calls: the flooding loop performs no allocation once
 //! the engine is warm.
@@ -170,7 +177,6 @@ impl FloodEngine {
                             slot,
                             count,
                             0.0,
-                            target,
                             env,
                             &mut outcome,
                         );
@@ -189,13 +195,13 @@ impl FloodEngine {
                         slot,
                         count,
                         0.0,
-                        target,
                         env,
                         &mut outcome,
                     );
                 }
             }
         }
+        self.probe_wave(target, &mut outcome);
         std::mem::swap(&mut self.frontier, &mut self.next);
 
         // Remaining hops.
@@ -230,7 +236,6 @@ impl FloodEngine {
                         slot,
                         e.count,
                         e.delay,
-                        target,
                         env,
                         &mut outcome,
                     );
@@ -238,6 +243,7 @@ impl FloodEngine {
             }
             self.frontier = frontier;
             self.frontier.clear();
+            self.probe_wave(target, &mut outcome);
             std::mem::swap(&mut self.frontier, &mut self.next);
             hops_left -= 1;
         }
@@ -246,6 +252,22 @@ impl FloodEngine {
             env.traffic.hit_hops += outcome.hit_depth as u64;
         }
         outcome
+    }
+
+    /// Record the search's first hit if the wave just enqueued in `next`
+    /// holds one: the first holder in enqueue order, at the wave's depth and
+    /// with the delay its copy of the query arrived with.
+    #[inline]
+    fn probe_wave(&self, target: Option<(&ContentCatalog, ObjectId)>, outcome: &mut FloodOutcome) {
+        let Some((catalog, object)) = target else { return };
+        if outcome.found {
+            return;
+        }
+        if let Some(hit) = self.next.iter().find(|e| catalog.holds(e.node, object)) {
+            outcome.found = true;
+            outcome.hit_delay_secs = hit.delay as f64;
+            outcome.hit_depth = self.current_depth;
+        }
     }
 
     /// Try to push `count` queries via the half-edge `half` occupying `slot`
@@ -265,7 +287,6 @@ impl FloodEngine {
         slot: usize,
         count: u32,
         delay_so_far: f32,
-        target: Option<(&ContentCatalog, ObjectId)>,
         env: &mut FloodEnv<'_>,
         outcome: &mut FloodOutcome,
     ) {
@@ -322,15 +343,6 @@ impl FloodEngine {
         outcome.processed_nodes += 1;
 
         let delay = delay_so_far + (env.hop_latency_secs + env.node_delay(v)) as f32;
-        if !outcome.found {
-            if let Some((catalog, object)) = target {
-                if catalog.holds(v, object) {
-                    outcome.found = true;
-                    outcome.hit_delay_secs = delay as f64;
-                    outcome.hit_depth = self.current_depth;
-                }
-            }
-        }
         self.next.push(Entry { node: v, parent: u, count: proc_c, delay });
     }
 }

@@ -240,6 +240,15 @@ impl Enc {
     pub fn put<T: Snapshottable>(&mut self, v: &T) {
         v.save(self);
     }
+
+    /// Append a length-prefixed sequence: the bytes `put` writes for a
+    /// `Vec<T>` of the same items, for callers whose items live elsewhere.
+    pub fn slice<T: Snapshottable>(&mut self, items: &[T]) {
+        self.usize(items.len());
+        for v in items {
+            v.save(self);
+        }
+    }
 }
 
 /// Bounds-checked little-endian payload decoder over a borrowed buffer.
@@ -395,10 +404,7 @@ impl Snapshottable for String {
 
 impl<T: Snapshottable> Snapshottable for Vec<T> {
     fn save(&self, enc: &mut Enc) {
-        enc.usize(self.len());
-        for v in self {
-            v.save(enc);
-        }
+        enc.slice(self);
     }
     fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
         let n = dec.len("vec length")?;

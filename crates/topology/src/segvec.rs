@@ -15,6 +15,8 @@
 //! * `swap_remove(i, slot)` evolves slots *exactly* like `Vec::swap_remove` —
 //!   callers that mirror removals across two `SegVec`s (graph + counters)
 //!   stay aligned positionally;
+//! * `replace_row(i, items)` rewrites a whole row — in place when the items
+//!   fit its capacity, else in an exact-fit slot at the arena tail;
 //! * abandoned capacity is tracked and the arena is compacted in row order
 //!   once more than half of a non-trivial arena is waste, so long churny runs
 //!   cannot leak the arena unboundedly.
@@ -67,6 +69,13 @@ impl<T: Copy> SegVec<T> {
             wasted: 0,
             fill,
         }
+    }
+
+    /// Make room for `additional` more arena slots without reallocating —
+    /// for callers that know the total size of the rows they are about to
+    /// write.
+    pub fn reserve_arena(&mut self, additional: usize) {
+        self.flat.reserve_exact(additional);
     }
 
     /// Number of rows.
@@ -139,6 +148,24 @@ impl<T: Copy> SegVec<T> {
         self.len[i] += 1;
     }
 
+    /// Replace the whole of row `i` with `items`: in place when they fit the
+    /// row's capacity, otherwise in a fresh exact-fit slot at the arena tail
+    /// (the old slot is abandoned like a relocation's).
+    pub fn replace_row(&mut self, i: usize, items: &[T]) {
+        if items.len() <= self.cap[i] as usize {
+            let b = self.base[i] as usize;
+            self.flat[b..b + items.len()].copy_from_slice(items);
+            self.len[i] = items.len() as u32;
+            return;
+        }
+        self.wasted += self.cap[i] as usize;
+        self.base[i] = self.flat.len() as u32;
+        self.len[i] = items.len() as u32;
+        self.cap[i] = items.len() as u32;
+        self.flat.extend_from_slice(items);
+        self.compact_if_wasteful();
+    }
+
     /// Remove and return element `slot` of row `i`, moving the row's last
     /// element into its place — identical slot evolution to
     /// `Vec::swap_remove`.
@@ -188,6 +215,10 @@ impl<T: Copy> SegVec<T> {
         self.base[i] = new_base as u32;
         self.cap[i] = new_cap as u32;
         self.wasted += old_cap;
+        self.compact_if_wasteful();
+    }
+
+    fn compact_if_wasteful(&mut self) {
         if self.wasted > self.flat.len() / 2 && self.flat.len() > 1024 {
             self.compact();
         }
@@ -302,6 +333,23 @@ mod tests {
         s.fill_all(0);
         assert_eq!(s.slice(0), &[0, 0]);
         assert_eq!(s.slice(1), &[0, 0]);
+    }
+
+    #[test]
+    fn replace_row_rewrites_in_place_or_at_the_tail() {
+        let mut s = SegVec::new(2, 0u32);
+        s.replace_row(0, &[1, 2, 3]);
+        s.replace_row(1, &[9]);
+        assert_eq!((s.arena_len(), s.wasted()), (4, 0), "exact fit, back to back");
+        s.replace_row(0, &[7, 8]); // fits: same slot, shorter
+        assert_eq!((s.slice(0), s.base_of(0), s.arena_len()), (&[7, 8][..], 0, 4));
+        s.replace_row(0, &[4, 5, 6]); // the slot kept its capacity of 3
+        assert_eq!((s.slice(0), s.base_of(0)), (&[4, 5, 6][..], 0));
+        s.replace_row(1, &[1, 2]); // outgrows capacity 1: moves to the tail
+        assert_eq!((s.slice(1), s.base_of(1), s.wasted()), (&[1, 2][..], 4, 1));
+        assert_eq!(s.slice(0), &[4, 5, 6], "other rows never notice");
+        s.push(1, 3); // pushes still relocate with doubling after a replace
+        assert_eq!(s.slice(1), &[1, 2, 3]);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! and makes success rate sensitive to message drops for the tail.
 
 use crate::zipf::Zipf;
-use ddp_topology::NodeId;
+use ddp_topology::{NodeId, SegVec};
 use rand::Rng;
 
 /// Identifier of a shared object (rank in the catalog; 0 = most popular).
@@ -18,11 +18,16 @@ pub struct ObjectId(pub u32);
 /// The catalog: per-peer sorted object lists plus the query popularity law.
 #[derive(Debug, Clone)]
 pub struct ContentCatalog {
-    /// Per-node sorted list of held object ids.
-    libraries: Vec<Vec<u32>>,
+    /// Row `i` is node `i`'s sorted list of held object ids. One arena for
+    /// all of them: the flood probes a whole BFS wave of libraries at a time,
+    /// and a row is two index loads away instead of a `Vec` header and a
+    /// heap block of its own.
+    libraries: SegVec<u32>,
     /// Popularity law used to draw query targets.
     query_popularity: Zipf,
     num_objects: usize,
+    /// The library being sampled, before it is copied into its row.
+    scratch: Vec<u32>,
 }
 
 /// Configuration for catalog generation.
@@ -46,26 +51,23 @@ impl Default for ContentConfig {
 impl ContentCatalog {
     /// Generate libraries for `n` peers.
     pub fn generate<R: Rng + ?Sized>(n: usize, cfg: &ContentConfig, rng: &mut R) -> Self {
-        let pop = Zipf::new(cfg.num_objects, cfg.alpha);
-        let mut libraries = Vec::with_capacity(n);
-        for _ in 0..n {
-            libraries.push(Self::sample_library(&pop, cfg.objects_per_peer, rng));
+        let mut catalog = Self::with_empty_rows(n, n * cfg.objects_per_peer, cfg);
+        for i in 0..n {
+            catalog.regenerate_library(NodeId::from_index(i), cfg.objects_per_peer, rng);
         }
-        ContentCatalog { libraries, query_popularity: pop, num_objects: cfg.num_objects }
+        catalog
     }
 
-    fn sample_library<R: Rng + ?Sized>(pop: &Zipf, size: usize, rng: &mut R) -> Vec<u32> {
-        let mut lib: Vec<u32> = Vec::with_capacity(size);
-        // Rejection-sample distinct objects; libraries are tiny relative to
-        // the catalog so rejection is rare.
-        while lib.len() < size {
-            let o = pop.sample(rng) as u32;
-            if !lib.contains(&o) {
-                lib.push(o);
-            }
+    /// `n` empty libraries over an arena with room for `total` object ids.
+    fn with_empty_rows(n: usize, total: usize, cfg: &ContentConfig) -> Self {
+        let mut libraries = SegVec::new(n, 0);
+        libraries.reserve_arena(total);
+        ContentCatalog {
+            libraries,
+            query_popularity: Zipf::new(cfg.num_objects, cfg.alpha),
+            num_objects: cfg.num_objects,
+            scratch: Vec::new(),
         }
-        lib.sort_unstable();
-        lib
     }
 
     /// Rebuild a catalog from explicit per-peer libraries — the
@@ -73,32 +75,49 @@ impl ContentCatalog {
     /// state (queries draw from the engine's RNG streams), so it is
     /// reconstructed from `cfg` exactly as [`ContentCatalog::generate`]
     /// builds it.
-    pub fn from_libraries(libraries: Vec<Vec<u32>>, cfg: &ContentConfig) -> Self {
-        ContentCatalog {
-            libraries,
-            query_popularity: Zipf::new(cfg.num_objects, cfg.alpha),
-            num_objects: cfg.num_objects,
+    pub fn from_libraries(libraries: &[Vec<u32>], cfg: &ContentConfig) -> Self {
+        let total = libraries.iter().map(Vec::len).sum();
+        let mut catalog = Self::with_empty_rows(libraries.len(), total, cfg);
+        for (i, lib) in libraries.iter().enumerate() {
+            catalog.libraries.replace_row(i, lib);
         }
+        catalog
     }
 
-    /// Per-peer libraries, indexed by node — the snapshot-save accessor.
-    pub fn libraries(&self) -> &[Vec<u32>] {
-        &self.libraries
+    /// `node`'s sorted object ids (empty for a node without a library) — the
+    /// snapshot-save accessor.
+    #[inline]
+    pub fn library(&self, node: NodeId) -> &[u32] {
+        if node.index() < self.libraries.rows() {
+            self.libraries.slice(node.index())
+        } else {
+            &[]
+        }
     }
 
     /// Generate the library for one newly joined peer, replacing `node`'s.
     pub fn regenerate_library<R: Rng + ?Sized>(&mut self, node: NodeId, size: usize, rng: &mut R) {
-        let lib = Self::sample_library(&self.query_popularity, size, rng);
-        if node.index() >= self.libraries.len() {
-            self.libraries.resize(node.index() + 1, Vec::new());
+        let lib = &mut self.scratch;
+        lib.clear();
+        // Rejection-sample distinct objects; libraries are tiny relative to
+        // the catalog so rejection is rare.
+        while lib.len() < size {
+            let o = self.query_popularity.sample(rng) as u32;
+            if !lib.contains(&o) {
+                lib.push(o);
+            }
         }
-        self.libraries[node.index()] = lib;
+        lib.sort_unstable();
+        while self.libraries.rows() <= node.index() {
+            self.libraries.push_row();
+        }
+        self.libraries.replace_row(node.index(), lib);
     }
 
     /// Does `node` hold `object`? O(log library size).
     #[inline]
     pub fn holds(&self, node: NodeId, object: ObjectId) -> bool {
-        self.libraries.get(node.index()).is_some_and(|lib| lib.binary_search(&object.0).is_ok())
+        self.library(node).binary_search(&object.0).is_ok()
     }
 
     /// Draw a query target according to the popularity law.
@@ -113,12 +132,12 @@ impl ContentCatalog {
 
     /// Number of peers with libraries.
     pub fn num_peers(&self) -> usize {
-        self.libraries.len()
+        self.libraries.rows()
     }
 
     /// How many peers hold `object` (O(total library size); diagnostics only).
     pub fn replication_count(&self, object: ObjectId) -> usize {
-        self.libraries.iter().filter(|lib| lib.binary_search(&object.0).is_ok()).count()
+        (0..self.num_peers()).filter(|&i| self.holds(NodeId::from_index(i), object)).count()
     }
 }
 

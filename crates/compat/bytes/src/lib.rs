@@ -2,36 +2,47 @@
 //!
 //! Implements only what the workspace's wire codec uses: [`Bytes`],
 //! [`BytesMut`], and the [`Buf`]/[`BufMut`] traits with little-endian
-//! accessors. Backed by plain `Vec<u8>` — no refcounted zero-copy splitting;
-//! the protocol crate's frames are tiny and this path is not hot.
+//! accessors.
+//!
+//! What it costs, since the wire servent's frame path runs on it: a
+//! [`Bytes`] is an owned `Vec<u8>` plus a read offset, not a refcounted view
+//! of a shared chunk. `clone`, `slice`, `from_static` and `split_to`
+//! therefore each allocate and copy what they return; reading through
+//! [`Buf`] (`advance`, `copy_to_slice`, the `get_*` accessors) moves the
+//! offset and neither allocates nor moves the unread bytes. The hot path
+//! decodes from borrowed slices (`ddp_protocol::decode_frame`) and encodes
+//! each outbound frame into one `BytesMut`, so it pays one allocation per
+//! frame it creates and none per frame it reads.
 
 use std::ops::{Bound, Deref, RangeBounds};
 
-/// An owned, cheaply sliceable byte buffer (here: a plain `Vec<u8>`).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// An owned byte buffer read from the front (a `Vec<u8>` and an offset).
+#[derive(Clone, Default)]
 pub struct Bytes {
     data: Vec<u8>,
+    /// Bytes already consumed from the front of `data`.
+    pos: usize,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Self {
-        Bytes { data: Vec::new() }
+        Bytes::default()
     }
 
     /// Wrap a static byte string.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Bytes { data: bytes.to_vec() }
+        Bytes::from(bytes)
     }
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.data.len() - self.pos
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// A copy of the sub-range as a new `Bytes`.
@@ -44,45 +55,80 @@ impl Bytes {
         let end = match range.end_bound() {
             Bound::Included(&e) => e + 1,
             Bound::Excluded(&e) => e,
-            Bound::Unbounded => self.data.len(),
+            Bound::Unbounded => self.len(),
         };
-        Bytes { data: self.data[start..end].to_vec() }
+        Bytes::from(&self[start..end])
     }
 
     /// Split off and return the first `at` bytes, advancing `self` past them.
     pub fn split_to(&mut self, at: usize) -> Bytes {
-        let rest = self.data.split_off(at);
-        Bytes { data: std::mem::replace(&mut self.data, rest) }
+        let head = Bytes::from(&self[..at]);
+        self.pos += at;
+        head
     }
 
     /// The bytes as a vector.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.clone()
+        self[..].to_vec()
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
+        &self.data[self.pos..]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Bytes { data }
+        Bytes { data, pos: 0 }
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(data: &[u8]) -> Self {
-        Bytes { data: data.to_vec() }
+        Bytes::from(data.to_vec())
+    }
+}
+
+// Identity is the unread bytes: two buffers that differ only in what was
+// already consumed are equal.
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for Bytes {}
+
+impl std::hash::Hash for Bytes {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self[..].hash(state)
+    }
+}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
+        self[..].cmp(&other[..])
+    }
+}
+
+impl std::fmt::Debug for Bytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Bytes").field(&&self[..]).finish()
     }
 }
 
@@ -120,7 +166,7 @@ impl BytesMut {
 
     /// Freeze into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
-        Bytes { data: self.data }
+        Bytes::from(self.data)
     }
 }
 
@@ -148,15 +194,22 @@ pub trait Buf {
     /// Bytes left to read.
     fn remaining(&self) -> usize;
 
+    /// The unread bytes. Every buffer of this shim is contiguous, so this is
+    /// all `remaining()` of them.
+    fn chunk(&self) -> &[u8];
+
+    /// Skip `cnt` bytes.
+    ///
+    /// Panics when fewer than `cnt` bytes remain.
+    fn advance(&mut self, cnt: usize);
+
     /// Copy `dst.len()` bytes out, advancing the read position.
     ///
     /// Panics when fewer than `dst.len()` bytes remain.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    /// Skip `cnt` bytes.
-    fn advance(&mut self, cnt: usize) {
-        let mut sink = vec![0u8; cnt];
-        self.copy_to_slice(&mut sink);
+    fn copy_to_slice(&mut self, dst: &mut [u8]) {
+        assert!(dst.len() <= self.remaining(), "buffer underflow");
+        dst.copy_from_slice(&self.chunk()[..dst.len()]);
+        self.advance(dst.len());
     }
 
     /// Read one byte.
@@ -190,13 +243,16 @@ pub trait Buf {
 
 impl Buf for Bytes {
     fn remaining(&self) -> usize {
-        self.data.len()
+        self.len()
     }
 
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(dst.len() <= self.data.len(), "buffer underflow");
-        dst.copy_from_slice(&self.data[..dst.len()]);
-        self.data.drain(..dst.len());
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "buffer underflow");
+        self.pos += cnt;
     }
 }
 
@@ -205,11 +261,13 @@ impl Buf for &[u8] {
         self.len()
     }
 
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(dst.len() <= self.len(), "buffer underflow");
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
+    fn chunk(&self) -> &[u8] {
+        self
+    }
+
+    fn advance(&mut self, cnt: usize) {
+        assert!(cnt <= self.len(), "buffer underflow");
+        *self = &self[cnt..];
     }
 }
 
@@ -217,8 +275,11 @@ impl<B: Buf + ?Sized> Buf for &mut B {
     fn remaining(&self) -> usize {
         (**self).remaining()
     }
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        (**self).copy_to_slice(dst)
+    fn chunk(&self) -> &[u8] {
+        (**self).chunk()
+    }
+    fn advance(&mut self, cnt: usize) {
+        (**self).advance(cnt)
     }
 }
 
@@ -280,6 +341,28 @@ mod tests {
         r.copy_to_slice(&mut tail);
         assert_eq!(&tail, b"abc");
         assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn reading_moves_an_offset_and_identity_is_the_unread_bytes() {
+        let mut b = Bytes::from(vec![9, 9, 1, 2, 3]);
+        b.advance(2);
+        assert_eq!(b.chunk(), &[1, 2, 3]);
+        assert_eq!(b, Bytes::from(vec![1, 2, 3]));
+        assert_eq!(b.to_vec(), vec![1, 2, 3]);
+        assert_eq!(b.get_u8(), 1);
+        let rest = b.split_to(2);
+        assert_eq!(&rest[..], &[2, 3]);
+        assert!(b.is_empty());
+        let mut s: &[u8] = &[4, 5, 6];
+        s.advance(1);
+        assert_eq!(s.get_u16_le(), u16::from_le_bytes([5, 6]));
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn advancing_past_the_end_panics() {
+        Bytes::from(vec![1]).advance(2);
     }
 
     #[test]

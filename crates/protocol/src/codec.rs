@@ -1,47 +1,52 @@
 //! Whole-message encode/decode.
 
 use crate::error::ProtocolError;
-use crate::header::Header;
+use crate::header::{Header, HEADER_LEN, MAX_PAYLOAD_LEN};
 use crate::message::{Message, Payload};
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 
-/// Encode a full message (header + payload) to bytes.
+/// Encode a full message (header + payload) to bytes, into one buffer.
 ///
 /// The header's `payload_len` is recomputed from the actual payload, so a
-/// stale length cannot produce a corrupt frame.
+/// stale length cannot produce a corrupt frame (it only sizes the buffer,
+/// and not beyond the largest frame there is).
 pub fn encode_message(msg: &Message) -> Bytes {
-    let mut body = BytesMut::with_capacity(64);
-    msg.payload.encode(&mut body);
-    let mut out = BytesMut::with_capacity(crate::header::HEADER_LEN + body.len());
-    let header = Header { payload_len: body.len() as u32, ..msg.header };
-    header.encode(&mut out);
-    out.extend_from_slice(&body);
+    let mut out = BytesMut::with_capacity(msg.wire_len().min(HEADER_LEN + MAX_PAYLOAD_LEN));
+    msg.header.encode(&mut out);
+    msg.payload.encode(&mut out);
+    let payload_len = (out.len() - HEADER_LEN) as u32;
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     out.freeze()
 }
 
-/// Decode one full message from the front of `buf`, advancing it.
-pub fn decode_message(buf: &mut Bytes) -> Result<Message, ProtocolError> {
-    let header = Header::decode(buf)?;
+/// Decode one full message from the front of `buf`, which is only borrowed:
+/// the message and the number of bytes it occupied.
+///
+/// The header is checked before the payload is looked at, so an unknown kind
+/// or an oversized length claim errors however few bytes follow;
+/// [`ProtocolError::TruncatedHeader`] and [`ProtocolError::TruncatedPayload`]
+/// mean `buf` ends before the message does (a stream reader waits for more).
+pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
+    let mut rest = buf;
+    let header = Header::decode(&mut rest)?;
     let want = header.payload_len as usize;
-    if buf.len() < want {
-        return Err(ProtocolError::TruncatedPayload { want, have: buf.len() });
+    if rest.len() < want {
+        return Err(ProtocolError::TruncatedPayload { want, have: rest.len() });
     }
-    let mut body = buf.split_to(want);
+    let mut body = &rest[..want];
     let payload = Payload::decode(header.kind, &mut body)?;
-    if body.has_remaining_bytes() {
+    if !body.is_empty() {
         return Err(ProtocolError::MalformedPayload("trailing bytes in payload"));
     }
-    Ok(Message { header, payload })
+    Ok((Message { header, payload }, HEADER_LEN + want))
 }
 
-trait HasRemaining {
-    fn has_remaining_bytes(&self) -> bool;
-}
-
-impl HasRemaining for Bytes {
-    fn has_remaining_bytes(&self) -> bool {
-        !self.is_empty()
-    }
+/// Decode one full message from the front of `buf`, advancing it. On error
+/// `buf` is left as it was.
+pub fn decode_message(buf: &mut Bytes) -> Result<Message, ProtocolError> {
+    let (msg, used) = decode_frame(buf)?;
+    buf.advance(used);
+    Ok(msg)
 }
 
 #[cfg(test)]
@@ -132,7 +137,7 @@ mod tests {
         };
         let msg = Message::new(Guid::ZERO, 1, Payload::NeighborTraffic(nt));
         let wire = encode_message(&msg);
-        let body = &wire[crate::header::HEADER_LEN..];
+        let body = &wire[HEADER_LEN..];
         assert_eq!(body.len(), NEIGHBOR_TRAFFIC_LEN);
         assert_eq!(&body[0..4], &[1, 2, 3, 4], "source ip at offset 0");
         assert_eq!(&body[4..8], &[5, 6, 7, 8], "suspect ip at offset 4");
@@ -175,6 +180,30 @@ mod tests {
             Payload::Query(Query { min_speed: 0, criteria: "hello".into() }),
         );
         assert_eq!(msg.wire_len(), encode_message(&msg).len());
+    }
+
+    #[test]
+    fn decode_frame_borrows_and_reports_the_bytes_used() {
+        let a = Message::new(Guid::derived(1, 0), 7, Payload::Ping(Ping));
+        let b = Message::new(
+            Guid::derived(1, 1),
+            7,
+            Payload::Query(Query { min_speed: 0, criteria: "q".into() }),
+        );
+        let mut stream = encode_message(&a).to_vec();
+        stream.extend_from_slice(&encode_message(&b));
+        let (first, used) = decode_frame(&stream).unwrap();
+        assert_eq!((first, used), (a, HEADER_LEN));
+        assert_eq!(decode_frame(&stream[used..]).unwrap(), (b, stream.len() - used));
+        // One byte short of the second message: a typed "wait for more".
+        assert!(matches!(
+            decode_frame(&stream[used..stream.len() - 1]),
+            Err(ProtocolError::TruncatedPayload { .. })
+        ));
+        // decode_message is the same decoder; an error leaves the buffer be.
+        let mut short = Bytes::from(stream[..10].to_vec());
+        assert!(decode_message(&mut short).is_err());
+        assert_eq!(short.len(), 10);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod header;
 pub mod message;
 pub mod routing;
 
-pub use codec::{decode_message, encode_message};
+pub use codec::{decode_frame, decode_message, encode_message};
 pub use error::ProtocolError;
 pub use guid::Guid;
 pub use header::{Header, PayloadKind, HEADER_LEN, MAX_PAYLOAD_LEN};

@@ -346,19 +346,19 @@ impl Payload {
     }
 }
 
+/// Read a NUL-terminated string: one scan for the terminator, one
+/// allocation of exactly the string's length.
 fn read_cstring<B: Buf>(buf: &mut B) -> Result<String, ProtocolError> {
-    let mut out = Vec::new();
-    loop {
-        if buf.remaining() == 0 {
-            return Err(ProtocolError::MalformedPayload("unterminated string"));
-        }
-        let b = buf.get_u8();
-        if b == 0 {
-            break;
-        }
-        out.push(b);
-    }
-    String::from_utf8(out).map_err(|_| ProtocolError::MalformedPayload("non-utf8 string"))
+    let unread = buf.chunk();
+    let len = unread
+        .iter()
+        .position(|&b| b == 0)
+        .ok_or(ProtocolError::MalformedPayload("unterminated string"))?;
+    let out = std::str::from_utf8(&unread[..len])
+        .map_err(|_| ProtocolError::MalformedPayload("non-utf8 string"))?
+        .to_owned();
+    buf.advance(len + 1);
+    Ok(out)
 }
 
 /// A complete message: header plus payload.

@@ -6,8 +6,8 @@ use ddp_police::{
 };
 use ddp_protocol::routing::Offer;
 use ddp_protocol::{
-    decode_message, encode_message, Bye, Guid, Message, NeighborList, NeighborTraffic, Payload,
-    PeerAddr, Pong, Query, QueryHit, QueryHitResult, Receipt, SeenTable,
+    decode_frame, encode_message, Bye, Guid, Header, Message, NeighborList, NeighborTraffic,
+    Payload, PeerAddr, Pong, Query, QueryHit, QueryHitResult, Receipt, SeenTable,
 };
 use ddp_sketch::SketchMonitor;
 use ddp_topology::NodeId;
@@ -231,6 +231,24 @@ impl Servent {
         }
     }
 
+    /// Send one query to every neighbor but `except`: encoded once, the
+    /// buffer copied for all receivers but the last, which takes it.
+    fn flood_query(&mut self, msg: &Message, except: Option<NodeId>, out: &mut Outbox) {
+        let mut frame = encode_message(msg);
+        let me = self.id.0;
+        let mut receivers =
+            self.links.iter_mut().filter(|(&peer, _)| Some(NodeId(peer)) != except).peekable();
+        while let Some((&peer, link)) = receivers.next() {
+            match self.monitor.as_mut() {
+                Some(m) => m.record_flow(me, peer, 1),
+                None => link.out_cur += 1,
+            }
+            let copy =
+                if receivers.peek().is_some() { frame.clone() } else { std::mem::take(&mut frame) };
+            out.push((NodeId(peer), copy));
+        }
+    }
+
     /// Issue one search for `criteria`, flooding all neighbors.
     pub fn issue_query(&mut self, criteria: &str, now: u64, out: &mut Outbox) {
         let guid = self.next_guid();
@@ -242,9 +260,7 @@ impl Servent {
             self.cfg.ttl,
             Payload::Query(Query { min_speed: 0, criteria: criteria.into() }),
         );
-        for peer in self.neighbors() {
-            self.send_query_to(peer, &msg, out);
-        }
+        self.flood_query(&msg, None, out);
     }
 
     /// One wall-clock second: attackers emit their flood share; everyone
@@ -511,19 +527,21 @@ impl Servent {
     /// Handle one inbound frame. Unknown/undecodable frames are dropped (a
     /// real servent closes the connection; the harness has no byte errors).
     pub fn handle_frame(&mut self, from: NodeId, frame: Bytes, now: u64, out: &mut Outbox) {
-        let mut cursor = frame;
-        let Ok(msg) = decode_message(&mut cursor) else { return };
-        self.member_last_seen.insert(from.0, now);
+        let Ok((msg, _)) = decode_frame(&frame) else { return };
         self.handle_message(from, msg, now, out);
     }
 
-    fn handle_message(&mut self, from: NodeId, msg: Message, now: u64, out: &mut Outbox) {
-        match msg.payload {
-            Payload::Query(ref q) => self.handle_query(from, &msg, q.clone(), now, out),
-            Payload::QueryHit(ref qh) => self.handle_hit(&msg, qh.clone(), now, out),
+    /// Handle one inbound message that has already been decoded (the wire
+    /// runtime's readers validate by decoding, and hand the result on).
+    pub fn handle_message(&mut self, from: NodeId, msg: Message, now: u64, out: &mut Outbox) {
+        self.member_last_seen.insert(from.0, now);
+        let Message { header, payload } = msg;
+        match payload {
+            Payload::Query(q) => self.handle_query(from, header, q, now, out),
+            Payload::QueryHit(qh) => self.handle_hit(header, qh, now, out),
             Payload::Ping(_) => {
                 let pong = Message::new(
-                    msg.header.guid,
+                    header.guid,
                     1,
                     Payload::Pong(Pong {
                         addr: self.addr,
@@ -550,11 +568,11 @@ impl Servent {
         }
     }
 
-    fn handle_query(&mut self, from: NodeId, msg: &Message, q: Query, now: u64, out: &mut Outbox) {
+    fn handle_query(&mut self, from: NodeId, header: Header, q: Query, now: u64, out: &mut Outbox) {
         if !self.links.contains_key(&from.0) {
             return;
         }
-        if self.seen.offer(msg.header.guid, from.0, now) == Offer::Duplicate {
+        if self.seen.offer(header.guid, from.0, now) == Offer::Duplicate {
             return; // duplicates are dropped *and excluded from In_query*
         }
         match self.monitor.as_mut() {
@@ -568,8 +586,8 @@ impl Servent {
         // Local lookup: answer with a QueryHit routed back to `from`.
         if self.cfg.library.iter().any(|item| item == &q.criteria) {
             let hit = Message::new(
-                msg.header.guid,
-                msg.header.hops.saturating_add(2),
+                header.guid,
+                header.hops.saturating_add(2),
                 Payload::QueryHit(QueryHit {
                     addr: self.addr,
                     speed_kbps: 1_000,
@@ -584,27 +602,21 @@ impl Servent {
             out.push((from, self.frame(&hit)));
         }
         // Forward with decremented TTL to all other neighbors.
-        if let Some(header) = msg.header.forwarded() {
-            let fwd = Message { header, payload: Payload::Query(q) };
-            for peer in self.neighbors() {
-                if peer != from {
-                    self.send_query_to(peer, &fwd, out);
-                }
-            }
+        if let Some(header) = header.forwarded() {
+            self.flood_query(&Message { header, payload: Payload::Query(q) }, Some(from), out);
         }
     }
 
-    fn handle_hit(&mut self, msg: &Message, qh: QueryHit, now: u64, out: &mut Outbox) {
-        if let Some(&issued_at) = self.issued.get(&msg.header.guid) {
+    fn handle_hit(&mut self, header: Header, qh: QueryHit, now: u64, out: &mut Outbox) {
+        if let Some(issued_at) = self.issued.remove(&header.guid) {
             self.hits.push((issued_at, now - issued_at));
-            self.issued.remove(&msg.header.guid);
             return;
         }
         // Route back along the inverse path.
-        if let Some(back) = self.seen.reverse_route(&msg.header.guid) {
+        if let Some(back) = self.seen.reverse_route(&header.guid) {
             let to = NodeId(back);
             if self.is_neighbor(to) {
-                let fwd = Message { header: msg.header, payload: Payload::QueryHit(qh) };
+                let fwd = Message { header, payload: Payload::QueryHit(qh) };
                 out.push((to, self.frame(&fwd)));
             }
         }

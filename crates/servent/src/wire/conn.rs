@@ -5,18 +5,25 @@
 //!
 //! * the **core loop** owns the canonical [`TcpStream`] and the
 //!   [`SendQueue`] handle; it is the only thread that decides a link's fate;
-//! * the **reader thread** owns a clone of the stream, reassembles frames
-//!   through [`FrameBuffer`](super::framing::FrameBuffer), and reports
-//!   frames/closures to the core over the bounded event channel (blocking on
-//!   a full channel is deliberate — it extends TCP backpressure into the
-//!   process instead of buffering without bound);
+//! * the **reader thread** owns a clone of the stream, reassembles and
+//!   decodes frames through [`FrameBuffer`](super::framing::FrameBuffer), and
+//!   reports the messages of each read as one event, and closures, to the
+//!   core over the bounded event channel (blocking on a full channel is
+//!   deliberate — it extends TCP backpressure into the process instead of
+//!   buffering without bound);
 //! * the **writer thread** owns another clone, drains the bounded
-//!   [`SendQueue`] (drop-oldest under overflow, every eviction counted), and
-//!   shuts the socket down when the queue is finished — which is how both
-//!   graceful drain and cut-after-Bye terminate a link.
+//!   [`SendQueue`] (drop-oldest under overflow, every eviction counted) a
+//!   batch per `write`, and shuts the socket down when the queue is finished
+//!   — which is how both graceful drain and cut-after-Bye terminate a link.
+//!
+//! Every frame given to a [`SendQueue`] ends in exactly one of
+//! `WireStats::frames_sent` and `WireStats::frames_dropped`: the writer
+//! counts what it wrote and what a failed write lost, and whoever evicts or
+//! abandons queued frames is told how many and counts those.
 
 use super::framing::FrameBuffer;
 use bytes::Bytes;
+use ddp_protocol::Message;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -209,6 +216,10 @@ struct QueueInner {
     dropped: u64,
 }
 
+/// Most bytes the writer takes from the queue for one `write` (one frame is
+/// always taken, whatever its size).
+pub const MAX_BATCH_BYTES: usize = 64 * 1024;
+
 impl SendQueue {
     /// Queue holding at most `capacity` frames.
     pub fn new(capacity: usize) -> Self {
@@ -234,31 +245,47 @@ impl SendQueue {
             evicted = 1;
         }
         q.frames.push_back(frame);
-        self.cv.notify_one();
+        // The writer only ever waits on an empty queue.
+        if q.frames.len() == 1 {
+            self.cv.notify_one();
+        }
         evicted
     }
 
-    /// Writer side: next frame, or `None` when the queue is finished and
-    /// empty, aborted, or `timeout` elapsed with nothing to send (the writer
-    /// uses the timeout wake-up to notice an aborted socket).
-    pub fn pop(&self, timeout: Duration) -> PopResult {
+    /// Writer side: wait up to `timeout` for a frame, then move every frame
+    /// already queued, in order, into `batch` (cleared first) — as many as
+    /// fit in [`MAX_BATCH_BYTES`], and at least one. Nothing is waited for
+    /// once the first frame is there, so a lone frame leaves as soon as it
+    /// would have alone.
+    pub fn take_batch(&self, timeout: Duration, batch: &mut Vec<u8>) -> Taken {
+        batch.clear();
         let mut q = self.inner.lock().expect("send queue poisoned");
         loop {
             if q.aborted {
-                return PopResult::Closed;
+                return Taken::Closed;
             }
-            if let Some(f) = q.frames.pop_front() {
-                return PopResult::Frame(f);
+            if !q.frames.is_empty() {
+                break;
             }
             if q.finished {
-                return PopResult::Closed;
+                return Taken::Closed;
             }
             let (guard, res) = self.cv.wait_timeout(q, timeout).expect("send queue poisoned");
             q = guard;
             if res.timed_out() && q.frames.is_empty() && !q.finished && !q.aborted {
-                return PopResult::Idle;
+                return Taken::Idle;
             }
         }
+        let mut frames = 0;
+        while let Some(next) = q.frames.front() {
+            if frames > 0 && batch.len() + next.len() > MAX_BATCH_BYTES {
+                break;
+            }
+            batch.extend_from_slice(next);
+            q.frames.pop_front();
+            frames += 1;
+        }
+        Taken::Frames(frames)
     }
 
     /// Close for new pushes; the writer drains the backlog then exits.
@@ -268,13 +295,16 @@ impl SendQueue {
         self.cv.notify_all();
     }
 
-    /// Hard-stop the writer, abandoning queued frames (counted as dropped).
-    pub fn abort(&self) {
+    /// Hard-stop the writer, abandoning queued frames. Returns how many were
+    /// abandoned by this call, for the caller to count as dropped.
+    pub fn abort(&self) -> u64 {
         let mut q = self.inner.lock().expect("send queue poisoned");
         q.aborted = true;
-        q.dropped += q.frames.len() as u64;
+        let abandoned = q.frames.len() as u64;
+        q.dropped += abandoned;
         q.frames.clear();
         self.cv.notify_all();
+        abandoned
     }
 
     /// Frames waiting.
@@ -293,11 +323,11 @@ impl SendQueue {
     }
 }
 
-/// Outcome of a [`SendQueue::pop`].
-#[derive(Debug)]
-pub enum PopResult {
-    /// A frame to write.
-    Frame(Bytes),
+/// Outcome of a [`SendQueue::take_batch`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Taken {
+    /// This many whole frames are in the batch buffer, to be written.
+    Frames(u64),
     /// Timed out with nothing queued; poll liveness and try again.
     Idle,
     /// Queue finished/aborted; writer should exit.
@@ -307,8 +337,9 @@ pub enum PopResult {
 /// Events the connection threads report to the core loop.
 #[derive(Debug)]
 pub enum ConnEvent {
-    /// A validated inbound frame from `peer` on connection `conn_gen`.
-    Frame { peer: u32, conn_gen: u64, frame: Bytes },
+    /// The validated inbound messages of one read from `peer` on connection
+    /// `conn_gen`, in arrival order (never empty).
+    Frames { peer: u32, conn_gen: u64, messages: Vec<Message> },
     /// Connection `conn_gen` to `peer` is gone.
     Closed { peer: u32, conn_gen: u64, reason: CloseReason },
     /// An accepted socket finished its handshake.
@@ -335,9 +366,10 @@ pub enum CloseReason {
 /// Spawn the reader thread for an established connection.
 ///
 /// Reads with `read_timeout_ms` granularity so the `shutdown` flag is
-/// honored promptly; every complete frame is validated before it is
-/// reported. A codec error reports `Closed(Codec)` and stops reading —
-/// hostile bytes disconnect, never panic.
+/// honored promptly; every complete frame is validated, by decoding it,
+/// before it is reported, and the frames one read completed travel as one
+/// event. A codec error reports `Closed(Codec)` and stops reading — hostile
+/// bytes disconnect, never panic.
 pub fn spawn_reader(
     stream: TcpStream,
     peer: u32,
@@ -366,13 +398,13 @@ pub fn spawn_reader(
                     Ok(n) => {
                         stats.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
                         match fb.push(&chunk[..n]) {
-                            Ok(frames) => {
-                                for frame in frames {
-                                    stats.frames_received.fetch_add(1, Ordering::Relaxed);
-                                    if tx.send(ConnEvent::Frame { peer, conn_gen, frame }).is_err()
-                                    {
-                                        return; // core gone
-                                    }
+                            Ok(messages) if messages.is_empty() => {}
+                            Ok(messages) => {
+                                let frames = messages.len() as u64;
+                                stats.frames_received.fetch_add(frames, Ordering::Relaxed);
+                                if tx.send(ConnEvent::Frames { peer, conn_gen, messages }).is_err()
+                                {
+                                    return; // core gone
                                 }
                             }
                             Err(e) => {
@@ -398,8 +430,9 @@ pub fn spawn_reader(
 /// Spawn the writer thread for an established connection.
 ///
 /// Drains the queue until it is finished (then shuts the socket down — the
-/// graceful-drain path) or a write fails. Frame/byte counts land in `stats`
-/// only for bytes actually written.
+/// graceful-drain path) or a write fails, one `write_all` per batch of
+/// already-queued frames. Frames and bytes written land in `stats` as sent;
+/// the frames of a failed write and the backlog behind it as dropped.
 pub fn spawn_writer(
     stream: TcpStream,
     peer: u32,
@@ -414,39 +447,31 @@ pub fn spawn_writer(
         .spawn(move || {
             let mut stream = stream;
             let _ = stream.set_write_timeout(Some(Duration::from_millis(write_timeout_ms.max(1))));
-            loop {
-                match queue.pop(Duration::from_millis(200)) {
-                    PopResult::Frame(frame) => match stream.write_all(&frame) {
+            let mut batch = Vec::new();
+            let reason = loop {
+                match queue.take_batch(Duration::from_millis(200), &mut batch) {
+                    Taken::Frames(frames) => match stream.write_all(&batch) {
                         Ok(()) => {
-                            stats.frames_sent.fetch_add(1, Ordering::Relaxed);
-                            stats.bytes_sent.fetch_add(frame.len() as u64, Ordering::Relaxed);
+                            stats.frames_sent.fetch_add(frames, Ordering::Relaxed);
+                            stats.bytes_sent.fetch_add(batch.len() as u64, Ordering::Relaxed);
                         }
                         Err(e) => {
-                            queue.abort();
-                            let _ = stream.shutdown(Shutdown::Both);
-                            let _ = tx.send(ConnEvent::Closed {
-                                peer,
-                                conn_gen,
-                                reason: CloseReason::WriteFailed(e.to_string()),
-                            });
-                            return;
+                            // How much of the batch the peer got is unknown:
+                            // all of it counts as lost, with the backlog.
+                            let lost = frames + queue.abort();
+                            stats.frames_dropped.fetch_add(lost, Ordering::Relaxed);
+                            break CloseReason::WriteFailed(e.to_string());
                         }
                     },
-                    PopResult::Idle => continue,
-                    PopResult::Closed => {
-                        // Graceful: everything queued has been written (or the
-                        // link was aborted). Closing the socket wakes the
-                        // peer's reader with EOF.
-                        let _ = stream.shutdown(Shutdown::Both);
-                        let _ = tx.send(ConnEvent::Closed {
-                            peer,
-                            conn_gen,
-                            reason: CloseReason::Drained,
-                        });
-                        return;
-                    }
+                    Taken::Idle => continue,
+                    // Graceful: everything queued has been written (or the
+                    // link was aborted).
+                    Taken::Closed => break CloseReason::Drained,
                 }
-            }
+            };
+            // Closing the socket wakes the peer's reader with EOF.
+            let _ = stream.shutdown(Shutdown::Both);
+            let _ = tx.send(ConnEvent::Closed { peer, conn_gen, reason });
         })
         .expect("spawn writer thread")
 }
@@ -468,6 +493,12 @@ mod tests {
         assert_eq!(decode_hello(&raw), Err(HandshakeError::BadMagic));
     }
 
+    fn take(q: &SendQueue) -> (Taken, Vec<u8>) {
+        let mut batch = Vec::new();
+        let taken = q.take_batch(Duration::from_millis(1), &mut batch);
+        (taken, batch)
+    }
+
     #[test]
     fn queue_drop_oldest_under_overflow() {
         let q = SendQueue::new(3);
@@ -476,11 +507,26 @@ mod tests {
         }
         assert_eq!(q.len(), 3);
         assert_eq!(q.dropped(), 2);
-        // Oldest two were evicted; 2,3,4 remain in order.
-        match q.pop(Duration::from_millis(1)) {
-            PopResult::Frame(f) => assert_eq!(f.as_ref(), &[2]),
-            other => panic!("expected frame, got {other:?}"),
-        }
+        // Oldest two were evicted; 2,3,4 remain in order, and leave as one
+        // batch.
+        assert_eq!(take(&q), (Taken::Frames(3), vec![2, 3, 4]));
+    }
+
+    #[test]
+    fn a_batch_is_whole_frames_within_the_byte_cap_and_never_empty() {
+        let q = SendQueue::new(8);
+        let big = vec![7u8; MAX_BATCH_BYTES - 10];
+        q.push(Bytes::from(vec![1u8; 8]));
+        q.push(Bytes::from(big.clone()));
+        q.push(Bytes::from(vec![2u8; 8]));
+        q.push(Bytes::from(vec![3u8; MAX_BATCH_BYTES + 23]));
+        // 8 + (cap - 10) fits; the next 8 would not.
+        let (taken, batch) = take(&q);
+        assert_eq!((taken, batch.len()), (Taken::Frames(2), MAX_BATCH_BYTES - 2));
+        assert_eq!(take(&q), (Taken::Frames(1), vec![2u8; 8]));
+        // A frame over the cap still goes, alone.
+        assert_eq!(take(&q), (Taken::Frames(1), vec![3u8; MAX_BATCH_BYTES + 23]));
+        assert_eq!(take(&q).0, Taken::Idle);
     }
 
     #[test]
@@ -489,9 +535,8 @@ mod tests {
         q.push(Bytes::from_static(b"a"));
         q.push(Bytes::from_static(b"b"));
         q.finish();
-        assert!(matches!(q.pop(Duration::from_millis(1)), PopResult::Frame(_)));
-        assert!(matches!(q.pop(Duration::from_millis(1)), PopResult::Frame(_)));
-        assert!(matches!(q.pop(Duration::from_millis(1)), PopResult::Closed));
+        assert_eq!(take(&q), (Taken::Frames(2), b"ab".to_vec()));
+        assert_eq!(take(&q).0, Taken::Closed);
         // Late pushes are refused and counted.
         assert_eq!(q.push(Bytes::from_static(b"late")), 1);
         assert_eq!(q.dropped(), 1);
@@ -502,14 +547,15 @@ mod tests {
         let q = SendQueue::new(8);
         q.push(Bytes::from_static(b"a"));
         q.push(Bytes::from_static(b"b"));
-        q.abort();
-        assert!(matches!(q.pop(Duration::from_millis(1)), PopResult::Closed));
+        assert_eq!(q.abort(), 2);
+        assert_eq!(take(&q).0, Taken::Closed);
         assert_eq!(q.dropped(), 2);
+        assert_eq!(q.abort(), 0, "a backlog is only ever reported once");
     }
 
     #[test]
     fn empty_unfinished_queue_reports_idle() {
         let q = SendQueue::new(2);
-        assert!(matches!(q.pop(Duration::from_millis(5)), PopResult::Idle));
+        assert_eq!(take(&q).0, Taken::Idle);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! TCP delivers bytes, not frames: a single `read` may return half a header,
 //! three frames and a tail, or one byte. [`FrameBuffer`] accumulates bytes
-//! and yields complete, *fully validated* frames — every frame it returns
-//! has survived a whole-message decode, so the servent state machine can
-//! trust it.
+//! and yields complete, *fully validated* messages — each frame is decoded
+//! once, from the buffer it arrived in, and what the servent state machine
+//! is handed is the decoded [`Message`], not bytes to decode again.
 //!
 //! Hardening contract (the hostile-bytes half of the robustness story):
 //!
@@ -15,14 +15,13 @@
 //!   frame plus one read chunk, because a valid header caps the frame at
 //!   `HEADER_LEN + MAX_PAYLOAD_LEN` and an invalid one errors immediately.
 
-use bytes::Bytes;
-use ddp_protocol::header::{Header, HEADER_LEN, MAX_PAYLOAD_LEN};
-use ddp_protocol::{decode_message, ProtocolError};
+use ddp_protocol::header::{HEADER_LEN, MAX_PAYLOAD_LEN};
+use ddp_protocol::{decode_frame, Message, ProtocolError};
 
 /// Largest frame the wire accepts: header plus the codec's payload cap.
 pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD_LEN;
 
-/// Stream-to-frame reassembly buffer.
+/// Stream-to-message reassembly buffer.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -39,40 +38,37 @@ impl FrameBuffer {
         self.buf.len()
     }
 
-    /// Append `data` and pop every complete frame now available, in order.
+    /// Append `data` and decode every complete frame now available, in
+    /// order. What is left over — the start of a frame still arriving — is
+    /// moved to the front of the buffer once, whatever the number of frames.
     ///
     /// On error the connection is poisoned: the typed error describes the
-    /// first offense and the caller must drop the peer (any frames decoded
-    /// from the same push before the offense are still returned via
-    /// `Err`-free earlier calls only — an erroring push yields no frames,
-    /// matching "hostile bytes disconnect").
-    pub fn push(&mut self, data: &[u8]) -> Result<Vec<Bytes>, ProtocolError> {
+    /// first offense and the caller must drop the peer. An erroring push
+    /// yields no messages, not even those complete before the offense,
+    /// matching "hostile bytes disconnect"; earlier pushes already delivered
+    /// theirs.
+    pub fn push(&mut self, data: &[u8]) -> Result<Vec<Message>, ProtocolError> {
         self.buf.extend_from_slice(data);
         let mut out = Vec::new();
+        let mut at = 0;
         loop {
-            if self.buf.len() < HEADER_LEN {
-                break;
+            // The header is validated first: unknown kinds and oversized
+            // length fields error before any payload is awaited, so a
+            // hostile peer cannot park us waiting for 4 GiB that never
+            // comes. Then the whole message: the payload decodes cleanly
+            // with no trailing garbage.
+            match decode_frame(&self.buf[at..]) {
+                Ok((msg, used)) => {
+                    out.push(msg);
+                    at += used;
+                }
+                Err(
+                    ProtocolError::TruncatedHeader { .. } | ProtocolError::TruncatedPayload { .. },
+                ) => break,
+                Err(offense) => return Err(offense),
             }
-            // Validate the header first: unknown kinds and oversized length
-            // fields error before any payload is awaited, so a hostile peer
-            // cannot park us waiting for 4 GiB that never comes.
-            let mut head = Bytes::from(self.buf[..HEADER_LEN].to_vec());
-            let header = Header::decode(&mut head)?;
-            let total = HEADER_LEN + header.payload_len as usize;
-            debug_assert!(total <= MAX_FRAME_LEN, "Header::decode enforces the cap");
-            if self.buf.len() < total {
-                break;
-            }
-            let rest = self.buf.split_off(total);
-            let frame_bytes = std::mem::replace(&mut self.buf, rest);
-            let frame = Bytes::from(frame_bytes);
-            // Full-message validation: payload decodes cleanly with no
-            // trailing garbage. The frame is handed on as bytes — the state
-            // machine re-decodes, but only after this proof it can.
-            let mut probe = frame.clone();
-            decode_message(&mut probe)?;
-            out.push(frame);
         }
+        self.buf.drain(..at);
         Ok(out)
     }
 }
@@ -80,26 +76,31 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use ddp_protocol::{encode_message, Guid, Message, Payload, Ping, Query};
+    use proptest::prelude::*;
 
-    fn query_frame(seq: u64) -> Bytes {
-        encode_message(&Message::new(
+    fn query(seq: u64) -> Message {
+        Message::new(
             Guid::derived(1, seq),
             5,
             Payload::Query(Query { min_speed: 0, criteria: format!("q-{seq}") }),
-        ))
+        )
+    }
+
+    fn query_frame(seq: u64) -> Bytes {
+        encode_message(&query(seq))
     }
 
     #[test]
     fn one_byte_dribble_reassembles_every_frame() {
-        let frames: Vec<Bytes> = (0..4).map(query_frame).collect();
-        let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_vec()).collect();
+        let stream: Vec<u8> = (0..4).flat_map(|seq| query_frame(seq).to_vec()).collect();
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
         for b in stream {
             got.extend(fb.push(&[b]).expect("clean stream"));
         }
-        assert_eq!(got, frames);
+        assert_eq!(got, (0..4).map(query).collect::<Vec<_>>());
         assert_eq!(fb.pending(), 0);
     }
 
@@ -111,10 +112,10 @@ mod tests {
         stream.extend_from_slice(&b[..10]);
         let mut fb = FrameBuffer::new();
         let got = fb.push(&stream).unwrap();
-        assert_eq!(got, vec![a]);
+        assert_eq!(got, vec![query(1)]);
         assert_eq!(fb.pending(), 10);
         let got2 = fb.push(&b[10..]).unwrap();
-        assert_eq!(got2, vec![b]);
+        assert_eq!(got2, vec![query(2)]);
     }
 
     #[test]
@@ -130,9 +131,25 @@ mod tests {
         let mut frame = query_frame(1).to_vec();
         frame[19..23].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut fb = FrameBuffer::new();
-        assert!(matches!(fb.push(&frame), Err(ProtocolError::OversizedPayload { .. })));
+        // The header alone is enough: no byte of the claimed 4 GiB is awaited.
+        assert!(matches!(
+            fb.push(&frame[..HEADER_LEN]),
+            Err(ProtocolError::OversizedPayload { .. })
+        ));
         // The buffer never grew toward the lie.
         assert!(fb.pending() <= frame.len());
+    }
+
+    #[test]
+    fn an_offense_mid_read_yields_nothing_from_that_read() {
+        let mut fb = FrameBuffer::new();
+        assert_eq!(fb.push(&query_frame(1)).unwrap(), vec![query(1)], "earlier reads deliver");
+        let mut read = query_frame(2).to_vec();
+        let mut hostile = query_frame(3).to_vec();
+        hostile[16] = 0x42;
+        read.extend_from_slice(&hostile);
+        read.extend_from_slice(&query_frame(4));
+        assert_eq!(fb.push(&read), Err(ProtocolError::UnknownPayloadKind(0x42)));
     }
 
     #[test]
@@ -143,5 +160,54 @@ mod tests {
         frame.extend_from_slice(&[0xde, 0xad]);
         let mut fb = FrameBuffer::new();
         assert!(fb.push(&frame).is_err());
+    }
+
+    /// Frames from 23 bytes to most of the 64 KiB cap, so that reads split
+    /// headers, split payloads, and carry many frames at once.
+    fn arb_message() -> impl Strategy<Value = Message> {
+        let payload = prop_oneof![
+            3 => Just(Payload::Ping(Ping)),
+            6 => "[a-z0-9-]{0,40}"
+                .prop_map(|criteria| Payload::Query(Query { min_speed: 0, criteria })),
+            1 => (0u32..10_000).prop_map(|n| {
+                let neighbors = (0..n).map(ddp_protocol::PeerAddr::from_node_index).collect();
+                Payload::NeighborList(ddp_protocol::NeighborList { neighbors })
+            }),
+        ];
+        (payload, any::<u64>()).prop_map(|(p, seq)| Message::new(Guid::derived(2, seq), 4, p))
+    }
+
+    /// Read sizes from a one-byte dribble to a 64 KiB burst.
+    fn arb_read() -> impl Strategy<Value = usize> {
+        prop_oneof![1usize..4, 1usize..200, 1_000usize..65_537]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// However the stream is cut into reads, the same messages come out
+        /// in the same order, and the buffer stays within one maximum frame
+        /// plus one read.
+        #[test]
+        fn any_split_into_reads_yields_the_same_messages(
+            messages in proptest::collection::vec(arb_message(), 1..40),
+            reads in proptest::collection::vec(arb_read(), 1..64),
+        ) {
+            let stream: Vec<u8> = messages.iter().flat_map(|m| encode_message(m).to_vec()).collect();
+            let mut fb = FrameBuffer::new();
+            let mut got = Vec::new();
+            let mut rest = &stream[..];
+            for &size in reads.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (read, tail) = rest.split_at(size.min(rest.len()));
+                rest = tail;
+                got.extend(fb.push(read).expect("a valid stream"));
+                prop_assert!(fb.pending() < MAX_FRAME_LEN, "only an incomplete frame stays");
+            }
+            prop_assert_eq!(fb.pending(), 0);
+            prop_assert_eq!(got, messages);
+        }
     }
 }

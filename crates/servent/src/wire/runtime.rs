@@ -5,7 +5,8 @@
 //!
 //! * **core loop** (the thread that calls [`WireServent::run`]) — owns the
 //!   state machine, the link table, and all supervision decisions; receives
-//!   every frame/close/dial/accept event over one bounded channel;
+//!   every read's messages and every close/dial/accept event over one
+//!   bounded channel ([`EVENT_CHANNEL_READS`]);
 //! * **acceptor** — nonblocking `accept` poll; hands each socket to a
 //!   one-shot handshake thread so a slow-lorising dialer cannot stall the
 //!   listen queue;
@@ -23,6 +24,7 @@ use super::conn::{self, CloseReason, ConnEvent, HandshakeError, SendQueue, WireS
 use crate::servent::{Outbox, Servent, ServentRole};
 use bytes::Bytes;
 use ddp_metrics::ConnCounters;
+use ddp_protocol::PayloadKind;
 use ddp_snapshot::SnapshotError;
 use ddp_topology::NodeId;
 use rand::rngs::StdRng;
@@ -34,6 +36,15 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Events the channel between the connection threads and the core holds
+/// before a sender blocks. A reader's event is the messages of one read (at
+/// most 8 KiB of small frames, and the one frame of up to 64 KiB it may
+/// have completed), so what can sit decoded between the readers and the
+/// core is bounded in bytes — under 7 MB, see DESIGN.md — whatever the
+/// frame sizes; beyond it the readers stop reading and TCP backpressure
+/// reaches the senders.
+pub const EVENT_CHANNEL_READS: usize = 64;
 
 /// Knobs of the socket runtime. All timeouts that supervise *protocol*
 /// behavior are in ticks (protocol seconds) so they scale with time
@@ -48,7 +59,8 @@ pub struct WireConfig {
     pub handshake_timeout_ms: u64,
     /// Reader poll granularity, wall ms.
     pub read_timeout_ms: u64,
-    /// Per-frame write deadline, wall ms (a stalled peer trips this).
+    /// Deadline of one `write` — a batch of queued frames — wall ms (a
+    /// stalled peer trips this).
     pub write_timeout_ms: u64,
     /// Close a link heard from nothing for this many ticks; the silent
     /// neighbor then feeds the assume-zero report path.
@@ -172,6 +184,9 @@ pub struct WireServent {
     issued: u64,
     /// Joined at shutdown: threads of replaced/closed connections.
     graveyard: Vec<JoinHandle<()>>,
+    /// The state machine's outbound frames on their way to `route`; kept so
+    /// its allocation is made once.
+    outbox: Outbox,
     /// Periodic crash-recovery checkpointing (None = disabled).
     checkpoint: Option<CheckpointSpec>,
     /// Restart generation (0 = cold start; bumped by a successful resume).
@@ -222,6 +237,7 @@ impl WireServent {
             query_rate_qpm,
             issued: 0,
             graveyard: Vec::new(),
+            outbox: Outbox::new(),
             checkpoint: None,
             generation: 0,
             start_tick: 0,
@@ -321,7 +337,7 @@ impl WireServent {
     /// Drive the servent for `minutes` protocol minutes, then drain.
     pub fn run(&mut self, minutes: u64) -> WireRunReport {
         let total_secs = minutes * 60;
-        let (tx, rx) = sync_channel::<ConnEvent>(4_096);
+        let (tx, rx) = sync_channel::<ConnEvent>(EVENT_CHANNEL_READS);
         let acceptor = self.spawn_acceptor(tx.clone());
 
         // Connection grace: dial the overlay links we own before tick 0 so
@@ -349,9 +365,7 @@ impl WireServent {
             match rx.recv_timeout(left.max(Duration::from_millis(1))) {
                 Ok(ConnEvent::Closed { peer, conn_gen, .. }) => {
                     if self.links.get(&peer).is_some_and(|l| l.gen == conn_gen) {
-                        let link = self.links.remove(&peer).expect("just checked");
-                        self.graveyard.push(link.reader);
-                        self.graveyard.push(link.writer);
+                        self.retire_link(peer);
                     }
                 }
                 Ok(_) => {} // late frames/dials: no longer relevant
@@ -359,11 +373,9 @@ impl WireServent {
             }
         }
         self.shutdown.store(true, Ordering::Relaxed);
-        for (_, link) in self.links.drain() {
-            self.stats.frames_dropped.fetch_add(link.queue.len() as u64, Ordering::Relaxed);
-            link.queue.abort();
-            self.graveyard.push(link.reader);
-            self.graveyard.push(link.writer);
+        let undrained: Vec<u32> = self.links.keys().copied().collect();
+        for peer in undrained {
+            self.retire_link(peer);
         }
         // Unblock any thread parked on a full event channel, then join.
         drop(tx);
@@ -442,57 +454,75 @@ impl WireServent {
                     }
                 }
             }
-            ConnEvent::Frame { peer, conn_gen, frame } => {
+            ConnEvent::Frames { peer, conn_gen, messages } => {
                 let live = self.links.get_mut(&peer).filter(|l| l.gen == conn_gen);
                 let Some(link) = live else { return };
                 link.last_heard_tick = cur_tick;
                 if let Some(sup) = self.sups.get_mut(&peer) {
                     sup.last_link_tick = cur_tick;
                 }
-                let kind = frame.get(16).copied();
                 let from = NodeId(peer);
-                // Same admission rule as the in-memory harness: overlay
-                // traffic needs a neighbor link; Bye (0x02), Neighbor_Traffic
-                // (0x83) and BG liveness Ping/Pong (0x00/0x01) run direct.
-                let mut outbox = Outbox::new();
-                if self.servent.is_neighbor(from)
-                    || matches!(kind, Some(0x02) | Some(0x83) | Some(0x00) | Some(0x01))
-                {
-                    self.servent.handle_frame(from, frame, cur_tick, &mut outbox);
-                }
-                self.flush(outbox, tx, cur_tick);
-                if kind == Some(0x02) {
-                    // The peer cut us (Bye): the state machine already
-                    // dropped the neighbor; retire the transport too.
-                    self.abandon(peer);
-                    if let Some(link) = self.links.get_mut(&peer) {
-                        link.close_after_drain = true;
-                        link.queue.finish();
+                let mut outbox = std::mem::take(&mut self.outbox);
+                for msg in messages {
+                    let kind = msg.header.kind;
+                    // Same admission rule as the in-memory harness, frame by
+                    // frame: overlay traffic needs a neighbor link; Bye,
+                    // Neighbor_Traffic and BG liveness Ping/Pong run direct.
+                    let direct = matches!(
+                        kind,
+                        PayloadKind::Bye
+                            | PayloadKind::NeighborTraffic
+                            | PayloadKind::Ping
+                            | PayloadKind::Pong
+                    );
+                    if direct || self.servent.is_neighbor(from) {
+                        self.servent.handle_message(from, msg, cur_tick, &mut outbox);
+                    }
+                    if kind == PayloadKind::Bye {
+                        // The peer cut us: the state machine already dropped
+                        // the neighbor; retire the transport too, once what
+                        // is owed to it has been queued.
+                        self.flush(&mut outbox, tx);
+                        self.abandon(peer);
+                        if let Some(link) = self.links.get_mut(&peer) {
+                            link.close_after_drain = true;
+                            link.queue.finish();
+                        }
                     }
                 }
+                self.flush(&mut outbox, tx);
+                self.outbox = outbox;
             }
             ConnEvent::Closed { peer, conn_gen, reason } => {
                 let stale = self.links.get(&peer).is_none_or(|l| l.gen != conn_gen);
                 if stale {
                     return;
                 }
-                let link = self.links.remove(&peer).expect("gen matched");
-                self.stats.frames_dropped.fetch_add(link.queue.len() as u64, Ordering::Relaxed);
-                link.queue.abort();
-                self.graveyard.push(link.reader);
-                self.graveyard.push(link.writer);
+                let close_after_drain = self.retire_link(peer);
                 if matches!(reason, CloseReason::Codec(_)) {
                     self.stats.codec_disconnects.fetch_add(1, Ordering::Relaxed);
                     // Hostile bytes: treat like a cut — no reconnect.
                     self.abandon(peer);
                     return;
                 }
-                if link.close_after_drain {
+                if close_after_drain {
                     return; // intentional close; supervision already over
                 }
                 self.schedule_redial(peer);
             }
         }
+    }
+
+    /// Take `peer`'s connection out of service: stop its writer, count the
+    /// frames still queued as dropped, keep the threads for the final join.
+    /// Returns whether the link was closing on purpose (a Bye went through
+    /// it). The link must exist.
+    fn retire_link(&mut self, peer: u32) -> bool {
+        let link = self.links.remove(&peer).expect("caller checked the link exists");
+        self.stats.frames_dropped.fetch_add(link.queue.abort(), Ordering::Relaxed);
+        self.graveyard.push(link.reader);
+        self.graveyard.push(link.writer);
+        link.close_after_drain
     }
 
     /// Put a handshaken connection into service (tie-breaking duplicates:
@@ -511,11 +541,7 @@ impl WireServent {
             if new_dialer > old_dialer {
                 return; // keep the existing connection, drop the new socket
             }
-            let old = self.links.remove(&peer).expect("just checked");
-            self.stats.frames_dropped.fetch_add(old.queue.len() as u64, Ordering::Relaxed);
-            old.queue.abort();
-            self.graveyard.push(old.reader);
-            self.graveyard.push(old.writer);
+            self.retire_link(peer);
         }
         let Ok(read_half) = stream.try_clone() else { return };
         self.gen_counter += 1;
@@ -568,9 +594,7 @@ impl WireServent {
             // A supervised overlay link (re)appeared after the state machine
             // had given the peer up: reattach and re-announce the list.
             self.servent.connect(NodeId(peer));
-            let mut out = Outbox::new();
-            self.servent.announce_neighbor_list(&mut out);
-            self.flush(out, tx, cur_tick);
+            self.drive(tx, |servent, out| servent.announce_neighbor_list(out));
         }
     }
 
@@ -645,10 +669,19 @@ impl WireServent {
         self.sweep_dials(tx.clone());
     }
 
-    fn flush(&mut self, outbox: Outbox, tx: &SyncSender<ConnEvent>, _cur_tick: u64) {
-        for (to, frame) in outbox {
+    /// Route everything in `outbox`, leaving it empty.
+    fn flush(&mut self, outbox: &mut Outbox, tx: &SyncSender<ConnEvent>) {
+        for (to, frame) in outbox.drain(..) {
             self.route(to.0, frame, tx);
         }
+    }
+
+    /// Run one step of the state machine and route what it sends.
+    fn drive(&mut self, tx: &SyncSender<ConnEvent>, step: impl FnOnce(&mut Servent, &mut Outbox)) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        step(&mut self.servent, &mut outbox);
+        self.flush(&mut outbox, tx);
+        self.outbox = outbox;
     }
 
     /// Start every dial that is due and not already in flight.
@@ -699,19 +732,13 @@ impl WireServent {
                 && self.rng.gen::<f64>() < self.query_rate_qpm / 60.0
             {
                 let target = self.catalog[self.rng.gen_range(0..self.catalog.len())].clone();
-                let mut out = Outbox::new();
-                self.servent.issue_query(&target, t, &mut out);
+                self.drive(tx, |servent, out| servent.issue_query(&target, t, out));
                 self.issued += 1;
-                self.flush(out, tx, t);
             }
-            let mut out = Outbox::new();
-            self.servent.on_second(t, &mut out);
-            self.flush(out, tx, t);
+            self.drive(tx, |servent, out| servent.on_second(t, out));
         }
         if t.is_multiple_of(60) {
-            let mut out = Outbox::new();
-            self.servent.on_minute(t, t / 60, &mut out);
-            self.flush(out, tx, t);
+            self.drive(tx, |servent, out| servent.on_minute(t, t / 60, out));
         }
         self.supervise(t, tx);
         let due = self.checkpoint.as_ref().is_some_and(|s| {
@@ -736,12 +763,8 @@ impl WireServent {
             .map(|(&p, _)| p)
             .collect();
         for peer in idle {
-            let link = self.links.remove(&peer).expect("listed above");
             self.stats.idle_closes.fetch_add(1, Ordering::Relaxed);
-            self.stats.frames_dropped.fetch_add(link.queue.len() as u64, Ordering::Relaxed);
-            link.queue.abort();
-            self.graveyard.push(link.reader);
-            self.graveyard.push(link.writer);
+            self.retire_link(peer);
             self.schedule_redial(peer);
         }
         // Peer death: a supervised overlay transport that has stayed down
@@ -761,9 +784,7 @@ impl WireServent {
         for peer in dead {
             self.abandon(peer);
             self.servent.disconnect(NodeId(peer));
-            let mut out = Outbox::new();
-            self.servent.announce_neighbor_list(&mut out);
-            self.flush(out, tx, t);
+            self.drive(tx, |servent, out| servent.announce_neighbor_list(out));
         }
         self.sweep_dials(tx.clone());
     }

@@ -1,14 +1,15 @@
 //! Connection-lifecycle edge cases for the supervised wire runtime:
 //! handshake deadlines, backoff capping, half-open peers,
-//! drain-on-shutdown, and checkpoint-resume failure modes. Everything here
+//! drain-on-shutdown, lost-frame accounting, hostile bytes in the middle of
+//! a read, and checkpoint-resume failure modes. Everything here
 //! runs over real loopback sockets and finishes in a few seconds — no
 //! ignored tests.
 
 use bytes::Bytes;
-use ddp_protocol::{decode_message, Guid, Message, NeighborTraffic, Payload};
+use ddp_protocol::{decode_message, encode_message, Guid, Message, NeighborTraffic, Payload, Ping};
 use ddp_servent::wire::backoff::Backoff;
 use ddp_servent::wire::checkpoint::encode_payload;
-use ddp_servent::wire::conn::{dial, spawn_writer, ConnEvent, SendQueue, WireStats};
+use ddp_servent::wire::conn::{accept_hello, dial, spawn_writer, ConnEvent, SendQueue, WireStats};
 use ddp_servent::wire::{snap_path, CheckpointSpec, HandshakeError, WireConfig, WireServent};
 use ddp_servent::{Servent, ServentConfig, ServentRole};
 use ddp_snapshot::{write_snapshot, SnapshotError};
@@ -16,9 +17,10 @@ use ddp_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -213,6 +215,132 @@ fn finish_flushes_queued_neighbor_traffic_before_close() {
         }
         other => panic!("expected Closed, got {other:?}"),
     }
+}
+
+/// A peer that resets the connection mid-stream loses frames: the batch in
+/// the writer's hand when `write_all` fails and the backlog behind it. Every
+/// frame pushed must still end in exactly one of `frames_sent` and
+/// `frames_dropped`.
+#[test]
+fn a_reset_mid_stream_leaves_every_pushed_frame_sent_or_dropped() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Read a little, then close with the rest unread: the kernel answers
+    // what arrives afterwards with a reset.
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let mut some = [0u8; 64];
+        s.read_exact(&mut some).unwrap();
+    });
+
+    let stream = TcpStream::connect(addr).unwrap();
+    let queue = Arc::new(SendQueue::new(1_024));
+    let stats = Arc::new(WireStats::default());
+    let (tx, rx) = mpsc::sync_channel::<ConnEvent>(64);
+    let writer = spawn_writer(stream, 9, 1, queue.clone(), tx, stats.clone(), 1_000);
+
+    let frame = encode_message(&Message::new(Guid::derived(9, 0), 1, Payload::Ping(Ping)));
+    let give_up = Instant::now() + Duration::from_secs(10);
+    let mut pushed = 0u64;
+    let closed = loop {
+        // Like the core: what a push evicts or refuses is counted dropped.
+        for _ in 0..200 {
+            stats.frames_dropped.fetch_add(queue.push(frame.clone()), Ordering::Relaxed);
+            pushed += 1;
+        }
+        match rx.recv_timeout(Duration::from_millis(2)) {
+            Ok(ConnEvent::Closed { reason, .. }) => break reason,
+            Ok(other) => panic!("expected Closed, got {other:?}"),
+            Err(_) => assert!(Instant::now() < give_up, "the writer never noticed the reset"),
+        }
+    };
+    writer.join().unwrap();
+    peer.join().unwrap();
+    assert!(
+        matches!(closed, ddp_servent::wire::CloseReason::WriteFailed(_)),
+        "expected WriteFailed, got {closed:?}"
+    );
+    // Like the core on `Closed`: retire the queue, count what it still held.
+    stats.frames_dropped.fetch_add(queue.abort(), Ordering::Relaxed);
+    let c = stats.counters();
+    assert!(
+        c.frames_sent > 0 && c.frames_dropped > 0,
+        "some frames got out, some were lost: {c:?}"
+    );
+    assert_eq!(c.frames_sent + c.frames_dropped, pushed, "{c:?}");
+    assert_eq!(c.bytes_sent, c.frames_sent * frame.len() as u64);
+}
+
+/// Hostile bytes in the middle of a read: nothing from that read reaches the
+/// state machine, everything from earlier reads did, the link closes as one
+/// codec disconnect, and the servent never dials the peer again.
+#[test]
+fn an_offense_mid_read_delivers_nothing_from_it_and_is_never_redialed() {
+    // The test is overlay neighbor 2 of servent 1, which owns the dialing.
+    let peer_listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let peer_addr = peer_listener.local_addr().unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let servent = Servent::new(NodeId(1), ServentRole::Good, ServentConfig::default());
+    let cfg = WireConfig {
+        tick_ms: 20,
+        reconnect_base_ms: 20,
+        reconnect_cap_ms: 50,
+        connect_grace_ms: 100,
+        drain_timeout_ms: 300,
+        ..WireConfig::default()
+    };
+    let book = HashMap::from([(2u32, peer_addr)]);
+    let mut ws = WireServent::new(servent, listener, book, &[2], cfg, Vec::new(), 0.0, 7).unwrap();
+    let running = std::thread::spawn(move || ws.run(1));
+
+    let (accepted, _) = peer_listener.accept().unwrap();
+    let (mut link, servent_id, _) = accept_hello(accepted, 2, peer_addr.port(), 1_000).unwrap();
+    assert_eq!(servent_id, 1);
+    link.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let ping = |seq| encode_message(&Message::new(Guid::derived(2, seq), 1, Payload::Ping(Ping)));
+
+    // Read one: a Ping on its own. Its Pong (same GUID) proves delivery, and
+    // that the servent has taken the read before the next one is written.
+    link.write_all(&ping(1)).unwrap();
+    // Read two, one segment: a Ping, a frame of unknown kind, another Ping.
+    let mut hostile = ping(3).to_vec();
+    hostile[16] = 0x42;
+    let offense = [&ping(2)[..], &hostile[..], &ping(4)[..]].concat();
+    let mut sent_offense = false;
+    let mut pongs = Vec::new();
+    let mut inbound = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match link.read(&mut chunk) {
+            Ok(0) => break, // the servent closed the link
+            Ok(n) => inbound.extend_from_slice(&chunk[..n]),
+            Err(e) => panic!("the link was never closed: {e}"),
+        }
+        let mut buf = Bytes::from(std::mem::take(&mut inbound));
+        while let Ok(msg) = decode_message(&mut buf) {
+            if matches!(msg.payload, Payload::Pong(_)) {
+                pongs.push(msg.header.guid);
+            }
+        }
+        inbound = buf.to_vec();
+        if !sent_offense && pongs.contains(&Guid::derived(2, 1)) {
+            link.write_all(&offense).unwrap();
+            sent_offense = true;
+        }
+    }
+    assert_eq!(pongs, vec![Guid::derived(2, 1)], "only the earlier read's Ping was answered");
+
+    // No second connection for the rest of the protocol minute.
+    peer_listener.set_nonblocking(true).unwrap();
+    let report = running.join().unwrap();
+    assert!(
+        peer_listener.accept().is_err(),
+        "the servent dialed a peer it had cut for hostile bytes"
+    );
+    assert_eq!(report.conn.codec_disconnects, 1);
+    assert_eq!(report.conn.dials_ok, 1);
+    assert_eq!(report.conn.reconnects, 0);
+    assert_eq!(report.conn.frames_received, 1, "frames of the offending read are not counted in");
 }
 
 // --- checkpoint-resume failure modes -------------------------------------

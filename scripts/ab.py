@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved parent/change benchmark pairs, read by `ddp-benchmark compare`.
 
-    scripts/ab.py <parent-rev> [pairs=10]
+    scripts/ab.py <parent-rev> [pairs=10] [--workload NAME]
 
 Checks `<parent-rev>` out beside the working tree, builds the `ddp-benchmark`
 package of both with `--offline --locked`, then for seeds 1..pairs runs the
@@ -11,6 +11,10 @@ ones, so a drift of the host over the minutes a comparison takes hits both
 sides alike. The documents of each side are merged into one and handed to
 `compare`; its table and exit code are this script's, followed by how many
 pairs the change won per workload and end-to-end metric.
+
+`--workload NAME` is passed through to both sides, which then run that one
+workload only (ten `wire_relay` pairs take six minutes instead of 25). That
+is for iterating on a change; the evidence for a claim is the full set.
 
 Everything lands under target/ab/ (ignored by git): `parent/` is the parent's
 tree, `A.json` / `B.json` the merged documents, `runs/` every single run's
@@ -22,6 +26,7 @@ report `"commit": "unknown"`.
 Python 3 standard library only.
 """
 
+import argparse
 import io
 import json
 import shutil
@@ -62,7 +67,8 @@ def build(tree, manifest):
 
 def run_once(tree, command, seed, log):
     """One `run --seed S --trace 0` in `tree`; the document it prints. The
-    per-workload tables it writes to standard error go to the file `log`."""
+    per-workload tables it writes to standard error go to the file `log`.
+    `command` already names the workload, if only one is to run."""
     with open(log, "w") as tables:
         done = subprocess.run(
             command + ["--seed", str(seed), "--trace", "0"],
@@ -94,10 +100,10 @@ def values(documents, workload, metric):
     ]
 
 
-def pair_wins(manifest, parent_docs, change_docs):
+def pair_wins(manifest, workloads, parent_docs, change_docs):
     """Per workload and end-to-end metric: medians and pairs the change won."""
     lines = []
-    for workload in [w["name"] for w in manifest["workloads"]]:
+    for workload in workloads:
         for metric in manifest["end_to_end"]:
             a = values(parent_docs, workload, metric["name"])
             b = values(change_docs, workload, metric["name"])
@@ -113,12 +119,22 @@ def pair_wins(manifest, parent_docs, change_docs):
 
 
 def main(argv):
-    if len(argv) not in (2, 3):
-        sys.exit(__doc__)
-    rev, pairs = argv[1], int(argv[2]) if len(argv) == 3 else 10
     manifest = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in manifest["workloads"]]
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("rev", metavar="parent-rev")
+    parser.add_argument("pairs", nargs="?", type=int, default=10)
+    parser.add_argument("--workload", choices=workloads)
+    args = parser.parse_args(argv[1:])
+    rev, pairs = args.rev, args.pairs
     command = manifest["command"]
     package = command[command.index("--manifest-path") + 1]
+    run = command
+    if args.workload is not None:
+        workloads = [args.workload]
+        run = command + ["--workload", args.workload]
 
     parent = OUT / "parent"
     checkout(rev, parent)
@@ -133,7 +149,7 @@ def main(argv):
         for side in order:
             tree, documents = sides[side]
             say(f"pair {seed}/{pairs}: {side}")
-            document = run_once(tree, command, seed, runs / f"{side}-seed{seed}.log")
+            document = run_once(tree, run, seed, runs / f"{side}-seed{seed}.log")
             (runs / f"{side}-seed{seed}.json").write_text(json.dumps(document))
             documents.append(document)
 
@@ -143,7 +159,7 @@ def main(argv):
     compare = command[:-1] + ["compare", str(OUT / "A.json"), str(OUT / "B.json")]
     verdict = subprocess.run(compare, cwd=ROOT).returncode
     print()
-    print("\n".join(pair_wins(manifest, sides["parent"][1], sides["change"][1])))
+    print("\n".join(pair_wins(manifest, workloads, sides["parent"][1], sides["change"][1])))
     return verdict
 
 

@@ -30,7 +30,6 @@ ddp-servent --id N --listen ADDR --peers id=addr[,id=addr...] --neighbors id[,id
             [--minutes N] [--tick-ms N] [--seed N] [--query-rate-qpm F]
             [--catalog-size N] [--items-per-peer N] [--out FILE]
             [--resume-dir DIR] [--checkpoint-every N]
-            [--monitor exact|sketch[:w=..,d=..,k=..,salt=..]]
 
 Crash recovery: --resume-dir names a directory of DDPSNAP1 checkpoints
 (s<id>.snap). On start the servent resumes from its checkpoint when one
@@ -54,7 +53,6 @@ struct Args {
     out: Option<String>,
     resume_dir: Option<String>,
     checkpoint_every: u64,
-    monitor: ddp_police::MonitorBackend,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -74,7 +72,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out: Option<String> = None;
     let mut resume_dir: Option<String> = None;
     let mut checkpoint_every: u64 = 30;
-    let mut monitor = ddp_police::MonitorBackend::Exact;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -135,7 +132,6 @@ fn parse_args() -> Result<Args, String> {
                 checkpoint_every =
                     value(&mut i, flag)?.parse().map_err(|e| format!("--checkpoint-every: {e}"))?
             }
-            "--monitor" => monitor = ddp_police::MonitorBackend::parse(&value(&mut i, flag)?)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
         i += 1;
@@ -147,12 +143,6 @@ fn parse_args() -> Result<Args, String> {
         "agent" => ServentRole::FloodingAgent { rate_qpm, respond_reports },
         other => return Err(format!("--role must be good|agent, got `{other}`")),
     };
-    // Deterministic from the run seed: an unsalted sketch folds the seed in,
-    // so two processes with equal seeds collide identically (and a resumed
-    // incarnation rebuilds the exact hash functions its checkpoint assumed).
-    if let ddp_police::MonitorBackend::Sketch(ref mut p) = monitor {
-        p.salt ^= seed;
-    }
     Ok(Args {
         id,
         listen,
@@ -168,7 +158,6 @@ fn parse_args() -> Result<Args, String> {
         out,
         resume_dir,
         checkpoint_every,
-        monitor,
     })
 }
 
@@ -193,11 +182,6 @@ fn main() -> ExitCode {
     };
     let catalog: Vec<String> = (0..args.catalog_size).map(|i| format!("item-{i:03}")).collect();
     let mut cfg = ServentConfig::default();
-    cfg.police.monitor = args.monitor;
-    let monitor_label = match args.monitor {
-        ddp_police::MonitorBackend::Exact => String::new(),
-        backend => backend.label(),
-    };
     if matches!(args.role, ServentRole::Good) && !catalog.is_empty() {
         // Per-process library draw; seed folded with the id so every peer
         // shares a different slice of the catalog, reproducibly.
@@ -244,7 +228,6 @@ fn main() -> ExitCode {
             args.catalog_size,
             args.items_per_peer,
             &args.neighbors,
-            &monitor_label,
         );
         wire.set_checkpointing(CheckpointSpec {
             dir: std::path::PathBuf::from(dir),
@@ -285,7 +268,6 @@ fn main() -> ExitCode {
         neighbors_final: s.neighbors().iter().map(|p| p.0).collect(),
         generation: report.generation,
         resume_error,
-        monitor_backend: monitor_label,
     };
     if let Some(path) = &args.out {
         if let Err(e) = summary.write_file(std::path::Path::new(path)) {

@@ -151,20 +151,7 @@ impl Harness {
         for (from, to, frame) in self.network.deliveries(self.now) {
             let mut outbox = Outbox::new();
             if let Some(s) = self.servents.get_mut(to.index()) {
-                // Overlay traffic needs a live link; Bye (0x02) must land on
-                // the peer being cut, and Neighbor_Traffic (0x83) travels
-                // over *direct* connections between Buddy-Group members —
-                // they learned each other's IPs from the exchanged list and
-                // are generally not overlay neighbors.
-                let kind = decode_kind(&frame);
-                // Direct (non-overlay) traffic: Bye, Neighbor_Traffic, and
-                // the BG liveness Ping/Pong all run peer-to-peer between
-                // members that know each other's addresses.
-                if s.is_neighbor(from)
-                    || matches!(kind, Some(0x02) | Some(0x83) | Some(0x00) | Some(0x01))
-                {
-                    s.handle_frame(from, frame, self.now, &mut outbox);
-                }
+                s.handle_frame(from, frame, self.now, &mut outbox);
             }
             self.flush(to, outbox);
         }
@@ -234,11 +221,4 @@ impl Harness {
             frames_dropped: self.network.frames_dropped,
         }
     }
-}
-
-/// Peek at a frame's payload-kind byte without a full decode (header offset
-/// 16). Used to let Bye frames through after a link is cut so both sides
-/// converge.
-fn decode_kind(frame: &bytes::Bytes) -> Option<u8> {
-    frame.get(16).copied()
 }

@@ -1,17 +1,15 @@
 //! The peer state machine.
 
 use bytes::Bytes;
-use ddp_police::{
-    aggregate_group_traffic, indicator, DdPoliceConfig, MonitorBackend, TrafficReport,
-};
+use ddp_police::{aggregate_group_traffic, indicator, DdPoliceConfig, TrafficReport};
 use ddp_protocol::routing::Offer;
 use ddp_protocol::{
     decode_frame, encode_message, Bye, Guid, Header, Message, NeighborList, NeighborTraffic,
-    Payload, PeerAddr, Pong, Query, QueryHit, QueryHitResult, Receipt, SeenTable,
+    Payload, PayloadKind, PeerAddr, Pong, Query, QueryHit, QueryHitResult, Receipt, SeenTable,
 };
-use ddp_sketch::SketchMonitor;
+use ddp_snapshot::{Dec, Enc, SnapshotError, Snapshottable};
 use ddp_topology::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// What kind of peer this servent is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,7 +25,20 @@ pub enum ServentRole {
 /// Servent configuration.
 #[derive(Debug, Clone)]
 pub struct ServentConfig {
-    /// DD-POLICE parameters (thresholds, exchange period, q, CT).
+    /// DD-POLICE parameters. The servent judges with the shared `(g, s)`
+    /// kernel but has no `VerdictMachine`, so it reads only part of them:
+    ///
+    /// | field | on the wire |
+    /// |---|---|
+    /// | `cut_threshold`, `q_qpm` | honoured (`indicator::judge`) |
+    /// | `warning_threshold_qpm` | honoured (suspicion scan) |
+    /// | `exchange` | honoured (announcement period; event-driven means every minute) |
+    /// | `missing_list_grace` | honoured |
+    /// | `aggregation` | honoured (`aggregate_group_traffic`) |
+    /// | `hysteresis`, `readmission`, `suspect_ttl_ticks` | ignored: one window convicts and a cut is permanent |
+    /// | `radius`, `verify_lists`, `clamp_reports_to_link` | ignored: a Buddy Group is the suspect's list as announced |
+    /// | `report_timeout_ticks`, `max_report_retries` | ignored: `report_deadline_secs` is the one deadline |
+    /// | `monitor` | ignored: every link keeps the two exact counters |
     pub police: DdPoliceConfig,
     /// Query TTL.
     pub ttl: u8,
@@ -63,17 +74,18 @@ struct LinkState {
     /// The neighbor's latest receipt: how many fresh queries *it* accepted
     /// from us last minute (the trustworthy-when-honest `Q_{me→them}`).
     receipt_prev: u32,
-    /// Last neighbor list announced by this neighbor.
-    announced: Option<Vec<NodeId>>,
+    /// Last neighbor list announced by this neighbor, as peer ids.
+    announced: Option<Vec<u32>>,
 }
 
 /// An open Buddy-Group investigation of one suspect.
 #[derive(Debug, Clone)]
 struct Investigation {
     deadline: u64,
-    members: Vec<NodeId>,
+    /// Peer ids of the Buddy Group, this servent included.
+    members: Vec<u32>,
     /// member -> (Q_{m→suspect}, Q_{suspect→m}) as reported.
-    reports: HashMap<u32, (u32, u32)>,
+    reports: BTreeMap<u32, (u32, u32)>,
 }
 
 /// Outbound frames produced by one handler call.
@@ -89,44 +101,32 @@ pub struct Servent {
     links: BTreeMap<u32, LinkState>,
     seen: SeenTable,
     guid_seq: u64,
-    /// GUIDs of queries this servent issued, with issue time.
-    issued: HashMap<Guid, u64>,
+    /// GUID bytes of queries this servent issued, with issue time.
+    issued: BTreeMap<[u8; 16], u64>,
     /// Resolved queries: issue time -> first-hit latency (secs).
     pub hits: Vec<(u64, u64)>,
     investigations: BTreeMap<u32, Investigation>,
     /// suspect -> last time we broadcast a Neighbor_Traffic about it.
-    last_nt: HashMap<u32, u64>,
+    last_nt: BTreeMap<u32, u64>,
     /// Peers this servent defensively disconnected, with time.
     pub cut_log: Vec<(u64, NodeId)>,
     /// Missing-list grace bookkeeping per suspect.
-    missing_list_strikes: HashMap<u32, u8>,
+    missing_list_strikes: BTreeMap<u32, u8>,
     /// Every concluded investigation: (second, suspect, g, s, cut).
     pub verdict_log: Vec<(u64, NodeId, f64, f64, bool)>,
     /// Scheduled Neighbor_Traffic broadcasts: (due, suspect, members).
     /// Deferred a couple of seconds so the current minute's receipts land
     /// before the reports that quote them.
-    pending_nt: Vec<(u64, NodeId, Vec<NodeId>)>,
+    pending_nt: Vec<(u64, u32, Vec<u32>)>,
     /// Buddy-Group liveness (§3.1: "A peer ping members within the same BG
     /// periodically to make sure that other members are online"): last time
     /// we heard anything from each known member.
-    member_last_seen: HashMap<u32, u64>,
-    /// Sketch traffic monitor when `cfg.police.monitor` selects the sketch
-    /// backend; `None` under the exact default (per-link counters, exactly
-    /// the pre-backend behavior). When active, the live-minute counting goes
-    /// through the count-min window instead of `out_cur`/`in_cur`, and the
-    /// minute rollover materializes `out_prev`/`in_prev` from estimates —
-    /// every downstream consumer (receipts, suspicion scan, reports) then
-    /// reads estimates without knowing the backend changed.
-    monitor: Option<SketchMonitor>,
+    member_last_seen: BTreeMap<u32, u64>,
 }
 
 impl Servent {
     /// New servent with the given role and config.
     pub fn new(id: NodeId, role: ServentRole, cfg: ServentConfig) -> Self {
-        let monitor = match cfg.police.monitor {
-            MonitorBackend::Exact => None,
-            MonitorBackend::Sketch(params) => Some(SketchMonitor::new(params)),
-        };
         Servent {
             id,
             addr: PeerAddr::from_node_index(id.0),
@@ -135,24 +135,25 @@ impl Servent {
             links: BTreeMap::new(),
             seen: SeenTable::new(600),
             guid_seq: 0,
-            issued: HashMap::new(),
+            issued: BTreeMap::new(),
             hits: Vec::new(),
             investigations: BTreeMap::new(),
-            last_nt: HashMap::new(),
+            last_nt: BTreeMap::new(),
             cut_log: Vec::new(),
-            missing_list_strikes: HashMap::new(),
+            missing_list_strikes: BTreeMap::new(),
             verdict_log: Vec::new(),
             pending_nt: Vec::new(),
-            member_last_seen: HashMap::new(),
-            monitor,
+            member_last_seen: BTreeMap::new(),
         }
     }
 
-    /// The active monitor-backend label (`""` for exact) — run attribution.
-    pub fn monitor_backend(&self) -> String {
-        match self.cfg.police.monitor {
-            MonitorBackend::Exact => String::new(),
-            backend => backend.label(),
+    /// Whether this role takes part in the control plane: announces its
+    /// neighbor list, issues receipts and answers `Neighbor_Traffic`. Only a
+    /// stonewalling agent does not.
+    fn answers_control(&self) -> bool {
+        match self.role {
+            ServentRole::Good => true,
+            ServentRole::FloodingAgent { respond_reports, .. } => respond_reports,
         }
     }
 
@@ -181,25 +182,17 @@ impl Servent {
         self.links.remove(&peer.0);
         self.investigations.remove(&peer.0);
         self.missing_list_strikes.remove(&peer.0);
-        // The heavy-hitter slot (and its bucket) dies with the link.
-        if let Some(m) = self.monitor.as_mut() {
-            m.forget_sender(peer.0);
-        }
     }
 
     /// Send the current neighbor list to every neighbor, immediately.
     ///
-    /// The in-memory harness announces by running `on_minute(0, 0)` at build
-    /// time; transports where links come up (or back) asynchronously call
-    /// this when overlay membership changes so Buddy Groups re-form without
-    /// waiting for the next exchange period. Respects the role's
-    /// announcement policy (a stonewalling agent stays silent).
+    /// `on_minute` calls this on the exchange period (the in-memory harness
+    /// runs `on_minute(0, 0)` at build time); transports where links come up
+    /// (or back) asynchronously call it when overlay membership changes so
+    /// Buddy Groups re-form without waiting for the next period. Respects the
+    /// role's announcement policy (a stonewalling agent stays silent).
     pub fn announce_neighbor_list(&mut self, out: &mut Outbox) {
-        let announces = match self.role {
-            ServentRole::Good => true,
-            ServentRole::FloodingAgent { respond_reports, .. } => respond_reports,
-        };
-        if !announces {
+        if !self.answers_control() {
             return;
         }
         let list = NeighborList {
@@ -223,10 +216,7 @@ impl Servent {
 
     fn send_query_to(&mut self, to: NodeId, msg: &Message, out: &mut Outbox) {
         if let Some(link) = self.links.get_mut(&to.0) {
-            match self.monitor.as_mut() {
-                Some(m) => m.record_flow(self.id.0, to.0, 1),
-                None => link.out_cur += 1,
-            }
+            link.out_cur += 1;
             out.push((to, encode_message(msg)));
         }
     }
@@ -235,14 +225,10 @@ impl Servent {
     /// buffer copied for all receivers but the last, which takes it.
     fn flood_query(&mut self, msg: &Message, except: Option<NodeId>, out: &mut Outbox) {
         let mut frame = encode_message(msg);
-        let me = self.id.0;
         let mut receivers =
             self.links.iter_mut().filter(|(&peer, _)| Some(NodeId(peer)) != except).peekable();
         while let Some((&peer, link)) = receivers.next() {
-            match self.monitor.as_mut() {
-                Some(m) => m.record_flow(me, peer, 1),
-                None => link.out_cur += 1,
-            }
+            link.out_cur += 1;
             let copy =
                 if receivers.peek().is_some() { frame.clone() } else { std::mem::take(&mut frame) };
             out.push((NodeId(peer), copy));
@@ -252,7 +238,7 @@ impl Servent {
     /// Issue one search for `criteria`, flooding all neighbors.
     pub fn issue_query(&mut self, criteria: &str, now: u64, out: &mut Outbox) {
         let guid = self.next_guid();
-        self.issued.insert(guid, now);
+        self.issued.insert(guid.0, now);
         // Mark our own query as seen so echoes die here.
         self.seen.offer(guid, self.id.0, now);
         let msg = Message::new(
@@ -285,7 +271,7 @@ impl Servent {
             }
         }
         // Drain deferred Neighbor_Traffic broadcasts.
-        let due: Vec<(u64, NodeId, Vec<NodeId>)> = {
+        let due: Vec<(u64, u32, Vec<u32>)> = {
             let (ready, later): (Vec<_>, Vec<_>) =
                 std::mem::take(&mut self.pending_nt).into_iter().partition(|&(t, ..)| now >= t);
             self.pending_nt = later;
@@ -300,60 +286,24 @@ impl Servent {
 
     /// Minute boundary: finalize counters, run the DD-POLICE steps.
     pub fn on_minute(&mut self, now: u64, minute: u64, out: &mut Outbox) {
-        match self.monitor.as_mut() {
-            None => {
-                for link in self.links.values_mut() {
-                    link.out_prev = link.out_cur;
-                    link.in_prev = link.in_cur;
-                    link.out_cur = 0;
-                    link.in_cur = 0;
-                }
-            }
-            Some(m) => {
-                // Materialize the closing minute from the sketch window
-                // (overestimate-only: a flooder cannot hide in an estimate
-                // that never reads low), feed each sender's aggregate to the
-                // heavy-hitter table, then open the next window — which also
-                // drains the sustained-rate buckets by the warning budget.
-                let me = self.id.0;
-                for (&peer, link) in self.links.iter_mut() {
-                    link.out_prev = m.estimate(me, peer);
-                    link.in_prev = m.estimate(peer, me);
-                    link.out_cur = 0;
-                    link.in_cur = 0;
-                    m.note_sender_total(peer, link.in_prev as u64);
-                }
-                m.begin_tick(self.cfg.police.warning_threshold_qpm as u64);
-            }
+        for link in self.links.values_mut() {
+            link.out_prev = link.out_cur;
+            link.in_prev = link.in_cur;
+            link.out_cur = 0;
+            link.in_cur = 0;
         }
-        let polices = matches!(self.role, ServentRole::Good);
-        let announces = match self.role {
-            ServentRole::Good => true,
-            ServentRole::FloodingAgent { respond_reports, .. } => respond_reports,
-        };
         // Neighbor-list exchange (§3.1) on the periodic schedule.
         let period = match self.cfg.police.exchange {
             ddp_police::ExchangePolicy::Periodic { minutes } => minutes.max(1) as u64,
             ddp_police::ExchangePolicy::EventDriven => 1,
         };
-        if announces && minute.is_multiple_of(period) {
-            let list = NeighborList {
-                neighbors: self
-                    .neighbors()
-                    .iter()
-                    .map(|p| PeerAddr::from_node_index(p.0))
-                    .collect(),
-            };
-            let msg = Message::new(self.next_guid(), 1, Payload::NeighborList(list));
-            let frame = self.frame(&msg);
-            for peer in self.neighbors() {
-                out.push((peer, frame.clone()));
-            }
+        if minute.is_multiple_of(period) {
+            self.announce_neighbor_list(out);
         }
         // Per-link receipts (every minute): tell each neighbor how many
         // fresh queries we accepted from it. Receiver-side counting is what
         // lets Buddy Groups discount an attacker's own echoes.
-        if announces {
+        if self.answers_control() {
             for peer in self.neighbors() {
                 let fresh = self.links.get(&peer.0).map_or(0, |l| l.in_prev);
                 let r = Receipt {
@@ -364,25 +314,23 @@ impl Servent {
                 out.push((peer, self.frame(&msg)));
             }
         }
-        if !polices {
-            return;
+        if !matches!(self.role, ServentRole::Good) {
+            return; // agents do not police
         }
         // BG liveness pings (§3.1): probe Buddy-Group members we have not
         // heard from this minute. Their Pong (or any other frame) refreshes
         // `member_last_seen`; members silent past the staleness horizon are
         // excluded from report collection (they count as assume-zero anyway,
         // but we stop spending messages on them).
-        let mut to_ping: Vec<NodeId> = Vec::new();
+        let mut to_ping: Vec<u32> = Vec::new();
         for link in self.links.values() {
             if let Some(members) = &link.announced {
                 for &m in members {
-                    if m == self.id {
+                    if m == self.id.0 {
                         continue;
                     }
-                    let stale = self
-                        .member_last_seen
-                        .get(&m.0)
-                        .is_none_or(|&t| now.saturating_sub(t) >= 60);
+                    let stale =
+                        self.member_last_seen.get(&m).is_none_or(|&t| now.saturating_sub(t) >= 60);
                     if stale && !to_ping.contains(&m) {
                         to_ping.push(m);
                     }
@@ -391,46 +339,45 @@ impl Servent {
         }
         for m in to_ping {
             let ping = Message::new(self.next_guid(), 1, Payload::Ping(ddp_protocol::Ping));
-            out.push((m, self.frame(&ping)));
+            out.push((NodeId(m), self.frame(&ping)));
         }
         // Suspicion scan (§3.3) over the finalized minute.
-        let suspects: Vec<NodeId> = self
+        let suspects: Vec<u32> = self
             .links
             .iter()
             .filter(|(_, l)| l.in_prev > self.cfg.police.warning_threshold_qpm)
-            .map(|(&k, _)| NodeId(k))
+            .map(|(&k, _)| k)
             .collect();
         for suspect in suspects {
-            self.open_investigation(suspect, now, out);
+            self.open_investigation(suspect, now);
         }
     }
 
-    fn open_investigation(&mut self, suspect: NodeId, now: u64, _out: &mut Outbox) {
-        if self.investigations.contains_key(&suspect.0) {
+    fn open_investigation(&mut self, suspect: u32, now: u64) {
+        if self.investigations.contains_key(&suspect) {
             return;
         }
-        let members: Vec<NodeId> =
-            match self.links.get(&suspect.0).and_then(|l| l.announced.clone()) {
-                Some(list) => {
-                    self.missing_list_strikes.remove(&suspect.0);
-                    list
+        let members: Vec<u32> = match self.links.get(&suspect).and_then(|l| l.announced.clone()) {
+            Some(list) => {
+                self.missing_list_strikes.remove(&suspect);
+                list
+            }
+            None => {
+                // No list yet: wait out the grace period, then judge solo.
+                let strikes = self.missing_list_strikes.entry(suspect).or_insert(0);
+                *strikes = strikes.saturating_add(1);
+                if *strikes < self.cfg.police.missing_list_grace {
+                    return;
                 }
-                None => {
-                    // No list yet: wait out the grace period, then judge solo.
-                    let strikes = self.missing_list_strikes.entry(suspect.0).or_insert(0);
-                    *strikes = strikes.saturating_add(1);
-                    if *strikes < self.cfg.police.missing_list_grace {
-                        return;
-                    }
-                    vec![self.id]
-                }
-            };
+                vec![self.id.0]
+            }
+        };
         self.investigations.insert(
-            suspect.0,
+            suspect,
             Investigation {
                 deadline: now + self.cfg.report_deadline_secs,
                 members: members.clone(),
-                reports: HashMap::new(),
+                reports: BTreeMap::new(),
             },
         );
         // Deferred so this minute's receipts arrive before the reports.
@@ -439,20 +386,20 @@ impl Servent {
 
     /// Send our Neighbor_Traffic report about `suspect` to the other Buddy
     /// Group members (50-second suppression).
-    fn broadcast_nt(&mut self, suspect: NodeId, members: &[NodeId], now: u64, out: &mut Outbox) {
-        if let Some(&last) = self.last_nt.get(&suspect.0) {
+    fn broadcast_nt(&mut self, suspect: u32, members: &[u32], now: u64, out: &mut Outbox) {
+        if let Some(&last) = self.last_nt.get(&suspect) {
             if now.saturating_sub(last) < 50 {
                 return;
             }
         }
-        self.last_nt.insert(suspect.0, now);
-        let Some(link) = self.links.get(&suspect.0) else { return };
+        self.last_nt.insert(suspect, now);
+        let Some(link) = self.links.get(&suspect) else { return };
         // Members not heard from in over three minutes are treated as
         // offline (BG ping failures) and skipped.
         let horizon = 180u64;
         let nt = NeighborTraffic {
             source_ip: self.addr.ip,
-            suspect_ip: PeerAddr::from_node_index(suspect.0).ip,
+            suspect_ip: PeerAddr::from_node_index(suspect).ip,
             timestamp: now as u32,
             // Out_query(suspect): the suspect's receipt for our traffic —
             // receiver-measured, duplicate-filtered (0 if it never receipts).
@@ -463,14 +410,14 @@ impl Servent {
         let msg = Message::new(self.next_guid(), 1, Payload::NeighborTraffic(nt));
         let frame = self.frame(&msg);
         for &m in members {
-            if m == self.id {
+            if m == self.id.0 {
                 continue;
             }
             let dead =
-                self.member_last_seen.get(&m.0).is_some_and(|&t| now.saturating_sub(t) > horizon)
+                self.member_last_seen.get(&m).is_some_and(|&t| now.saturating_sub(t) > horizon)
                     && now > horizon;
             if !dead {
-                out.push((m, frame.clone()));
+                out.push((NodeId(m), frame.clone()));
             }
         }
     }
@@ -496,9 +443,9 @@ impl Servent {
             let reports: Vec<Option<TrafficReport>> = inv
                 .members
                 .iter()
-                .filter(|&&m| m != self.id)
+                .filter(|&&m| m != self.id.0)
                 .map(|m| {
-                    inv.reports.get(&m.0).map(|&(m_to_j, j_to_m)| TrafficReport {
+                    inv.reports.get(m).map(|&(m_to_j, j_to_m)| TrafficReport {
                         sent_to_suspect: m_to_j,
                         received_from_suspect: j_to_m,
                     })
@@ -533,9 +480,23 @@ impl Servent {
 
     /// Handle one inbound message that has already been decoded (the wire
     /// runtime's readers validate by decoding, and hand the result on).
+    ///
+    /// Admission is decided here, per message, before liveness or any counter
+    /// is touched: overlay traffic needs a neighbor link. Bye must land on the
+    /// peer being cut, and `Neighbor_Traffic` and the BG liveness Ping/Pong
+    /// travel over *direct* connections between Buddy-Group members, who
+    /// learned each other's addresses from the exchanged lists and are
+    /// generally not overlay neighbors.
     pub fn handle_message(&mut self, from: NodeId, msg: Message, now: u64, out: &mut Outbox) {
-        self.member_last_seen.insert(from.0, now);
         let Message { header, payload } = msg;
+        let direct = matches!(
+            header.kind,
+            PayloadKind::Bye | PayloadKind::NeighborTraffic | PayloadKind::Ping | PayloadKind::Pong
+        );
+        if !direct && !self.links.contains_key(&from.0) {
+            return;
+        }
+        self.member_last_seen.insert(from.0, now);
         match payload {
             Payload::Query(q) => self.handle_query(from, header, q, now, out),
             Payload::QueryHit(qh) => self.handle_hit(header, qh, now, out),
@@ -554,11 +515,10 @@ impl Servent {
             Payload::Pong(_) => {}
             Payload::NeighborList(nl) => {
                 if let Some(link) = self.links.get_mut(&from.0) {
-                    link.announced =
-                        Some(nl.neighbors.iter().map(|a| NodeId(a.node_index())).collect());
+                    link.announced = Some(nl.neighbors.iter().map(PeerAddr::node_index).collect());
                 }
             }
-            Payload::NeighborTraffic(nt) => self.handle_nt(from, nt, now, out),
+            Payload::NeighborTraffic(nt) => self.handle_nt(from.0, nt, now),
             Payload::Receipt(r) => {
                 if let Some(link) = self.links.get_mut(&from.0) {
                     link.receipt_prev = r.fresh_queries;
@@ -569,19 +529,11 @@ impl Servent {
     }
 
     fn handle_query(&mut self, from: NodeId, header: Header, q: Query, now: u64, out: &mut Outbox) {
-        if !self.links.contains_key(&from.0) {
-            return;
-        }
         if self.seen.offer(header.guid, from.0, now) == Offer::Duplicate {
             return; // duplicates are dropped *and excluded from In_query*
         }
-        match self.monitor.as_mut() {
-            Some(m) => m.record_flow(from.0, self.id.0, 1),
-            None => {
-                if let Some(link) = self.links.get_mut(&from.0) {
-                    link.in_cur += 1;
-                }
-            }
+        if let Some(link) = self.links.get_mut(&from.0) {
+            link.in_cur += 1;
         }
         // Local lookup: answer with a QueryHit routed back to `from`.
         if self.cfg.library.iter().any(|item| item == &q.criteria) {
@@ -608,7 +560,7 @@ impl Servent {
     }
 
     fn handle_hit(&mut self, header: Header, qh: QueryHit, now: u64, out: &mut Outbox) {
-        if let Some(issued_at) = self.issued.remove(&header.guid) {
+        if let Some(issued_at) = self.issued.remove(&header.guid.0) {
             self.hits.push((issued_at, now - issued_at));
             return;
         }
@@ -622,28 +574,23 @@ impl Servent {
         }
     }
 
-    fn handle_nt(&mut self, from: NodeId, nt: NeighborTraffic, now: u64, _out: &mut Outbox) {
-        let suspect = NodeId(PeerAddr { ip: nt.suspect_ip, port: 0 }.node_index());
+    fn handle_nt(&mut self, from: u32, nt: NeighborTraffic, now: u64) {
+        let suspect = PeerAddr { ip: nt.suspect_ip, port: 0 }.node_index();
         // Record the report if we are investigating this suspect.
-        if let Some(inv) = self.investigations.get_mut(&suspect.0) {
+        if let Some(inv) = self.investigations.get_mut(&suspect) {
             if inv.members.contains(&from) {
-                inv.reports.insert(from.0, (nt.outgoing_queries, nt.incoming_queries));
+                inv.reports.insert(from, (nt.outgoing_queries, nt.incoming_queries));
             }
         }
         // §3.3: "On receiving a Neighbor_Traffic message, a peer in the BG
         // will check whether it has sent a Neighbor_Traffic message to other
         // members in this BG in past 50 seconds. If not, it will send such a
         // message to other members."
-        let responds = match self.role {
-            ServentRole::Good => true,
-            ServentRole::FloodingAgent { respond_reports, .. } => respond_reports,
-        };
-        if responds && self.is_neighbor(suspect) {
-            let members = self
-                .links
-                .get(&suspect.0)
-                .and_then(|l| l.announced.clone())
-                .unwrap_or_else(|| vec![from]);
+        if !self.answers_control() {
+            return;
+        }
+        if let Some(link) = self.links.get(&suspect) {
+            let members = link.announced.clone().unwrap_or_else(|| vec![from]);
             self.pending_nt.push((now + 2, suspect, members));
         }
     }
@@ -666,143 +613,66 @@ impl Servent {
 // cut/verdict logs, and the report-suppression clocks.
 // ---------------------------------------------------------------------------
 
-use ddp_snapshot::{Dec, Enc, SnapshotError};
-
 /// Bumped whenever the layout below changes; a mismatch is a typed error so
 /// an old checkpoint degrades to a cold start instead of misparsing.
 const SERVENT_STATE_VERSION: u8 = 1;
 
-fn enc_guid(enc: &mut Enc, g: &Guid) {
-    for &b in g.as_bytes() {
-        enc.u8(b);
+impl Snapshottable for LinkState {
+    fn save(&self, enc: &mut Enc) {
+        enc.put(&self.out_cur);
+        enc.put(&self.in_cur);
+        enc.put(&self.out_prev);
+        enc.put(&self.in_prev);
+        enc.put(&self.receipt_prev);
+        enc.put(&self.announced);
+    }
+    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(LinkState {
+            out_cur: dec.get()?,
+            in_cur: dec.get()?,
+            out_prev: dec.get()?,
+            in_prev: dec.get()?,
+            receipt_prev: dec.get()?,
+            announced: dec.get()?,
+        })
     }
 }
 
-fn dec_guid(dec: &mut Dec) -> Result<Guid, SnapshotError> {
-    let mut bytes = [0u8; 16];
-    for b in bytes.iter_mut() {
-        *b = dec.u8()?;
+impl Snapshottable for Investigation {
+    fn save(&self, enc: &mut Enc) {
+        enc.put(&self.deadline);
+        enc.put(&self.members);
+        enc.put(&self.reports);
     }
-    Ok(Guid(bytes))
-}
-
-/// Serialize a `HashMap` deterministically: sorted by key so identical state
-/// always produces identical bytes (the snapshot suite hashes payloads).
-fn sorted<K: Ord + Copy, V: Clone>(map: &HashMap<K, V>) -> Vec<(K, V)> {
-    let mut v: Vec<(K, V)> = map.iter().map(|(&k, val)| (k, val.clone())).collect();
-    v.sort_unstable_by_key(|&(k, _)| k);
-    v
+    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(Investigation { deadline: dec.get()?, members: dec.get()?, reports: dec.get()? })
+    }
 }
 
 impl Servent {
-    /// Append this servent's mutable defense state to `enc`.
+    /// Append this servent's mutable defense state to `enc`. Maps are
+    /// written in key order and the seen table sorted by GUID, so identical
+    /// state always produces identical bytes.
     pub fn save_state(&self, enc: &mut Enc) {
         enc.u8(SERVENT_STATE_VERSION);
-        enc.usize(self.links.len());
-        for (&peer, l) in &self.links {
-            enc.u32(peer);
-            enc.u32(l.out_cur);
-            enc.u32(l.in_cur);
-            enc.u32(l.out_prev);
-            enc.u32(l.in_prev);
-            enc.u32(l.receipt_prev);
-            match &l.announced {
-                None => enc.bool(false),
-                Some(list) => {
-                    enc.bool(true);
-                    enc.usize(list.len());
-                    for n in list {
-                        enc.u32(n.0);
-                    }
-                }
-            }
-        }
+        enc.put(&self.links);
         enc.u64(self.seen.horizon());
-        let seen = self.seen.snapshot_entries();
-        enc.usize(seen.len());
-        for (guid, from, seen_at) in &seen {
-            enc_guid(enc, guid);
-            enc.u32(*from);
-            enc.u64(*seen_at);
-        }
-        enc.u64(self.guid_seq);
-        let issued = {
-            let mut v: Vec<(Guid, u64)> = self.issued.iter().map(|(&g, &t)| (g, t)).collect();
-            v.sort_unstable_by_key(|&(g, _)| g);
-            v
-        };
-        enc.usize(issued.len());
-        for (guid, at) in &issued {
-            enc_guid(enc, guid);
-            enc.u64(*at);
-        }
-        enc.usize(self.hits.len());
-        for &(at, latency) in &self.hits {
-            enc.u64(at);
-            enc.u64(latency);
-        }
-        enc.usize(self.investigations.len());
-        for (&suspect, inv) in &self.investigations {
-            enc.u32(suspect);
-            enc.u64(inv.deadline);
-            enc.usize(inv.members.len());
-            for m in &inv.members {
-                enc.u32(m.0);
-            }
-            let reports = sorted(&inv.reports);
-            enc.usize(reports.len());
-            for (member, (m_to_j, j_to_m)) in &reports {
-                enc.u32(*member);
-                enc.u32(*m_to_j);
-                enc.u32(*j_to_m);
-            }
-        }
-        let last_nt = sorted(&self.last_nt);
-        enc.usize(last_nt.len());
-        for (suspect, at) in &last_nt {
-            enc.u32(*suspect);
-            enc.u64(*at);
-        }
-        enc.usize(self.cut_log.len());
-        for &(at, peer) in &self.cut_log {
-            enc.u64(at);
-            enc.u32(peer.0);
-        }
-        let strikes = sorted(&self.missing_list_strikes);
-        enc.usize(strikes.len());
-        for (suspect, n) in &strikes {
-            enc.u32(*suspect);
-            enc.u8(*n);
-        }
-        enc.usize(self.verdict_log.len());
-        for &(at, suspect, g, s, cut) in &self.verdict_log {
-            enc.u64(at);
-            enc.u32(suspect.0);
-            enc.f64(g);
-            enc.f64(s);
-            enc.bool(cut);
-        }
-        enc.usize(self.pending_nt.len());
-        for (due, suspect, members) in &self.pending_nt {
-            enc.u64(*due);
-            enc.u32(suspect.0);
-            enc.usize(members.len());
-            for m in members {
-                enc.u32(m.0);
-            }
-        }
-        let seen_members = sorted(&self.member_last_seen);
-        enc.usize(seen_members.len());
-        for (member, at) in &seen_members {
-            enc.u32(*member);
-            enc.u64(*at);
-        }
-        // Present iff the config selects the sketch backend — and the wire
-        // checkpoint's config fingerprint covers the backend label, so a
-        // reader always agrees with the writer about this section existing.
-        if let Some(m) = &self.monitor {
-            ddp_snapshot::Snapshottable::save(m, enc);
-        }
+        let seen: Vec<([u8; 16], u32, u64)> =
+            self.seen.snapshot_entries().into_iter().map(|(g, from, at)| (g.0, from, at)).collect();
+        enc.put(&seen);
+        enc.put(&self.guid_seq);
+        enc.put(&self.issued);
+        enc.put(&self.hits);
+        enc.put(&self.investigations);
+        enc.put(&self.last_nt);
+        let cuts: Vec<(u64, u32)> = self.cut_log.iter().map(|&(at, p)| (at, p.0)).collect();
+        enc.put(&cuts);
+        enc.put(&self.missing_list_strikes);
+        let verdicts: Vec<(u64, u32, f64, f64, bool)> =
+            self.verdict_log.iter().map(|&(at, p, g, s, cut)| (at, p.0, g, s, cut)).collect();
+        enc.put(&verdicts);
+        enc.put(&self.pending_nt);
+        enc.put(&self.member_last_seen);
     }
 
     /// Replace this servent's mutable defense state with one written by
@@ -810,134 +680,38 @@ impl Servent {
     /// decode error the servent is left unchanged (everything is staged in
     /// locals before the final assignment).
     pub fn restore_state(&mut self, dec: &mut Dec) -> Result<(), SnapshotError> {
-        let version = dec.u8()?;
-        if version != SERVENT_STATE_VERSION {
+        if dec.u8()? != SERVENT_STATE_VERSION {
             return Err(SnapshotError::Unsupported { what: "servent state version" });
         }
-        let mut links = BTreeMap::new();
-        for _ in 0..dec.len("links")? {
-            let peer = dec.u32()?;
-            let mut l = LinkState {
-                out_cur: dec.u32()?,
-                in_cur: dec.u32()?,
-                out_prev: dec.u32()?,
-                in_prev: dec.u32()?,
-                receipt_prev: dec.u32()?,
-                announced: None,
-            };
-            if dec.bool()? {
-                let mut list = Vec::new();
-                for _ in 0..dec.len("announced list")? {
-                    list.push(NodeId(dec.u32()?));
-                }
-                l.announced = Some(list);
-            }
-            links.insert(peer, l);
-        }
+        let links = dec.get()?;
         let horizon = dec.u64()?;
-        let mut seen_entries = Vec::new();
-        for _ in 0..dec.len("seen table")? {
-            let guid = dec_guid(dec)?;
-            let from = dec.u32()?;
-            let seen_at = dec.u64()?;
-            seen_entries.push((guid, from, seen_at));
-        }
-        let guid_seq = dec.u64()?;
-        let mut issued = HashMap::new();
-        for _ in 0..dec.len("issued queries")? {
-            let guid = dec_guid(dec)?;
-            let at = dec.u64()?;
-            issued.insert(guid, at);
-        }
-        let mut hits = Vec::new();
-        for _ in 0..dec.len("hits")? {
-            let at = dec.u64()?;
-            let latency = dec.u64()?;
-            hits.push((at, latency));
-        }
-        let mut investigations = BTreeMap::new();
-        for _ in 0..dec.len("investigations")? {
-            let suspect = dec.u32()?;
-            let deadline = dec.u64()?;
-            let mut members = Vec::new();
-            for _ in 0..dec.len("investigation members")? {
-                members.push(NodeId(dec.u32()?));
-            }
-            let mut reports = HashMap::new();
-            for _ in 0..dec.len("investigation reports")? {
-                let member = dec.u32()?;
-                let m_to_j = dec.u32()?;
-                let j_to_m = dec.u32()?;
-                reports.insert(member, (m_to_j, j_to_m));
-            }
-            investigations.insert(suspect, Investigation { deadline, members, reports });
-        }
-        let mut last_nt = HashMap::new();
-        for _ in 0..dec.len("nt suppression clocks")? {
-            let suspect = dec.u32()?;
-            let at = dec.u64()?;
-            last_nt.insert(suspect, at);
-        }
-        let mut cut_log = Vec::new();
-        for _ in 0..dec.len("cut log")? {
-            let at = dec.u64()?;
-            let peer = dec.u32()?;
-            cut_log.push((at, NodeId(peer)));
-        }
-        let mut missing_list_strikes = HashMap::new();
-        for _ in 0..dec.len("missing-list strikes")? {
-            let suspect = dec.u32()?;
-            let n = dec.u8()?;
-            missing_list_strikes.insert(suspect, n);
-        }
-        let mut verdict_log = Vec::new();
-        for _ in 0..dec.len("verdict log")? {
-            let at = dec.u64()?;
-            let suspect = dec.u32()?;
-            let g = dec.f64()?;
-            let s = dec.f64()?;
-            let cut = dec.bool()?;
-            verdict_log.push((at, NodeId(suspect), g, s, cut));
-        }
-        let mut pending_nt = Vec::new();
-        for _ in 0..dec.len("pending nt broadcasts")? {
-            let due = dec.u64()?;
-            let suspect = dec.u32()?;
-            let mut members = Vec::new();
-            for _ in 0..dec.len("pending nt members")? {
-                members.push(NodeId(dec.u32()?));
-            }
-            pending_nt.push((due, NodeId(suspect), members));
-        }
-        let mut member_last_seen = HashMap::new();
-        for _ in 0..dec.len("member liveness")? {
-            let member = dec.u32()?;
-            let at = dec.u64()?;
-            member_last_seen.insert(member, at);
-        }
-        // Staged like everything above: restore into a fresh monitor so a
-        // decode error leaves `self` untouched.
-        let monitor = match &self.monitor {
-            None => None,
-            Some(live) => {
-                let mut fresh = SketchMonitor::new(live.params());
-                fresh.restore_into(dec)?;
-                Some(fresh)
-            }
-        };
+        let seen: Vec<([u8; 16], u32, u64)> = dec.get()?;
+        let guid_seq = dec.get()?;
+        let issued = dec.get()?;
+        let hits = dec.get()?;
+        let investigations = dec.get()?;
+        let last_nt = dec.get()?;
+        let cuts: Vec<(u64, u32)> = dec.get()?;
+        let missing_list_strikes = dec.get()?;
+        let verdicts: Vec<(u64, u32, f64, f64, bool)> = dec.get()?;
+        let pending_nt = dec.get()?;
+        let member_last_seen = dec.get()?;
         self.links = links;
-        self.seen = SeenTable::from_entries(horizon, seen_entries);
+        self.seen = SeenTable::from_entries(
+            horizon,
+            seen.into_iter().map(|(g, from, at)| (Guid(g), from, at)),
+        );
         self.guid_seq = guid_seq;
         self.issued = issued;
         self.hits = hits;
         self.investigations = investigations;
         self.last_nt = last_nt;
-        self.cut_log = cut_log;
+        self.cut_log = cuts.into_iter().map(|(at, p)| (at, NodeId(p))).collect();
         self.missing_list_strikes = missing_list_strikes;
-        self.verdict_log = verdict_log;
+        self.verdict_log =
+            verdicts.into_iter().map(|(at, p, g, s, cut)| (at, NodeId(p), g, s, cut)).collect();
         self.pending_nt = pending_nt;
         self.member_last_seen = member_last_seen;
-        self.monitor = monitor;
         Ok(())
     }
 }
@@ -970,7 +744,7 @@ mod state_tests {
         s
     }
 
-    fn state_bytes(s: &Servent) -> Vec<u8> {
+    pub(super) fn state_bytes(s: &Servent) -> Vec<u8> {
         let mut enc = Enc::new();
         s.save_state(&mut enc);
         enc.into_bytes()
@@ -1006,5 +780,77 @@ mod state_tests {
         let mut s = Servent::new(NodeId(3), ServentRole::Good, ServentConfig::default());
         let mut dec = Dec::new(&bytes);
         assert!(matches!(s.restore_state(&mut dec), Err(SnapshotError::Unsupported { .. })));
+    }
+}
+
+#[cfg(test)]
+mod admission_tests {
+    use super::state_tests::state_bytes;
+    use super::*;
+    use ddp_protocol::Ping;
+
+    const NEIGHBOR: NodeId = NodeId(2);
+    /// On neighbor 1's announced list — a Buddy-Group member this servent
+    /// pings and reports to — but not an overlay neighbor.
+    const STRANGER: NodeId = NodeId(7);
+
+    /// Servent 0 with neighbors 1 and 2, neighbor 1's list `[0, 2, 7]`, and
+    /// one query of its own in flight under `Guid::derived(0, 1)`.
+    fn servent() -> Servent {
+        let mut s = Servent::new(NodeId(0), ServentRole::Good, ServentConfig::default());
+        let mut out = Outbox::new();
+        s.connect(NodeId(1));
+        s.connect(NEIGHBOR);
+        let list = NeighborList { neighbors: [0, 2, 7].map(PeerAddr::from_node_index).to_vec() };
+        let announce = Message::new(Guid::derived(1, 1), 1, Payload::NeighborList(list));
+        s.handle_frame(NodeId(1), encode_message(&announce), 1, &mut out);
+        s.issue_query("alpha", 2, &mut out);
+        s
+    }
+
+    #[test]
+    fn overlay_kinds_need_a_link_and_direct_kinds_do_not() {
+        let own_query = Guid::derived(0, 1);
+        let addr = PeerAddr::from_node_index(7);
+        let hit = QueryHit { addr, speed_kbps: 1, results: Vec::new(), servent_id: [7; 16] };
+        let report = NeighborTraffic {
+            source_ip: addr.ip,
+            suspect_ip: PeerAddr::from_node_index(1).ip,
+            timestamp: 3,
+            outgoing_queries: 10,
+            incoming_queries: 20,
+        };
+        // (payload, whether it runs direct — admitted from anyone).
+        let table = [
+            (Payload::Ping(Ping), true),
+            (Payload::Pong(Pong { addr, shared_files: 0, shared_kb: 0 }), true),
+            (Payload::Bye(Bye { code: 0, reason: String::new() }), true),
+            (Payload::NeighborTraffic(report), true),
+            (Payload::Query(Query { min_speed: 0, criteria: "beta".into() }), false),
+            (Payload::QueryHit(hit), false),
+            (Payload::NeighborList(NeighborList { neighbors: vec![addr] }), false),
+            (Payload::Receipt(Receipt { subject_ip: addr.ip, fresh_queries: 9 }), false),
+        ];
+        for (payload, direct) in table {
+            for (from, linked) in [(NEIGHBOR, true), (STRANGER, false)] {
+                let mut s = servent();
+                let before = state_bytes(&s);
+                // A QueryHit answers the servent's own query.
+                let guid = match payload {
+                    Payload::QueryHit(_) => own_query,
+                    _ => Guid::derived(from.0, 9),
+                };
+                let mut out = Outbox::new();
+                let frame = encode_message(&Message::new(guid, 3, payload.clone()));
+                s.handle_frame(from, frame, 5, &mut out);
+                // Every admitted message at least refreshes the sender's
+                // liveness; a refused one leaves no trace at all.
+                let acted = !out.is_empty() || state_bytes(&s) != before;
+                assert_eq!(acted, direct || linked, "{payload:?} from {from:?}");
+                if matches!(payload, Payload::QueryHit(_)) {
+                    assert_eq!(s.hits.len(), usize::from(linked), "a stranger's hit must not land");
+                }
+            }
+        }
     }
 }

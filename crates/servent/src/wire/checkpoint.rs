@@ -56,20 +56,13 @@ pub fn config_fingerprint(
     catalog_size: usize,
     items_per_peer: usize,
     overlay: &[u32],
-    monitor: &str,
 ) -> u64 {
     let mut neighbors: Vec<u32> = overlay.to_vec();
     neighbors.sort_unstable();
-    // The monitor label participates only when non-default, so exact-mode
-    // fingerprints stay identical to checkpoints written before backends
-    // existed (a sketch-mode resume of an exact checkpoint — whose payload
-    // lacks the sketch section — is refused here, not at decode).
-    let monitor_tag =
-        if monitor.is_empty() { String::new() } else { format!(" monitor={monitor}") };
     let canon = format!(
         "ddp-wire-ckpt v1 id={id} role={role} minutes={minutes} seed={seed} \
          qpm={query_rate_qpm} catalog={catalog_size} items={items_per_peer} \
-         overlay={neighbors:?}{monitor_tag}"
+         overlay={neighbors:?}"
     );
     fnv1a64(canon.as_bytes())
 }
@@ -110,10 +103,7 @@ pub fn encode_payload(
     for word in rng {
         enc.u64(word);
     }
-    enc.usize(abandoned.len());
-    for &peer in abandoned {
-        enc.u32(peer);
-    }
+    enc.slice(abandoned);
     servent.save_state(&mut enc);
     enc.into_bytes()
 }
@@ -134,10 +124,7 @@ pub fn decode_payload(payload: &[u8], servent: &mut Servent) -> Result<RestoredR
     for word in rng.iter_mut() {
         *word = dec.u64()?;
     }
-    let mut abandoned = Vec::new();
-    for _ in 0..dec.len("abandoned peers")? {
-        abandoned.push(dec.u32()?);
-    }
+    let abandoned = dec.get()?;
     servent.restore_state(&mut dec)?;
     dec.finish()?;
     Ok(RestoredRun { next_tick: tick + 1, generation, issued, rng, abandoned })
@@ -177,18 +164,15 @@ mod tests {
 
     #[test]
     fn fingerprint_is_sensitive_to_config_not_neighbor_order() {
-        let base = config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[1, 2, 9], "");
-        let shuffled = config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[9, 1, 2], "");
+        let base = config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[1, 2, 9]);
+        // What every build since checkpoints exist has returned for this
+        // configuration: a changed canon string orphans deployed checkpoints.
+        assert_eq!(base, 0x7c42_8411_68e4_4516);
+        let shuffled = config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[9, 1, 2]);
         assert_eq!(base, shuffled, "overlay order is canonicalized");
-        assert_ne!(base, config_fingerprint(4, "good", 4, 42, 2.0, 64, 3, &[1, 2, 9], ""));
-        assert_ne!(base, config_fingerprint(3, "flood:1500:1", 4, 42, 2.0, 64, 3, &[1, 2, 9], ""));
-        assert_ne!(base, config_fingerprint(3, "good", 4, 43, 2.0, 64, 3, &[1, 2, 9], ""));
-        // A different monitor backend means a different payload layout: the
-        // fingerprint must refuse the cross-resume.
-        assert_ne!(
-            base,
-            config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[1, 2, 9], "sketch(w=2^12,d=4,k=64)")
-        );
+        assert_ne!(base, config_fingerprint(4, "good", 4, 42, 2.0, 64, 3, &[1, 2, 9]));
+        assert_ne!(base, config_fingerprint(3, "flood:1500:1", 4, 42, 2.0, 64, 3, &[1, 2, 9]));
+        assert_ne!(base, config_fingerprint(3, "good", 4, 43, 2.0, 64, 3, &[1, 2, 9]));
     }
 
     #[test]

@@ -464,21 +464,10 @@ impl WireServent {
                 let from = NodeId(peer);
                 let mut outbox = std::mem::take(&mut self.outbox);
                 for msg in messages {
-                    let kind = msg.header.kind;
-                    // Same admission rule as the in-memory harness, frame by
-                    // frame: overlay traffic needs a neighbor link; Bye,
-                    // Neighbor_Traffic and BG liveness Ping/Pong run direct.
-                    let direct = matches!(
-                        kind,
-                        PayloadKind::Bye
-                            | PayloadKind::NeighborTraffic
-                            | PayloadKind::Ping
-                            | PayloadKind::Pong
-                    );
-                    if direct || self.servent.is_neighbor(from) {
-                        self.servent.handle_message(from, msg, cur_tick, &mut outbox);
-                    }
-                    if kind == PayloadKind::Bye {
+                    let is_bye = msg.header.kind == PayloadKind::Bye;
+                    // The state machine decides admission, frame by frame.
+                    self.servent.handle_message(from, msg, cur_tick, &mut outbox);
+                    if is_bye {
                         // The peer cut us: the state machine already dropped
                         // the neighbor; retire the transport too, once what
                         // is owed to it has been queued.
@@ -625,7 +614,8 @@ impl WireServent {
     /// Route one outbound frame: live link, else pending + dial, else count
     /// it unroutable.
     fn route(&mut self, to: u32, frame: Bytes, tx: &SyncSender<ConnEvent>) {
-        let is_bye = frame.get(16) == Some(&0x02);
+        // The kind byte follows the 16-byte GUID.
+        let is_bye = frame.get(16) == Some(&(PayloadKind::Bye as u8));
         if let Some(link) = self.links.get_mut(&to) {
             if link.close_after_drain {
                 self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);

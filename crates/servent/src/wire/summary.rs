@@ -39,11 +39,6 @@ pub struct WireSummary {
     /// `SnapshotError` variant name (`"ChecksumMismatch"`, `"Truncated"`,
     /// ...), or empty when the resume succeeded / was never requested.
     pub resume_error: String,
-    /// Traffic-monitor backend label (`"sketch(w=2^16,d=4,k=512)"`), or
-    /// empty under the exact default — omitted from the text form, so
-    /// exact-mode summaries are byte-identical to pre-backend writers and
-    /// old parsers skip the key as an unknown line.
-    pub monitor_backend: String,
 }
 
 /// Typed, path-naming I/O error for summary files.
@@ -105,9 +100,6 @@ impl WireSummary {
         s.push_str(&format!("neighbors_final\t{}\n", neigh.join(",")));
         if !self.resume_error.is_empty() {
             s.push_str(&format!("resume_error\t{}\n", self.resume_error));
-        }
-        if !self.monitor_backend.is_empty() {
-            s.push_str(&format!("monitor_backend\t{}\n", self.monitor_backend));
         }
         // The generation rides on the sentinel itself: a truncated file can
         // neither claim completion nor misattribute its incarnation.
@@ -212,7 +204,6 @@ impl WireSummary {
                     }
                 }
                 "resume_error" => out.resume_error = one("resume_error")?.to_string(),
-                "monitor_backend" => out.monitor_backend = one("monitor_backend")?.to_string(),
                 _ => {
                     // Counter fields route through ConnCounters; unknown keys
                     // are skipped for forward compatibility.
@@ -287,7 +278,6 @@ mod tests {
             neighbors_final: vec![1, 2, 7],
             generation: 2,
             resume_error: String::new(),
-            monitor_backend: String::new(),
         }
     }
 
@@ -334,19 +324,6 @@ mod tests {
         let back =
             WireSummary::from_reader(legacy.as_bytes(), Path::new("<memory>")).expect("parses");
         assert_eq!(back.generation, 0);
-    }
-
-    #[test]
-    fn monitor_backend_roundtrips_and_is_omitted_when_exact() {
-        let mut s = sample();
-        s.monitor_backend = "sketch(w=2^16,d=4,k=512)".into();
-        let back = WireSummary::from_reader(s.to_text().as_bytes(), Path::new("<memory>"))
-            .expect("parses");
-        assert_eq!(back.monitor_backend, "sketch(w=2^16,d=4,k=512)");
-        assert!(
-            !sample().to_text().contains("monitor_backend"),
-            "exact-mode summaries stay byte-identical to pre-backend writers"
-        );
     }
 
     #[test]

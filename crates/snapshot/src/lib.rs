@@ -22,6 +22,7 @@
 //! RNG stream words) and rebuild only state that is provably dead at a tick
 //! boundary.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -435,15 +436,51 @@ impl<T: Snapshottable> Snapshottable for Option<T> {
     }
 }
 
-impl<A: Snapshottable, B: Snapshottable> Snapshottable for (A, B) {
+/// A map is its entries in key order: the bytes of a `Vec<(K, V)>` sorted
+/// by key, so equal maps always serialize alike.
+impl<K: Snapshottable + Ord, V: Snapshottable> Snapshottable for BTreeMap<K, V> {
     fn save(&self, enc: &mut Enc) {
-        self.0.save(enc);
-        self.1.save(enc);
+        enc.usize(self.len());
+        for (k, v) in self {
+            k.save(enc);
+            v.save(enc);
+        }
     }
     fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        Ok((A::load(dec)?, B::load(dec)?))
+        Ok(Vec::<(K, V)>::load(dec)?.into_iter().collect())
     }
 }
+
+/// Raw bytes, no length prefix (a GUID, a digest).
+impl<const N: usize> Snapshottable for [u8; N] {
+    fn save(&self, enc: &mut Enc) {
+        enc.buf.extend_from_slice(self);
+    }
+    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+        Ok(dec.take(N, "byte array")?.try_into().expect("take returned N bytes"))
+    }
+}
+
+/// A tuple is its fields in order, nothing between them.
+macro_rules! snapshot_tuple {
+    ($($t:ident)+) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Snapshottable),+> Snapshottable for ($($t,)+) {
+            fn save(&self, enc: &mut Enc) {
+                let ($($t,)+) = self;
+                $($t.save(enc);)+
+            }
+            fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
+                Ok(($($t::load(dec)?,)+))
+            }
+        }
+    };
+}
+
+snapshot_tuple!(A B);
+snapshot_tuple!(A B C);
+snapshot_tuple!(A B C D);
+snapshot_tuple!(A B C D E);
 
 /// Wrap a payload into the on-disk container: magic, format version,
 /// context fingerprint, length-prefixed payload, FNV-1a-64 checksum over
@@ -565,6 +602,9 @@ mod tests {
         enc.put(&Option::<u8>::None);
         enc.put(&Some(7u8));
         enc.put(&(3u32, 4u64));
+        enc.put(&(1u8, 2u16, 3u32, 4u64, false));
+        enc.put(&[7u8, 8, 9]);
+        enc.put(&BTreeMap::from([(2u32, 20u64), (1, 10)]));
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
         assert_eq!(dec.get::<u16>().unwrap(), 0xdead);
@@ -579,7 +619,24 @@ mod tests {
         assert_eq!(dec.get::<Option<u8>>().unwrap(), None);
         assert_eq!(dec.get::<Option<u8>>().unwrap(), Some(7));
         assert_eq!(dec.get::<(u32, u64)>().unwrap(), (3, 4));
+        assert_eq!(dec.get::<(u8, u16, u32, u64, bool)>().unwrap(), (1, 2, 3, 4, false));
+        assert_eq!(dec.get::<[u8; 3]>().unwrap(), [7, 8, 9]);
+        assert_eq!(dec.get::<BTreeMap<u32, u64>>().unwrap(), BTreeMap::from([(1, 10), (2, 20)]));
         dec.finish().unwrap();
+    }
+
+    #[test]
+    fn composites_add_no_bytes_of_their_own() {
+        let mut map = Enc::new();
+        map.put(&BTreeMap::from([(2u32, [0xaau8; 2]), (1, [0xbb; 2])]));
+        let mut flat = Enc::new();
+        flat.usize(2);
+        for (k, v) in [(1u32, 0xbbu8), (2, 0xaa)] {
+            flat.u32(k);
+            flat.u8(v);
+            flat.u8(v);
+        }
+        assert_eq!(map.bytes(), flat.bytes(), "a map is a length and its entries in key order");
     }
 
     #[test]

@@ -178,10 +178,19 @@ impl Servent {
     }
 
     /// Detach a neighbor locally (the far side is told via Bye elsewhere).
+    /// Everything kept about it as a suspect goes with the link.
     pub fn disconnect(&mut self, peer: NodeId) {
         self.links.remove(&peer.0);
         self.investigations.remove(&peer.0);
         self.missing_list_strikes.remove(&peer.0);
+        self.last_nt.remove(&peer.0);
+        self.pending_nt.retain(|&(_, suspect, _)| suspect != peer.0);
+    }
+
+    /// Whether `id` is on some neighbor's announced list: with the neighbors
+    /// themselves, the only peers this servent ever pings or reports to.
+    fn on_an_announced_list(links: &BTreeMap<u32, LinkState>, id: u32) -> bool {
+        links.values().any(|l| l.announced.as_ref().is_some_and(|list| list.contains(&id)))
     }
 
     /// Send the current neighbor list to every neighbor, immediately.
@@ -286,6 +295,10 @@ impl Servent {
 
     /// Minute boundary: finalize counters, run the DD-POLICE steps.
     pub fn on_minute(&mut self, now: u64, minute: u64, out: &mut Outbox) {
+        // Liveness is kept for Buddy-Group peers only; lists and links change.
+        let links = &self.links;
+        self.member_last_seen
+            .retain(|id, _| links.contains_key(id) || Self::on_an_announced_list(links, *id));
         for link in self.links.values_mut() {
             link.out_prev = link.out_cur;
             link.in_prev = link.in_cur;
@@ -493,10 +506,15 @@ impl Servent {
             header.kind,
             PayloadKind::Bye | PayloadKind::NeighborTraffic | PayloadKind::Ping | PayloadKind::Pong
         );
-        if !direct && !self.links.contains_key(&from.0) {
+        let linked = self.links.contains_key(&from.0);
+        if !direct && !linked {
             return;
         }
-        self.member_last_seen.insert(from.0, now);
+        // Direct kinds are admitted from anyone, and a hello id is whatever
+        // the sender says it is: a stranger must not leave a row behind.
+        if linked || Self::on_an_announced_list(&self.links, from.0) {
+            self.member_last_seen.insert(from.0, now);
+        }
         match payload {
             Payload::Query(q) => self.handle_query(from, header, q, now, out),
             Payload::QueryHit(qh) => self.handle_hit(header, qh, now, out),
@@ -761,6 +779,54 @@ mod state_tests {
         assert_eq!(bytes, state_bytes(&restored), "save→load→save is bit-identical");
         assert_eq!(original.neighbors(), restored.neighbors());
         assert_eq!(original.cut_log, restored.cut_log);
+    }
+
+    #[test]
+    fn strangers_and_cut_peers_leave_no_state_behind() {
+        let mut s = Servent::new(NodeId(3), ServentRole::Good, ServentConfig::default());
+        let mut out = Outbox::new();
+        let mut seq = 0u64;
+        let mut deliver = |s: &mut Servent, from: u32, now: u64, payload: Payload| {
+            seq += 1;
+            let frame = encode_message(&Message::new(Guid::derived(from, seq), 3, payload));
+            s.handle_frame(NodeId(from), frame, now, &mut out);
+            out.clear();
+        };
+        // Neighbor 1 announces the Buddy Group [3, 8] and floods.
+        s.connect(NodeId(1));
+        s.connect(NodeId(2));
+        let group = [3, 8].map(PeerAddr::from_node_index).to_vec();
+        deliver(&mut s, 1, 1, Payload::NeighborList(NeighborList { neighbors: group }));
+        for i in 0..600 {
+            let query = Query { min_speed: 0, criteria: format!("flood-{i}") };
+            deliver(&mut s, 1, 2 + i % 50, Payload::Query(query));
+        }
+        s.on_minute(60, 1, &mut Outbox::new());
+        s.on_second(62, &mut Outbox::new());
+        assert!(s.investigations.contains_key(&1) && s.last_nt.contains_key(&1));
+        let before = state_bytes(&s);
+
+        // 10 000 hello ids nobody announced each send one Ping ...
+        for stranger in 1_000..11_000 {
+            deliver(&mut s, stranger, 64, Payload::Ping(ddp_protocol::Ping));
+        }
+        assert_eq!(state_bytes(&s), before, "a stranger's Ping leaves no row");
+        // ... member 8 reports just before the deadline, and the cut lands.
+        let report = NeighborTraffic {
+            source_ip: PeerAddr::from_node_index(8).ip,
+            suspect_ip: PeerAddr::from_node_index(1).ip,
+            timestamp: 109,
+            outgoing_queries: 0,
+            incoming_queries: 0,
+        };
+        deliver(&mut s, 8, 109, Payload::NeighborTraffic(report));
+        assert_eq!(s.pending_nt.len(), 1, "the report schedules an answer");
+        s.on_second(110, &mut Outbox::new());
+        assert_eq!(s.cut_log, vec![(110, NodeId(1))]);
+        assert!(s.last_nt.is_empty() && s.pending_nt.is_empty(), "suspect rows go with the link");
+        s.on_minute(120, 2, &mut Outbox::new());
+        assert!(s.member_last_seen.is_empty(), "nobody left to ping or report to");
+        assert!(state_bytes(&s).len() <= before.len(), "the flood and the cut left nothing behind");
     }
 
     #[test]

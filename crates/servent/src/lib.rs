@@ -4,7 +4,7 @@
 //! batch-flooding simulator for scale. This crate is the *fidelity* layer a
 //! real deployment would start from: a complete peer state machine
 //! ([`Servent`]) that speaks the actual wire protocol — every Query,
-//! QueryHit, Ping/Pong, NeighborList, `Neighbor_Traffic` (0x83), and Bye is
+//! QueryHit, Ping/Pong, NeighborList, `Neighbor_Traffic`, and Bye is
 //! **encoded to bytes and decoded back on every hop** through an in-memory
 //! network ([`network::InMemNetwork`]), exercising `ddp-protocol` exactly
 //! as TCP framing would.

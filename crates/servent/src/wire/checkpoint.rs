@@ -165,8 +165,8 @@ mod tests {
     #[test]
     fn fingerprint_is_sensitive_to_config_not_neighbor_order() {
         let base = config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[1, 2, 9]);
-        // What every build since checkpoints exist has returned for this
-        // configuration: a changed canon string orphans deployed checkpoints.
+        // Recorded before the monitor-label parameter went: a canon string
+        // that changes orphans every checkpoint already on disk.
         assert_eq!(base, 0x7c42_8411_68e4_4516);
         let shuffled = config_fingerprint(3, "good", 4, 42, 2.0, 64, 3, &[9, 1, 2]);
         assert_eq!(base, shuffled, "overlay order is canonicalized");

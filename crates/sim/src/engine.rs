@@ -616,12 +616,44 @@ impl<D: Defense> Simulation<D> {
         }
     }
 
-    fn depart(&mut self, node: NodeId) {
-        let freed = self.overlay.isolate(node);
-        for peer in freed {
+    /// Connect `u` and `v`: the defense learns of the new edge and any
+    /// wrongful-cut interval of the pair ends. False when they were already
+    /// connected.
+    fn link(&mut self, u: NodeId, v: NodeId) -> bool {
+        let added = self.overlay.add_edge(u, v);
+        if added {
+            self.defense.on_edge_added(u, v, self.overlay.degree(u), self.overlay.degree(v));
+            self.close_wrongful(u, v);
+        }
+        added
+    }
+
+    /// Drop every edge of `node`, telling the defense about each, and close
+    /// the wrongful-cut intervals that involved it.
+    fn sever_all(&mut self, node: NodeId) {
+        for peer in self.overlay.isolate(node) {
             self.defense.on_edge_removed(node, peer, 0, self.overlay.degree(peer));
         }
         self.close_wrongful_for(node);
+    }
+
+    /// The tail `spawn_peer` and `rejoin` share: `node` starts with a clean
+    /// record and dials `join_degree` peers drawn by `pick` (each picker
+    /// draws from its caller's own stream).
+    fn admit_fresh(&mut self, node: NodeId, pick: fn(&mut Self, NodeId) -> Option<NodeId>) {
+        self.prev_util[node.index()] = 0.0;
+        self.ever_cut[node.index()] = false; // brand-new peer, clean record
+        self.counted_wrongly_cut[node.index()] = false;
+        self.defense.on_peer_reset(node);
+        for _ in 0..self.cfg.join_degree {
+            if let Some(peer) = pick(self, node) {
+                self.link(node, peer);
+            }
+        }
+    }
+
+    fn depart(&mut self, node: NodeId) {
+        self.sever_all(node);
         let s = &mut self.nodes[node.index()];
         s.online = false;
         s.rejoin_at = self.tick.saturating_add(self.cfg.rejoin_delay_ticks);
@@ -636,11 +668,7 @@ impl<D: Defense> Simulation<D> {
     fn depart_permanently(&mut self, node: NodeId) {
         let crash_fraction = self.cfg.session.as_ref().map_or(0.0, |s| s.crash_fraction);
         let crashed = self.rng_session.gen::<f64>() < crash_fraction;
-        let freed = self.overlay.isolate(node);
-        for peer in freed {
-            self.defense.on_edge_removed(node, peer, 0, self.overlay.degree(peer));
-        }
-        self.close_wrongful_for(node);
+        self.sever_all(node);
         let s = &mut self.nodes[node.index()];
         s.online = false;
         s.rejoin_at = u32::MAX; // this incarnation never returns
@@ -723,23 +751,7 @@ impl<D: Defense> Simulation<D> {
             self.cfg.content.objects_per_peer,
             &mut self.rng_session,
         );
-        self.prev_util[node.index()] = 0.0;
-        self.ever_cut[node.index()] = false; // brand-new peer, clean record
-        self.counted_wrongly_cut[node.index()] = false;
-        self.defense.on_peer_reset(node);
-        for _ in 0..self.cfg.join_degree {
-            if let Some(peer) = self.pick_bootstrap_peer(node) {
-                if self.overlay.add_edge(node, peer) {
-                    self.defense.on_edge_added(
-                        node,
-                        peer,
-                        self.overlay.degree(node),
-                        self.overlay.degree(peer),
-                    );
-                    self.close_wrongful(node, peer);
-                }
-            }
-        }
+        self.admit_fresh(node, Self::pick_bootstrap_peer);
     }
 
     /// Record that the isolated attacker `node` will shed its identity once
@@ -805,23 +817,7 @@ impl<D: Defense> Simulation<D> {
             self.cfg.content.objects_per_peer,
             &mut self.rng_churn,
         );
-        self.prev_util[node.index()] = 0.0;
-        self.ever_cut[node.index()] = false; // brand-new peer, clean record
-        self.counted_wrongly_cut[node.index()] = false;
-        self.defense.on_peer_reset(node);
-        for _ in 0..self.cfg.join_degree {
-            if let Some(peer) = self.pick_online_peer(node) {
-                if self.overlay.add_edge(node, peer) {
-                    self.defense.on_edge_added(
-                        node,
-                        peer,
-                        self.overlay.degree(node),
-                        self.overlay.degree(peer),
-                    );
-                    self.close_wrongful(node, peer);
-                }
-            }
-        }
+        self.admit_fresh(node, Self::pick_online_peer);
     }
 
     fn try_reconnect_attacker(&mut self, node: NodeId) {
@@ -846,54 +842,29 @@ impl<D: Defense> Simulation<D> {
         }
         while self.overlay.degree(node) < self.cfg.join_degree {
             match self.pick_online_peer(node) {
-                Some(peer) => {
-                    if self.overlay.add_edge(node, peer) {
-                        self.defense.on_edge_added(
-                            node,
-                            peer,
-                            self.overlay.degree(node),
-                            self.overlay.degree(peer),
-                        );
-                        self.close_wrongful(node, peer);
-                    } else {
-                        break;
-                    }
-                }
-                None => break,
+                Some(peer) if self.link(node, peer) => {}
+                _ => break,
             }
         }
     }
 
     fn maintain_connectivity(&mut self) {
-        let session_on = self.cfg.session.is_some();
+        // Open-membership repair honors the quarantine veto so self-healing
+        // cannot silently undo a defensive cut.
+        let pick = if self.cfg.session.is_some() {
+            Self::pick_bootstrap_peer
+        } else {
+            Self::pick_online_peer
+        };
         for i in 0..self.nodes.len() {
             let node = NodeId::from_index(i);
             if !self.nodes[i].online || self.nodes[i].role.is_attacker() {
                 continue;
             }
             while self.overlay.degree(node) < self.cfg.join_degree {
-                let picked = if session_on {
-                    // Open-membership repair honors the quarantine veto so
-                    // self-healing cannot silently undo a defensive cut.
-                    self.pick_bootstrap_peer(node)
-                } else {
-                    self.pick_online_peer(node)
-                };
-                match picked {
-                    Some(peer) => {
-                        if self.overlay.add_edge(node, peer) {
-                            self.defense.on_edge_added(
-                                node,
-                                peer,
-                                self.overlay.degree(node),
-                                self.overlay.degree(peer),
-                            );
-                            self.close_wrongful(node, peer);
-                        } else {
-                            break; // already connected to the sampled peer
-                        }
-                    }
-                    None => break,
+                match pick(self, node) {
+                    Some(peer) if self.link(node, peer) => {}
+                    _ => break, // nobody to dial, or already connected to the sampled peer
                 }
             }
         }
@@ -1125,15 +1096,7 @@ impl<D: Defense> Simulation<D> {
             if !self.online[observer.index()] || !self.online[suspect.index()] {
                 continue;
             }
-            if self.overlay.add_edge(observer, suspect) {
-                self.defense.on_edge_added(
-                    observer,
-                    suspect,
-                    self.overlay.degree(observer),
-                    self.overlay.degree(suspect),
-                );
-                self.close_wrongful(observer, suspect);
-            }
+            self.link(observer, suspect);
         }
     }
 }

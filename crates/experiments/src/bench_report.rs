@@ -2,11 +2,13 @@
 //!
 //! `scale`, `sketch` and `churn` each commit a machine-readable measurement
 //! artifact at the repository root. A cell type implements [`BenchCell`] —
-//! schema id, `generated_by`, file name and **one** ordered field list — and
-//! everything else is derived from that list here: the rendered bytes (pinned
-//! by golden fixtures), the key set, the structural validation, and the
+//! schema id, `generated_by`, file name, **one** ordered field list and, for
+//! the printed form, one column list beside it — and everything else is
+//! derived from those here: the rendered bytes (pinned by golden fixtures),
+//! the key set, the structural validation, the console/CSV table, and the
 //! write-or-exit step every runner ends with.
 
+use crate::output::{Column, Table};
 use ddp_metrics::{json_array, JsonObj};
 use std::path::Path;
 
@@ -34,6 +36,11 @@ pub trait BenchCell: Sized + 'static {
     const FILE: &'static str;
     /// Every field of a cell object, in emission order (the schema).
     const FIELDS: &'static [Field<Self>];
+    /// Name (also the CSV file stem; a smoke grid's gets `_smoke` appended)
+    /// and title of the printed table.
+    const TABLE: (&'static str, &'static str);
+    /// The printed table's columns, left to right.
+    const COLUMNS: &'static [Column<Self>];
 }
 
 /// Opening of the cells array; everything after it is cell objects.
@@ -57,6 +64,13 @@ pub fn render<C: BenchCell>(cells: &[C], seed: u64) -> String {
         .u64("seed", seed)
         .raw("cells", &json_array(cells.iter().map(cell)))
         .finish()
+}
+
+/// The sweep results as the human-readable table: one row per cell.
+pub fn table<C: BenchCell>(cells: &[C], smoke: bool) -> Table {
+    let (name, title) = C::TABLE;
+    let name = format!("{name}{}", if smoke { "_smoke" } else { "" });
+    Table::from_columns(name, title, cells, C::COLUMNS)
 }
 
 /// Structural validation of a document against `C`'s schema: schema tag,
@@ -142,6 +156,18 @@ mod tests {
         const FILE: &'static str = "BENCH_probe.json";
         const FIELDS: &'static [Field<Self>] =
             &[("peers", |c| Value::U64(c.peers)), ("label", |c| Value::Str(c.label))];
+        const TABLE: (&'static str, &'static str) = ("probe", "Probe sweep");
+        const COLUMNS: &'static [Column<Self>] =
+            &[("n", |c| c.peers.to_string()), ("which", |c| c.label.to_string())];
+    }
+
+    #[test]
+    fn table_has_one_row_per_cell_and_marks_a_smoke_grid() {
+        let cells = [Probe { peers: 3, label: "a" }, Probe { peers: 5, label: "b" }];
+        let t = table(&cells, true);
+        assert_eq!((t.name.as_str(), t.title.as_str()), ("probe_smoke", "Probe sweep"));
+        assert_eq!(t.to_csv(), "n,which\n3,a\n5,b\n");
+        assert_eq!(table(&cells, false).name, "probe");
     }
 
     fn scratch_dir(name: &str) -> std::path::PathBuf {

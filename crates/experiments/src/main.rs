@@ -4,40 +4,19 @@
 //! ddp-experiments <command> [--peers N] [--ticks N] [--seed N] [--agents N]
 //!                           [--replicates N] [--csv DIR] [--paper-scale]
 //!                           [--threads N]
-//!
-//! commands:
-//!   table1      Neighbor_Traffic wire layout (Table 1)
-//!   fig2        indicator worked example (Figure 2)
-//!   fig5 fig6   single-peer capacity testbed (§2.3)
-//!   fig9 fig10 fig11   attack-impact sweeps (§3.6)
-//!   consequences       figures 9-11 from one sweep
-//!   fig12       damage rate over time per cut threshold
-//!   fig13 fig14 errors / recovery time vs cut threshold
-//!   ct          figures 13-14 from one sweep
-//!   exchange    neighbor-list exchange policy study (§3.7.1)
-//!   cheating    report-cheating strategies (§3.4)
-//!   resilience  lossy/delayed control plane sweep (extension)
-//!   collusion   coordinated report-cheating coalitions sweep (extension)
-//!   ablations   design-choice ablations
-//!   structured  flooding overlay vs Chord-like DHT (§5 future work)
-//!   all         every command above, one run each
-//!
-//!   not part of `all` (they write artifacts, spawn processes or gate CI):
-//!   scale       throughput sweep over overlay size × attacker fraction
-//!   sketch      exact-vs-sketch monitor memory/accuracy sweep
-//!   churn       session-model churn × whitewashing attackers (extension)
-//!   fuzz        differential fuzz: engine vs naive reference oracle
-//!   testbed     sim-vs-wire cross-validation on a servent mesh
-//!   soak        crash-recovery chaos soak on the wire mesh
 //! ```
+//!
+//! [`COMMANDS`] is the one list of subcommands: dispatch, what `all` runs and
+//! the command list `--help` prints are all read off it.
 //!
 //! Sweeps fan their grid cells out over `ddp_sim::pool` at the host's
 //! available parallelism; `--threads` is the tick engine's width inside the
 //! timed `scale` cells. Tables are byte-identical at every width of either.
 
-use ddp_experiments::runners::{self, emit};
-use ddp_experiments::{ensure_writable_dir, ExpOptions};
+use ddp_experiments::runners::{self as r, emit};
+use ddp_experiments::{ensure_writable_dir, ExpOptions, Table};
 use ddp_metrics::CountingAlloc;
+use std::error::Error;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -46,121 +25,130 @@ use std::process::ExitCode;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
+/// What a subcommand produces: its tables in emission order, or why it failed.
+type Tables = Result<Vec<Table>, String>;
+
+/// A subcommand: name, whether `all` runs it, its `--help` line, and the run.
+type Command = (&'static str, bool, &'static str, fn(&ExpOptions) -> Tables);
+
+/// Every subcommand, in the order `--help` lists and `all` runs them. The
+/// single-figure commands a combined sweep covers (`consequences`, `ct`) and
+/// the commands that write artifacts, spawn processes or gate CI stay out of
+/// `all` and are run by name.
+const COMMANDS: &[Command] = &[
+    ("table1", true, "Neighbor_Traffic wire layout (Table 1)", |_| one(r::table1())),
+    ("fig2", true, "indicator worked example (Figure 2)", |_| one(r::fig2())),
+    ("fig5", true, "queries sent vs processed, one-peer testbed (§2.3)", |_| one(r::fig5())),
+    ("fig6", true, "drop rate vs query density, one-peer testbed (§2.3)", |_| one(r::fig6())),
+    ("fig9", false, "traffic cost vs agents (§3.6)", |o| one(r::fig9(&r::agent_sweep(o)))),
+    ("fig10", false, "response time vs agents (§3.6)", |o| one(r::fig10(&r::agent_sweep(o)))),
+    ("fig11", false, "success rate vs agents (§3.6)", |o| one(r::fig11(&r::agent_sweep(o)))),
+    ("consequences", true, "figures 9-11 from one sweep", |o| Ok(r::consequences(o))),
+    ("fig12", true, "damage rate over time per cut threshold", |o| one(r::fig12(o))),
+    ("fig13", false, "errors vs cut threshold", |o| one(r::fig13(&r::ct_sweep(o, &r::CT_GRID)))),
+    ("fig14", false, "recovery vs cut threshold", |o| one(r::fig14(&r::ct_sweep(o, &r::CT_GRID)))),
+    ("ct", true, "figures 13-14 from one sweep", |o| {
+        let rows = r::ct_sweep(o, &r::CT_GRID);
+        Ok(vec![r::fig13(&rows), r::fig14(&rows)])
+    }),
+    ("exchange", true, "neighbor-list exchange policy study (§3.7.1)", |o| one(r::exchange(o))),
+    ("cheating", true, "report-cheating strategies (§3.4)", |o| one(r::cheating(o))),
+    ("resilience", true, "lossy/delayed control plane sweep (extension)", |o| {
+        one(r::resilience(o))
+    }),
+    ("collusion", true, "report-cheating coalitions, then readmission (extension)", |o| {
+        Ok(vec![r::collusion(o), r::readmission(o)])
+    }),
+    ("ablations", true, "the seven design-choice ablations", |o| {
+        Ok(vec![
+            r::ablate_warning(o),
+            r::ablate_radius(o),
+            r::ablate_forwarding(o),
+            r::ablate_rejoin(o),
+            r::ablate_clamp(o),
+            r::ablate_lists(o),
+            r::ablate_topology(o),
+        ])
+    }),
+    ("structured", true, "flooding overlay vs Chord-like DHT (§5 future work)", |o| {
+        one(r::structured(o))
+    }),
+    ("scale", false, "throughput vs overlay size; writes BENCH_scale.json", |o| {
+        one(r::scale(o, Some(&ALLOC)))
+    }),
+    ("sketch", false, "exact-vs-sketch monitor sweep; writes BENCH_sketch.json", |o| {
+        one(r::sketch(o))
+    }),
+    ("churn", false, "session churn x whitewashing; writes BENCH_churn.json", |o| one(r::churn(o))),
+    ("fuzz", false, "differential fuzz: engine vs naive reference oracle", |o| one(r::fuzz(o))),
+    ("testbed", false, "sim-vs-wire cross-validation on a servent mesh", |o| {
+        r::testbed(o).and_then(one)
+    }),
+    ("soak", false, "crash-recovery chaos soak on the wire mesh", |o| r::soak(o).and_then(one)),
+];
+
+/// The command that runs every [`COMMANDS`] entry marked for it.
+const ALL: &str = "all";
+
+fn one(table: Table) -> Tables {
+    Ok(vec![table])
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first().cloned() else {
-        eprintln!("usage: ddp-experiments <command> [options]; see --help");
-        return ExitCode::FAILURE;
-    };
-    if command == "--help" || command == "-h" || command == "help" {
-        println!("{}", HELP);
-        return ExitCode::SUCCESS;
-    }
-    let opts = match parse_options(&args[1..]) {
-        Ok(o) => o,
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
+    }
+}
+
+fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
+    let Some(command) = args.first() else {
+        return Err("no command; usage: ddp-experiments <command> [options]; see --help".into());
     };
+    if ["--help", "-h", "help"].contains(&command.as_str()) {
+        println!("{}", help());
+        return Ok(());
+    }
+    let opts = parse_options(&args[1..])?;
 
     // Fail fast on unwritable output/checkpoint directories — before hours
     // of simulation, not after.
     for dir in [&opts.csv_dir, &opts.checkpoint_dir].into_iter().flatten() {
-        if let Err(e) = ensure_writable_dir(dir) {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        ensure_writable_dir(dir)?;
     }
+    run_command(command, &opts)
+}
 
-    match command.as_str() {
-        "table1" => emit(&runners::table1(), &opts),
-        "fig2" => emit(&runners::fig2(), &opts),
-        "fig5" => emit(&runners::fig5(), &opts),
-        "fig6" => emit(&runners::fig6(), &opts),
-        "fig9" => emit(&runners::fig9(&runners::agent_sweep(&opts)), &opts),
-        "fig10" => emit(&runners::fig10(&runners::agent_sweep(&opts)), &opts),
-        "fig11" => emit(&runners::fig11(&runners::agent_sweep(&opts)), &opts),
-        "consequences" => {
-            for t in runners::consequences(&opts) {
-                emit(&t, &opts);
-            }
-        }
-        "fig12" => emit(&runners::fig12(&opts), &opts),
-        "fig13" => emit(&runners::fig13(&runners::ct_sweep(&opts, &runners::CT_GRID)), &opts),
-        "fig14" => emit(&runners::fig14(&runners::ct_sweep(&opts, &runners::CT_GRID)), &opts),
-        "ct" => {
-            let rows = runners::ct_sweep(&opts, &runners::CT_GRID);
-            emit(&runners::fig13(&rows), &opts);
-            emit(&runners::fig14(&rows), &opts);
-        }
-        "exchange" => emit(&runners::exchange(&opts), &opts),
-        "scale" => emit(&runners::scale(&opts, Some(&ALLOC)), &opts),
-        "sketch" => emit(&runners::sketch(&opts), &opts),
-        "churn" => emit(&runners::churn(&opts), &opts),
-        "fuzz" => emit(&runners::fuzz(&opts), &opts),
-        "structured" => emit(&runners::structured(&opts), &opts),
-        "testbed" => match runners::testbed(&opts) {
-            Ok(t) => emit(&t, &opts),
-            Err(e) => {
-                eprintln!("testbed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "soak" => match runners::soak(&opts) {
-            Ok(t) => emit(&t, &opts),
-            Err(e) => {
-                eprintln!("soak: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "cheating" => emit(&runners::cheating(&opts), &opts),
-        "resilience" => emit(&runners::resilience(&opts), &opts),
-        "collusion" => {
-            emit(&runners::collusion(&opts), &opts);
-            emit(&runners::readmission(&opts), &opts);
-        }
-        "ablations" => {
-            emit(&runners::ablate_warning(&opts), &opts);
-            emit(&runners::ablate_radius(&opts), &opts);
-            emit(&runners::ablate_forwarding(&opts), &opts);
-            emit(&runners::ablate_rejoin(&opts), &opts);
-            emit(&runners::ablate_clamp(&opts), &opts);
-            emit(&runners::ablate_lists(&opts), &opts);
-            emit(&runners::ablate_topology(&opts), &opts);
-        }
-        "all" => {
-            emit(&runners::table1(), &opts);
-            emit(&runners::fig2(), &opts);
-            emit(&runners::fig5(), &opts);
-            emit(&runners::fig6(), &opts);
-            for t in runners::consequences(&opts) {
-                emit(&t, &opts);
-            }
-            emit(&runners::fig12(&opts), &opts);
-            let rows = runners::ct_sweep(&opts, &runners::CT_GRID);
-            emit(&runners::fig13(&rows), &opts);
-            emit(&runners::fig14(&rows), &opts);
-            emit(&runners::exchange(&opts), &opts);
-            emit(&runners::cheating(&opts), &opts);
-            emit(&runners::resilience(&opts), &opts);
-            emit(&runners::collusion(&opts), &opts);
-            emit(&runners::readmission(&opts), &opts);
-            emit(&runners::ablate_warning(&opts), &opts);
-            emit(&runners::ablate_radius(&opts), &opts);
-            emit(&runners::ablate_forwarding(&opts), &opts);
-            emit(&runners::ablate_rejoin(&opts), &opts);
-            emit(&runners::ablate_clamp(&opts), &opts);
-            emit(&runners::ablate_lists(&opts), &opts);
-            emit(&runners::ablate_topology(&opts), &opts);
-            emit(&runners::structured(&opts), &opts);
-        }
-        other => {
-            eprintln!("unknown command `{other}`; see --help");
-            return ExitCode::FAILURE;
+/// Run `command` (or, for `all`, every command marked for it) and emit its
+/// tables; stops at the first failed command or failed CSV write.
+fn run_command(command: &str, opts: &ExpOptions) -> Result<(), Box<dyn Error>> {
+    let selected: Vec<&Command> = COMMANDS
+        .iter()
+        .filter(|(name, in_all, ..)| if command == ALL { *in_all } else { *name == command })
+        .collect();
+    if selected.is_empty() {
+        return Err(format!("unknown command `{command}`; see --help").into());
+    }
+    for (name, _, _, run) in selected {
+        for table in run(opts).map_err(|e| format!("{name}: {e}"))? {
+            emit(&table, opts)?;
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// `--help`: the command list is [`COMMANDS`], the rest is [`HELP`]'s prose.
+fn help() -> String {
+    let mut commands = String::new();
+    for (name, in_all, about, _) in COMMANDS {
+        commands += &format!("  {} {name:<13}{about}\n", if *in_all { '*' } else { ' ' });
+    }
+    commands += &format!("    {ALL:<13}every command marked *, in this order");
+    HELP.replace("{commands}", &commands)
 }
 
 const HELP: &str = "\
@@ -169,14 +157,10 @@ ddp-experiments — regenerate every table and figure of
 
 usage: ddp-experiments <command> [options]
 
-commands:
-  table1 fig2 fig5 fig6 fig9 fig10 fig11 consequences
-  fig12 fig13 fig14 ct exchange cheating resilience collusion ablations
-  structured
-  all      every command above, one run each
-  scale sketch churn fuzz testbed soak
-           not part of `all`: they write BENCH_*.json, spawn servent
-           processes or gate CI, and are run by name
+commands (* = part of `all`; the others are run by name: single figures of a
+combined sweep, or commands that write BENCH_*.json, spawn servent processes
+or gate CI):
+{commands}
 
 Sweeps run their grid cells in parallel on every available core; results
 are collected in grid order, so output does not depend on the core count.
@@ -240,40 +224,34 @@ tick 0 — the numbers never change either way.
 
 fn parse_options(args: &[String]) -> Result<ExpOptions, String> {
     let mut opts = ExpOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Result<&String, String> {
-            *i += 1;
-            args.get(*i).ok_or_else(|| format!("{} needs a value", args[*i - 1]))
-        };
-        match args[i].as_str() {
-            "--peers" => opts.peers = take(&mut i)?.parse().map_err(|e| format!("--peers: {e}"))?,
-            "--ticks" => opts.ticks = take(&mut i)?.parse().map_err(|e| format!("--ticks: {e}"))?,
-            "--seed" => opts.seed = take(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--agents" => {
-                opts.agents = take(&mut i)?.parse().map_err(|e| format!("--agents: {e}"))?
-            }
-            "--replicates" => {
-                opts.replicates = take(&mut i)?.parse().map_err(|e| format!("--replicates: {e}"))?
-            }
-            "--csv" => opts.csv_dir = Some(PathBuf::from(take(&mut i)?)),
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let number = |v: &String| v.parse::<usize>().map_err(|e| format!("{flag}: {e}"));
+        match flag.as_str() {
+            "--peers" => opts.peers = number(value()?)?,
+            "--ticks" => opts.ticks = number(value()?)?,
+            "--seed" => opts.seed = value()?.parse().map_err(|e| format!("{flag}: {e}"))?,
+            "--agents" => opts.agents = number(value()?)?,
+            "--replicates" => opts.replicates = number(value()?)?,
+            "--csv" => opts.csv_dir = Some(PathBuf::from(value()?)),
             "--paper-scale" => opts.peers = 20_000,
             "--smoke" => opts.smoke = true,
-            "--checkpoint-every" => {
-                opts.checkpoint_every =
-                    take(&mut i)?.parse().map_err(|e| format!("--checkpoint-every: {e}"))?
-            }
-            "--checkpoint-dir" => opts.checkpoint_dir = Some(PathBuf::from(take(&mut i)?)),
+            "--checkpoint-every" => opts.checkpoint_every = number(value()?)?,
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(PathBuf::from(value()?)),
             "--resume" => opts.resume = true,
-            "--threads" => {
-                opts.threads = take(&mut i)?.parse().map_err(|e| format!("--threads: {e}"))?
-            }
+            "--threads" => opts.threads = number(value()?)?,
             other => return Err(format!("unknown option `{other}`")),
         }
-        i += 1;
     }
-    if opts.threads == 0 {
-        return Err("--threads must be at least 1".into());
+    // A sweep over zero replicates or zero ticks would print a complete,
+    // plausible-looking table of zeros.
+    for (flag, value) in
+        [("--threads", opts.threads), ("--replicates", opts.replicates), ("--ticks", opts.ticks)]
+    {
+        if value == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
     }
     if opts.agents * 2 > opts.peers {
         return Err(format!(
@@ -282,4 +260,53 @@ fn parse_options(args: &[String]) -> Result<ExpOptions, String> {
         ));
     }
     Ok(opts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ExpOptions, String> {
+        parse_options(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn zero_replicates_and_zero_ticks_are_rejected_by_name() {
+        // Either would print a full table of fabricated zeros and exit 0.
+        for flag in ["--replicates", "--ticks", "--threads"] {
+            let err = parse(&[flag, "0"]).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+            assert!(parse(&[flag, "1"]).is_ok());
+        }
+        let err = parse(&["--peers", "100", "--agents", "51"]).unwrap_err();
+        assert!(err.contains("--agents"), "{err}");
+    }
+
+    #[test]
+    fn command_names_are_unique_and_all_is_the_sum_of_its_parts() {
+        let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "duplicate command name");
+        assert!(!names.contains(&ALL));
+        let text = help();
+        for name in names {
+            assert!(text.contains(&format!(" {name} ")), "--help omits {name}");
+        }
+        assert!(run_command("no-such-command", &ExpOptions::default()).is_err());
+    }
+
+    #[test]
+    fn a_failed_csv_write_stops_the_command_loop() {
+        // The directory became unwritable after the up-front probe: here, a
+        // regular file where it should be.
+        let file = std::env::temp_dir().join(format!("ddp_main_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, b"x").unwrap();
+        let opts = ExpOptions { csv_dir: Some(file.clone()), ..ExpOptions::default() };
+        let err = run_command("table1", &opts).unwrap_err().to_string();
+        assert!(err.contains(&file.display().to_string()), "{err}");
+        run_command("table1", &ExpOptions::default()).expect("stdout only");
+        let _ = std::fs::remove_file(&file);
+    }
 }

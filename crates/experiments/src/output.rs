@@ -27,25 +27,32 @@ impl std::error::Error for OutputError {
     }
 }
 
+/// Create `dir` (and parents) and write `bytes` to `dir/<name>`; a failure
+/// names the path it tripped on.
+fn write_into(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, OutputError> {
+    let failed = |op, path: &Path| {
+        let path = path.to_path_buf();
+        move |source| OutputError { op, path, source }
+    };
+    std::fs::create_dir_all(dir).map_err(failed("create directory", dir))?;
+    let path = dir.join(name);
+    std::fs::write(&path, bytes).map_err(failed("write", &path))?;
+    Ok(path)
+}
+
 /// Create `dir` (and parents) and prove it is writable by round-tripping a
 /// probe file. Runners call this *before* hours of simulation so an
 /// unwritable output directory fails in milliseconds, not at the final
 /// write.
 pub fn ensure_writable_dir(dir: &Path) -> Result<(), OutputError> {
-    std::fs::create_dir_all(dir).map_err(|source| OutputError {
-        op: "create directory",
-        path: dir.to_path_buf(),
-        source,
-    })?;
-    let probe = dir.join(".ddp-write-probe");
-    std::fs::write(&probe, b"probe").map_err(|source| OutputError {
-        op: "write",
-        path: probe.clone(),
-        source,
-    })?;
+    let probe = write_into(dir, ".ddp-write-probe", b"probe")?;
     let _ = std::fs::remove_file(&probe);
     Ok(())
 }
+
+/// A column of a table over typed cells: its header and how to format the
+/// cell, stated together so the two cannot drift apart.
+pub type Column<T> = (&'static str, fn(&T) -> String);
 
 /// A named table of string cells.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,6 +76,30 @@ impl Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A table of `rows` (the shape a sweep's `par_map` returns).
+    pub fn from_rows(
+        name: impl Into<String>,
+        title: impl Into<String>,
+        headers: &[&str],
+        rows: impl IntoIterator<Item = Vec<String>>,
+    ) -> Self {
+        let mut t = Table::new(name, title, headers);
+        rows.into_iter().for_each(|row| t.push_row(row));
+        t
+    }
+
+    /// A table with one row per item and one column per `columns` entry.
+    pub fn from_columns<T>(
+        name: impl Into<String>,
+        title: impl Into<String>,
+        items: &[T],
+        columns: &[Column<T>],
+    ) -> Self {
+        let headers: Vec<&str> = columns.iter().map(|(header, _)| *header).collect();
+        let row = |item| columns.iter().map(|(_, show)| show(item)).collect();
+        Table::from_rows(name, title, &headers, items.iter().map(row))
     }
 
     /// Append a row (must match the header arity).
@@ -113,9 +144,7 @@ impl Table {
             }
         };
         let mut out = String::new();
-        let _ =
-            writeln!(out, "{}", self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(","));
-        for row in &self.rows {
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
             let _ = writeln!(out, "{}", row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
         }
         out
@@ -123,18 +152,7 @@ impl Table {
 
     /// Write `<dir>/<name>.csv`. Failures name the path they tripped on.
     pub fn write_csv(&self, dir: &Path) -> Result<PathBuf, OutputError> {
-        std::fs::create_dir_all(dir).map_err(|source| OutputError {
-            op: "create directory",
-            path: dir.to_path_buf(),
-            source,
-        })?;
-        let path = dir.join(format!("{}.csv", self.name));
-        std::fs::write(&path, self.to_csv()).map_err(|source| OutputError {
-            op: "write",
-            path: path.clone(),
-            source,
-        })?;
-        Ok(path)
+        write_into(dir, &format!("{}.csv", self.name), self.to_csv().as_bytes())
     }
 }
 

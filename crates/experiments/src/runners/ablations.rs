@@ -1,49 +1,45 @@
 //! Ablations of DESIGN.md's called-out design choices.
 
-use super::par_map;
+use super::{damage_means, par_map};
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions, Scenario};
+use crate::scenario::{DamageReport, DefenseKind, ExpOptions};
+use ddp_attack::CheatStrategy;
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
+use ddp_sim::ListBehavior;
+use ddp_topology::TopologyModel;
 use ddp_workload::LifetimeModel;
 
-fn damage_row(
-    opts: &ExpOptions,
-    ci: usize,
-    scenario: impl Fn(u64) -> Scenario,
-) -> (f64, f64, f64, f64) {
-    let mut fneg = 0.0;
-    let mut fpos = 0.0;
-    let mut damage = 0.0;
-    let mut control = 0.0;
-    for r in 0..opts.replicates {
-        let dr = scenario(opts.seed_for(ci, r)).run_with_damage();
-        fneg += dr.attacked.summary.errors.false_negative as f64;
-        fpos += dr.attacked.summary.errors.false_positive as f64;
-        damage += dr.stable_damage();
-        control += dr.attacked.summary.control_per_tick;
-    }
-    let n = opts.replicates.max(1) as f64;
-    (fneg / n, fpos / n, damage / n, control / n)
+/// Good peers wrongly cut in the attacked run of a damage pair.
+fn good_cut(dr: &DamageReport) -> f64 {
+    dr.attacked.summary.errors.false_negative as f64
 }
+
+/// Agents still connected when the attacked run of a damage pair ended.
+fn missed(dr: &DamageReport) -> f64 {
+    dr.attacked.summary.errors.false_positive as f64
+}
+
+/// Agents the attacked run of a damage pair never cut at all.
+fn never_cut(dr: &DamageReport) -> f64 {
+    dr.attacked.summary.attackers_never_cut as f64
+}
+
+/// The plain DD-POLICE deployment most ablations vary something around.
+const DD_POLICE: DefenseKind = DefenseKind::DdPolice { cut_threshold: 5.0 };
 
 /// Warning-threshold sweep (the §3.3 default is 500 queries/min): too low
 /// triggers constant Buddy-Group exchanges; too high delays detection.
 pub fn ablate_warning(opts: &ExpOptions) -> Table {
     let thresholds = [100u32, 250, 500, 1_000, 2_000, 5_000];
     let rows = par_map(&thresholds, |ci, &w| {
-        let (fneg, fpos, damage, control) = damage_row(opts, ci, |seed| {
-            let cfg = DdPoliceConfig { warning_threshold_qpm: w, ..DdPoliceConfig::default() };
-            Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .defense(DefenseKind::DdPoliceFull(cfg))
-                .seed(seed)
-                .build()
+        let cfg = DdPoliceConfig { warning_threshold_qpm: w, ..DdPoliceConfig::default() };
+        let scenario = opts.scenario().defense(DefenseKind::DdPoliceFull(cfg));
+        let [fneg, fpos, damage, control] = damage_means(opts, ci, &scenario, |dr| {
+            [good_cut(dr), missed(dr), dr.stable_damage(), dr.attacked.summary.control_per_tick]
         });
         vec![w.to_string(), f(fneg, 1), f(fpos, 1), pct(damage), f(control, 0)]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_warning_threshold",
         format!("Ablation: warning threshold ({} agents)", opts.agents),
         &[
@@ -53,135 +49,77 @@ pub fn ablate_warning(opts: &ExpOptions) -> Table {
             "stable damage",
             "control msgs/tick",
         ],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 /// Buddy-Group radius r ∈ {1, 2} under *heavy* churn (mean lifetime 5 min):
 /// r = 2's cross-verified membership resists snapshot staleness.
 pub fn ablate_radius(opts: &ExpOptions) -> Table {
     let rows = par_map(&[1u8, 2], |ci, &radius| {
-        let (fneg, fpos, damage, _) = damage_row(opts, ci, |seed| {
-            let cfg = DdPoliceConfig {
-                radius,
-                exchange: ExchangePolicy::Periodic { minutes: 4 }, // extra staleness
-                ..DdPoliceConfig::default()
-            };
-            let sim = ddp_sim::SimConfig {
-                topology: ddp_topology::TopologyConfig {
-                    n: opts.peers,
-                    model: ddp_topology::TopologyModel::BarabasiAlbert { m: 3 },
-                },
-                lifetime: LifetimeModel::LogNormal { mean_min: 5.0, var_min: 2.5 },
-                ..ddp_sim::SimConfig::default()
-            };
-            Scenario::builder()
-                .sim_config(sim)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .defense(DefenseKind::DdPoliceFull(cfg))
-                .seed(seed)
-                .build()
-        });
+        let cfg = DdPoliceConfig {
+            radius,
+            exchange: ExchangePolicy::Periodic { minutes: 4 }, // extra staleness
+            ..DdPoliceConfig::default()
+        };
+        let scenario = opts
+            .scenario()
+            .sim(|s| s.lifetime = LifetimeModel::LogNormal { mean_min: 5.0, var_min: 2.5 })
+            .defense(DefenseKind::DdPoliceFull(cfg));
+        let [fneg, fpos, damage] =
+            damage_means(opts, ci, &scenario, |dr| [good_cut(dr), missed(dr), dr.stable_damage()]);
         vec![format!("r={radius}"), f(fneg, 1), f(fpos, 1), pct(damage)]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_bg_radius",
         format!("Ablation: Buddy-Group radius under heavy churn ({} agents)", opts.agents),
         &["radius", "false negative", "false positive", "stable damage"],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 /// Forwarding-policy comparison: plain FIFO vs the fair-share survival
 /// baseline (the paper's related work \[21\]) vs DD-POLICE detection.
 pub fn ablate_forwarding(opts: &ExpOptions) -> Table {
-    let configs: Vec<(&str, DefenseKind)> = vec![
+    let configs = [
         ("fifo, no defense", DefenseKind::None),
         ("fair-share forwarding", DefenseKind::FairShare),
-        ("DD-POLICE (CT=5)", DefenseKind::DdPolice { cut_threshold: 5.0 }),
+        ("DD-POLICE (CT=5)", DD_POLICE),
     ];
     let rows = par_map(&configs, |ci, (label, defense)| {
-        let mut success = 0.0;
-        let mut response = 0.0;
-        let mut damage = 0.0;
-        for r in 0..opts.replicates {
-            let dr = Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .defense(defense.clone())
-                .seed(opts.seed_for(ci, r))
-                .build()
-                .run_with_damage();
-            success += dr.attacked.summary.success_rate_stable;
-            response += dr.attacked.summary.response_time_mean_secs;
-            damage += dr.stable_damage();
-        }
-        let n = opts.replicates.max(1) as f64;
-        vec![label.to_string(), pct(success / n), f(response / n, 2), pct(damage / n)]
+        let scenario = opts.scenario().defense(defense.clone());
+        let [success, response, damage] = damage_means(opts, ci, &scenario, |dr| {
+            let summary = &dr.attacked.summary;
+            [summary.success_rate_stable, summary.response_time_mean_secs, dr.stable_damage()]
+        });
+        vec![label.to_string(), pct(success), f(response, 2), pct(damage)]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_forwarding_policy",
         format!("Baseline comparison: forwarding policy vs detection ({} agents)", opts.agents),
         &["configuration", "stable success", "response (s)", "stable damage"],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 /// Attacker-rejoin extension (§3.7.2 notes nothing stops agents from coming
 /// back): how the rejoin delay changes steady-state damage under DD-POLICE.
 pub fn ablate_rejoin(opts: &ExpOptions) -> Table {
-    let delays: Vec<(String, u32)> = vec![
-        ("never (paper)".into(), u32::MAX),
-        ("10 min".into(), 10),
-        ("5 min".into(), 5),
-        ("2 min".into(), 2),
-    ];
-    let rows = par_map(&delays, |ci, (label, delay)| {
-        let mut damage = 0.0;
-        let mut cuts = 0.0;
-        for r in 0..opts.replicates {
-            let sim = ddp_sim::SimConfig {
-                topology: ddp_topology::TopologyConfig {
-                    n: opts.peers,
-                    model: ddp_topology::TopologyModel::BarabasiAlbert { m: 3 },
-                },
-                attacker_rejoin_delay_ticks: *delay,
-                ..ddp_sim::SimConfig::default()
-            };
-            let dr = Scenario::builder()
-                .sim_config(sim)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-                .seed(opts.seed_for(ci, r))
-                .build()
-                .run_with_damage();
-            damage += dr.stable_damage();
-            cuts += dr.attacked.summary.attackers_cut as f64;
-        }
-        let n = opts.replicates.max(1) as f64;
-        vec![label.clone(), pct(damage / n), f(cuts / n, 0)]
+    let delays = [("never (paper)", u32::MAX), ("10 min", 10), ("5 min", 5), ("2 min", 2)];
+    let rows = par_map(&delays, |ci, &(label, delay)| {
+        let scenario =
+            opts.scenario().sim(|s| s.attacker_rejoin_delay_ticks = delay).defense(DD_POLICE);
+        let [damage, cuts] = damage_means(opts, ci, &scenario, |dr| {
+            [dr.stable_damage(), dr.attacked.summary.attackers_cut as f64]
+        });
+        vec![label.to_string(), pct(damage), f(cuts, 0)]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_attacker_rejoin",
         format!("Extension: attacker rejoin delay ({} agents, DD-POLICE CT=5)", opts.agents),
         &["rejoin delay", "stable damage", "attacker cut events"],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 #[cfg(test)]
@@ -220,51 +158,33 @@ mod tests {
 /// Hardening study: the collusive-inflation attack (a reproduction finding;
 /// §3.4's Case 1 assumed a lone agent) vs the link-capacity report clamp.
 pub fn ablate_clamp(opts: &ExpOptions) -> Table {
-    use ddp_attack::CheatStrategy;
-    let configs: Vec<(&str, CheatStrategy, bool)> = vec![
+    let configs = [
         ("honest agents, no clamp", CheatStrategy::Honest, false),
         ("inflating agents, no clamp", CheatStrategy::InflateSent, false),
         ("inflating agents, clamp on", CheatStrategy::InflateSent, true),
     ];
-    let rows = par_map(&configs, |_, (label, cheat, clamp)| {
-        let mut damage = 0.0;
-        let mut never = 0.0;
-        for r in 0..opts.replicates {
-            let cfg = DdPoliceConfig { clamp_reports_to_link: *clamp, ..DdPoliceConfig::default() };
-            let dr = Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .cheat(*cheat)
-                .defense(DefenseKind::DdPoliceFull(cfg))
-                .seed(opts.seed_for(0, r))
-                .build()
-                .run_with_damage();
-            damage += dr.stable_damage();
-            never += dr.attacked.summary.attackers_never_cut as f64;
-        }
-        let n = opts.replicates.max(1) as f64;
-        vec![label.to_string(), pct(damage / n), f(never / n, 1)]
+    let rows = par_map(&configs, |_, &(label, cheat, clamp)| {
+        let cfg = DdPoliceConfig { clamp_reports_to_link: clamp, ..DdPoliceConfig::default() };
+        let scenario = opts.scenario().cheat(cheat).defense(DefenseKind::DdPoliceFull(cfg));
+        let [damage, never] =
+            damage_means(opts, 0, &scenario, |dr| [dr.stable_damage(), never_cut(dr)]);
+        vec![label.to_string(), pct(damage), f(never, 1)]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_report_clamp",
         format!(
             "Hardening: link-capacity report clamp vs collusive inflation ({} agents)",
             opts.agents
         ),
         &["configuration", "stable damage", "agents never cut"],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 /// §3.1 list-lying study: padding / omission / refusal, with and without the
 /// consistency check.
 pub fn ablate_lists(opts: &ExpOptions) -> Table {
-    use ddp_sim::ListBehavior;
-    let behaviors: Vec<(&str, ListBehavior)> = vec![
+    let behaviors = [
         ("truthful", ListBehavior::Truthful),
         ("pad 20 phantoms", ListBehavior::PadFake { extra: 20 }),
         ("omit all", ListBehavior::Omit),
@@ -276,34 +196,20 @@ pub fn ablate_lists(opts: &ExpOptions) -> Table {
         .flat_map(|&(label, lists)| [true, false].map(|verify| (label, lists, verify)))
         .collect();
     let rows = par_map(&grid, |_, &(label, lists, verify)| {
-        let mut damage = 0.0;
-        let mut never = 0.0;
-        let mut fneg = 0.0;
-        for r in 0..opts.replicates {
-            let cfg = DdPoliceConfig { verify_lists: verify, ..DdPoliceConfig::default() };
-            let dr = Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .lists(lists)
-                .defense(DefenseKind::DdPoliceFull(cfg))
-                .seed(opts.seed_for(0, r))
-                .build()
-                .run_with_damage();
-            damage += dr.stable_damage();
-            never += dr.attacked.summary.attackers_never_cut as f64;
-            fneg += dr.attacked.summary.errors.false_negative as f64;
-        }
-        let n = opts.replicates.max(1) as f64;
+        let cfg = DdPoliceConfig { verify_lists: verify, ..DdPoliceConfig::default() };
+        let scenario = opts.scenario().lists(lists).defense(DefenseKind::DdPoliceFull(cfg));
+        let [damage, never, fneg] = damage_means(opts, 0, &scenario, |dr| {
+            [dr.stable_damage(), never_cut(dr), good_cut(dr)]
+        });
         vec![
             label.to_string(),
             if verify { "on" } else { "off" }.to_string(),
-            pct(damage / n),
-            f(never / n, 1),
-            f(fneg / n, 1),
+            pct(damage),
+            f(never, 1),
+            f(fneg, 1),
         ]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_list_lying",
         format!(
             "Section 3.1: neighbor-list lying vs the consistency check ({} agents)",
@@ -316,11 +222,8 @@ pub fn ablate_lists(opts: &ExpOptions) -> Table {
             "agents never cut",
             "good peers cut",
         ],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 #[cfg(test)]
@@ -360,49 +263,26 @@ mod hardening_tests {
 /// the two-tier super-peer architecture §1 mentions ("among peers or among
 /// super-peers"), under the same attack and defense.
 pub fn ablate_topology(opts: &ExpOptions) -> Table {
-    use ddp_topology::{TopologyConfig, TopologyModel};
-    let models: Vec<(&str, TopologyModel)> = vec![
+    let models = [
         ("flat BA (paper)", TopologyModel::BarabasiAlbert { m: 3 }),
         ("Erdos-Renyi d=6", TopologyModel::ErdosRenyi { mean_degree: 6.0 }),
         ("super-peer 20%", TopologyModel::SuperPeer { super_fraction: 0.2, core_m: 3 }),
     ];
-    let rows = par_map(&models, |_, (label, model)| {
-        let mut undef = 0.0;
-        let mut def = 0.0;
-        let mut fneg = 0.0;
-        for r in 0..opts.replicates {
-            let sim = ddp_sim::SimConfig {
-                topology: TopologyConfig { n: opts.peers, model: *model },
-                ..ddp_sim::SimConfig::default()
-            };
-            let mk = |defense: DefenseKind, sim: ddp_sim::SimConfig| {
-                Scenario::builder()
-                    .sim_config(sim)
-                    .ticks(opts.ticks)
-                    .attackers(opts.agents)
-                    .defense(defense)
-                    .seed(opts.seed_for(0, r))
-                    .build()
-                    .run_with_damage()
-            };
-            let u = mk(DefenseKind::None, sim.clone());
-            let d = mk(DefenseKind::DdPolice { cut_threshold: 5.0 }, sim);
-            undef += u.stable_damage();
-            def += d.stable_damage();
-            fneg += d.attacked.summary.errors.false_negative as f64;
-        }
-        let n = opts.replicates.max(1) as f64;
-        vec![label.to_string(), pct(undef / n), pct(def / n), f(fneg / n, 1)]
+    let rows = par_map(&models, |_, &(label, model)| {
+        let on = |defense: DefenseKind| {
+            opts.scenario().sim(|s| s.topology.model = model).defense(defense)
+        };
+        let [undef] = damage_means(opts, 0, &on(DefenseKind::None), |dr| [dr.stable_damage()]);
+        let [def, fneg] =
+            damage_means(opts, 0, &on(DD_POLICE), |dr| [dr.stable_damage(), good_cut(dr)]);
+        vec![label.to_string(), pct(undef), pct(def), f(fneg, 1)]
     });
-    let mut t = Table::new(
+    Table::from_rows(
         "ablate_topology",
         format!("Ablation: overlay architecture under the same attack ({} agents)", opts.agents),
         &["topology", "undefended damage", "DD-POLICE damage", "good peers cut"],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 #[cfg(test)]

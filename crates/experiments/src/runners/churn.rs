@@ -18,16 +18,13 @@
 //! `BENCH_churn.json` tracked PR-over-PR.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
-use crate::output::{f, Table};
-use crate::scenario::ExpOptions;
+use crate::output::{f, Column, Table};
+use crate::scenario::{damage_series, stable_damage, ExpOptions, Scenario};
 use ddp_attack::WhitewashPlan;
-use ddp_metrics::{damage_rate, TimeSeries};
 use ddp_police::{DdPolice, DdPoliceConfig, ReadmissionPolicy};
-use ddp_sim::{CutRecord, SessionConfig, SimConfig, Simulation, WhitewashRecord};
-use ddp_topology::{TopologyConfig, TopologyModel};
+use ddp_sim::{CutRecord, RunResult, SessionConfig, SessionStats, WhitewashRecord};
+use ddp_topology::NodeId;
 use ddp_workload::LifetimeModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use super::{detection_latency, par_map};
 
@@ -106,6 +103,22 @@ impl BenchCell for ChurnCell {
         ("wrongful_cut_rate", |c| Value::F64(c.wrongful_cut_rate)),
         ("residual_damage", |c| Value::F64(c.residual_damage)),
     ];
+    const TABLE: (&'static str, &'static str) =
+        ("churn", "Churn x whitewash sweep: detection and re-detection under open membership");
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("model", |c| c.session_model.clone()),
+        ("mean", |c| f(c.mean_session_ticks, 0)),
+        ("dwell", |c| c.dwell_ticks.to_string()),
+        ("readm", |c| on_off(c.readmission).to_string()),
+        ("joins", |c| f(c.joins, 0)),
+        ("departs", |c| f(c.departures, 0)),
+        ("rebirths", |c| f(c.rebirths, 1)),
+        ("detect", |c| f(c.detection_latency, 2)),
+        ("redetect%", |c| f(c.redetection_rate * 100.0, 0)),
+        ("redetect lat", |c| f(c.redetection_latency, 2)),
+        ("wrongful%", |c| f(c.wrongful_cut_rate * 100.0, 1)),
+        ("resid dmg", |c| f(c.residual_damage, 3)),
+    ];
 }
 
 fn on_off(flag: bool) -> &'static str {
@@ -152,17 +165,12 @@ pub fn redetection_stats(
     (redetected, sum / rebirths.len() as f64)
 }
 
-/// One run's raw numbers before replicate averaging.
-struct RawRun {
-    joins: u64,
-    departures: u64,
-    rebirths: usize,
-    detection_latency: f64,
-    redetected: usize,
-    redetection_latency: f64,
-    cuts_total: usize,
-    wrongful_cuts: usize,
-    success_rate: Vec<f64>,
+/// One finished run and what only the live simulation could tell about it.
+struct Run {
+    result: RunResult,
+    stats: SessionStats,
+    rebirths: Vec<WhitewashRecord>,
+    initial_agents: Vec<NodeId>,
 }
 
 fn run_once(
@@ -173,62 +181,31 @@ fn run_once(
     dwell: u32,
     readmission_on: bool,
     seed: u64,
-) -> RawRun {
+) -> Run {
     let police_cfg = DdPoliceConfig {
         readmission: ReadmissionPolicy { enabled: readmission_on, ..ReadmissionPolicy::default() },
         suspect_ttl_ticks: SUSPECT_TTL,
         ..DdPoliceConfig::default()
     };
-    let cfg = SimConfig {
-        topology: TopologyConfig { n: peers, model: TopologyModel::BarabasiAlbert { m: 3 } },
-        churn: false,
-        session: Some(sess.clone()),
-        ..SimConfig::default()
-    };
-    let mut sim = Simulation::new(cfg, DdPolice::new(police_cfg, peers), seed);
+    let scenario = Scenario::builder()
+        .peers(peers)
+        .churn(false)
+        .seed(seed)
+        .sim(|s| s.session = Some(sess.clone()))
+        .build();
+    let mut sim = scenario.build_sim_with(DdPolice::new(police_cfg, peers));
     let initial_agents = if agents > 0 {
-        // Same selection constant as `Scenario::run`, so a churn cell's
-        // agents sit on the same peers as the equivalent static scenario.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xdd05_ee1f);
-        WhitewashPlan::new(agents, dwell).apply(&mut sim, &mut rng)
+        // On the scenario's own placement stream, so a churn cell's agents
+        // sit on the same peers as the equivalent static scenario.
+        WhitewashPlan::new(agents, dwell).apply(&mut sim, &mut scenario.placement_rng())
     } else {
         Vec::new()
     };
     for _ in 0..ticks {
         sim.step();
     }
-    let stats = sim.session_stats();
-    let rebirths: Vec<WhitewashRecord> = sim.whitewash_log().to_vec();
-    let result = sim.finish();
-    let (redetected, redetection_latency) = redetection_stats(&result.cut_log, &rebirths, ticks);
-    let wrongful_cuts = result.cut_log.iter().filter(|c| !c.suspect_was_attacker).count();
-    // First-detection latency is over the *initial* identities only —
-    // reborn identities (which are also cut, usually many more times than
-    // there are original agents) are scored by `redetection_stats` instead.
-    let initial_cuts: Vec<CutRecord> =
-        result.cut_log.iter().filter(|c| initial_agents.contains(&c.suspect)).copied().collect();
-    RawRun {
-        joins: stats.joins,
-        departures: stats.leaves + stats.crashes,
-        rebirths: rebirths.len(),
-        detection_latency: detection_latency(&initial_cuts, agents, ticks),
-        redetected,
-        redetection_latency,
-        cuts_total: result.cut_log.len(),
-        wrongful_cuts,
-        success_rate: result.series.success_rate.values,
-    }
-}
-
-/// Residual damage of an attacked run against its paired zero-agent baseline
-/// on the same seed: mean `D(t)` over the stabilized last quarter.
-fn residual_damage(attacked: &[f64], baseline: &[f64]) -> f64 {
-    let mut damage = TimeSeries::new("damage_rate");
-    for (t, &s1) in attacked.iter().enumerate() {
-        let s0 = baseline.get(t).copied().unwrap_or(1.0);
-        damage.push(damage_rate(s0, s1));
-    }
-    damage.tail_mean((damage.len() / 4).max(1))
+    let (stats, rebirths) = (sim.session_stats(), sim.whitewash_log().to_vec());
+    Run { result: sim.finish(), stats, rebirths, initial_agents }
 }
 
 /// One grid point: `(peers, ticks, agents, mean_session, model, dwell,
@@ -245,20 +222,13 @@ pub fn churn_grid_params(opts: &ExpOptions) -> Vec<ChurnParams> {
             (300, 15, 6, 5.0, "exponential", 1, true),
         ];
     }
+    let (peers, ticks, agents) = (opts.peers, opts.ticks, opts.agents);
     let mut grid = Vec::new();
     for &mean in &MEAN_SESSIONS {
         for &model in &SESSION_MODELS {
             for &dwell in &DWELLS {
                 for readmission in [false, true] {
-                    grid.push((
-                        opts.peers,
-                        opts.ticks,
-                        opts.agents,
-                        mean,
-                        model,
-                        dwell,
-                        readmission,
-                    ));
+                    grid.push((peers, ticks, agents, mean, model, dwell, readmission));
                 }
             }
         }
@@ -285,97 +255,77 @@ fn measure_churn_cell(
         crash_fraction: 0.25,
         max_peers: peers.saturating_mul(2),
     };
-    let mut cell = ChurnCell {
-        peers,
-        ticks,
-        agents,
-        mean_session_ticks: mean,
-        session_model: model.to_string(),
-        dwell_ticks: dwell,
-        readmission,
-        joins: 0.0,
-        departures: 0.0,
-        rebirths: 0.0,
-        detection_latency: 0.0,
-        redetected: 0.0,
-        redetection_latency: 0.0,
-        redetection_rate: 0.0,
-        cuts_total: 0.0,
-        wrongful_cut_rate: 0.0,
-        residual_damage: 0.0,
-    };
-    for r in 0..opts.replicates.max(1) {
-        let seed = opts.seed_for(c, r);
-        let run = run_once(peers, ticks, agents, &sess, dwell, readmission, seed);
-        // Paired baseline: same seed, same churn stream, no agents.
-        let base = run_once(peers, ticks, 0, &sess, dwell, readmission, seed);
-        cell.joins += run.joins as f64;
-        cell.departures += run.departures as f64;
-        cell.rebirths += run.rebirths as f64;
-        cell.detection_latency += run.detection_latency;
-        cell.redetected += run.redetected as f64;
-        cell.redetection_latency += run.redetection_latency;
-        cell.redetection_rate +=
-            if run.rebirths > 0 { run.redetected as f64 / run.rebirths as f64 } else { 0.0 };
-        cell.cuts_total += run.cuts_total as f64;
-        cell.wrongful_cut_rate +=
-            if run.cuts_total > 0 { run.wrongful_cuts as f64 / run.cuts_total as f64 } else { 0.0 };
-        cell.residual_damage += residual_damage(&run.success_rate, &base.success_rate);
-    }
-    let n = opts.replicates.max(1) as f64;
-    cell.joins /= n;
-    cell.departures /= n;
-    cell.rebirths /= n;
-    cell.detection_latency /= n;
-    cell.redetected /= n;
-    cell.redetection_latency /= n;
-    cell.redetection_rate /= n;
-    cell.cuts_total /= n;
-    cell.wrongful_cut_rate /= n;
-    cell.residual_damage /= n;
-    cell
+    opts.mean_fields(
+        |r| {
+            let seed = opts.seed_for(c, r);
+            let run = run_once(peers, ticks, agents, &sess, dwell, readmission, seed);
+            // Paired baseline: same seed, same churn stream, no agents.
+            let base = run_once(peers, ticks, 0, &sess, dwell, readmission, seed).result;
+            let cuts = &run.result.cut_log;
+            let (redetected, redetection_latency) = redetection_stats(cuts, &run.rebirths, ticks);
+            let wrongful_cuts = cuts.iter().filter(|c| !c.suspect_was_attacker).count();
+            // First-detection latency is over the *initial* identities only —
+            // reborn identities (which are also cut, usually many more times
+            // than there are original agents) are scored by
+            // `redetection_stats` instead.
+            let initial_cuts: Vec<CutRecord> =
+                cuts.iter().filter(|c| run.initial_agents.contains(&c.suspect)).copied().collect();
+            let share = |part: usize, whole: usize| {
+                if whole > 0 {
+                    part as f64 / whole as f64
+                } else {
+                    0.0
+                }
+            };
+            // Residual damage against the baseline: mean `D(t)` over the
+            // stabilized last quarter.
+            let damage = damage_series(
+                &run.result.series.success_rate.values,
+                &base.series.success_rate.values,
+            );
+            ChurnCell {
+                peers,
+                ticks,
+                agents,
+                mean_session_ticks: mean,
+                session_model: model.to_string(),
+                dwell_ticks: dwell,
+                readmission,
+                joins: run.stats.joins as f64,
+                departures: (run.stats.leaves + run.stats.crashes) as f64,
+                rebirths: run.rebirths.len() as f64,
+                detection_latency: detection_latency(&initial_cuts, agents, ticks),
+                redetected: redetected as f64,
+                redetection_latency,
+                redetection_rate: share(redetected, run.rebirths.len()),
+                cuts_total: cuts.len() as f64,
+                wrongful_cut_rate: share(wrongful_cuts, cuts.len()),
+                residual_damage: stable_damage(&damage),
+            }
+        },
+        |c| {
+            [
+                &mut c.joins,
+                &mut c.departures,
+                &mut c.rebirths,
+                &mut c.detection_latency,
+                &mut c.redetected,
+                &mut c.redetection_latency,
+                &mut c.redetection_rate,
+                &mut c.cuts_total,
+                &mut c.wrongful_cut_rate,
+                &mut c.residual_damage,
+            ]
+        },
+    )
 }
 
 /// Run the sweep, publish `BENCH_churn.json` (validated always, written for
 /// the full grid), and return the human-readable table.
 pub fn churn(opts: &ExpOptions) -> Table {
     let cells = churn_grid(opts);
-    let mut table = Table::new(
-        if opts.smoke { "churn_smoke" } else { "churn" },
-        "Churn x whitewash sweep: detection and re-detection under open membership",
-        &[
-            "model",
-            "mean",
-            "dwell",
-            "readm",
-            "joins",
-            "departs",
-            "rebirths",
-            "detect",
-            "redetect%",
-            "redetect lat",
-            "wrongful%",
-            "resid dmg",
-        ],
-    );
-    for c in &cells {
-        table.push_row(vec![
-            c.session_model.clone(),
-            f(c.mean_session_ticks, 0),
-            c.dwell_ticks.to_string(),
-            on_off(c.readmission).to_string(),
-            f(c.joins, 0),
-            f(c.departures, 0),
-            f(c.rebirths, 1),
-            f(c.detection_latency, 2),
-            f(c.redetection_rate * 100.0, 0),
-            f(c.redetection_latency, 2),
-            f(c.wrongful_cut_rate * 100.0, 1),
-            f(c.residual_damage, 3),
-        ]);
-    }
     bench_report::publish(&cells, opts.seed, opts.smoke);
-    table
+    bench_report::table(&cells, opts.smoke)
 }
 
 #[cfg(test)]

@@ -17,11 +17,11 @@
 
 use super::par_map;
 use crate::output::{f, pct, Table};
-use crate::scenario::ExpOptions;
+use crate::scenario::{ExpOptions, Scenario};
 use ddp_attack::CollusionPlan;
 use ddp_police::{AggregationPolicy, DdPolice, DdPoliceConfig, Hysteresis, ReadmissionPolicy};
-use ddp_sim::{RunResult, SimConfig, Simulation};
-use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
+use ddp_sim::RunResult;
+use ddp_topology::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,17 +83,6 @@ enum Mode {
     Shield,
 }
 
-fn sim_config(opts: &ExpOptions) -> SimConfig {
-    SimConfig {
-        topology: TopologyConfig { n: opts.peers, model: TopologyModel::BarabasiAlbert { m: 3 } },
-        // Churn off: the framed victim must keep its identity and links for
-        // the whole run, so wrongful-cut counts measure the defense, not
-        // session luck.
-        churn: false,
-        ..SimConfig::default()
-    }
-}
-
 /// Run one configured cell replicate; returns the result and the victim.
 fn run_once(
     opts: &ExpOptions,
@@ -102,9 +91,11 @@ fn run_once(
     police_cfg: DdPoliceConfig,
     seed: u64,
 ) -> (RunResult, Option<NodeId>) {
-    let cfg = sim_config(opts);
-    let n = cfg.peers();
-    let mut sim = Simulation::new(cfg, DdPolice::new(police_cfg, n), seed);
+    // Churn off: the framed victim must keep its identity and links for the
+    // whole run, so wrongful-cut counts measure the defense, not session
+    // luck. No plain agents: the coalition is the attack.
+    let scenario = Scenario::builder().peers(opts.peers).churn(false).seed(seed).build();
+    let mut sim = scenario.build_sim_with(DdPolice::new(police_cfg, opts.peers));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc011_0de5);
     let plan = match mode {
         Mode::Frame => CollusionPlan::frame(fraction, FRAME_INFLATE),
@@ -120,107 +111,82 @@ fn run_once(
 /// Run the full grid. Exposed separately from [`collusion`] so tests can
 /// assert on the numbers rather than on formatted strings.
 pub fn collusion_grid(opts: &ExpOptions) -> Vec<CollusionCell> {
-    let grid: Vec<(Mode, usize, usize, usize)> = [Mode::Frame, Mode::Shield]
-        .iter()
-        .flat_map(|&m| {
-            (0..FRACTIONS.len()).flat_map(move |fi| {
-                (0..POLICIES.len())
-                    .flat_map(move |pi| (0..HYSTERESES.len()).map(move |hi| (m, fi, pi, hi)))
-            })
-        })
-        .collect();
-
-    par_map(&grid, |_, &(mode, fi, pi, hi)| {
-        let fraction = FRACTIONS[fi];
-        let (policy, policy_label) = POLICIES[pi];
-        let hysteresis = HYSTERESES[hi];
-        let mut cell = CollusionCell {
-            mode: match mode {
-                Mode::Frame => "frame",
-                Mode::Shield => "shield",
-            },
-            fraction,
-            policy: policy_label,
-            hysteresis,
-            victim_cut_events: 0.0,
-            victim_ever_cut: 0.0,
-            good_peers_cut: 0.0,
-            attackers_never_cut: 0.0,
-            success_stable: 0.0,
-            ledger_cuts: 0.0,
-        };
-        for r in 0..opts.replicates {
-            let police_cfg =
-                DdPoliceConfig { aggregation: policy, hysteresis, ..DdPoliceConfig::default() };
-            // Paired per (mode, fraction): every policy × hysteresis
-            // cell sees the identical run.
-            let seed = opts.seed_for(
-                match mode {
-                    Mode::Frame => fi,
-                    Mode::Shield => FRACTIONS.len() + fi,
-                },
-                r,
-            );
-            let (result, victim) = run_once(opts, mode, fraction, police_cfg, seed);
-            let victim_cuts = victim
-                .map(|v| result.cut_log.iter().filter(|c| c.suspect == v).count())
-                .unwrap_or(0);
-            cell.victim_cut_events += victim_cuts as f64;
-            cell.victim_ever_cut += f64::from(victim_cuts > 0);
-            cell.good_peers_cut += result.summary.errors.false_negative as f64;
-            cell.attackers_never_cut += result.summary.attackers_never_cut as f64;
-            cell.success_stable += result.summary.success_rate_stable;
-            cell.ledger_cuts += result.summary.verdicts.cuts as f64;
+    let mut grid = Vec::new();
+    for mode in [Mode::Frame, Mode::Shield] {
+        for fi in 0..FRACTIONS.len() {
+            for policy in POLICIES {
+                grid.extend(HYSTERESES.map(|hysteresis| (mode, fi, policy, hysteresis)));
+            }
         }
-        let n = opts.replicates.max(1) as f64;
-        cell.victim_cut_events /= n;
-        cell.victim_ever_cut /= n;
-        cell.good_peers_cut /= n;
-        cell.attackers_never_cut /= n;
-        cell.success_stable /= n;
-        cell.ledger_cuts /= n;
-        cell
+    }
+
+    par_map(&grid, |_, &(mode, fi, (policy, policy_label), hysteresis)| {
+        let fraction = FRACTIONS[fi];
+        // Paired per (mode, fraction): every policy × hysteresis cell sees
+        // the identical run.
+        let (mode_label, config) = match mode {
+            Mode::Frame => ("frame", fi),
+            Mode::Shield => ("shield", FRACTIONS.len() + fi),
+        };
+        opts.mean_fields(
+            |r| {
+                let police_cfg =
+                    DdPoliceConfig { aggregation: policy, hysteresis, ..DdPoliceConfig::default() };
+                let (result, victim) =
+                    run_once(opts, mode, fraction, police_cfg, opts.seed_for(config, r));
+                let victim_cuts = victim
+                    .map(|v| result.cut_log.iter().filter(|c| c.suspect == v).count())
+                    .unwrap_or(0);
+                CollusionCell {
+                    mode: mode_label,
+                    fraction,
+                    policy: policy_label,
+                    hysteresis,
+                    victim_cut_events: victim_cuts as f64,
+                    victim_ever_cut: f64::from(victim_cuts > 0),
+                    good_peers_cut: result.summary.errors.false_negative as f64,
+                    attackers_never_cut: result.summary.attackers_never_cut as f64,
+                    success_stable: result.summary.success_rate_stable,
+                    ledger_cuts: result.summary.verdicts.cuts as f64,
+                }
+            },
+            |c| {
+                [
+                    &mut c.victim_cut_events,
+                    &mut c.victim_ever_cut,
+                    &mut c.good_peers_cut,
+                    &mut c.attackers_never_cut,
+                    &mut c.success_stable,
+                    &mut c.ledger_cuts,
+                ]
+            },
+        )
     })
 }
 
 /// The collusion sweep as a rendered table.
 pub fn collusion(opts: &ExpOptions) -> Table {
-    let cells = collusion_grid(opts);
-    let mut t = Table::new(
+    Table::from_columns(
         "collusion",
         format!(
             "Coordinated report cheating: mode x colluder fraction x aggregation x hysteresis \
              ({} peers)",
             opts.peers
         ),
+        &collusion_grid(opts),
         &[
-            "mode",
-            "fraction",
-            "policy",
-            "W/K",
-            "victim cuts",
-            "victim ever-cut",
-            "good cut",
-            "uncaught",
-            "success",
-            "ledger cuts",
+            ("mode", |c| c.mode.to_string()),
+            ("fraction", |c| pct(c.fraction)),
+            ("policy", |c| c.policy.to_string()),
+            ("W/K", |c| format!("{}/{}", c.hysteresis.required, c.hysteresis.window)),
+            ("victim cuts", |c| f(c.victim_cut_events, 1)),
+            ("victim ever-cut", |c| pct(c.victim_ever_cut)),
+            ("good cut", |c| f(c.good_peers_cut, 1)),
+            ("uncaught", |c| f(c.attackers_never_cut, 1)),
+            ("success", |c| pct(c.success_stable)),
+            ("ledger cuts", |c| f(c.ledger_cuts, 1)),
         ],
-    );
-    for c in &cells {
-        t.push_row(vec![
-            c.mode.to_string(),
-            pct(c.fraction),
-            c.policy.to_string(),
-            format!("{}/{}", c.hysteresis.required, c.hysteresis.window),
-            f(c.victim_cut_events, 1),
-            pct(c.victim_ever_cut),
-            f(c.good_peers_cut, 1),
-            f(c.attackers_never_cut, 1),
-            pct(c.success_stable),
-            f(c.ledger_cuts, 1),
-        ]);
-    }
-    t
+    )
 }
 
 /// One readmission-lifecycle measurement row.
@@ -249,75 +215,59 @@ pub struct ReadmissionCell {
 /// the victim there): readmission off (the paper's permanent cut) vs. on.
 pub fn readmission_grid(opts: &ExpOptions) -> Vec<ReadmissionCell> {
     par_map(&[false, true], |_, &enabled| {
-        let mut cell = ReadmissionCell {
-            enabled,
-            wrongful_cuts: 0.0,
-            wrongful_cut_ticks_mean: 0.0,
-            probes: 0.0,
-            readmissions: 0.0,
-            recuts: 0.0,
-            readmission_latency: 0.0,
-            attackers_never_cut: 0.0,
-        };
-        for r in 0..opts.replicates {
-            let police_cfg = DdPoliceConfig {
-                readmission: ReadmissionPolicy { enabled, ..ReadmissionPolicy::default() },
-                ..DdPoliceConfig::default()
-            };
-            // Same paired seed stream as the frame cells at 30%.
-            let seed = opts.seed_for(2, r);
-            let (result, _) = run_once(opts, Mode::Frame, 0.30, police_cfg, seed);
-            let v = &result.summary.verdicts;
-            cell.wrongful_cuts += v.wrongful_cuts as f64;
-            cell.wrongful_cut_ticks_mean += v.wrongful_cut_ticks_mean;
-            cell.probes += v.readmission_probes as f64;
-            cell.readmissions += v.readmissions as f64;
-            cell.recuts += v.recuts as f64;
-            cell.readmission_latency += v.readmission_latency_mean_ticks;
-            cell.attackers_never_cut += result.summary.attackers_never_cut as f64;
-        }
-        let n = opts.replicates.max(1) as f64;
-        cell.wrongful_cuts /= n;
-        cell.wrongful_cut_ticks_mean /= n;
-        cell.probes /= n;
-        cell.readmissions /= n;
-        cell.recuts /= n;
-        cell.readmission_latency /= n;
-        cell.attackers_never_cut /= n;
-        cell
+        opts.mean_fields(
+            |r| {
+                let police_cfg = DdPoliceConfig {
+                    readmission: ReadmissionPolicy { enabled, ..ReadmissionPolicy::default() },
+                    ..DdPoliceConfig::default()
+                };
+                // Same paired seed stream as the frame cells at 30%.
+                let (result, _) =
+                    run_once(opts, Mode::Frame, 0.30, police_cfg, opts.seed_for(2, r));
+                let v = &result.summary.verdicts;
+                ReadmissionCell {
+                    enabled,
+                    wrongful_cuts: v.wrongful_cuts as f64,
+                    wrongful_cut_ticks_mean: v.wrongful_cut_ticks_mean,
+                    probes: v.readmission_probes as f64,
+                    readmissions: v.readmissions as f64,
+                    recuts: v.recuts as f64,
+                    readmission_latency: v.readmission_latency_mean_ticks,
+                    attackers_never_cut: result.summary.attackers_never_cut as f64,
+                }
+            },
+            |c| {
+                [
+                    &mut c.wrongful_cuts,
+                    &mut c.wrongful_cut_ticks_mean,
+                    &mut c.probes,
+                    &mut c.readmissions,
+                    &mut c.recuts,
+                    &mut c.readmission_latency,
+                    &mut c.attackers_never_cut,
+                ]
+            },
+        )
     })
 }
 
 /// The readmission lifecycle as a rendered table.
 pub fn readmission(opts: &ExpOptions) -> Table {
-    let cells = readmission_grid(opts);
-    let mut t = Table::new(
+    Table::from_columns(
         "readmission",
-        "Quarantine/readmission under 30% framing colluders (sum aggregation)".to_string(),
+        "Quarantine/readmission under 30% framing colluders (sum aggregation)",
+        &readmission_grid(opts),
         &[
-            "readmission",
-            "wrongful cuts",
-            "mean severed ticks",
-            "probes",
-            "readmitted",
-            "re-cut",
-            "readmit latency",
-            "uncaught",
+            ("readmission", |c| if c.enabled { "on" } else { "off" }.to_string()),
+            ("wrongful cuts", |c| f(c.wrongful_cuts, 1)),
+            ("mean severed ticks", |c| f(c.wrongful_cut_ticks_mean, 2)),
+            ("probes", |c| f(c.probes, 1)),
+            ("readmitted", |c| f(c.readmissions, 1)),
+            ("re-cut", |c| f(c.recuts, 1)),
+            ("readmit latency", |c| f(c.readmission_latency, 2)),
+            ("uncaught", |c| f(c.attackers_never_cut, 1)),
         ],
-    );
-    for c in &cells {
-        t.push_row(vec![
-            if c.enabled { "on" } else { "off" }.to_string(),
-            f(c.wrongful_cuts, 1),
-            f(c.wrongful_cut_ticks_mean, 2),
-            f(c.probes, 1),
-            f(c.readmissions, 1),
-            f(c.recuts, 1),
-            f(c.readmission_latency, 2),
-            f(c.attackers_never_cut, 1),
-        ]);
-    }
-    t
+    )
 }
 
 #[cfg(test)]

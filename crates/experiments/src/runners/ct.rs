@@ -21,56 +21,48 @@ pub struct CtRow {
     pub stable_damage: f64,
 }
 
-fn ct_scenario(opts: &ExpOptions, ct: f64, seed: u64) -> Scenario {
-    Scenario::builder()
-        .peers(opts.peers)
-        .ticks(opts.ticks)
-        .attackers(opts.agents)
-        .defense(DefenseKind::DdPolice { cut_threshold: ct })
-        .seed(seed)
-        .build()
+/// The CT-swept scenario, checkpointed under `name` when the command line
+/// asks for it: a killed sweep resumes with `--resume`, to bit-identical rows.
+fn ct_scenario(opts: &ExpOptions, defense: DefenseKind, seed: u64, name: &str) -> Scenario {
+    opts.scenario().defense(defense).seed(seed).checkpoint(opts.checkpoint(name)).build()
+}
+
+/// Mean recovery time over the runs that recovered at all.
+pub(super) fn mean_recovery(runs: &[Option<usize>]) -> Option<f64> {
+    let recovered: Vec<f64> = runs.iter().flatten().map(|&t| t as f64).collect();
+    (!recovered.is_empty()).then(|| recovered.iter().sum::<f64>() / recovered.len() as f64)
+}
+
+/// How a table prints [`mean_recovery`].
+pub(super) fn recovery_cell(mean: Option<f64>) -> String {
+    mean.map_or("not recovered".into(), |v| f(v, 1))
 }
 
 /// Sweep the cut threshold with `opts.agents` attackers, averaging
 /// `opts.replicates` seeds per point. With `--checkpoint-every` set, each
-/// (CT, replicate) pair checkpoints under a deterministic stem so a killed
-/// sweep resumes with `--resume` — to bit-identical rows.
+/// (CT, replicate) pair checkpoints under a deterministic stem.
 pub fn ct_sweep(opts: &ExpOptions, cts: &[f64]) -> Vec<CtRow> {
     // Paired comparison: every CT value sees the same topologies, workloads
     // and churn (seed depends only on the replicate), so the curves isolate
     // the threshold's effect rather than run-to-run variance.
     par_map(cts, |_, &ct| {
-        let mut fneg = 0.0;
-        let mut fpos = 0.0;
-        let mut damages = 0.0;
         let mut recoveries = Vec::new();
-        for r in 0..opts.replicates {
-            let scenario = ct_scenario(opts, ct, opts.seed_for(0, r));
-            let dr = match opts.checkpoint_stem(&format!("ct{ct}_r{r}")) {
-                Some(stem) => {
-                    scenario.run_with_damage_checkpointed(&stem, opts.checkpoint_every, opts.resume)
-                }
-                None => scenario.run_with_damage(),
-            };
-            fneg += dr.attacked.summary.errors.false_negative as f64;
-            fpos += dr.attacked.summary.errors.false_positive as f64;
-            damages += dr.stable_damage();
-            if let Some(t) = dr.recovery_ticks {
-                recoveries.push(t as f64);
-            }
-        }
-        let n = opts.replicates.max(1) as f64;
+        let [false_negative, false_positive, false_judgment, stable_damage] = opts.mean_over(|r| {
+            let defense = DefenseKind::DdPolice { cut_threshold: ct };
+            let dr = ct_scenario(opts, defense, opts.seed_for(0, r), &format!("ct{ct}_r{r}"))
+                .run_with_damage();
+            recoveries.push(dr.recovery_ticks);
+            let errors = &dr.attacked.summary.errors;
+            let (fneg, fpos) = (errors.false_negative as f64, errors.false_positive as f64);
+            [fneg, fpos, fneg + fpos, dr.stable_damage()]
+        });
         CtRow {
             cut_threshold: ct,
-            false_negative: fneg / n,
-            false_positive: fpos / n,
-            false_judgment: (fneg + fpos) / n,
-            recovery_ticks: if recoveries.is_empty() {
-                None
-            } else {
-                Some(recoveries.iter().sum::<f64>() / recoveries.len() as f64)
-            },
-            stable_damage: damages / n,
+            false_negative,
+            false_positive,
+            false_judgment,
+            recovery_ticks: mean_recovery(&recoveries),
+            stable_damage,
         }
     })
 }
@@ -80,80 +72,58 @@ pub const CT_GRID: [f64; 9] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0, 12.0];
 
 /// Figure 12: damage rate over time for no defense and CT ∈ {3, 7, 10}.
 pub fn fig12(opts: &ExpOptions) -> Table {
-    let cts = [3.0, 7.0, 10.0];
-    let mut runs: Vec<(String, Vec<f64>)> = Vec::new();
-    // Undefended reference.
-    let run_pair = |scenario: &Scenario, name: &str| match opts.checkpoint_stem(name) {
-        Some(stem) => {
-            scenario.run_with_damage_checkpointed(&stem, opts.checkpoint_every, opts.resume)
-        }
-        None => scenario.run_with_damage(),
+    let damage = |defense: DefenseKind, name: &str| {
+        ct_scenario(opts, defense, opts.seed, name).run_with_damage().damage.values
     };
-    let undefended = Scenario::builder()
-        .peers(opts.peers)
-        .ticks(opts.ticks)
-        .attackers(opts.agents)
-        .defense(DefenseKind::None)
-        .seed(opts.seed)
-        .build();
-    let undefended = run_pair(&undefended, "fig12_undefended");
-    runs.push(("no DD-POLICE".to_string(), undefended.damage.values.clone()));
-    let defended = par_map(&cts, |_, &ct| {
-        let dr = run_pair(&ct_scenario(opts, ct, opts.seed), &format!("fig12_ct{ct}"));
-        (format!("DD-POLICE-{ct:.0}"), dr.damage.values.clone())
-    });
-    runs.extend(defended);
+    // Undefended reference.
+    let mut runs =
+        vec![("no DD-POLICE".to_string(), damage(DefenseKind::None, "fig12_undefended"))];
+    runs.extend(par_map(&[3.0, 7.0, 10.0], |_, &ct| {
+        let defense = DefenseKind::DdPolice { cut_threshold: ct };
+        (format!("DD-POLICE-{ct:.0}"), damage(defense, &format!("fig12_ct{ct}")))
+    }));
 
     let headers: Vec<&str> =
         std::iter::once("tick").chain(runs.iter().map(|(n, _)| n.as_str())).collect();
-    let mut t = Table::new(
+    Table::from_rows(
         "fig12_damage_over_time",
         format!("Figure 12: damage rate vs time ({} agents, {} peers)", opts.agents, opts.peers),
         &headers,
-    );
-    for tick in 0..opts.ticks {
-        let mut row = vec![(tick + 1).to_string()];
-        for (_, vals) in &runs {
-            row.push(pct(vals.get(tick).copied().unwrap_or(0.0)));
-        }
-        t.push_row(row);
-    }
-    t
+        (0..opts.ticks).map(|tick| {
+            std::iter::once((tick + 1).to_string())
+                .chain(runs.iter().map(|(_, vals)| pct(vals.get(tick).copied().unwrap_or(0.0))))
+                .collect()
+        }),
+    )
 }
 
 /// Figure 13: the three error kinds vs cut threshold.
 pub fn fig13(rows: &[CtRow]) -> Table {
-    let mut t = Table::new(
+    Table::from_columns(
         "fig13_errors_vs_ct",
         "Figure 13: errors vs cut threshold (false negative = good peers cut; false positive = bad peers missed)",
-        &["CT", "false negative", "false positive", "false judgment"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            f(r.cut_threshold, 0),
-            f(r.false_negative, 1),
-            f(r.false_positive, 1),
-            f(r.false_judgment, 1),
-        ]);
-    }
-    t
+        rows,
+        &[
+            ("CT", |r| f(r.cut_threshold, 0)),
+            ("false negative", |r| f(r.false_negative, 1)),
+            ("false positive", |r| f(r.false_positive, 1)),
+            ("false judgment", |r| f(r.false_judgment, 1)),
+        ],
+    )
 }
 
 /// Figure 14: damage recovery time vs cut threshold.
 pub fn fig14(rows: &[CtRow]) -> Table {
-    let mut t = Table::new(
+    Table::from_columns(
         "fig14_recovery_vs_ct",
         "Figure 14: damage recovery time (ticks) vs cut threshold",
-        &["CT", "recovery time", "stable damage"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            f(r.cut_threshold, 0),
-            r.recovery_ticks.map_or("not recovered".into(), |v| f(v, 1)),
-            pct(r.stable_damage),
-        ]);
-    }
-    t
+        rows,
+        &[
+            ("CT", |r| f(r.cut_threshold, 0)),
+            ("recovery time", |r| recovery_cell(r.recovery_ticks)),
+            ("stable damage", |r| pct(r.stable_damage)),
+        ],
+    )
 }
 
 #[cfg(test)]

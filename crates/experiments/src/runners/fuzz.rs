@@ -103,7 +103,7 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
         with_whitewash += u64::from(spec.whitewash_dwell > 0);
     }
 
-    let mut table = Table::new(
+    Table::from_rows(
         if opts.smoke { "fuzz_smoke" } else { "fuzz" },
         "Differential fuzz: optimized engine vs naive oracle, lockstep state equality",
         &[
@@ -117,19 +117,18 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
             "colluding",
             "whitewashing",
         ],
-    );
-    table.push_row(vec![
-        outcomes.len().to_string(),
-        "0".to_string(),
-        ticks.to_string(),
-        judgments.to_string(),
-        cuts.to_string(),
-        with_faults.to_string(),
-        with_churn.to_string(),
-        with_collusion.to_string(),
-        with_whitewash.to_string(),
-    ]);
-    table
+        [vec![
+            outcomes.len().to_string(),
+            "0".to_string(),
+            ticks.to_string(),
+            judgments.to_string(),
+            cuts.to_string(),
+            with_faults.to_string(),
+            with_churn.to_string(),
+            with_collusion.to_string(),
+            with_whitewash.to_string(),
+        ]],
+    )
 }
 
 #[cfg(test)]

@@ -38,8 +38,8 @@ pub use structured::structured;
 pub use sweep::{agent_sweep, consequences, fig10, fig11, fig9, SweepRow};
 pub use testbed::testbed;
 
-use crate::output::Table;
-use crate::scenario::ExpOptions;
+use crate::output::{OutputError, Table};
+use crate::scenario::{DamageReport, ExpOptions, ScenarioBuilder};
 
 /// Map `f(index, item)` over a sweep grid on the simulation worker pool,
 /// one cell per claim, as wide as the host allows. Results come back in item
@@ -60,14 +60,45 @@ fn par_map_at<T: Sync, R: Send>(
     ddp_sim::pool::run_partitioned(width, items.len(), |i| f(i, &items[i]))
 }
 
-/// Print a table and, if requested, persist it as CSV.
-pub fn emit(table: &Table, opts: &ExpOptions) {
+/// Replicate means of what `measure` reads off one configuration's damage
+/// pairs. `config` picks the seed stream ([`ExpOptions::seed_for`]): rows that
+/// share one judge identical topologies, workloads and attacks.
+pub(crate) fn damage_means<const K: usize>(
+    opts: &ExpOptions,
+    config: usize,
+    scenario: &ScenarioBuilder,
+    mut measure: impl FnMut(&DamageReport) -> [f64; K],
+) -> [f64; K] {
+    opts.mean_over(|r| {
+        measure(&scenario.clone().seed(opts.seed_for(config, r)).build().run_with_damage())
+    })
+}
+
+/// Print a table and, if requested, persist it as CSV. A failed write is the
+/// caller's to stop on: a campaign must not exit 0 with tables missing.
+pub fn emit(table: &Table, opts: &ExpOptions) -> Result<(), OutputError> {
     print!("{}", table.render());
     if let Some(dir) = &opts.csv_dir {
-        match table.write_csv(dir) {
-            Ok(path) => println!("[csv] {}", path.display()),
-            Err(e) => eprintln!("[csv] {}: {e}", table.name),
-        }
+        println!("[csv] {}", table.write_csv(dir)?.display());
     }
     println!();
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn emit_reports_a_failed_csv_write() {
+        // A directory that turned unwritable after the up-front probe: here,
+        // a regular file where the directory should be.
+        let file = std::env::temp_dir().join(format!("ddp_emit_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, b"x").unwrap();
+        let opts = ExpOptions { csv_dir: Some(file.clone()), ..ExpOptions::default() };
+        let err = emit(&table1(), &opts).unwrap_err();
+        assert!(err.to_string().contains(&file.display().to_string()), "{err}");
+        emit(&table1(), &ExpOptions::default()).expect("nothing to write, nothing to fail");
+        let _ = std::fs::remove_file(&file);
+    }
 }

@@ -1,9 +1,10 @@
 //! Protocol-policy studies: §3.7.1 neighbor-list exchange frequency and the
 //! §3.4 report-cheating strategies.
 
-use super::par_map;
+use super::ct::{mean_recovery, recovery_cell};
+use super::{damage_means, par_map};
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions, Scenario};
+use crate::scenario::{DefenseKind, ExpOptions};
 use ddp_attack::CheatStrategy;
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 
@@ -18,38 +19,26 @@ pub fn exchange(opts: &ExpOptions) -> Table {
 
     // Paired seeds: every policy sees the same churn and attack.
     let rows = par_map(&policies, |_, (label, policy)| {
-        let mut control = 0.0;
-        let mut fneg = 0.0;
-        let mut fpos = 0.0;
-        let mut damage = 0.0;
-        for r in 0..opts.replicates {
-            let cfg = DdPoliceConfig { exchange: *policy, ..DdPoliceConfig::default() };
-            let dr = Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .defense(DefenseKind::DdPoliceFull(cfg))
-                .seed(opts.seed_for(0, r))
-                .build()
-                .run_with_damage();
-            control += dr.attacked.summary.control_per_tick;
-            fneg += dr.attacked.summary.errors.false_negative as f64;
-            fpos += dr.attacked.summary.errors.false_positive as f64;
-            damage += dr.stable_damage();
-        }
-        let n = opts.replicates.max(1) as f64;
-        vec![label.clone(), f(control / n, 0), f(fneg / n, 1), f(fpos / n, 1), pct(damage / n)]
+        let cfg = DdPoliceConfig { exchange: *policy, ..DdPoliceConfig::default() };
+        let scenario = opts.scenario().defense(DefenseKind::DdPoliceFull(cfg));
+        let [control, fneg, fpos, damage] = damage_means(opts, 0, &scenario, |dr| {
+            let summary = &dr.attacked.summary;
+            [
+                summary.control_per_tick,
+                summary.errors.false_negative as f64,
+                summary.errors.false_positive as f64,
+                dr.stable_damage(),
+            ]
+        });
+        vec![label.clone(), f(control, 0), f(fneg, 1), f(fpos, 1), pct(damage)]
     });
 
-    let mut t = Table::new(
+    Table::from_rows(
         "exchange_policy",
         format!("Section 3.7.1: neighbor-list exchange policy ({} agents, churn on)", opts.agents),
         &["policy", "control msgs/tick", "false negative", "false positive", "stable damage"],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 /// §3.4: the attacker's report-cheating options. The paper argues none of
@@ -57,45 +46,30 @@ pub fn exchange(opts: &ExpOptions) -> Table {
 pub fn cheating(opts: &ExpOptions) -> Table {
     // Paired seeds across strategies.
     let rows = par_map(&CheatStrategy::all(), |_, &strategy| {
-        let mut cut = 0.0;
-        let mut never = 0.0;
-        let mut fneg = 0.0;
-        let mut damage = 0.0;
+        let scenario =
+            opts.scenario().cheat(strategy).defense(DefenseKind::DdPolice { cut_threshold: 5.0 });
         let mut recoveries = Vec::new();
-        for r in 0..opts.replicates {
-            let dr = Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .cheat(strategy)
-                .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-                .seed(opts.seed_for(0, r))
-                .build()
-                .run_with_damage();
-            cut += dr.attacked.summary.attackers_cut as f64;
-            never += dr.attacked.summary.attackers_never_cut as f64;
-            fneg += dr.attacked.summary.errors.false_negative as f64;
-            damage += dr.stable_damage();
-            if let Some(t) = dr.recovery_ticks {
-                recoveries.push(t as f64);
-            }
-        }
-        let n = opts.replicates.max(1) as f64;
+        let [cut, never, fneg, damage] = damage_means(opts, 0, &scenario, |dr| {
+            recoveries.push(dr.recovery_ticks);
+            let summary = &dr.attacked.summary;
+            [
+                summary.attackers_cut as f64,
+                summary.attackers_never_cut as f64,
+                summary.errors.false_negative as f64,
+                dr.stable_damage(),
+            ]
+        });
         vec![
             strategy.label().to_string(),
-            f(cut / n, 1),
-            f(never / n, 1),
-            f(fneg / n, 1),
-            pct(damage / n),
-            if recoveries.is_empty() {
-                "not recovered".to_string()
-            } else {
-                f(recoveries.iter().sum::<f64>() / recoveries.len() as f64, 1)
-            },
+            f(cut, 1),
+            f(never, 1),
+            f(fneg, 1),
+            pct(damage),
+            recovery_cell(mean_recovery(&recoveries)),
         ]
     });
 
-    let mut t = Table::new(
+    Table::from_rows(
         "cheating_strategies",
         format!("Section 3.4: attacker report-cheating strategies ({} agents)", opts.agents),
         &[
@@ -106,11 +80,8 @@ pub fn cheating(opts: &ExpOptions) -> Table {
             "stable damage",
             "recovery ticks",
         ],
-    );
-    for row in rows {
-        t.push_row(row);
-    }
-    t
+        rows,
+    )
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use super::par_map;
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions, Scenario};
+use crate::scenario::{DefenseKind, ExpOptions};
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 use ddp_sim::{CutRecord, FaultConfig};
 use std::collections::HashMap;
@@ -74,54 +74,46 @@ pub fn resilience_grid(opts: &ExpOptions) -> Vec<ResilienceCell> {
         .collect();
 
     par_map(&grid, |_, &(period, loss, delay)| {
-        let mut cell = ResilienceCell {
-            period,
-            loss,
-            delay,
-            missed_report_rate: 0.0,
-            snapshot_age: 0.0,
-            detection_latency: 0.0,
-            good_peers_cut: 0.0,
-            attackers_never_cut: 0.0,
-            retries: 0.0,
+        let police = DdPoliceConfig {
+            exchange: ExchangePolicy::Periodic { minutes: period },
+            ..DdPoliceConfig::default()
         };
-        for r in 0..opts.replicates {
-            let police = DdPoliceConfig {
-                exchange: ExchangePolicy::Periodic { minutes: period },
-                ..DdPoliceConfig::default()
-            };
-            let report = Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(opts.agents)
-                .defense(DefenseKind::DdPoliceFull(police))
-                .faults(FaultConfig {
+        let scenario =
+            opts.scenario().defense(DefenseKind::DdPoliceFull(police)).faults(FaultConfig {
+                loss,
+                delay_prob: if delay > 0 { DELAY_PROB } else { 0.0 },
+                delay_ticks: delay.max(1),
+                crash_prob: 0.0,
+            });
+        opts.mean_fields(
+            |r| {
+                // Paired per period: every (loss, delay) cell of one period
+                // row sees identical topology/churn/attack.
+                let report = scenario.clone().seed(opts.seed_for(period as usize, r)).build().run();
+                let res = &report.summary.resilience;
+                ResilienceCell {
+                    period,
                     loss,
-                    delay_prob: if delay > 0 { DELAY_PROB } else { 0.0 },
-                    delay_ticks: delay.max(1),
-                    crash_prob: 0.0,
-                })
-                // Paired per period: every (loss, delay) cell of one
-                // period row sees identical topology/churn/attack.
-                .seed(opts.seed_for(period as usize, r))
-                .build()
-                .run();
-            let res = &report.summary.resilience;
-            cell.missed_report_rate += res.missed_report_rate();
-            cell.snapshot_age += res.mean_snapshot_age();
-            cell.detection_latency += detection_latency(&report.cut_log, opts.agents, opts.ticks);
-            cell.good_peers_cut += report.summary.errors.false_negative as f64;
-            cell.attackers_never_cut += report.summary.attackers_never_cut as f64;
-            cell.retries += res.report_retries as f64;
-        }
-        let n = opts.replicates.max(1) as f64;
-        cell.missed_report_rate /= n;
-        cell.snapshot_age /= n;
-        cell.detection_latency /= n;
-        cell.good_peers_cut /= n;
-        cell.attackers_never_cut /= n;
-        cell.retries /= n;
-        cell
+                    delay,
+                    missed_report_rate: res.missed_report_rate(),
+                    snapshot_age: res.mean_snapshot_age(),
+                    detection_latency: detection_latency(&report.cut_log, opts.agents, opts.ticks),
+                    good_peers_cut: report.summary.errors.false_negative as f64,
+                    attackers_never_cut: report.summary.attackers_never_cut as f64,
+                    retries: res.report_retries as f64,
+                }
+            },
+            |c| {
+                [
+                    &mut c.missed_report_rate,
+                    &mut c.snapshot_age,
+                    &mut c.detection_latency,
+                    &mut c.good_peers_cut,
+                    &mut c.attackers_never_cut,
+                    &mut c.retries,
+                ]
+            },
+        )
     })
 }
 
@@ -129,51 +121,38 @@ pub fn resilience_grid(opts: &ExpOptions) -> Vec<ResilienceCell> {
 /// period's fault-free cell.
 pub fn resilience(opts: &ExpOptions) -> Table {
     let cells = resilience_grid(opts);
-    // Fault-free reference per period.
-    let baseline = |period: u32| -> &ResilienceCell {
-        cells
-            .iter()
-            .find(|c| c.period == period && c.loss == 0.0 && c.delay == 0)
-            .expect("grid always contains the fault-free cell")
-    };
-
-    let mut t = Table::new(
+    // Each cell beside the fault-free reference of its period.
+    let pairs: Vec<(&ResilienceCell, &ResilienceCell)> = cells
+        .iter()
+        .map(|c| {
+            let fault_free = cells
+                .iter()
+                .find(|b| b.period == c.period && b.loss == 0.0 && b.delay == 0)
+                .expect("grid always contains the fault-free cell");
+            (c, fault_free)
+        })
+        .collect();
+    Table::from_columns(
         "resilience",
         format!(
             "Control-plane resilience: loss x delay x exchange period ({} agents)",
             opts.agents
         ),
+        &pairs,
         &[
-            "s",
-            "loss",
-            "delay",
-            "missed reports",
-            "snap age",
-            "detect latency",
-            "d latency",
-            "good cut",
-            "d good cut",
-            "uncaught",
-            "retries",
+            ("s", |(c, _)| c.period.to_string()),
+            ("loss", |(c, _)| pct(c.loss)),
+            ("delay", |(c, _)| c.delay.to_string()),
+            ("missed reports", |(c, _)| pct(c.missed_report_rate)),
+            ("snap age", |(c, _)| f(c.snapshot_age, 2)),
+            ("detect latency", |(c, _)| f(c.detection_latency, 2)),
+            ("d latency", |(c, b)| f(c.detection_latency - b.detection_latency, 2)),
+            ("good cut", |(c, _)| f(c.good_peers_cut, 1)),
+            ("d good cut", |(c, b)| f(c.good_peers_cut - b.good_peers_cut, 1)),
+            ("uncaught", |(c, _)| f(c.attackers_never_cut, 1)),
+            ("retries", |(c, _)| f(c.retries, 0)),
         ],
-    );
-    for c in &cells {
-        let b = baseline(c.period);
-        t.push_row(vec![
-            c.period.to_string(),
-            pct(c.loss),
-            c.delay.to_string(),
-            pct(c.missed_report_rate),
-            f(c.snapshot_age, 2),
-            f(c.detection_latency, 2),
-            f(c.detection_latency - b.detection_latency, 2),
-            f(c.good_peers_cut, 1),
-            f(c.good_peers_cut - b.good_peers_cut, 1),
-            f(c.attackers_never_cut, 1),
-            f(c.retries, 0),
-        ]);
-    }
-    t
+    )
 }
 
 #[cfg(test)]

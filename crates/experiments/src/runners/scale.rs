@@ -10,15 +10,10 @@
 //! step loop, which is what every other experiment pays per data point.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
-use crate::output::{f, Table};
-use crate::scenario::ExpOptions;
-use ddp_attack::AttackPlan;
+use crate::output::{f, Column, Table};
+use crate::scenario::{ExpOptions, Scenario};
 use ddp_metrics::CountingAlloc;
 use ddp_police::{DdPolice, DdPoliceConfig};
-use ddp_sim::{SimConfig, Simulation};
-use ddp_topology::{TopologyConfig, TopologyModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 /// One measured grid cell.
@@ -72,6 +67,18 @@ impl BenchCell for ScaleCell {
         ("success_rate_mean", |c| Value::F64(c.success_rate_mean)),
         ("attackers_cut", |c| Value::U64(c.attackers_cut)),
     ];
+    const TABLE: (&'static str, &'static str) =
+        ("scale", "Scale sweep: step-loop throughput (DD-POLICE defaults)");
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("peers", |c| c.peers.to_string()),
+        ("attack%", |c| format!("{:.0}%", c.attacker_fraction * 100.0)),
+        ("agents", |c| c.agents.to_string()),
+        ("ticks", |c| c.ticks.to_string()),
+        ("threads", |c| c.threads.to_string()),
+        ("ticks/sec", |c| f(c.ticks_per_sec, 3)),
+        ("queries/sec", |c| f(c.queries_per_sec, 0)),
+        ("peak_heap_MiB", |c| f(c.peak_alloc_bytes as f64 / (1024.0 * 1024.0), 1)),
+    ];
 }
 
 /// Measure one cell: build a DD-POLICE-defended simulation, time the step
@@ -88,17 +95,9 @@ pub fn measure_cell(
     if let Some(a) = alloc {
         a.reset();
     }
-    let cfg = SimConfig {
-        topology: TopologyConfig { n: peers, model: TopologyModel::BarabasiAlbert { m: 3 } },
-        ..SimConfig::default()
-    };
-    let police = DdPolice::new(DdPoliceConfig::default(), peers);
-    let mut sim = Simulation::new(cfg, police, seed);
+    let scenario = Scenario::builder().peers(peers).attackers(agents).seed(seed).build();
+    let mut sim = scenario.build_sim_with(DdPolice::new(DdPoliceConfig::default(), peers));
     sim.set_threads(threads);
-    if agents > 0 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xdd05_ee1f);
-        AttackPlan::new(agents).apply(&mut sim, &mut rng);
-    }
     let allocs_before = alloc.map(|a| a.allocations() as u64).unwrap_or(0);
     let start = Instant::now();
     for _ in 0..ticks {
@@ -165,43 +164,18 @@ pub fn scale_grid(smoke: bool, threads: usize) -> Vec<(usize, f64, usize, usize)
 /// Run the sweep, publish `BENCH_scale.json` (validated always, written for
 /// the full grid), and return the human-readable table.
 pub fn scale(opts: &ExpOptions, alloc: Option<&'static CountingAlloc>) -> Table {
-    let smoke = opts.smoke;
-    let grid = scale_grid(smoke, opts.threads);
-    let mut cells = Vec::with_capacity(grid.len());
-    let mut table = Table::new(
-        if smoke { "scale_smoke" } else { "scale" },
-        "Scale sweep: step-loop throughput (DD-POLICE defaults)",
-        &[
-            "peers",
-            "attack%",
-            "agents",
-            "ticks",
-            "threads",
-            "ticks/sec",
-            "queries/sec",
-            "peak_heap_MiB",
-        ],
-    );
-    for (peers, frac, ticks, threads) in grid {
-        eprintln!(
-            "[scale] measuring peers={peers} attackers={:.0}% ticks={ticks} threads={threads}",
-            frac * 100.0
-        );
-        let cell = measure_cell(peers, frac, ticks, threads, opts.seed, alloc);
-        table.push_row(vec![
-            cell.peers.to_string(),
-            format!("{:.0}%", cell.attacker_fraction * 100.0),
-            cell.agents.to_string(),
-            cell.ticks.to_string(),
-            cell.threads.to_string(),
-            f(cell.ticks_per_sec, 3),
-            f(cell.queries_per_sec, 0),
-            f(cell.peak_alloc_bytes as f64 / (1024.0 * 1024.0), 1),
-        ]);
-        cells.push(cell);
-    }
-    bench_report::publish(&cells, opts.seed, smoke);
-    table
+    let cells: Vec<ScaleCell> = scale_grid(opts.smoke, opts.threads)
+        .into_iter()
+        .map(|(peers, frac, ticks, threads)| {
+            eprintln!(
+                "[scale] measuring peers={peers} attackers={:.0}% ticks={ticks} threads={threads}",
+                frac * 100.0
+            );
+            measure_cell(peers, frac, ticks, threads, opts.seed, alloc)
+        })
+        .collect();
+    bench_report::publish(&cells, opts.seed, opts.smoke);
+    bench_report::table(&cells, opts.smoke)
 }
 
 #[cfg(test)]

@@ -10,15 +10,12 @@
 //! cuts (the realized-overestimate tax). Emits `BENCH_sketch.json`.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
-use crate::output::{f, Table};
-use crate::scenario::ExpOptions;
-use ddp_attack::AttackPlan;
+use crate::output::{f, Column, Table};
+use crate::scenario::{ExpOptions, Scenario};
 use ddp_police::{DdPolice, DdPoliceConfig, MonitorBackend, SketchParams, SketchStats};
-use ddp_sim::{RunResult, SimConfig, Simulation};
+use ddp_sim::RunResult;
 use ddp_sketch::exact_state_bytes;
-use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ddp_topology::NodeId;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -100,6 +97,22 @@ impl BenchCell for SketchCell {
         ("max_excess", |c| Value::U64(c.max_excess)),
         ("epsilon_n", |c| Value::F64(c.epsilon_n)),
     ];
+    const TABLE: (&'static str, &'static str) =
+        ("sketch", "Sketch sweep: monitor memory vs cut accuracy (exact-paired runs)");
+    const COLUMNS: &'static [Column<Self>] = &[
+        ("peers", |c| c.peers.to_string()),
+        ("agents", |c| c.agents.to_string()),
+        ("rate_qpm", |c| c.attacker_rate_qpm.to_string()),
+        ("w", |c| format!("2^{}", c.width_log2)),
+        ("d", |c| c.depth.to_string()),
+        ("k", |c| c.topk.to_string()),
+        ("mem_ratio", |c| f(c.memory_ratio, 1)),
+        ("cut_exact", |c| c.attackers_cut_exact.to_string()),
+        ("cut_sketch", |c| c.attackers_cut_sketch.to_string()),
+        ("missed", |c| c.missed_cuts.to_string()),
+        ("extra_good", |c| c.extra_good_cuts.to_string()),
+        ("max_excess", |c| c.max_excess.to_string()),
+    ];
 }
 
 /// Cut outcome of one run, split by ground truth.
@@ -157,19 +170,17 @@ fn run_once(
     monitor: MonitorBackend,
     seed: u64,
 ) -> RunOutcome {
-    let cfg = SimConfig {
-        topology: TopologyConfig { n: peers, model: TopologyModel::BarabasiAlbert { m: 3 } },
-        attacker_rate_qpm,
-        ttl: flood_ttl(peers),
-        ..SimConfig::default()
-    };
+    let scenario = Scenario::builder()
+        .peers(peers)
+        .attackers(agents)
+        .seed(seed)
+        .sim(|s| {
+            s.attacker_rate_qpm = attacker_rate_qpm;
+            s.ttl = flood_ttl(peers);
+        })
+        .build();
     let police_cfg = DdPoliceConfig { monitor, ..DdPoliceConfig::default() };
-    let police = DdPolice::new(police_cfg, peers);
-    let mut sim = Simulation::new(cfg, police, seed);
-    if agents > 0 {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xdd05_ee1f);
-        AttackPlan::new(agents).apply(&mut sim, &mut rng);
-    }
+    let mut sim = scenario.build_sim_with(DdPolice::new(police_cfg, peers));
     let start = Instant::now();
     for _ in 0..ticks {
         sim.step();
@@ -285,48 +296,15 @@ pub fn sketch_grid(smoke: bool) -> Vec<(usize, usize, u32, usize, u8, u8, u16)> 
 /// (≥4× memory saving at the largest cell with zero missed cuts) does not
 /// hold.
 pub fn sketch(opts: &ExpOptions) -> Table {
-    let smoke = opts.smoke;
-    let grid = sketch_grid(smoke);
-    let mut cells = Vec::with_capacity(grid.len());
-    let mut table = Table::new(
-        if smoke { "sketch_smoke" } else { "sketch" },
-        "Sketch sweep: monitor memory vs cut accuracy (exact-paired runs)",
-        &[
-            "peers",
-            "agents",
-            "rate_qpm",
-            "w",
-            "d",
-            "k",
-            "mem_ratio",
-            "cut_exact",
-            "cut_sketch",
-            "missed",
-            "extra_good",
-            "max_excess",
-        ],
-    );
-    for (peers, agents, rate, ticks, w, d, k) in grid {
-        eprintln!(
-            "[sketch] measuring peers={peers} agents={agents} rate={rate} w=2^{w} d={d} k={k}"
-        );
-        let cell = measure_sketch_cell(peers, agents, rate, ticks, w, d, k, opts.seed);
-        table.push_row(vec![
-            cell.peers.to_string(),
-            cell.agents.to_string(),
-            cell.attacker_rate_qpm.to_string(),
-            format!("2^{}", cell.width_log2),
-            cell.depth.to_string(),
-            cell.topk.to_string(),
-            f(cell.memory_ratio, 1),
-            cell.attackers_cut_exact.to_string(),
-            cell.attackers_cut_sketch.to_string(),
-            cell.missed_cuts.to_string(),
-            cell.extra_good_cuts.to_string(),
-            cell.max_excess.to_string(),
-        ]);
-        cells.push(cell);
-    }
+    let cells: Vec<SketchCell> = sketch_grid(opts.smoke)
+        .into_iter()
+        .map(|(peers, agents, rate, ticks, w, d, k)| {
+            eprintln!(
+                "[sketch] measuring peers={peers} agents={agents} rate={rate} w=2^{w} d={d} k={k}"
+            );
+            measure_sketch_cell(peers, agents, rate, ticks, w, d, k, opts.seed)
+        })
+        .collect();
     // The acceptance gate the smoke run is pinned on: at the largest overlay,
     // the sketch must be at least 4× smaller than exact and miss no cuts.
     if let Some(big) = cells.iter().rfind(|c| c.peers >= 100_000) {
@@ -347,8 +325,8 @@ pub fn sketch(opts: &ExpOptions) -> Table {
             std::process::exit(2);
         }
     }
-    bench_report::publish(&cells, opts.seed, smoke);
-    table
+    bench_report::publish(&cells, opts.seed, opts.smoke);
+    bench_report::table(&cells, opts.smoke)
 }
 
 #[cfg(test)]

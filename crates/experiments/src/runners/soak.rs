@@ -18,19 +18,14 @@
 //!
 //! Needs the `ddp-servent` binary (same profile, or `DDP_SERVENT_BIN`).
 
+use super::testbed::{wire_setup, WireSetup, ATTACKER, ATTACK_QPM};
 use crate::output::Table;
 use crate::scenario::ExpOptions;
 use ddp_servent::wire::WireSummary;
-use ddp_servent::ServentRole;
-use ddp_testbed::{locate_servent_bin, ChaosPlan, ChaosSchedule, MeshSpec, NodeSpec, WireMesh};
-use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ddp_testbed::{locate_servent_bin, ChaosPlan, ChaosSchedule, WireMesh};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-const ATTACK_QPM: u32 = 1_500;
-const QUERY_RATE_QPM: f64 = 2.0;
 /// Protocol second the victim is killed at. Detection needs two report
 /// rounds (~t=110); killing well after that guarantees the cut is in the
 /// victim's checkpoint history when it dies.
@@ -48,21 +43,6 @@ struct SoakRow {
     resume_error: String,
     completed: String,
     wall_s: f64,
-}
-
-impl SoakRow {
-    fn into_row(self) -> Vec<String> {
-        vec![
-            self.phase.to_string(),
-            self.first_cut_s.map_or_else(|| "-".into(), |t| t.to_string()),
-            self.cut_delta_s.map_or_else(|| "-".into(), |d| d.to_string()),
-            self.victim_generation.map_or_else(|| "-".into(), |g| g.to_string()),
-            self.victim_cut_intact.to_string(),
-            if self.resume_error.is_empty() { "-".into() } else { self.resume_error },
-            self.completed,
-            format!("{:.1}", self.wall_s),
-        ]
-    }
 }
 
 /// Launch one standalone servent against a deliberately corrupted
@@ -156,31 +136,12 @@ fn corrupt_resume(
 pub fn soak(opts: &ExpOptions) -> Result<Table, String> {
     let (n, minutes, tick_ms, ckpt_every) =
         if opts.smoke { (10usize, 3u64, 30u64, 20u64) } else { (16, 4, 40, 25) };
-    let attacker = NodeId(4);
-    let role = ServentRole::FloodingAgent { rate_qpm: ATTACK_QPM, respond_reports: true };
-
-    let graph = TopologyConfig { n, model: TopologyModel::BarabasiAlbert { m: 2 } }
-        .generate(&mut StdRng::seed_from_u64(opts.seed));
-    let edges: Vec<(u32, u32)> = graph.edges().map(|(u, v)| (u.0, v.0)).collect();
-    let nodes: Vec<NodeSpec> = (0..n as u32)
-        .map(|id| NodeSpec { id, role: if id == attacker.0 { role } else { ServentRole::Good } })
-        .collect();
-
-    // The victim: the attacker's highest-id good neighbor — a buddy that
-    // will cut the attacker, and then gets killed for knowing too much.
-    let victim = graph
-        .neighbors(attacker)
-        .iter()
-        .map(|h| h.peer.0)
-        .filter(|&p| p != attacker.0)
-        .max()
-        .ok_or("attacker has no neighbors in the generated graph")?;
-    // A good-good edge away from both for sever/stall disturbances.
-    let disturbed = edges
-        .iter()
-        .copied()
-        .find(|&(u, v)| ![u, v].iter().any(|&x| x == attacker.0 || x == victim))
-        .ok_or("no good-good edge available to disturb")?;
+    let attacker = ATTACKER;
+    // The victim will cut the attacker, and then gets killed for knowing too
+    // much; the calm edge takes the sever/stall disturbances.
+    let out_base = std::env::temp_dir().join(format!("ddp-soak-{}", std::process::id()));
+    let WireSetup { graph, spec: base_spec, victim, calm_edge: disturbed } =
+        wire_setup(n, minutes, tick_ms, opts.seed, out_base.join("baseline"))?;
     // A spare good servent (not the victim, not touching the attacker or the
     // disturbed edge) for an extra kill+restart cycle, when one exists.
     let attacker_adj: Vec<u32> = graph.neighbors(attacker).iter().map(|h| h.peer.0).collect();
@@ -192,40 +153,6 @@ pub fn soak(opts: &ExpOptions) -> Result<Table, String> {
             && id != disturbed.1
     });
 
-    let mut table = Table::new(
-        "soak_continuity",
-        format!(
-            "Crash-recovery soak — n={n}, BA m=2, attacker {attacker} at {ATTACK_QPM} qpm, \
-             {minutes} min, tick {tick_ms} ms, checkpoint every {ckpt_every}s \
-             (victim {victim} SIGKILL'd @t~{KILL_TICK}s after cutting the attacker, then \
-             restarted from its checkpoint; spare {spare:?} cycled; edge {disturbed:?} \
-             disturbed; continuity bound ±{MAX_CUT_DELTA_S}s)"
-        ),
-        &[
-            "phase",
-            "first_cut_s",
-            "cut_delta_s",
-            "victim_gen",
-            "victim_cut_intact",
-            "resume_error",
-            "completed",
-            "wall_s",
-        ],
-    );
-
-    let out_base = std::env::temp_dir().join(format!("ddp-soak-{}", std::process::id()));
-    let base_spec = MeshSpec {
-        nodes,
-        edges: edges.clone(),
-        proxied_edges: vec![],
-        minutes,
-        tick_ms,
-        seed: opts.seed,
-        query_rate_qpm: QUERY_RATE_QPM,
-        out_dir: out_base.join("baseline"),
-        checkpoint_every: None,
-    };
-
     // Phase 1: chaos-free anchor.
     let mesh = WireMesh::launch(base_spec.clone()).map_err(|e| format!("launch baseline: {e}"))?;
     let baseline = mesh.collect();
@@ -235,19 +162,16 @@ pub fn soak(opts: &ExpOptions) -> Result<Table, String> {
     let base_cut = baseline
         .first_cut_of(attacker.0)
         .ok_or("baseline: attacker was never cut — nothing to measure continuity against")?;
-    table.push_row(
-        SoakRow {
-            phase: "wire-baseline",
-            first_cut_s: Some(base_cut),
-            cut_delta_s: None,
-            victim_generation: baseline.summaries.get(&victim).map(|s| s.generation),
-            victim_cut_intact: "-",
-            resume_error: String::new(),
-            completed: format!("{}/{n}", baseline.summaries.len()),
-            wall_s: baseline.wall.as_secs_f64(),
-        }
-        .into_row(),
-    );
+    let mut rows = vec![SoakRow {
+        phase: "wire-baseline",
+        first_cut_s: Some(base_cut),
+        cut_delta_s: None,
+        victim_generation: baseline.summaries.get(&victim).map(|s| s.generation),
+        victim_cut_intact: "-",
+        resume_error: String::new(),
+        completed: format!("{}/{n}", baseline.summaries.len()),
+        wall_s: baseline.wall.as_secs_f64(),
+    }];
 
     // Phase 2: the soak. Checkpointing on, seeded chaos in the window
     // before the decisive kill, then kill-after-cut and supervised restart.
@@ -295,37 +219,31 @@ pub fn soak(opts: &ExpOptions) -> Result<Table, String> {
         victim_summary.cuts.iter().find(|&&(_, who)| who == attacker.0).map(|&(t, _)| t);
     let cut_intact = victim_cut_at.is_some_and(|t| t <= KILL_TICK)
         && !victim_summary.neighbors_final.contains(&attacker.0);
-    table.push_row(
-        SoakRow {
-            phase: "wire-soak",
-            first_cut_s: Some(soak_cut),
-            cut_delta_s: Some(delta),
-            victim_generation: Some(victim_summary.generation),
-            victim_cut_intact: if cut_intact { "yes" } else { "NO" },
-            resume_error: victim_summary.resume_error.clone(),
-            completed: format!("{}/{n}", soak.summaries.len()),
-            wall_s: soak.wall.as_secs_f64(),
-        }
-        .into_row(),
-    );
+    rows.push(SoakRow {
+        phase: "wire-soak",
+        first_cut_s: Some(soak_cut),
+        cut_delta_s: Some(delta),
+        victim_generation: Some(victim_summary.generation),
+        victim_cut_intact: if cut_intact { "yes" } else { "NO" },
+        resume_error: victim_summary.resume_error.clone(),
+        completed: format!("{}/{n}", soak.summaries.len()),
+        wall_s: soak.wall.as_secs_f64(),
+    });
 
     // Phase 3: a bit-flipped checkpoint must degrade to a logged cold start.
     let victim_snap = soak_dir.join("ckpt").join(format!("s{victim}.snap"));
     let (corrupt_summary, corrupt_wall) =
         corrupt_resume(victim, &victim_snap, &out_base.join("corrupt"), opts.seed)?;
-    table.push_row(
-        SoakRow {
-            phase: "corrupt-resume",
-            first_cut_s: None,
-            cut_delta_s: None,
-            victim_generation: Some(corrupt_summary.generation),
-            victim_cut_intact: "-",
-            resume_error: corrupt_summary.resume_error.clone(),
-            completed: "1/1".into(),
-            wall_s: corrupt_wall,
-        }
-        .into_row(),
-    );
+    rows.push(SoakRow {
+        phase: "corrupt-resume",
+        first_cut_s: None,
+        cut_delta_s: None,
+        victim_generation: Some(corrupt_summary.generation),
+        victim_cut_intact: "-",
+        resume_error: corrupt_summary.resume_error.clone(),
+        completed: "1/1".into(),
+        wall_s: corrupt_wall,
+    });
 
     // Acceptance: detection continuity across the crash.
     if victim_summary.generation == 0 {
@@ -371,5 +289,31 @@ pub fn soak(opts: &ExpOptions) -> Result<Table, String> {
     }
 
     let _ = std::fs::remove_dir_all(&out_base);
-    Ok(table)
+    Ok(Table::from_columns(
+        "soak_continuity",
+        format!(
+            "Crash-recovery soak — n={n}, BA m=2, attacker {attacker} at {ATTACK_QPM} qpm, \
+             {minutes} min, tick {tick_ms} ms, checkpoint every {ckpt_every}s \
+             (victim {victim} SIGKILL'd @t~{KILL_TICK}s after cutting the attacker, then \
+             restarted from its checkpoint; spare {spare:?} cycled; edge {disturbed:?} \
+             disturbed; continuity bound ±{MAX_CUT_DELTA_S}s)"
+        ),
+        &rows,
+        &[
+            ("phase", |r| r.phase.to_string()),
+            ("first_cut_s", |r| r.first_cut_s.map_or_else(|| "-".into(), |t| t.to_string())),
+            ("cut_delta_s", |r| r.cut_delta_s.map_or_else(|| "-".into(), |d| d.to_string())),
+            ("victim_gen", |r| r.victim_generation.map_or_else(|| "-".into(), |g| g.to_string())),
+            ("victim_cut_intact", |r| r.victim_cut_intact.to_string()),
+            ("resume_error", |r| {
+                if r.resume_error.is_empty() {
+                    "-".into()
+                } else {
+                    r.resume_error.clone()
+                }
+            }),
+            ("completed", |r| r.completed.clone()),
+            ("wall_s", |r| format!("{:.1}", r.wall_s)),
+        ],
+    ))
 }

@@ -20,11 +20,6 @@ pub fn table1() -> Table {
     let wire = encode_message(&msg);
     let body = &wire[ddp_protocol::HEADER_LEN..];
 
-    let mut t = Table::new(
-        "table1_neighbor_traffic",
-        "Table 1: Neighbor_Traffic message body (payload type 0x83)",
-        &["field", "byte offset", "bytes", "encoded value"],
-    );
     let fields: [(&str, usize, usize, String); 5] = [
         ("Source IP Address", 0, 4, nt.source_ip.to_string()),
         ("Suspect IP Address", 4, 4, nt.suspect_ip.to_string()),
@@ -32,68 +27,70 @@ pub fn table1() -> Table {
         ("# of Outgoing queries", 12, 4, nt.outgoing_queries.to_string()),
         ("# of Incoming queries", 16, 4, nt.incoming_queries.to_string()),
     ];
-    for (name, off, len, val) in fields {
-        let hex: String = body[off..off + len].iter().map(|b| format!("{b:02x}")).collect();
-        t.push_row(vec![name.into(), off.to_string(), format!("{len} (0x{hex})"), val]);
-    }
-    t.push_row(vec![
+    let header_row = vec![
         "(unified Gnutella header)".into(),
         "-23".into(),
         "23".into(),
         format!("GUID + type 0x{:02x} + TTL + hops + length", msg.header.kind as u8),
-    ]);
-    t
+    ];
+    Table::from_rows(
+        "table1_neighbor_traffic",
+        "Table 1: Neighbor_Traffic message body (payload type 0x83)",
+        &["field", "byte offset", "bytes", "encoded value"],
+        fields
+            .into_iter()
+            .map(|(name, off, len, val)| {
+                let hex: String = body[off..off + len].iter().map(|b| format!("{b:02x}")).collect();
+                vec![name.into(), off.to_string(), format!("{len} (0x{hex})"), val]
+            })
+            .chain([header_row]),
+    )
 }
 
 /// Figure 2: the indicator worked example — peer j with three neighbors,
 /// `g(j,t) = s(j,t,i) = q0 / q`.
 pub fn fig2() -> Table {
     let q = 10u32;
-    let mut t = Table::new(
+    Table::from_rows(
         "fig2_indicator_example",
         "Figure 2: indicator worked example (k = 3 neighbors, q = 10/min)",
         &["q0 issued by j", "g(j,t)", "s(j,t,i)", "expected q0/q"],
-    );
-    for q0 in [5.0, 100.0, 5_000.0, 20_000.0] {
-        let (q1, q2, q3) = (40.0, 70.0, 25.0);
-        let out1 = q0 + q2 + q3;
-        let out2 = q0 + q1 + q3;
-        let out3 = q0 + q1 + q2;
-        let g = ddp_police::indicator::general_indicator(out1 + out2 + out3, q1 + q2 + q3, 3, q);
-        let s = ddp_police::indicator::single_indicator(out1, q2 + q3, q);
-        t.push_row(vec![f(q0, 0), f(g, 1), f(s, 1), f(q0 / q as f64, 1)]);
-    }
-    t
+        [5.0, 100.0, 5_000.0, 20_000.0].map(|q0| {
+            let (q1, q2, q3) = (40.0, 70.0, 25.0);
+            let out1 = q0 + q2 + q3;
+            let out2 = q0 + q1 + q3;
+            let out3 = q0 + q1 + q2;
+            let g =
+                ddp_police::indicator::general_indicator(out1 + out2 + out3, q1 + q2 + q3, 3, q);
+            let s = ddp_police::indicator::single_indicator(out1, q2 + q3, q);
+            vec![f(q0, 0), f(g, 1), f(s, 1), f(q0 / q as f64, 1)]
+        }),
+    )
 }
 
 /// Figure 5: queries sent by peer A vs processed by peer B.
 pub fn fig5() -> Table {
-    let mut t = Table::new(
+    Table::from_rows(
         "fig5_sent_vs_processed",
         "Figure 5: queries sent out vs processed per minute (section 2.3 testbed)",
         &["sent/min", "processed/min", "dropped/min"],
-    );
-    for p in ChainExperiment::default().paper_sweep() {
-        t.push_row(vec![
-            p.sent_qpm.to_string(),
-            p.processed_qpm.to_string(),
-            p.dropped_qpm.to_string(),
-        ]);
-    }
-    t
+        ChainExperiment::default().paper_sweep().iter().map(|p| {
+            vec![p.sent_qpm.to_string(), p.processed_qpm.to_string(), p.dropped_qpm.to_string()]
+        }),
+    )
 }
 
 /// Figure 6: query drop rate vs query density at peer B.
 pub fn fig6() -> Table {
-    let mut t = Table::new(
+    Table::from_rows(
         "fig6_drop_rate",
         "Figure 6: query drop rate vs query density (section 2.3 testbed)",
         &["received/min", "drop rate"],
-    );
-    for p in ChainExperiment::default().paper_sweep() {
-        t.push_row(vec![p.sent_qpm.to_string(), pct(p.drop_rate)]);
-    }
-    t
+        ChainExperiment::default()
+            .paper_sweep()
+            .iter()
+            .map(|p| vec![p.sent_qpm.to_string(), pct(p.drop_rate)]),
+    )
 }
 
 #[cfg(test)]

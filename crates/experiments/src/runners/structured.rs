@@ -8,7 +8,7 @@
 
 use super::par_map;
 use crate::output::{pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions, Scenario};
+use crate::scenario::{DefenseKind, ExpOptions};
 use ddp_dht::{DhtAttack, DhtConfig, DhtPolice, DhtSimulation};
 
 /// Compare flooding-overlay vs DHT under the same agent counts.
@@ -16,28 +16,10 @@ pub fn structured(opts: &ExpOptions) -> Table {
     let ks: Vec<usize> =
         [5usize, 20, 50, 100].iter().copied().filter(|&k| k * 20 <= opts.peers).collect();
 
-    #[derive(Clone)]
-    struct Row {
-        agents: usize,
-        flood_undef: f64,
-        flood_def: f64,
-        dht_undef: f64,
-        dht_def: f64,
-        dht_hotspot: f64,
-    }
-
     let rows = par_map(&ks, |_, &k| {
         let flood = |defense: DefenseKind| {
-            Scenario::builder()
-                .peers(opts.peers)
-                .ticks(opts.ticks)
-                .attackers(k)
-                .defense(defense)
-                .seed(opts.seed)
-                .build()
-                .run()
-                .summary
-                .success_rate_stable
+            let scenario = opts.scenario().attackers(k).defense(defense).seed(opts.seed);
+            scenario.build().run().summary.success_rate_stable
         };
         let dht = |attack: DhtAttack, defense: Option<DhtPolice>| {
             let mut sim = DhtSimulation::new(
@@ -47,17 +29,17 @@ pub fn structured(opts: &ExpOptions) -> Table {
             sim.compromise(k);
             sim.run(opts.ticks).summary.success_rate_stable
         };
-        Row {
-            agents: k,
-            flood_undef: flood(DefenseKind::None),
-            flood_def: flood(DefenseKind::DdPolice { cut_threshold: 5.0 }),
-            dht_undef: dht(DhtAttack::Uniform, None),
-            dht_def: dht(DhtAttack::Uniform, Some(DhtPolice::default())),
-            dht_hotspot: dht(DhtAttack::Hotspot { victim_key: 42 }, None),
-        }
+        vec![
+            k.to_string(),
+            pct(flood(DefenseKind::None)),
+            pct(flood(DefenseKind::DdPolice { cut_threshold: 5.0 })),
+            pct(dht(DhtAttack::Uniform, None)),
+            pct(dht(DhtAttack::Uniform, Some(DhtPolice::default()))),
+            pct(dht(DhtAttack::Hotspot { victim_key: 42 }, None)),
+        ]
     });
 
-    let mut t = Table::new(
+    Table::from_rows(
         "structured_vs_flooding",
         format!(
             "Future work (§5): same agents on flooding overlay vs Chord-like DHT ({} peers, stable success)",
@@ -71,18 +53,8 @@ pub fn structured(opts: &ExpOptions) -> Table {
             "DHT, origination detector",
             "DHT hotspot, no defense",
         ],
-    );
-    for r in &rows {
-        t.push_row(vec![
-            r.agents.to_string(),
-            pct(r.flood_undef),
-            pct(r.flood_def),
-            pct(r.dht_undef),
-            pct(r.dht_def),
-            pct(r.dht_hotspot),
-        ]);
-    }
-    t
+        rows,
+    )
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 
 use super::par_map;
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions, Scenario};
+use crate::scenario::{DefenseKind, ExpOptions};
 
 /// One sweep configuration's averaged results.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,25 +33,6 @@ pub struct RegimeStats {
     pub success: f64,
 }
 
-fn stats_of(report: &crate::scenario::ScenarioReport) -> RegimeStats {
-    RegimeStats {
-        traffic_per_tick: report.summary.traffic_per_tick,
-        response_secs: report.summary.response_time_mean_secs,
-        response_p95_secs: report.summary.response_p95_secs,
-        success: report.summary.success_rate_stable,
-    }
-}
-
-fn mean(stats: &[RegimeStats]) -> RegimeStats {
-    let n = stats.len().max(1) as f64;
-    RegimeStats {
-        traffic_per_tick: stats.iter().map(|s| s.traffic_per_tick).sum::<f64>() / n,
-        response_secs: stats.iter().map(|s| s.response_secs).sum::<f64>() / n,
-        response_p95_secs: stats.iter().map(|s| s.response_p95_secs).sum::<f64>() / n,
-        success: stats.iter().map(|s| s.success).sum::<f64>() / n,
-    }
-}
-
 /// Agent counts swept (§3.6: "k random peers, where k is ranging from 1 to
 /// 200"), capped at 5% of the overlay so reduced-scale runs stay within the
 /// paper's attack-density regime (200 agents on 20,000 peers = 1%).
@@ -62,103 +43,94 @@ pub fn agent_counts(peers: usize) -> Vec<usize> {
 /// Run the three-regime sweep. Runs execute on the worker pool with
 /// deterministic per-run seeds.
 pub fn agent_sweep(opts: &ExpOptions) -> Vec<SweepRow> {
-    let ks = agent_counts(opts.peers);
-
-    let scenario = |agents: usize, defense: DefenseKind, seed: u64| {
-        Scenario::builder()
-            .peers(opts.peers)
-            .ticks(opts.ticks)
-            .attackers(agents)
-            .defense(defense)
-            .seed(seed)
-            .build()
-    };
-
-    // Replicated baseline (agents = 0), shared across rows.
-    let replicates: Vec<usize> = (0..opts.replicates).collect();
-    let baseline_stats = par_map(&replicates, |_, &r| {
-        stats_of(&scenario(0, DefenseKind::None, opts.seed_for(0, r)).run())
-    });
-    let baseline = mean(&baseline_stats);
-
-    par_map(&ks, |ci, &k| {
-        let per_regime = |defense: DefenseKind| {
-            let stats: Vec<RegimeStats> = (0..opts.replicates)
-                .map(|r| stats_of(&scenario(k, defense.clone(), opts.seed_for(ci + 1, r)).run()))
-                .collect();
-            mean(&stats)
+    // Cell 0 is the no-attack baseline every row shares.
+    let cells: Vec<usize> = std::iter::once(0).chain(agent_counts(opts.peers)).collect();
+    let mut rows = par_map(&cells, |ci, &k| {
+        let regime = |defense: DefenseKind| {
+            opts.mean_fields(
+                |r| {
+                    let scenario = opts.scenario().attackers(k).defense(defense.clone());
+                    let summary = scenario.seed(opts.seed_for(ci, r)).build().run().summary;
+                    RegimeStats {
+                        traffic_per_tick: summary.traffic_per_tick,
+                        response_secs: summary.response_time_mean_secs,
+                        response_p95_secs: summary.response_p95_secs,
+                        success: summary.success_rate_stable,
+                    }
+                },
+                |s| {
+                    [
+                        &mut s.traffic_per_tick,
+                        &mut s.response_secs,
+                        &mut s.response_p95_secs,
+                        &mut s.success,
+                    ]
+                },
+            )
         };
-        SweepRow {
-            agents: k,
-            baseline,
-            undefended: per_regime(DefenseKind::None),
-            defended: per_regime(DefenseKind::DdPolice { cut_threshold: 5.0 }),
-        }
-    })
+        let undefended = regime(DefenseKind::None);
+        // Nothing to defend against in the baseline cell.
+        let defended =
+            if k == 0 { undefended } else { regime(DefenseKind::DdPolice { cut_threshold: 5.0 }) };
+        SweepRow { agents: k, baseline: undefended, undefended, defended }
+    });
+    let baseline = rows.remove(0).baseline;
+    rows.iter_mut().for_each(|row| row.baseline = baseline);
+    rows
 }
 
 /// Figure 9: average traffic cost vs number of agents.
 pub fn fig9(rows: &[SweepRow]) -> Table {
-    let mut t = Table::new(
+    Table::from_columns(
         "fig9_traffic_cost",
         "Figure 9: average traffic cost (msgs/tick, x1000) vs number of DDoS agents",
-        &["agents", "no attack", "attack, no defense", "attack, DD-POLICE", "amplification"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.agents.to_string(),
-            f(r.baseline.traffic_per_tick / 1e3, 1),
-            f(r.undefended.traffic_per_tick / 1e3, 1),
-            f(r.defended.traffic_per_tick / 1e3, 1),
-            format!("{:.1}x", r.undefended.traffic_per_tick / r.baseline.traffic_per_tick.max(1.0)),
-        ]);
-    }
-    t
+        rows,
+        &[
+            ("agents", |r| r.agents.to_string()),
+            ("no attack", |r| f(r.baseline.traffic_per_tick / 1e3, 1)),
+            ("attack, no defense", |r| f(r.undefended.traffic_per_tick / 1e3, 1)),
+            ("attack, DD-POLICE", |r| f(r.defended.traffic_per_tick / 1e3, 1)),
+            ("amplification", |r| {
+                let amplification =
+                    r.undefended.traffic_per_tick / r.baseline.traffic_per_tick.max(1.0);
+                format!("{amplification:.1}x")
+            }),
+        ],
+    )
 }
 
 /// Figure 10: average query response time vs number of agents.
 pub fn fig10(rows: &[SweepRow]) -> Table {
-    let mut t = Table::new(
+    Table::from_columns(
         "fig10_response_time",
         "Figure 10: average query response time (s) vs number of DDoS agents",
+        rows,
         &[
-            "agents",
-            "no attack",
-            "attack, no defense",
-            "attack, DD-POLICE",
-            "slowdown",
-            "undef. p95",
+            ("agents", |r| r.agents.to_string()),
+            ("no attack", |r| f(r.baseline.response_secs, 2)),
+            ("attack, no defense", |r| f(r.undefended.response_secs, 2)),
+            ("attack, DD-POLICE", |r| f(r.defended.response_secs, 2)),
+            ("slowdown", |r| {
+                format!("{:.1}x", r.undefended.response_secs / r.baseline.response_secs.max(1e-9))
+            }),
+            ("undef. p95", |r| f(r.undefended.response_p95_secs, 2)),
         ],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.agents.to_string(),
-            f(r.baseline.response_secs, 2),
-            f(r.undefended.response_secs, 2),
-            f(r.defended.response_secs, 2),
-            format!("{:.1}x", r.undefended.response_secs / r.baseline.response_secs.max(1e-9)),
-            f(r.undefended.response_p95_secs, 2),
-        ]);
-    }
-    t
+    )
 }
 
 /// Figure 11: average query success rate vs number of agents.
 pub fn fig11(rows: &[SweepRow]) -> Table {
-    let mut t = Table::new(
+    Table::from_columns(
         "fig11_success_rate",
         "Figure 11: average success rate vs number of DDoS agents",
-        &["agents", "no attack", "attack, no defense", "attack, DD-POLICE"],
-    );
-    for r in rows {
-        t.push_row(vec![
-            r.agents.to_string(),
-            pct(r.baseline.success),
-            pct(r.undefended.success),
-            pct(r.defended.success),
-        ]);
-    }
-    t
+        rows,
+        &[
+            ("agents", |r| r.agents.to_string()),
+            ("no attack", |r| pct(r.baseline.success)),
+            ("attack, no defense", |r| pct(r.undefended.success)),
+            ("attack, DD-POLICE", |r| pct(r.defended.success)),
+        ],
+    )
 }
 
 /// All three §3.6 figures from a single sweep.

@@ -20,15 +20,71 @@ use crate::output::Table;
 use crate::scenario::ExpOptions;
 use ddp_servent::{Harness, HarnessConfig, ServentRole};
 use ddp_testbed::{MeshReport, MeshSpec, NodeSpec, WireMesh};
-use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
+use ddp_topology::{DynamicGraph, NodeId, TopologyConfig, TopologyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-const ATTACK_QPM: u32 = 1_500;
+pub(super) const ATTACK_QPM: u32 = 1_500;
 const QUERY_RATE_QPM: f64 = 2.0;
 const CATALOG_SIZE: usize = 50;
 const ITEMS_PER_PEER: usize = 8;
+/// The one flooding agent of the wire runners' mesh, and what it does.
+pub(super) const ATTACKER: NodeId = NodeId(4);
+const AGENT: ServentRole =
+    ServentRole::FloodingAgent { rate_qpm: ATTACK_QPM, respond_reports: true };
+
+/// What both wire runners (`testbed`, `soak`) start from: a BA m = 2 overlay
+/// with one flooding agent, and the two chaos targets in it.
+pub(super) struct WireSetup {
+    pub graph: DynamicGraph,
+    /// The undisturbed mesh over `graph`.
+    pub spec: MeshSpec,
+    /// The attacker's highest-id good neighbor: a buddy that will cut it.
+    pub victim: u32,
+    /// A good-good edge touching neither the attacker nor the victim.
+    pub calm_edge: (u32, u32),
+}
+
+pub(super) fn wire_setup(
+    n: usize,
+    minutes: u64,
+    tick_ms: u64,
+    seed: u64,
+    out_dir: PathBuf,
+) -> Result<WireSetup, String> {
+    let graph = TopologyConfig { n, model: TopologyModel::BarabasiAlbert { m: 2 } }
+        .generate(&mut StdRng::seed_from_u64(seed));
+    let edges: Vec<(u32, u32)> = graph.edges().map(|(u, v)| (u.0, v.0)).collect();
+    let nodes = (0..n as u32)
+        .map(|id| NodeSpec { id, role: if id == ATTACKER.0 { AGENT } else { ServentRole::Good } })
+        .collect();
+    let victim = graph
+        .neighbors(ATTACKER)
+        .iter()
+        .map(|h| h.peer.0)
+        .filter(|&p| p != ATTACKER.0)
+        .max()
+        .ok_or("attacker has no neighbors in the generated graph")?;
+    let calm_edge = edges
+        .iter()
+        .copied()
+        .find(|&(u, v)| ![u, v].iter().any(|&x| x == ATTACKER.0 || x == victim))
+        .ok_or("no good-good edge away from the attacker and the victim")?;
+    let spec = MeshSpec {
+        nodes,
+        edges,
+        proxied_edges: vec![],
+        minutes,
+        tick_ms,
+        seed,
+        query_rate_qpm: QUERY_RATE_QPM,
+        out_dir,
+        checkpoint_every: None,
+    };
+    Ok(WireSetup { graph, spec, victim, calm_edge })
+}
 
 struct RunRow {
     mode: &'static str,
@@ -41,23 +97,6 @@ struct RunRow {
     dropped: u64,
     completed: String,
     wall_s: f64,
-}
-
-impl RunRow {
-    fn into_row(self) -> Vec<String> {
-        vec![
-            self.mode.to_string(),
-            self.first_cut_s.map_or_else(|| "-".into(), |t| t.to_string()),
-            self.cutters.to_string(),
-            if self.isolated { "yes" } else { "NO" }.to_string(),
-            self.issued.to_string(),
-            self.frames.to_string(),
-            self.bytes.to_string(),
-            self.dropped.to_string(),
-            self.completed,
-            format!("{:.1}", self.wall_s),
-        ]
-    }
 }
 
 /// The shared catalog, identical to the one `ddp-servent --catalog-size 50`
@@ -124,68 +163,14 @@ fn wire_row(mode: &'static str, n: usize, attacker: u32, report: &MeshReport) ->
 /// (typically: the `ddp-servent` binary is not built).
 pub fn testbed(opts: &ExpOptions) -> Result<Table, String> {
     let (n, minutes, tick_ms) = if opts.smoke { (10usize, 3u64, 30u64) } else { (16, 4, 40) };
-    let attacker = NodeId(4);
-    let role = ServentRole::FloodingAgent { rate_qpm: ATTACK_QPM, respond_reports: true };
-
-    let graph = TopologyConfig { n, model: TopologyModel::BarabasiAlbert { m: 2 } }
-        .generate(&mut StdRng::seed_from_u64(opts.seed));
-    let edges: Vec<(u32, u32)> = graph.edges().map(|(u, v)| (u.0, v.0)).collect();
-    let nodes: Vec<NodeSpec> = (0..n as u32)
-        .map(|id| NodeSpec { id, role: if id == attacker.0 { role } else { ServentRole::Good } })
-        .collect();
-
-    // Chaos targets: SIGKILL the highest-id good neighbor of the attacker
-    // (its reports vanish mid-run; assume-zero must absorb that), and sever
-    // a good-good edge not touching the attacker or the victim.
-    let victim = graph
-        .neighbors(attacker)
-        .iter()
-        .map(|h| h.peer.0)
-        .filter(|&p| p != attacker.0)
-        .max()
-        .ok_or("attacker has no neighbors in the generated graph")?;
-    let severed = edges
-        .iter()
-        .copied()
-        .find(|&(u, v)| ![u, v].iter().any(|&x| x == attacker.0 || x == victim))
-        .ok_or("no good-good edge available to sever")?;
-
-    let mut table = Table::new(
-        "testbed_crossval",
-        format!(
-            "Sim vs wire cross-validation — n={n}, BA m=2, attacker {attacker} at \
-             {ATTACK_QPM} qpm, {minutes} min, tick {tick_ms} ms \
-             (chaos: SIGKILL servent {victim} @t~60s, sever edge \
-             {severed:?} mid-frame @t~80s)"
-        ),
-        &[
-            "mode",
-            "first_cut_s",
-            "cutters",
-            "attacker_isolated",
-            "issued",
-            "frames",
-            "bytes",
-            "frames_dropped",
-            "completed",
-            "wall_s",
-        ],
-    );
-
-    table.push_row(sim_row(&graph, attacker, role, minutes, opts.seed).into_row());
-
+    let attacker = ATTACKER;
+    // Chaos targets: SIGKILL the victim (its reports vanish mid-run;
+    // assume-zero must absorb that), and sever the calm edge.
     let out_base = std::env::temp_dir().join(format!("ddp-testbed-{}", std::process::id()));
-    let base_spec = MeshSpec {
-        nodes,
-        edges: edges.clone(),
-        proxied_edges: vec![],
-        minutes,
-        tick_ms,
-        seed: opts.seed,
-        query_rate_qpm: QUERY_RATE_QPM,
-        out_dir: out_base.join("wire"),
-        checkpoint_every: None,
-    };
+    let WireSetup { graph, spec: base_spec, victim, calm_edge: severed } =
+        wire_setup(n, minutes, tick_ms, opts.seed, out_base.join("wire"))?;
+
+    let mut rows = vec![sim_row(&graph, attacker, AGENT, minutes, opts.seed)];
 
     // Undisturbed wire mesh.
     let mesh = WireMesh::launch(base_spec.clone()).map_err(|e| format!("launch wire mesh: {e}"))?;
@@ -193,7 +178,7 @@ pub fn testbed(opts: &ExpOptions) -> Result<Table, String> {
     if !wire.hung.is_empty() {
         return Err(format!("wire mesh hung: servents {:?}", wire.hung));
     }
-    table.push_row(wire_row("wire", n, attacker.0, &wire).into_row());
+    rows.push(wire_row("wire", n, attacker.0, &wire));
 
     // Chaos wire mesh: same spec, proxied severable edge, scheduled faults.
     let mut chaos_spec = base_spec;
@@ -209,7 +194,7 @@ pub fn testbed(opts: &ExpOptions) -> Result<Table, String> {
     if !chaos.hung.is_empty() {
         return Err(format!("chaos mesh hung: servents {:?}", chaos.hung));
     }
-    table.push_row(wire_row("wire+chaos", n, attacker.0, &chaos).into_row());
+    rows.push(wire_row("wire+chaos", n, attacker.0, &chaos));
 
     // Acceptance checks: detection must hold in every mode.
     for (mode, report) in [("wire", &wire), ("wire+chaos", &chaos)] {
@@ -222,5 +207,26 @@ pub fn testbed(opts: &ExpOptions) -> Result<Table, String> {
     }
 
     let _ = std::fs::remove_dir_all(&out_base);
-    Ok(table)
+    Ok(Table::from_columns(
+        "testbed_crossval",
+        format!(
+            "Sim vs wire cross-validation — n={n}, BA m=2, attacker {attacker} at \
+             {ATTACK_QPM} qpm, {minutes} min, tick {tick_ms} ms \
+             (chaos: SIGKILL servent {victim} @t~60s, sever edge \
+             {severed:?} mid-frame @t~80s)"
+        ),
+        &rows,
+        &[
+            ("mode", |r| r.mode.to_string()),
+            ("first_cut_s", |r| r.first_cut_s.map_or_else(|| "-".into(), |t| t.to_string())),
+            ("cutters", |r| r.cutters.to_string()),
+            ("attacker_isolated", |r| if r.isolated { "yes" } else { "NO" }.to_string()),
+            ("issued", |r| r.issued.to_string()),
+            ("frames", |r| r.frames.to_string()),
+            ("bytes", |r| r.bytes.to_string()),
+            ("frames_dropped", |r| r.dropped.to_string()),
+            ("completed", |r| r.completed.clone()),
+            ("wall_s", |r| format!("{:.1}", r.wall_s)),
+        ],
+    ))
 }

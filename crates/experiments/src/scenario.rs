@@ -13,7 +13,7 @@ use ddp_sim::{
 use ddp_topology::{TopologyConfig, TopologyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Which defense a scenario deploys.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +61,37 @@ pub struct Scenario {
     pub ticks: usize,
     /// Master seed (all randomness derives from it).
     pub seed: u64,
+    /// Crash-safe checkpointing of the runs (`None` = off).
+    pub checkpoint: Option<Checkpoint>,
+}
+
+/// Crash-safe checkpointing of a scenario's runs. Outputs are bit-identical
+/// with and without it: resuming replays the exact state an uninterrupted run
+/// would hold at the checkpoint tick, and a missing/corrupt/foreign
+/// checkpoint simply degrades to a full rerun from tick 0 (with a warning — a
+/// campaign must never die, or produce different numbers, because a
+/// checkpoint file did). Checkpoint *write* failures likewise warn and
+/// continue.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// Directory + basename, no extension: [`Scenario::run`] keeps
+    /// `<stem>.snap`, [`Scenario::run_with_damage`] `<stem>-defended.snap`
+    /// for the attacked run and `<stem>-baseline.snap` for its twin.
+    pub stem: PathBuf,
+    /// Atomically write the full engine state every this many ticks (0 =
+    /// never).
+    pub every: usize,
+    /// Fast-forward from a valid checkpoint when one is present.
+    pub resume: bool,
+}
+
+impl Checkpoint {
+    fn file(&self, suffix: &str) -> PathBuf {
+        let mut name = self.stem.file_name().map(|s| s.to_os_string()).unwrap_or_default();
+        name.push(suffix);
+        name.push(".snap");
+        self.stem.with_file_name(name)
+    }
 }
 
 impl Scenario {
@@ -73,13 +104,9 @@ impl Scenario {
     /// `run` executes, exposed so checkpoint/resume can rebuild an identical
     /// starting state before fast-forwarding from a snapshot.
     pub fn build_sim(&self) -> Simulation<Box<dyn Defense>> {
-        let mut sim_cfg = self.sim.clone();
-        if matches!(self.defense, DefenseKind::FairShare) {
-            sim_cfg.forwarding = ForwardingPolicy::FairShare;
-        }
-        let n = sim_cfg.peers();
-        let defense: Box<dyn Defense> = match &self.defense {
-            DefenseKind::None | DefenseKind::FairShare => Box::new(NoDefense),
+        let n = self.sim.peers();
+        self.build_sim_with(match &self.defense {
+            DefenseKind::None | DefenseKind::FairShare => Box::new(NoDefense) as Box<dyn Defense>,
             DefenseKind::NaiveRateLimit { threshold_qpm } => {
                 Box::new(NaiveRateLimit::new(*threshold_qpm))
             }
@@ -87,58 +114,57 @@ impl Scenario {
                 Box::new(DdPolice::new(DdPoliceConfig::with_cut_threshold(*cut_threshold), n))
             }
             DefenseKind::DdPoliceFull(cfg) => Box::new(DdPolice::new(*cfg, n)),
-        };
+        })
+    }
+
+    /// [`Scenario::build_sim`] around a defense the caller built, keeping its
+    /// concrete type (the bench runners read `DdPolice`'s phase timers and
+    /// sketch monitor off the finished run). The one place a simulation is
+    /// constructed and agents are placed: the same `(seed, peers, agents)`
+    /// puts the same agents on the same peers in every runner.
+    pub fn build_sim_with<D: Defense>(&self, defense: D) -> Simulation<D> {
+        let mut sim_cfg = self.sim.clone();
+        if self.defense == DefenseKind::FairShare {
+            sim_cfg.forwarding = ForwardingPolicy::FairShare;
+        }
         let mut sim = Simulation::new(sim_cfg, defense, self.seed);
         if self.agents > 0 {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0xdd05_ee1f);
-            let agents =
-                AttackPlan::new(self.agents).with_cheat(self.cheat).apply(&mut sim, &mut rng);
-            for a in agents {
+            let plan = AttackPlan::new(self.agents).with_cheat(self.cheat);
+            for a in plan.apply(&mut sim, &mut self.placement_rng()) {
                 sim.set_list_behavior(a, self.lists);
             }
         }
         sim
     }
 
-    /// Run the scenario.
-    pub fn run(&self) -> ScenarioReport {
-        let result = self.build_sim().run(self.ticks);
-        ScenarioReport {
-            defense: self.defense.label(),
-            summary: result.summary,
-            series: result.series,
-            cut_log: result.cut_log,
-        }
+    /// The stream agents are placed from. A runner with an attack plan of
+    /// its own (whitewashing) builds with zero agents and applies the plan
+    /// on this stream, so its agents sit where the plain scenario's would.
+    pub fn placement_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ 0xdd05_ee1f)
     }
 
-    /// Run the scenario with crash-safe checkpointing: every `every` ticks
-    /// the full engine state is atomically written to `checkpoint`, and when
-    /// `resume` is set a valid checkpoint fast-forwards the run to its tick.
-    ///
-    /// The outputs are bit-identical to [`Scenario::run`] in every case:
-    /// resuming replays the exact state an uninterrupted run would hold at
-    /// the checkpoint tick, and a missing/corrupt/foreign checkpoint simply
-    /// degrades to a full rerun from tick 0 (with a warning — a campaign
-    /// must never die, or produce different numbers, because a checkpoint
-    /// file did). Checkpoint *write* failures likewise warn and continue.
-    pub fn run_checkpointed(
-        &self,
-        checkpoint: &Path,
-        every: usize,
-        resume: bool,
-    ) -> ScenarioReport {
+    /// Run the scenario, checkpointing as [`Scenario::checkpoint`] says.
+    pub fn run(&self) -> ScenarioReport {
+        self.run_as("")
+    }
+
+    /// Run with `suffix` appended to the checkpoint file's name.
+    fn run_as(&self, suffix: &str) -> ScenarioReport {
+        let (file, every, resume) = match &self.checkpoint {
+            Some(c) => (c.file(suffix), c.every, c.resume),
+            None => (PathBuf::new(), 0, false),
+        };
         let mut sim = self.build_sim();
-        if resume && checkpoint.exists() {
-            match sim.resume_from_file(checkpoint) {
-                Ok(()) => eprintln!(
-                    "[checkpoint] resumed {} at tick {}",
-                    checkpoint.display(),
-                    sim.tick()
-                ),
+        if resume && file.exists() {
+            match sim.resume_from_file(&file) {
+                Ok(()) => {
+                    eprintln!("[checkpoint] resumed {} at tick {}", file.display(), sim.tick())
+                }
                 Err(e) => {
                     eprintln!(
                         "[checkpoint] ignoring {} (rerunning from tick 0): {e}",
-                        checkpoint.display()
+                        file.display()
                     );
                     sim = self.build_sim();
                 }
@@ -148,11 +174,8 @@ impl Scenario {
             sim.step();
             let t = sim.tick() as usize;
             if every > 0 && t.is_multiple_of(every) && t < self.ticks {
-                if let Err(e) = sim.write_snapshot_file(checkpoint) {
-                    eprintln!(
-                        "[checkpoint] could not write {} at tick {t}: {e}",
-                        checkpoint.display()
-                    );
+                if let Err(e) = sim.write_snapshot_file(&file) {
+                    eprintln!("[checkpoint] could not write {} at tick {t}: {e}", file.display());
                 }
             }
         }
@@ -169,69 +192,41 @@ impl Scenario {
     /// topology, no agents, no defense), yielding the damage-rate series
     /// `D(t) = (S(t) − S'(t)) / S(t)` of §3.7.2.
     pub fn run_with_damage(&self) -> DamageReport {
-        self.damage_report(|s, _| s.run())
-    }
-
-    /// [`Scenario::run_with_damage`] with both runs checkpointed: the
-    /// attacked run writes `<stem>-defended.snap`, the baseline
-    /// `<stem>-baseline.snap`. Outputs are bit-identical to the
-    /// uncheckpointed pair.
-    pub fn run_with_damage_checkpointed(
-        &self,
-        stem: &Path,
-        every: usize,
-        resume: bool,
-    ) -> DamageReport {
-        let snap = |suffix: &str| {
-            let mut name = stem.file_name().map(|s| s.to_os_string()).unwrap_or_default();
-            name.push(suffix);
-            name.push(".snap");
-            stem.with_file_name(name)
-        };
-        self.damage_report(|s, which| {
-            let suffix = match which {
-                DamageRun::Attacked => "-defended",
-                DamageRun::Baseline => "-baseline",
-            };
-            s.run_checkpointed(&snap(suffix), every, resume)
-        })
-    }
-
-    /// Shared damage arithmetic: run the baseline twin and the attacked run
-    /// through `runner`, then derive `D(t)` and the recovery time.
-    fn damage_report(
-        &self,
-        mut runner: impl FnMut(&Scenario, DamageRun) -> ScenarioReport,
-    ) -> DamageReport {
-        let baseline_scenario = Scenario { defense: DefenseKind::None, agents: 0, ..self.clone() };
-        let baseline = runner(&baseline_scenario, DamageRun::Baseline);
-        let attacked = runner(self, DamageRun::Attacked);
-        let mut damage = TimeSeries::new("damage_rate");
-        for t in 0..attacked.series.success_rate.len() {
-            let s0 = baseline.series.success_rate.values.get(t).copied().unwrap_or(1.0);
-            let s1 = attacked.series.success_rate.values[t];
-            damage.push(damage_rate(s0, s1));
-        }
+        let baseline =
+            Scenario { defense: DefenseKind::None, agents: 0, ..self.clone() }.run_as("-baseline");
+        let attacked = self.run_as("-defended");
+        let damage = damage_series(
+            &attacked.series.success_rate.values,
+            &baseline.series.success_rate.values,
+        );
         let recovery = recovery_time(&damage, RecoveryThresholds::default());
         DamageReport { attacked, baseline, damage, recovery_ticks: recovery }
     }
 }
 
-/// Builder for [`Scenario`].
-#[derive(Debug, Clone)]
-pub struct ScenarioBuilder {
-    sim: SimConfig,
-    defense: DefenseKind,
-    agents: usize,
-    cheat: CheatStrategy,
-    lists: ListBehavior,
-    ticks: usize,
-    seed: u64,
+/// `D(t)` per tick of an attacked run's success-rate series against its
+/// baseline's (a tick the baseline lacks counts as full success).
+pub fn damage_series(attacked: &[f64], baseline: &[f64]) -> TimeSeries {
+    let mut damage = TimeSeries::new("damage_rate");
+    for (t, &s1) in attacked.iter().enumerate() {
+        damage.push(damage_rate(baseline.get(t).copied().unwrap_or(1.0), s1));
+    }
+    damage
 }
+
+/// Mean of a damage series over the stabilized last quarter of the run.
+pub fn stable_damage(damage: &TimeSeries) -> f64 {
+    damage.tail_mean((damage.len() / 4).max(1))
+}
+
+/// Builder for [`Scenario`]: the scenario so far, starting from the paper's
+/// defaults.
+#[derive(Debug, Clone)]
+pub struct ScenarioBuilder(Scenario);
 
 impl Default for ScenarioBuilder {
     fn default() -> Self {
-        ScenarioBuilder {
+        ScenarioBuilder(Scenario {
             sim: SimConfig::default(),
             defense: DefenseKind::None,
             agents: 0,
@@ -239,83 +234,80 @@ impl Default for ScenarioBuilder {
             lists: ListBehavior::Truthful,
             ticks: 30,
             seed: 42,
-        }
+            checkpoint: None,
+        })
     }
 }
 
 impl ScenarioBuilder {
-    /// Overlay size.
-    pub fn peers(mut self, n: usize) -> Self {
-        self.sim.topology = TopologyConfig { n, model: TopologyModel::BarabasiAlbert { m: 3 } };
-        self
+    /// Overlay size, on the paper's flat Gnutella topology.
+    pub fn peers(self, n: usize) -> Self {
+        let flat = TopologyConfig { n, model: TopologyModel::BarabasiAlbert { m: 3 } };
+        self.sim(|s| s.topology = flat)
     }
 
     /// Simulated minutes.
     pub fn ticks(mut self, t: usize) -> Self {
-        self.ticks = t;
+        self.0.ticks = t;
         self
     }
 
     /// Number of DDoS agents.
     pub fn attackers(mut self, k: usize) -> Self {
-        self.agents = k;
+        self.0.agents = k;
         self
     }
 
     /// Agents' report-cheating strategy.
     pub fn cheat(mut self, c: CheatStrategy) -> Self {
-        self.cheat = c;
+        self.0.cheat = c;
         self
     }
 
     /// Agents' neighbor-list lying strategy.
     pub fn lists(mut self, l: ListBehavior) -> Self {
-        self.lists = l;
+        self.0.lists = l;
         self
     }
 
     /// Deployed defense.
     pub fn defense(mut self, d: DefenseKind) -> Self {
-        self.defense = d;
+        self.0.defense = d;
         self
     }
 
     /// Master seed.
     pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
+        self.0.seed = s;
         self
     }
 
     /// Enable/disable churn.
-    pub fn churn(mut self, on: bool) -> Self {
-        self.sim.churn = on;
-        self
-    }
-
-    /// Replace the whole engine config (advanced).
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.sim = cfg;
-        self
+    pub fn churn(self, on: bool) -> Self {
+        self.sim(|s| s.churn = on)
     }
 
     /// Control-plane fault injection (lossy/delayed protocol messages,
     /// crash-restarting peers).
-    pub fn faults(mut self, f: FaultConfig) -> Self {
-        self.sim.faults = f;
+    pub fn faults(self, f: FaultConfig) -> Self {
+        self.sim(|s| s.faults = f)
+    }
+
+    /// Edit the engine config in place (whatever has no method of its own).
+    pub fn sim(mut self, edit: impl FnOnce(&mut SimConfig)) -> Self {
+        edit(&mut self.0.sim);
+        self
+    }
+
+    /// Checkpoint the runs (see [`ExpOptions::checkpoint`]).
+    pub fn checkpoint(mut self, c: Option<Checkpoint>) -> Self {
+        self.0.checkpoint = c;
         self
     }
 
     /// Finalize.
     pub fn build(self) -> Scenario {
-        Scenario {
-            sim: self.sim,
-            defense: self.defense,
-            agents: self.agents,
-            cheat: self.cheat,
-            lists: self.lists,
-            ticks: self.ticks,
-            seed: self.seed,
-        }
+        self.0
     }
 }
 
@@ -330,13 +322,6 @@ pub struct ScenarioReport {
     pub series: RunSeries,
     /// Every defensive disconnection, in order (detection-latency analysis).
     pub cut_log: Vec<CutRecord>,
-}
-
-/// Which half of a damage pair a runner callback is executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DamageRun {
-    Baseline,
-    Attacked,
 }
 
 /// An attacked run paired with its no-attack baseline.
@@ -354,7 +339,7 @@ pub struct DamageReport {
 impl DamageReport {
     /// Mean damage over the stabilized last quarter of the run.
     pub fn stable_damage(&self) -> f64 {
-        self.damage.tail_mean((self.damage.len() / 4).max(1))
+        stable_damage(&self.damage)
     }
 }
 
@@ -414,6 +399,49 @@ impl ExpOptions {
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((c as u64) << 32)
             .wrapping_add(r as u64)
+    }
+
+    /// A scenario builder already carrying `peers`, `ticks` and `agents`, so
+    /// a runner states only what its cell varies.
+    pub fn scenario(&self) -> ScenarioBuilder {
+        Scenario::builder().peers(self.peers).ticks(self.ticks).attackers(self.agents)
+    }
+
+    /// Mean over the replicates of the `fields` of what `run(replicate)`
+    /// measures: each field is summed in replicate order and divided once;
+    /// everything else in the result is the last replicate's. The cell picks
+    /// its own seed pairing with [`ExpOptions::seed_for`]. `replicates` is at
+    /// least 1 (the CLI rejects 0).
+    pub fn mean_fields<T, const K: usize>(
+        &self,
+        mut run: impl FnMut(usize) -> T,
+        fields: impl Fn(&mut T) -> [&mut f64; K],
+    ) -> T {
+        let mut sum = [0.0; K];
+        let mut last = None;
+        for r in 0..self.replicates {
+            let one = last.insert(run(r));
+            for (sum, x) in sum.iter_mut().zip(fields(one)) {
+                *sum += *x;
+            }
+        }
+        let mut mean = last.expect("at least one replicate");
+        for (x, sum) in fields(&mut mean).into_iter().zip(sum) {
+            *x = sum / self.replicates as f64;
+        }
+        mean
+    }
+
+    /// [`ExpOptions::mean_fields`] of a plain row of numbers.
+    pub fn mean_over<const K: usize>(&self, run: impl FnMut(usize) -> [f64; K]) -> [f64; K] {
+        self.mean_fields(run, <[f64; K]>::each_mut)
+    }
+
+    /// Checkpointing for a named unit of work as the command line asked for
+    /// it, or `None` when it is off.
+    pub fn checkpoint(&self, name: &str) -> Option<Checkpoint> {
+        let stem = self.checkpoint_stem(name)?;
+        Some(Checkpoint { stem, every: self.checkpoint_every, resume: self.resume })
     }
 
     /// Checkpoint stem (directory + basename, no extension) for a named unit
@@ -541,68 +569,82 @@ mod tests {
         dir
     }
 
-    fn checkpointable_scenario() -> Scenario {
+    /// The scenario the checkpoint tests run, keeping `dir/<name>*.snap`.
+    fn checkpointable_scenario(stem: PathBuf, every: usize, resume: bool) -> Scenario {
         Scenario::builder()
             .peers(200)
             .ticks(8)
             .attackers(5)
             .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
             .seed(11)
+            .checkpoint(Some(Checkpoint { stem, every, resume }))
             .build()
+    }
+
+    fn plain(s: &Scenario) -> Scenario {
+        Scenario { checkpoint: None, ..s.clone() }
     }
 
     #[test]
     fn checkpointed_run_is_bit_identical_to_plain_run() {
-        let s = checkpointable_scenario();
         let dir = scratch_dir("plain");
-        let ckpt = dir.join("run.snap");
-        let plain = s.run();
-        let checkpointed = s.run_checkpointed(&ckpt, 3, false);
-        assert_eq!(plain, checkpointed);
-        assert!(ckpt.exists(), "periodic checkpoint must have been written");
+        let s = checkpointable_scenario(dir.join("run"), 3, false);
+        assert_eq!(plain(&s).run(), s.run());
+        assert!(dir.join("run.snap").exists(), "periodic checkpoint must have been written");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn resume_from_mid_run_checkpoint_matches_uninterrupted_run() {
-        let s = checkpointable_scenario();
         let dir = scratch_dir("resume");
-        let ckpt = dir.join("run.snap");
+        let s = checkpointable_scenario(dir.join("run"), 3, true);
         // Simulate a crash: run only to tick 5, leaving the tick-3 checkpoint.
         let mut partial = s.build_sim();
         while (partial.tick() as usize) < 5 {
             partial.step();
             if partial.tick() == 3 {
-                partial.write_snapshot_file(&ckpt).unwrap();
+                partial.write_snapshot_file(&dir.join("run.snap")).unwrap();
             }
         }
         drop(partial);
-        let resumed = s.run_checkpointed(&ckpt, 3, true);
-        assert_eq!(s.run(), resumed, "resume must reproduce the uninterrupted run bit-for-bit");
+        let resumed = s.run();
+        assert_eq!(
+            plain(&s).run(),
+            resumed,
+            "resume must reproduce the uninterrupted run bit-for-bit"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_checkpoint_degrades_to_full_rerun() {
-        let s = checkpointable_scenario();
         let dir = scratch_dir("corrupt");
-        let ckpt = dir.join("run.snap");
-        std::fs::write(&ckpt, b"not a snapshot").unwrap();
-        let report = s.run_checkpointed(&ckpt, 0, true);
-        assert_eq!(s.run(), report, "a corrupt checkpoint must not change the numbers");
+        let s = checkpointable_scenario(dir.join("run"), 0, true);
+        std::fs::write(dir.join("run.snap"), b"not a snapshot").unwrap();
+        assert_eq!(plain(&s).run(), s.run(), "a corrupt checkpoint must not change the numbers");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpointed_damage_pair_matches_plain_pair() {
-        let s = checkpointable_scenario();
         let dir = scratch_dir("damage");
-        let stem = dir.join("pair");
-        let plain = s.run_with_damage();
-        let checkpointed = s.run_with_damage_checkpointed(&stem, 4, false);
-        assert_eq!(plain, checkpointed);
+        let s = checkpointable_scenario(dir.join("pair"), 4, false);
+        assert_eq!(plain(&s).run_with_damage(), s.run_with_damage());
         assert!(dir.join("pair-defended.snap").exists());
         assert!(dir.join("pair-baseline.snap").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mean_over_sums_in_replicate_order_and_divides_once() {
+        let o = ExpOptions { replicates: 3, ..ExpOptions::default() };
+        let mut seen = Vec::new();
+        let [a, b] = o.mean_over(|r| {
+            seen.push(r);
+            [0.1 * (r + 1) as f64, 1.0]
+        });
+        assert_eq!(seen, [0, 1, 2]);
+        assert_eq!(a.to_bits(), ((0.0 + 0.1 + 0.2 + 0.1 * 3.0) / 3.0f64).to_bits());
+        assert_eq!(b, 1.0);
     }
 }

@@ -166,6 +166,15 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
+/// How tables and `BENCH_*.json` spell a switch.
+pub fn on_off(flag: bool) -> &'static str {
+    if flag {
+        "on"
+    } else {
+        "off"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Ablations of DESIGN.md's called-out design choices.
 
 use super::{damage_means, par_map};
-use crate::output::{f, pct, Table};
+use crate::output::{f, on_off, pct, Table};
 use crate::scenario::{DamageReport, DefenseKind, ExpOptions};
 use ddp_attack::CheatStrategy;
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
@@ -201,13 +201,7 @@ pub fn ablate_lists(opts: &ExpOptions) -> Table {
         let [damage, never, fneg] = damage_means(opts, 0, &scenario, |dr| {
             [dr.stable_damage(), never_cut(dr), good_cut(dr)]
         });
-        vec![
-            label.to_string(),
-            if verify { "on" } else { "off" }.to_string(),
-            pct(damage),
-            f(never, 1),
-            f(fneg, 1),
-        ]
+        vec![label.to_string(), on_off(verify).to_string(), pct(damage), f(never, 1), f(fneg, 1)]
     });
     Table::from_rows(
         "ablate_list_lying",

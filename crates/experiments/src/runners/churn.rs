@@ -18,7 +18,7 @@
 //! `BENCH_churn.json` tracked PR-over-PR.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
-use crate::output::{f, Column, Table};
+use crate::output::{f, on_off, Column, Table};
 use crate::scenario::{damage_series, stable_damage, ExpOptions, Scenario};
 use ddp_attack::WhitewashPlan;
 use ddp_police::{DdPolice, DdPoliceConfig, ReadmissionPolicy};
@@ -119,14 +119,6 @@ impl BenchCell for ChurnCell {
         ("wrongful%", |c| f(c.wrongful_cut_rate * 100.0, 1)),
         ("resid dmg", |c| f(c.residual_damage, 3)),
     ];
-}
-
-fn on_off(flag: bool) -> &'static str {
-    if flag {
-        "on"
-    } else {
-        "off"
-    }
 }
 
 fn session_length(model: &str, mean: f64) -> LifetimeModel {

@@ -16,7 +16,7 @@
 //! the backoff instead of lasting forever.
 
 use super::par_map;
-use crate::output::{f, pct, Table};
+use crate::output::{f, on_off, pct, Table};
 use crate::scenario::{ExpOptions, Scenario};
 use ddp_attack::CollusionPlan;
 use ddp_police::{AggregationPolicy, DdPolice, DdPoliceConfig, Hysteresis, ReadmissionPolicy};
@@ -258,7 +258,7 @@ pub fn readmission(opts: &ExpOptions) -> Table {
         "Quarantine/readmission under 30% framing colluders (sum aggregation)",
         &readmission_grid(opts),
         &[
-            ("readmission", |c| if c.enabled { "on" } else { "off" }.to_string()),
+            ("readmission", |c| on_off(c.enabled).to_string()),
             ("wrongful cuts", |c| f(c.wrongful_cuts, 1)),
             ("mean severed ticks", |c| f(c.wrongful_cut_ticks_mean, 2)),
             ("probes", |c| f(c.probes, 1)),

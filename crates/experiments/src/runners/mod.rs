@@ -84,21 +84,3 @@ pub fn emit(table: &Table, opts: &ExpOptions) -> Result<(), OutputError> {
     println!();
     Ok(())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn emit_reports_a_failed_csv_write() {
-        // A directory that turned unwritable after the up-front probe: here,
-        // a regular file where the directory should be.
-        let file = std::env::temp_dir().join(format!("ddp_emit_not_a_dir_{}", std::process::id()));
-        std::fs::write(&file, b"x").unwrap();
-        let opts = ExpOptions { csv_dir: Some(file.clone()), ..ExpOptions::default() };
-        let err = emit(&table1(), &opts).unwrap_err();
-        assert!(err.to_string().contains(&file.display().to_string()), "{err}");
-        emit(&table1(), &ExpOptions::default()).expect("nothing to write, nothing to fail");
-        let _ = std::fs::remove_file(&file);
-    }
-}

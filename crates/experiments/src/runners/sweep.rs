@@ -72,9 +72,10 @@ pub fn agent_sweep(opts: &ExpOptions) -> Vec<SweepRow> {
         // Nothing to defend against in the baseline cell.
         let defended =
             if k == 0 { undefended } else { regime(DefenseKind::DdPolice { cut_threshold: 5.0 }) };
+        // `baseline` is filled in below, once cell 0 has been measured.
         SweepRow { agents: k, baseline: undefended, undefended, defended }
     });
-    let baseline = rows.remove(0).baseline;
+    let baseline = rows.remove(0).undefended;
     rows.iter_mut().for_each(|row| row.baseline = baseline);
     rows
 }

@@ -140,7 +140,7 @@ impl Scenario {
     /// The stream agents are placed from. A runner with an attack plan of
     /// its own (whitewashing) builds with zero agents and applies the plan
     /// on this stream, so its agents sit where the plain scenario's would.
-    pub fn placement_rng(&self) -> StdRng {
+    pub(crate) fn placement_rng(&self) -> StdRng {
         StdRng::seed_from_u64(self.seed ^ 0xdd05_ee1f)
     }
 
@@ -206,7 +206,7 @@ impl Scenario {
 
 /// `D(t)` per tick of an attacked run's success-rate series against its
 /// baseline's (a tick the baseline lacks counts as full success).
-pub fn damage_series(attacked: &[f64], baseline: &[f64]) -> TimeSeries {
+pub(crate) fn damage_series(attacked: &[f64], baseline: &[f64]) -> TimeSeries {
     let mut damage = TimeSeries::new("damage_rate");
     for (t, &s1) in attacked.iter().enumerate() {
         damage.push(damage_rate(baseline.get(t).copied().unwrap_or(1.0), s1));
@@ -215,7 +215,7 @@ pub fn damage_series(attacked: &[f64], baseline: &[f64]) -> TimeSeries {
 }
 
 /// Mean of a damage series over the stabilized last quarter of the run.
-pub fn stable_damage(damage: &TimeSeries) -> f64 {
+pub(crate) fn stable_damage(damage: &TimeSeries) -> f64 {
     damage.tail_mean((damage.len() / 4).max(1))
 }
 

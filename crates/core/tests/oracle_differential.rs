@@ -8,12 +8,11 @@
 //! list, so a scenario added there is covered by all of them. Each matrix
 //! entry asserts full-state lockstep equivalence (judgment traces within
 //! 1 ulp, verdict entries, exchange views, overlay edges, cut/verdict
-//! ledgers, output series) after every tick. The final tests are the
-//! harness's own mutation check: forcing the engine down its fast path in a
-//! configuration the gate would refuse must produce a divergence, and the
-//! shrinker must reduce it to a small replayable spec.
+//! ledgers, output series) after every tick. That the lockstep catches a
+//! broken engine is proved by the mutants in `tests/mutants/catalogue.txt`
+//! that name these tests.
 
-use ddp_oracle::{run_lockstep, scenario_matrix, shrink, ScenarioSpec};
+use ddp_oracle::{run_lockstep, scenario_matrix, ScenarioSpec};
 
 /// Assert a scenario runs clean, with a readable divergence on failure.
 fn assert_clean(label: &str, spec: ScenarioSpec) {
@@ -62,53 +61,82 @@ fn seeded_random_sweep() {
     }
 }
 
-/// Find a spec under which the deliberately broken configuration (fast path
-/// forced on with per-link clamping enabled, which only the slow path
-/// implements) actually diverges. Inflating cheaters make clamping matter.
-fn mutation_spec() -> ScenarioSpec {
-    for seed in 0..50 {
+/// The 300-peer scenario families the golden digests in
+/// `differential_inertness.rs` pin, and the default-config families the
+/// verdict ledger audits run, each seed of each family in lockstep with the
+/// oracle: baseline flooders and a faulty control plane under churn, a
+/// shielding or framing coalition with padded lists against the hardened
+/// config, the paper's defaults across seeds, under churn and with lying
+/// reporters.
+fn reference_families() -> Vec<(&'static str, ScenarioSpec)> {
+    let mut families = Vec::new();
+    for (i, seed) in [11u64, 42, 137, 2024, 77_777].into_iter().enumerate() {
+        let base =
+            ScenarioSpec { peers: 300, seed, churn: true, ticks: 8, ..ScenarioSpec::default() };
+        families.push(("baseline", ScenarioSpec { agents: 10, ..base.clone() }));
+        let faulty = ScenarioSpec {
+            agents: 12,
+            cheat: (i % 4) as u8,
+            inflate: 3.0,
+            loss: 0.15,
+            delay_prob: 0.3,
+            crash_prob: 0.01,
+            ..base.clone()
+        };
+        families.push(("faulty", faulty));
+        let collusion = ScenarioSpec {
+            agents: 8,
+            collusion: 1 + (i % 2) as u8,
+            shield_deflate: 0.05,
+            frame_inflate: 40.0,
+            lists: 3,
+            clamp_reports: true,
+            radius: 2,
+            hys_required: 2,
+            hys_window: 3,
+            readmission: true,
+            ticks: 10,
+            ..base
+        };
+        families.push(("collusion", collusion));
+    }
+    let paper = ScenarioSpec { agents: 2, ticks: 8, ..ScenarioSpec::default() };
+    for seed in [1, 7, 23, 42, 99] {
+        families.push(("default config", ScenarioSpec { peers: 300, seed, ..paper.clone() }));
+    }
+    for (seed, cheat) in [(3, 0), (42, 3)] {
+        let spec =
+            ScenarioSpec { peers: 250, seed, cheat, churn: true, ticks: 10, ..paper.clone() };
+        families.push(("default config under churn", spec));
+    }
+    for (cheat, inflate) in [(1, 50.0), (2, 50.0)] {
+        let spec = ScenarioSpec { peers: 260, seed: 13, cheat, inflate, ..paper.clone() };
+        families.push(("default config, lying reporters", spec));
+    }
+    families
+}
+
+#[test]
+fn reference_families_run_clean() {
+    for (label, spec) in reference_families() {
+        assert_clean(label, spec);
+    }
+}
+
+/// Inflating cheaters under per-link clamping: only the per-member judgment
+/// step clamps a member's claim at the link's capacity, so a judgment that
+/// took the shared-sum step here would split from the oracle at once.
+#[test]
+fn clamped_inflating_cheaters_run_clean() {
+    for seed in 0..3 {
         let spec = ScenarioSpec {
             seed,
             agents: 5,
             cheat: 1,
             inflate: 80.0,
             clamp_reports: true,
-            force_fast_path: true,
             ..ScenarioSpec::default()
         };
-        if run_lockstep(&spec).is_err() {
-            return spec;
-        }
+        assert_clean("clamped inflating cheaters", spec);
     }
-    panic!("no seed in 0..50 exposes the forced fast path — the mutation check lost its teeth");
-}
-
-#[test]
-fn mutation_check_forced_fast_path_is_caught_and_shrunk() {
-    let spec = mutation_spec();
-
-    let repro = shrink(&spec, 200).expect("a diverging spec must shrink to a reproducer");
-    // The shrunk spec still reproduces, and only got smaller.
-    let d = run_lockstep(&repro.spec).expect_err("shrunk spec must still diverge");
-    assert_eq!(d, repro.divergence, "lockstep is deterministic");
-    assert!(repro.spec.ticks <= spec.ticks);
-    assert!(repro.spec.peers <= spec.peers);
-    assert!(
-        repro.spec.force_fast_path && repro.spec.clamp_reports,
-        "the shrinker must keep the two knobs that cause the bug: {}",
-        repro.spec.to_json()
-    );
-
-    // The reproducer replays exactly through its JSON form.
-    let replayed = ScenarioSpec::from_json(&repro.spec.to_json()).expect("reproducer parses");
-    assert_eq!(replayed, repro.spec);
-    assert_eq!(run_lockstep(&replayed).expect_err("replay diverges"), repro.divergence);
-}
-
-#[test]
-fn honest_gate_keeps_the_same_scenario_clean() {
-    // The identical scenario minus the forced gate runs clean: the
-    // divergence above is the *mutation*, not the scenario.
-    let spec = ScenarioSpec { force_fast_path: false, ..mutation_spec() };
-    assert_clean("un-forced twin", spec);
 }

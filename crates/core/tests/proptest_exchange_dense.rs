@@ -24,8 +24,8 @@
 //! late-list applies inside a tick, `forget_edge`, `reset_peer`,
 //! `forget_about`, the sharded refresh at widths 1/2/4, a save → load round
 //! trip — `holders_of` must equal the brute-force transpose of the views.
-//! `planted_reset_leak_is_caught` flips the `set_reset_leaks_holders`
-//! sabotage lever to prove that check has teeth.
+//! `reset_peer_unlists_its_holders` pins the one leak no view shows; the
+//! `reset-leaks-holders` mutant in `tests/mutants/catalogue.txt` must fail it.
 
 use ddp_police::exchange::ExchangeState;
 use ddp_police::ExchangePolicy;
@@ -164,36 +164,29 @@ fn holder_index_divergence(ex: &ExchangeState) -> Option<String> {
     None
 }
 
-/// Teeth: `reset_peer` forgetting to unlist the viewer leaks a holder entry
-/// without changing any view, so only the index check can see it.
+/// `reset_peer` must unlist the viewer from every announcer it held: a leak
+/// there changes no view, so only the index check can see it.
 #[test]
-fn planted_reset_leak_is_caught() {
-    for leak in [false, true] {
-        let mut g = DynamicGraph::new(N);
-        g.add_edge(NodeId(0), NodeId(1));
-        g.add_edge(NodeId(1), NodeId(2));
-        let overlay = Overlay::new(g, &[BandwidthClass::Ethernet; N]);
-        let obs = TickObservation {
-            tick: 1,
-            overlay: &overlay,
-            online: &[true; N],
-            runs_defense: &[true; N],
-            report_behavior: &[ReportBehavior::Honest; N],
-            list_behavior: &[ListBehavior::Truthful; N],
-            faults: None,
-        };
-        let mut ex = ExchangeState::new(N);
-        ex.set_reset_leaks_holders(leak);
-        ex.on_tick(ExchangePolicy::Periodic { minutes: 1 }, &obs);
-        assert_eq!(holder_index_divergence(&ex), None, "the leak only bites on reset");
-        ex.reset_peer(NodeId(1));
-        assert!(ex.snapshot(NodeId(1), NodeId(0)).is_none(), "the view itself is wiped");
-        assert_eq!(
-            holder_index_divergence(&ex).is_some(),
-            leak,
-            "the index check must report the planted leak, and only it"
-        );
-    }
+fn reset_peer_unlists_its_holders() {
+    let mut g = DynamicGraph::new(N);
+    g.add_edge(NodeId(0), NodeId(1));
+    g.add_edge(NodeId(1), NodeId(2));
+    let overlay = Overlay::new(g, &[BandwidthClass::Ethernet; N]);
+    let obs = TickObservation {
+        tick: 1,
+        overlay: &overlay,
+        online: &[true; N],
+        runs_defense: &[true; N],
+        report_behavior: &[ReportBehavior::Honest; N],
+        list_behavior: &[ListBehavior::Truthful; N],
+        faults: None,
+    };
+    let mut ex = ExchangeState::new(N);
+    ex.on_tick(ExchangePolicy::Periodic { minutes: 1 }, &obs);
+    assert_eq!(holder_index_divergence(&ex), None);
+    ex.reset_peer(NodeId(1));
+    assert!(ex.snapshot(NodeId(1), NodeId(0)).is_none(), "the view itself is wiped");
+    assert_eq!(holder_index_divergence(&ex), None, "and so is its trace in the index");
 }
 
 proptest! {

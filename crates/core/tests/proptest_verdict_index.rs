@@ -7,12 +7,11 @@
 //! `note_list_missing`, dropped by `judged` (cut, or nothing worth
 //! remembering), `below_warning`, `expire_probations`, `expire_stale`,
 //! `forget_edge`, `reset_observer` and `forget_suspect`, and re-derived by
-//! `load_state`. Random op sequences drive two machines in lockstep: `serial`
-//! through the whole-machine methods, `sharded` with every per-observer op
-//! routed through [`VerdictMachine::shards`] at widths 1/2/4 and the shards'
-//! edit logs replayed in partition order, exactly as the parallel judgment
-//! path does. After every op both must hold the same entries and both indexes
-//! must equal the transpose.
+//! `load_state`. Random op sequences drive two machines in lockstep, every
+//! per-observer op routed through [`VerdictMachine::shards`] and the shards'
+//! edit logs replayed in partition order, exactly as a tick does: `serial` in
+//! one shard over all observers, `sharded` in 2 or 4. After every op both must
+//! hold the same entries and both indexes must equal the transpose.
 
 use ddp_police::verdict::VerdictShard;
 use ddp_police::{Hysteresis, ReadmissionPolicy, VerdictMachine};
@@ -37,7 +36,8 @@ enum ObserverOp {
 #[derive(Debug, Clone)]
 enum Op {
     /// Per-observer ops, run in one shard session of this width on the
-    /// sharded twin (so a shard's edit log spans several calls).
+    /// sharded twin and of width 1 on the serial one (so a shard's edit log
+    /// spans several calls).
     Burst(usize, Vec<(u32, ObserverOp)>),
     AdvanceTick,
     ToggleOnline(u32),
@@ -66,7 +66,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     let n = N as u32;
     prop_oneof![
         8 => (
-            prop_oneof![Just(1usize), Just(2), Just(4)],
+            prop_oneof![Just(2usize), Just(4)],
             proptest::collection::vec(observer_op_strategy(), 1..10),
         )
             .prop_map(|(width, ops)| Op::Burst(width, ops)),
@@ -87,39 +87,38 @@ struct Ctx {
     readmission: ReadmissionPolicy,
 }
 
-/// Apply one per-observer op to a machine or a shard (same method names).
-macro_rules! apply_observer_op {
-    ($target:expr, $observer:expr, $op:expr, $ctx:expr, $online:expr, $actions:expr) => {
-        match $op {
-            ObserverOp::Judged { suspect, over_ct } => {
-                $target.judged(
-                    $observer,
-                    NodeId(suspect),
-                    over_ct,
-                    $ctx.tick,
-                    $ctx.hysteresis,
-                    $ctx.readmission,
-                    $actions,
-                );
-            }
-            ObserverOp::NoteListMissing { suspect } => {
-                $target.note_list_missing($observer, NodeId(suspect));
-            }
-            ObserverOp::NoteListOk { suspect } => $target.note_list_ok($observer, NodeId(suspect)),
-            ObserverOp::BelowWarning { suspect } => {
-                $target.below_warning($observer, NodeId(suspect))
-            }
-            ObserverOp::FireProbes => {
-                $target.fire_probes($observer, $ctx.tick, $ctx.readmission, $actions)
-            }
-            ObserverOp::ExpireProbations => {
-                $target.expire_probations($observer, $ctx.tick, $actions)
-            }
-            ObserverOp::ExpireStale { ttl } => {
-                $target.expire_stale($observer, $ctx.tick, ttl, $online);
-            }
+/// Apply one per-observer op to the shard holding `observer`.
+fn apply_observer_op(
+    shard: &mut VerdictShard<'_>,
+    observer: NodeId,
+    op: ObserverOp,
+    ctx: Ctx,
+    online: &[bool],
+    actions: &mut Actions,
+) {
+    match op {
+        ObserverOp::Judged { suspect, over_ct } => {
+            shard.judged(
+                observer,
+                NodeId(suspect),
+                over_ct,
+                ctx.tick,
+                ctx.hysteresis,
+                ctx.readmission,
+                actions,
+            );
         }
-    };
+        ObserverOp::NoteListMissing { suspect } => {
+            shard.note_list_missing(observer, NodeId(suspect));
+        }
+        ObserverOp::NoteListOk { suspect } => shard.note_list_ok(observer, NodeId(suspect)),
+        ObserverOp::BelowWarning { suspect } => shard.below_warning(observer, NodeId(suspect)),
+        ObserverOp::FireProbes => shard.fire_probes(observer, ctx.tick, ctx.readmission, actions),
+        ObserverOp::ExpireProbations => shard.expire_probations(observer, ctx.tick, actions),
+        ObserverOp::ExpireStale { ttl } => {
+            shard.expire_stale(observer, ctx.tick, ttl, online);
+        }
+    }
 }
 
 /// Run `ops` through one shard session of `width` even partitions, then
@@ -137,7 +136,7 @@ fn apply_sharded(
     let mut shards = m.shards(&bounds);
     for &(observer, op) in ops {
         let shard = &mut shards[observer as usize / step];
-        apply_observer_op!(shard, NodeId(observer), op, ctx, online, &mut actions);
+        apply_observer_op(shard, NodeId(observer), op, ctx, online, &mut actions);
     }
     let logs: Vec<_> = shards.into_iter().map(VerdictShard::into_index_edits).collect();
     for log in logs {
@@ -197,12 +196,7 @@ proptest! {
         for op in ops {
             match op {
                 Op::Burst(width, ops) => {
-                    let mut actions = Actions::default();
-                    for &(observer, op) in &ops {
-                        apply_observer_op!(
-                            serial, NodeId(observer), op, ctx, &online, &mut actions
-                        );
-                    }
+                    apply_sharded(&mut serial, 1, &ops, ctx, &online);
                     apply_sharded(&mut sharded, width, &ops, ctx, &online);
                 }
                 Op::AdvanceTick => ctx.tick += 1,

@@ -49,7 +49,7 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
     {
         eprintln!("[fuzz] DIVERGENCE at fuzz seed {fuzz_seed}: {d}");
         eprintln!("[fuzz] shrinking (budget {SHRINK_BUDGET} lockstep runs)...");
-        let repro = shrink(&spec, SHRINK_BUDGET)
+        let repro = shrink(&spec, SHRINK_BUDGET, run_lockstep)
             .expect("a spec that just diverged must diverge again under the same harness");
         eprintln!(
             "[fuzz] shrunk after {} runs to peers={} ticks={} agents={}: {}",
@@ -71,7 +71,6 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
                 repro.spec.peers,
             ));
             engine.defense_mut().set_tracing(true);
-            engine.defense_mut().set_force_fast_path(repro.spec.force_fast_path);
             while engine.tick() + 1 < repro.divergence.tick {
                 engine.step();
             }

@@ -75,7 +75,6 @@ fn edge_set<D: ddp_sim::Defense>(sim: &Simulation<D>) -> Vec<(u32, u32)> {
 pub fn run_lockstep(spec: &ScenarioSpec) -> Result<LockstepStats, Divergence> {
     let mut engine = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
     engine.defense_mut().set_tracing(true);
-    engine.defense_mut().set_force_fast_path(spec.force_fast_path);
     let mut oracle = spec.instantiate(OracleDdPolice::new(spec.police_config()));
 
     let mut stats = LockstepStats::default();
@@ -95,26 +94,19 @@ pub fn run_lockstep(spec: &ScenarioSpec) -> Result<LockstepStats, Divergence> {
 /// every serialized byte of overlay, workload, defense, metrics, and RNG
 /// state is covered), the drained judgment traces (bit-exact, not 1-ulp:
 /// same engine on both sides), and the final run results.
-///
-/// `sabotage_reduction` flips the parallel twin's unordered-reduction lever
-/// (see `DdPolice::set_unordered_reduction`): the mutation check proving
-/// this suite detects a real reduction-order race. No-op at `threads <= 1`.
 pub fn run_parallel_lockstep(
     spec: &ScenarioSpec,
     threads: usize,
-    sabotage_reduction: bool,
 ) -> Result<LockstepStats, Divergence> {
     let build = || {
         let mut sim = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
         sim.defense_mut().set_tracing(true);
-        sim.defense_mut().set_force_fast_path(spec.force_fast_path);
         sim.enable_hash_trace();
         sim
     };
     let mut serial = build();
     let mut parallel = build();
     parallel.set_threads(threads);
-    parallel.defense_mut().set_unordered_reduction(sabotage_reduction);
 
     let mut stats = LockstepStats::default();
     for _ in 0..spec.ticks {
@@ -175,7 +167,6 @@ pub fn run_lockstep_with_restore(
     let build_engine = || {
         let mut e = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
         e.defense_mut().set_tracing(true);
-        e.defense_mut().set_force_fast_path(spec.force_fast_path);
         e
     };
     let mut engine = build_engine();

@@ -409,7 +409,7 @@ impl OracleDdPolice {
     }
 
     /// Feed one judged window into the lifecycle. Mirrors
-    /// [`VerdictMachine::judged`](ddp_police::VerdictMachine::judged) with
+    /// [`VerdictShard::judged`](ddp_police::VerdictShard::judged) with
     /// the history as an explicit window of bools.
     fn judged(
         &mut self,

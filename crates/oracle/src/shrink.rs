@@ -5,13 +5,14 @@
 //! (truncate ticks to the divergence point, halve the population, drop the
 //! attack, disable churn / sessions / whitewash / collusion, make the fault
 //! plane inert, reset protocol knobs to paper defaults) and keeps any
-//! mutation under which the twins *still diverge*. The loop re-runs until a
-//! full round changes nothing, so the result is locally minimal: every
-//! remaining deviation from the default spec is necessary to reproduce the
-//! bug. Determinism of [`run_lockstep`] makes the reproducer exact — same
-//! spec, same divergence, forever.
+//! mutation under which the check *still reports a divergence*. The loop
+//! re-runs until a full round changes nothing, so the result is locally
+//! minimal: every remaining deviation from the default spec is necessary to
+//! reproduce the bug. The check is a deterministic function of the spec —
+//! [`run_lockstep`](crate::harness::run_lockstep) for the fuzz campaign — so
+//! the reproducer is exact: same spec, same divergence, forever.
 
-use crate::harness::run_lockstep;
+use crate::harness::Divergence;
 use crate::spec::ScenarioSpec;
 
 /// A shrunk reproducer: the minimal spec plus the divergence it still
@@ -21,8 +22,8 @@ pub struct ShrunkRepro {
     /// The minimized scenario.
     pub spec: ScenarioSpec,
     /// The divergence the minimized scenario reproduces.
-    pub divergence: crate::harness::Divergence,
-    /// Lockstep runs spent shrinking (the search budget actually used).
+    pub divergence: Divergence,
+    /// Checks spent shrinking (the search budget actually used).
     pub runs: usize,
 }
 
@@ -71,20 +72,20 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
     out
 }
 
-/// Shrink a diverging scenario. `spec` must diverge (the caller has already
-/// seen it fail); if it unexpectedly passes, `None`.
+/// Shrink a scenario under which `check` reports a divergence. `spec` must
+/// diverge (the caller has already seen it fail); if it unexpectedly passes,
+/// `None`.
 ///
-/// `max_runs` bounds the total number of lockstep executions spent searching
-/// — shrinking is best-effort and the pre-shrink spec is always a valid
+/// `max_runs` bounds the total number of `check` calls spent searching —
+/// shrinking is best-effort and the pre-shrink spec is always a valid
 /// reproducer, so running out of budget just yields a bigger one.
-pub fn shrink(spec: &ScenarioSpec, max_runs: usize) -> Option<ShrunkRepro> {
-    let mut runs = 0usize;
-    fn rerun(candidate: &ScenarioSpec, runs: &mut usize) -> Option<crate::harness::Divergence> {
-        *runs += 1;
-        run_lockstep(candidate).err()
-    }
-
-    let mut divergence = rerun(spec, &mut runs)?;
+pub fn shrink<T>(
+    spec: &ScenarioSpec,
+    max_runs: usize,
+    check: impl Fn(&ScenarioSpec) -> Result<T, Divergence>,
+) -> Option<ShrunkRepro> {
+    let mut divergence = check(spec).err()?;
+    let mut runs = 1usize;
     let mut best = spec.clone();
     // The scenario past the first divergence is dead weight.
     best.ticks = best.ticks.min(divergence.tick);
@@ -95,7 +96,8 @@ pub fn shrink(spec: &ScenarioSpec, max_runs: usize) -> Option<ShrunkRepro> {
             if runs >= max_runs {
                 return Some(ShrunkRepro { spec: best, divergence, runs });
             }
-            if let Some(d) = rerun(&candidate, &mut runs) {
+            runs += 1;
+            if let Err(d) = check(&candidate) {
                 best = candidate;
                 best.ticks = best.ticks.min(d.tick);
                 divergence = d;
@@ -115,7 +117,34 @@ mod tests {
 
     #[test]
     fn passing_spec_yields_none() {
-        assert!(shrink(&ScenarioSpec::default(), 50).is_none());
+        assert!(shrink(&ScenarioSpec::default(), 50, crate::run_lockstep).is_none());
+    }
+
+    /// A planted divergence: any spec with the clamp on and at least one
+    /// agent diverges, at tick 3 or at its last tick if it runs fewer.
+    fn clamp_with_an_agent(spec: &ScenarioSpec) -> Result<(), Divergence> {
+        if spec.clamp_reports && spec.agents >= 1 {
+            return Err(Divergence { tick: spec.ticks.min(3), what: "planted".into() });
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn shrinking_keeps_exactly_the_knobs_the_divergence_needs() {
+        let start = ScenarioSpec { clamp_reports: true, agents: 5, ..ScenarioSpec::random(11) };
+        assert!(start.peers > 8 && start.ticks > 3, "the start must have room to shrink");
+        let repro = shrink(&start, 400, clamp_with_an_agent).expect("the start diverges");
+        assert!(repro.spec.ticks <= 3, "cut at the divergence: {}", repro.spec.to_json());
+        let minimal = ScenarioSpec {
+            peers: 8,
+            ticks: repro.spec.ticks,
+            seed: start.seed,
+            agents: 1,
+            clamp_reports: true,
+            ..ScenarioSpec::default()
+        };
+        assert_eq!(repro.spec, minimal, "shrunk to {}", repro.spec.to_json());
+        assert_eq!(Err(repro.divergence), clamp_with_an_agent(&repro.spec));
     }
 
     #[test]

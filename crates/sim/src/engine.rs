@@ -1249,11 +1249,17 @@ impl<D: Defense> Simulation<D> {
         let rng_workload = load_rng(dec)?;
         let rng_churn = load_rng(dec)?;
         let rng_session = load_rng(dec)?;
-        self.fault_plane.restore_state(dec)?;
+        self.fault_plane.restore_state(dec, n)?;
         let free_slots: Vec<usize> = dec.get()?;
+        if free_slots.iter().any(|&slot| slot >= n) {
+            return Err(SnapshotError::Corrupt { what: "free slot" });
+        }
         let session_stats: crate::session::SessionStats = dec.get()?;
         let whitewash: Option<crate::session::WhitewashConfig> = dec.get()?;
         let whitewash_pending: Vec<(usize, Tick)> = dec.get()?;
+        if whitewash_pending.iter().any(|&(slot, _)| slot >= n) {
+            return Err(SnapshotError::Corrupt { what: "whitewash pending slot" });
+        }
         let whitewash_log: Vec<crate::session::WhitewashRecord> = dec.get()?;
         let prev_util: Vec<f32> = dec.get()?;
         let series: RunSeries = dec.get()?;
@@ -1794,6 +1800,77 @@ mod tests {
         flipped[mid] ^= 0x40;
         let mut sim = busy_sim(9);
         assert!(sim.restore_snapshot(&flipped).is_err());
+    }
+
+    /// 40 peers whose control plane delays every list announcement.
+    fn delaying_cfg() -> SimConfig {
+        SimConfig {
+            faults: crate::FaultConfig { delay_prob: 1.0, delay_ticks: 2, ..Default::default() },
+            ..small_cfg(40)
+        }
+    }
+
+    /// A checksum-valid snapshot whose one planted node id equals the slot
+    /// count: `plant` writes an in-range id into a fresh engine, the saved
+    /// payload gets that id rewritten and goes back into a container. The id
+    /// is found where a twin planted with the next lower id saves differently.
+    fn hostile_snapshot(plant: impl Fn(&mut Simulation<NoDefense>, u32)) -> Vec<u8> {
+        let n = delaying_cfg().topology.n as u32;
+        let saved = |id| {
+            let mut sim = Simulation::new(delaying_cfg(), NoDefense, 3);
+            plant(&mut sim, id);
+            let bytes = sim.save_snapshot().unwrap();
+            ddp_snapshot::decode_container(&bytes, Path::new("<memory>")).unwrap()
+        };
+        let ((context, mut payload), (_, twin)) = (saved(n - 1), saved(n - 2));
+        let differ: Vec<usize> = (0..payload.len()).filter(|&i| payload[i] != twin[i]).collect();
+        assert_eq!(differ.len(), 1, "the planted id must be the only difference");
+        payload[differ[0]] = n as u8; // n - 1, n - 2 and n share every byte but the lowest
+        ddp_snapshot::encode_container(context, &payload)
+    }
+
+    fn assert_restore_is_corrupt(bytes: &[u8], field: &str) {
+        let mut sim = Simulation::new(delaying_cfg(), NoDefense, 3);
+        match sim.restore_snapshot(bytes) {
+            Err(SnapshotError::Corrupt { what }) => assert_eq!(what, field),
+            other => panic!("expected Corrupt {{ what: {field:?} }}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_free_slot_outside_the_slot_range() {
+        let bytes = hostile_snapshot(|sim, id| sim.free_slots.push(id as usize));
+        assert_restore_is_corrupt(&bytes, "free slot");
+    }
+
+    #[test]
+    fn restore_refuses_a_whitewash_pending_slot_outside_the_slot_range() {
+        let bytes = hostile_snapshot(|sim, id| sim.whitewash_pending.push((id as usize, 9)));
+        assert_restore_is_corrupt(&bytes, "whitewash pending slot");
+    }
+
+    #[test]
+    fn restore_refuses_a_late_list_receiver_outside_the_slot_range() {
+        let bytes = hostile_snapshot(|sim, id| {
+            assert!(!sim.fault_plane.list_arrives(1, NodeId(1), NodeId(id), &[NodeId(2)]));
+        });
+        assert_restore_is_corrupt(&bytes, "delayed list receiver");
+    }
+
+    #[test]
+    fn restore_refuses_a_late_list_announcer_outside_the_slot_range() {
+        let bytes = hostile_snapshot(|sim, id| {
+            assert!(!sim.fault_plane.list_arrives(1, NodeId(id), NodeId(1), &[NodeId(2)]));
+        });
+        assert_restore_is_corrupt(&bytes, "delayed list announcer");
+    }
+
+    #[test]
+    fn restore_refuses_a_late_list_member_outside_the_slot_range() {
+        let bytes = hostile_snapshot(|sim, id| {
+            assert!(!sim.fault_plane.list_arrives(1, NodeId(1), NodeId(2), &[NodeId(id)]));
+        });
+        assert_restore_is_corrupt(&bytes, "delayed list member");
     }
 
     #[test]

@@ -433,18 +433,40 @@ impl FaultPlane {
         enc.put(&st.stats);
     }
 
-    /// Rebuild the mailboxes and accounting from a snapshot payload.
+    /// Rebuild the mailboxes and accounting from a snapshot payload of an
+    /// engine with `slots` node slots: a late list naming a peer outside them
+    /// is corrupt, since delivering it indexes that peer.
     pub fn restore_state(
         &self,
         dec: &mut ddp_snapshot::Dec<'_>,
+        slots: usize,
     ) -> Result<(), ddp_snapshot::SnapshotError> {
-        let lists = dec.get()?;
+        let lists: Vec<DelayedList> = dec.get()?;
+        for list in &lists {
+            list.check_ids(slots)?;
+        }
         let reports = dec.get()?;
         let stats = dec.get()?;
         let mut st = self.state.borrow_mut();
         st.lists = lists;
         st.reports = reports;
         st.stats = stats;
+        Ok(())
+    }
+}
+
+impl DelayedList {
+    fn check_ids(&self, slots: usize) -> Result<(), ddp_snapshot::SnapshotError> {
+        let corrupt = |what| Err(ddp_snapshot::SnapshotError::Corrupt { what });
+        if self.receiver.index() >= slots {
+            return corrupt("delayed list receiver");
+        }
+        if self.announcer.index() >= slots {
+            return corrupt("delayed list announcer");
+        }
+        if self.members.iter().any(|m| m.index() >= slots) {
+            return corrupt("delayed list member");
+        }
         Ok(())
     }
 }
@@ -670,7 +692,7 @@ mod tests {
 
         let q = plane(0.0, 1.0, 2);
         let mut dec = ddp_snapshot::Dec::new(&bytes);
-        q.restore_state(&mut dec).unwrap();
+        q.restore_state(&mut dec, 9).unwrap();
         dec.finish().unwrap();
 
         // The restored plane delivers the same mail on the same schedule.

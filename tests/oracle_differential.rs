@@ -39,21 +39,9 @@ fn committed_reproducers_replay_exactly() {
             "{} lost information in a round trip",
             path.display()
         );
-        let result = run_lockstep(&spec);
-        if spec.force_fast_path {
-            // Mutation-check reproducers are *expected* to diverge: they
-            // document that the harness catches a genuinely broken gate.
-            assert!(
-                result.is_err(),
-                "{} no longer diverges — the forced fast path learned the slow path's \
-                 behavior; regenerate the mutation-check reproducer",
-                path.display()
-            );
-        } else {
-            // Reproducers of real (since-fixed) engine bugs must stay clean.
-            if let Err(d) = result {
-                panic!("{} regressed: {d}", path.display());
-            }
+        // Every reproducer documents a divergence that must stay fixed.
+        if let Err(d) = run_lockstep(&spec) {
+            panic!("{} regressed: {d}", path.display());
         }
         replayed += 1;
     }

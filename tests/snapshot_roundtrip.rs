@@ -24,9 +24,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn build(spec: &ScenarioSpec) -> Simulation<DdPolice> {
-    let mut sim = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
-    sim.defense_mut().set_force_fast_path(spec.force_fast_path);
-    sim
+    spec.instantiate(DdPolice::new(spec.police_config(), spec.peers))
 }
 
 /// Run `sim` up to the spec's tick count and finish it.

@@ -232,16 +232,6 @@ impl<'a> FrozenTick<'a> {
         }
         truth
     }
-
-    /// A peer's own ground-truth view of one of its links: what `observer`
-    /// itself measured about `neighbor` (no trust needed, §3.2's
-    /// `Out_query` / `In_query` lists).
-    pub fn own_counters(&self, observer: NodeId, neighbor: NodeId) -> TrafficReport {
-        TrafficReport {
-            sent_to_suspect: self.overlay.accepted_between(observer, neighbor),
-            received_from_suspect: self.overlay.accepted_between(neighbor, observer),
-        }
-    }
 }
 
 /// Outcome of one transport-mediated `Neighbor_Traffic` round trip.
@@ -297,40 +287,18 @@ impl<'a> TickObservation<'a> {
         self.frozen().confirm_membership(member, suspect)
     }
 
-    /// [`FrozenTick::own_counters`], on the full observation.
-    pub fn own_counters(&self, observer: NodeId, neighbor: NodeId) -> TrafficReport {
-        self.frozen().own_counters(observer, neighbor)
-    }
-
-    /// [`request_report`](Self::request_report) routed through the fault
-    /// plane: `requester` asks `reporter` about `suspect`, `attempt` numbers
-    /// this tick's retries so re-requests re-roll the transport dice.
+    /// Route `reporter`'s answer about `suspect` (`None` = it refuses) to
+    /// `requester` through the fault plane; `attempt` numbers this tick's
+    /// retries so re-requests re-roll the transport dice.
     ///
     /// What the *reporter would say* is decided first — a refusal is a
     /// protocol-level answer and is reported as [`ReportDelivery::Refused`]
     /// whether or not the transport would also have failed, so fault-free and
-    /// faulted runs agree exactly on which peers were silent.
-    pub fn request_report_via(
-        &self,
-        requester: NodeId,
-        reporter: NodeId,
-        suspect: NodeId,
-        attempt: u32,
-    ) -> ReportDelivery {
-        self.deliver_prepared_report(
-            requester,
-            reporter,
-            suspect,
-            self.request_report(reporter, suspect),
-            attempt,
-        )
-    }
-
-    /// Transport legs of [`request_report_via`](Self::request_report_via)
-    /// with the reporter's answer already computed. The answer depends only
-    /// on `(reporter, suspect)` and the tick's frozen counters, so a caller
-    /// resolving the same pair for many observers may compute it once and
-    /// replay it here; the per-requester fault dice still roll per call.
+    /// faulted runs agree exactly on which peers were silent. The answer
+    /// depends only on `(reporter, suspect)` and the tick's frozen counters,
+    /// so a caller resolving the same pair for many observers computes it
+    /// once and replays it here; the per-requester fault dice still roll per
+    /// call.
     pub fn deliver_prepared_report(
         &self,
         requester: NodeId,
@@ -720,30 +688,21 @@ mod tests {
     }
 
     #[test]
-    fn own_counters_are_ground_truth() {
-        let (o, online, runs) = setup();
-        let behavior = vec![ReportBehavior::Silent; 3]; // lying doesn't matter
-        let ob = obs(&o, &online, &runs, &behavior);
-        let r = ob.own_counters(NodeId(1), NodeId(0));
-        assert_eq!(r.sent_to_suspect, 7);
-        assert_eq!(r.received_from_suspect, 100);
-    }
-
-    #[test]
     fn reliable_transport_mediation_matches_direct_access() {
         let (o, online, runs) = setup();
         let behavior = vec![ReportBehavior::Honest; 3];
         let ob = obs(&o, &online, &runs, &behavior);
+        let via = |requester, reporter, suspect| {
+            let answer = ob.request_report(reporter, suspect);
+            ob.deliver_prepared_report(requester, reporter, suspect, answer, 0)
+        };
         // Fresh delivery equals the unmediated oracle.
         assert_eq!(
-            ob.request_report_via(NodeId(2), NodeId(0), NodeId(1), 0),
+            via(NodeId(2), NodeId(0), NodeId(1)),
             ReportDelivery::Fresh(ob.request_report(NodeId(0), NodeId(1)).unwrap())
         );
         // A non-neighbor refuses — that is protocol, not transport.
-        assert_eq!(
-            ob.request_report_via(NodeId(1), NodeId(0), NodeId(2), 0),
-            ReportDelivery::Refused
-        );
+        assert_eq!(via(NodeId(1), NodeId(0), NodeId(2)), ReportDelivery::Refused);
         // Lists pass through verbatim; no mail ever matures.
         let members = [NodeId(5), NodeId(6)];
         assert_eq!(ob.transmit_list(NodeId(0), NodeId(1), &members).unwrap(), members);
@@ -759,16 +718,14 @@ mod tests {
         let plane = FaultPlane::new(FaultConfig { loss: 1.0, ..FaultConfig::default() }, 7);
         let mut ob = obs(&o, &online, &runs, &behavior);
         ob.faults = Some(&plane);
+        let via = |requester, reporter, suspect| {
+            let answer = ob.request_report(reporter, suspect);
+            ob.deliver_prepared_report(requester, reporter, suspect, answer, 0)
+        };
         // Total loss: every answerable lookup comes back Faulted, but a
         // refusal is still Refused — the oracle answers before the transport.
-        assert_eq!(
-            ob.request_report_via(NodeId(2), NodeId(0), NodeId(1), 0),
-            ReportDelivery::Faulted
-        );
-        assert_eq!(
-            ob.request_report_via(NodeId(1), NodeId(0), NodeId(2), 0),
-            ReportDelivery::Refused
-        );
+        assert_eq!(via(NodeId(2), NodeId(0), NodeId(1)), ReportDelivery::Faulted);
+        assert_eq!(via(NodeId(1), NodeId(0), NodeId(2)), ReportDelivery::Refused);
         assert!(ob.transmit_list(NodeId(0), NodeId(1), &[NodeId(5)]).is_none());
     }
 
@@ -791,7 +748,6 @@ mod tests {
             fr.confirm_membership(NodeId(2), NodeId(1)),
             ob.confirm_membership(NodeId(2), NodeId(1))
         );
-        assert_eq!(fr.own_counters(NodeId(1), NodeId(0)), ob.own_counters(NodeId(1), NodeId(0)));
     }
 
     #[test]

@@ -31,9 +31,12 @@ use std::path::{Path, PathBuf};
 /// Leading magic of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"DDPSNAP1";
 
-/// Current container format version. Bump on any payload layout change —
-/// old files are rejected with [`SnapshotError::BadVersion`], never
-/// misinterpreted.
+/// Current container format version. Bump on any layout change an old file
+/// could still decode under — it is then rejected with
+/// [`SnapshotError::BadVersion`], never misinterpreted. A payload change no
+/// old file can decode under keeps the version: restore refuses the old file
+/// with a typed decode error, and a test that restores the old layout shows
+/// it does.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Container header length: magic + version + context + payload length.

@@ -33,7 +33,6 @@ fn sketch_backend(spec: &ScenarioSpec) -> MonitorBackend {
         width_log2: WIDTH_LOG2,
         depth: DEPTH,
         salt: SketchParams::default().salt ^ spec.seed,
-        ..SketchParams::default()
     })
 }
 

@@ -1,13 +1,13 @@
 //! Determinism guarantees of the sketch monitor backend: bit-identical
 //! snapshot round-trips mid-run and thread-count invariance of the sharded
-//! tick engine, both with the count-min/space-saving monitor active.
+//! tick engine, both with the count-min monitor active.
 //!
 //! The sketch adds real state to the engine (counter matrix, window epoch,
-//! heavy-hitter table, leaky buckets), all of it ingested serially before
-//! judgment — so the engine's two strongest claims must keep holding with
-//! the backend enabled: a snapshot taken mid-run restores to the identical
-//! future, and the parallel fast path is byte-identical to serial at every
-//! worker width. The `unordered-reduction-sketch` mutant in
+//! ingest tally), all of it ingested serially before judgment — so the
+//! engine's two strongest claims must keep holding with the backend
+//! enabled: a snapshot taken mid-run restores to the identical future, and
+//! the parallel fast path is byte-identical to serial at every worker
+//! width. The `unordered-reduction-sketch` mutant in
 //! `tests/mutants/catalogue.txt` must fail the width sweep.
 
 use ddp_police::verdict::{Hysteresis, ReadmissionPolicy};

@@ -168,8 +168,8 @@ are collected in grid order, so output does not depend on the core count.
 scale sweeps overlay size × attacker fraction, reporting ticks/sec,
 queries/sec, and a peak-heap proxy, and writes BENCH_scale.json.
 
-sketch runs every cell twice — exact counters vs the count-min/space-saving
-monitor, same seed — and reports monitor-state memory ratio, missed attacker
+sketch runs every cell twice — exact counters vs the count-min monitor,
+same seed — and reports monitor-state memory ratio, missed attacker
 cuts, and spurious good-peer cuts, writing BENCH_sketch.json. --smoke runs
 the small cell plus the 100k-peer memory-acceptance cell (which must hit
 >=4x memory at zero missed cuts, or the run fails).

@@ -100,7 +100,6 @@ fn bench_sketch_json_matches_golden_fixture() {
                 ttl: 4,
                 width_log2: 12,
                 depth: 4,
-                topk: 64,
                 monitor_backend: "sketch".into(),
                 exact_state_bytes: 96_000,
                 sketch_state_bytes: 67_584,
@@ -123,7 +122,6 @@ fn bench_sketch_json_matches_golden_fixture() {
                 ttl: 2,
                 width_log2: 16,
                 depth: 4,
-                topk: 512,
                 monitor_backend: "sketch".into(),
                 exact_state_bytes: 4_800_000,
                 sketch_state_bytes: 1_065_000,

@@ -41,7 +41,7 @@ pub struct RunSummary {
     /// Verdict-lifecycle accounting (all zeros for defenses that never
     /// transition anyone; populated by the engine's verdict ledger).
     pub verdicts: VerdictSummary,
-    /// Traffic-monitor backend label (e.g. `"sketch(w=2^16,d=4,k=512)"`),
+    /// Traffic-monitor backend label (e.g. `"sketch(w=2^16,d=4)"`),
     /// stamped by the engine from the defense so BENCH rows and summaries
     /// are attributable per backend. `None` means the exact default and is
     /// omitted from both `Debug` and JSON renderings — byte-compatible with

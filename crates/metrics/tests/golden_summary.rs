@@ -127,15 +127,15 @@ fn monitor_backend_is_omitted_when_none_and_attributable_when_some() {
     assert!(!format!("{none:?}").contains("monitor_backend"));
 
     let mut tagged = populated_summary();
-    tagged.monitor_backend = Some("sketch(w=2^16,d=4,k=512)".into());
+    tagged.monitor_backend = Some("sketch(w=2^16,d=4)".into());
     let json = tagged.to_json();
     assert!(
-        json.contains("\"monitor_backend\":\"sketch(w=2^16,d=4,k=512)\""),
+        json.contains("\"monitor_backend\":\"sketch(w=2^16,d=4)\""),
         "sketch rows must be attributable: {json}"
     );
     // Field order contract: after verdicts, before ticks.
     let pos = json.find("\"monitor_backend\":").unwrap();
     assert!(pos > json.find("\"verdicts\":").unwrap());
     assert!(pos < json.find("\"ticks\":").unwrap());
-    assert!(format!("{tagged:?}").contains("monitor_backend: \"sketch(w=2^16,d=4,k=512)\""));
+    assert!(format!("{tagged:?}").contains("monitor_backend: \"sketch(w=2^16,d=4)\""));
 }

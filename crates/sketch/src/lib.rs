@@ -3,20 +3,16 @@
 //! The paper's exact defense keeps one `[sent, accepted]` counter pair per
 //! directed half-edge: O(E) memory and an O(E) per-minute reset. This crate
 //! provides the ALBUS-style probabilistic alternative (PAPERS.md, arXiv
-//! 2306.14328) behind the pluggable `TrafficMonitor` backend selection:
+//! 2306.14328) behind the pluggable `TrafficMonitor` backend selection: one
+//! [`CountMinSketch`] of per-neighbor query counts keyed by directed edge,
+//! with *conservative update*, wrapped as the per-minute [`SketchMonitor`].
 //!
-//! * [`CountMinSketch`] — per-neighbor query counts keyed by directed edge,
-//!   with *conservative update*. Estimates never undercount (`estimate ≥
-//!   true`), and the classic bound caps the excess at `εN` per query with
-//!   `ε = e / width` at confidence `1 − e^-depth` over the tick's `N`
-//!   ingested queries. Overestimation is the safe direction for flood
-//!   detection: a too-high `In_query` reading triggers an investigation the
-//!   Buddy Group then settles, while an undercount could hide an attacker.
-//! * [`SpaceSaving`] — the top-k heavy-hitter table over *senders*; any peer
-//!   whose aggregate output exceeds `N / capacity` is guaranteed present.
-//! * [`LeakyBucket`] — per-heavy-hitter sustained-rate state: filled by each
-//!   tick's volume, drained by the 500 q/min warning budget, so a sender
-//!   only reads as a *sustained* warner after its burst outlives one minute.
+//! Estimates never undercount (`estimate ≥ true`), and the classic bound
+//! caps the excess at `εN` per query with `ε = e / width` at confidence
+//! `1 − e^-depth` over the tick's `N` ingested queries. An overestimate can
+//! still cost a cut: the General Indicator subtracts the Buddy Group's
+//! claims, so excess on those claims pulls a suspect's indicator toward
+//! innocence (DESIGN.md, "indicator compression").
 //!
 //! Everything is deterministic from [`SketchParams`] (hash salts derive from
 //! `salt`, which callers seed from the run seed) and [`Snapshottable`], so
@@ -36,8 +32,6 @@ pub struct SketchParams {
     pub width_log2: u8,
     /// Count-min depth (independent rows; failure probability `e^-depth`).
     pub depth: u8,
-    /// Space-saving capacity: the top-k suspect table size.
-    pub topk: u16,
     /// Hash-salt seed. Callers pass the run seed so the whole monitor is a
     /// pure function of it; two runs with equal seeds collide identically.
     pub salt: u64,
@@ -45,7 +39,7 @@ pub struct SketchParams {
 
 impl Default for SketchParams {
     fn default() -> Self {
-        SketchParams { width_log2: 12, depth: 4, topk: 64, salt: 0xddb5_eed5_a11b_05ed }
+        SketchParams { width_log2: 12, depth: 4, salt: 0xddb5_eed5_a11b_05ed }
     }
 }
 
@@ -57,7 +51,7 @@ pub enum MonitorBackend {
     /// The paper's exact per-neighbor `In_query`/`Out_query` counters.
     #[default]
     Exact,
-    /// Count-min + space-saving + leaky buckets ([`SketchMonitor`]).
+    /// A count-min sketch over directed edges ([`SketchMonitor`]).
     Sketch(SketchParams),
 }
 
@@ -66,9 +60,7 @@ impl MonitorBackend {
     pub fn label(&self) -> String {
         match self {
             MonitorBackend::Exact => "exact".into(),
-            MonitorBackend::Sketch(p) => {
-                format!("sketch(w=2^{},d={},k={})", p.width_log2, p.depth, p.topk)
-            }
+            MonitorBackend::Sketch(p) => format!("sketch(w=2^{},d={})", p.width_log2, p.depth),
         }
     }
 }
@@ -203,164 +195,13 @@ impl CountMinSketch {
     }
 }
 
-/// One space-saving table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeavyHitter {
-    /// The sender this entry tracks.
-    pub key: u32,
-    /// Upper-bound count (true count ≤ `count`, true count ≥ `count - err`).
-    pub count: u64,
-    /// Overestimation inherited from the entry evicted at takeover.
-    pub err: u64,
-    /// Sustained-rate leaky bucket attached to this sender.
-    pub bucket: LeakyBucket,
-}
-
-/// Metwally's space-saving top-k: any key whose true aggregate exceeds
-/// `N / capacity` is guaranteed a table entry, and `count` never undercounts.
-/// Lookups scan the (small, fixed-capacity) table: with the default k = 64
-/// and one aggregated offer per sender per tick this is far off the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpaceSaving {
-    cap: usize,
-    entries: Vec<HeavyHitter>,
-}
-
-impl SpaceSaving {
-    /// An empty table of `capacity` slots.
-    pub fn new(capacity: usize) -> Self {
-        SpaceSaving { cap: capacity.max(1), entries: Vec::new() }
-    }
-
-    /// Record `count` more output from `key`, filling its leaky bucket. When
-    /// the table is full the minimum-count entry is evicted and its count
-    /// inherited (the space-saving overestimate), bucket reset to the new
-    /// arrival's own volume.
-    pub fn offer(&mut self, key: u32, count: u64) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.key == key) {
-            e.count += count;
-            e.bucket.fill(count);
-            return;
-        }
-        if self.entries.len() < self.cap {
-            self.entries.push(HeavyHitter {
-                key,
-                count,
-                err: 0,
-                bucket: LeakyBucket::with_level(count),
-            });
-            return;
-        }
-        // Evict the minimum; ties break on the lowest key so the takeover is
-        // deterministic regardless of insertion history.
-        let (mut min_i, mut min) = (0usize, (u64::MAX, u32::MAX));
-        for (i, e) in self.entries.iter().enumerate() {
-            if (e.count, e.key) < min {
-                min = (e.count, e.key);
-                min_i = i;
-            }
-        }
-        let evicted = self.entries[min_i].count;
-        self.entries[min_i] = HeavyHitter {
-            key,
-            count: evicted + count,
-            err: evicted,
-            bucket: LeakyBucket::with_level(count),
-        };
-    }
-
-    /// Drain every entry's bucket by `budget` (called once per tick with the
-    /// warning budget, so only senders sustaining > budget/tick stay over).
-    pub fn drain_buckets(&mut self, budget: u64) {
-        for e in &mut self.entries {
-            e.bucket.drain(budget);
-        }
-    }
-
-    /// Entries sorted by descending count (key ascending on ties).
-    pub fn top(&self) -> Vec<HeavyHitter> {
-        let mut v = self.entries.clone();
-        v.sort_unstable_by(|a, b| b.count.cmp(&a.count).then(a.key.cmp(&b.key)));
-        v
-    }
-
-    /// The upper-bound count for `key`, if tracked.
-    pub fn count_of(&self, key: u32) -> Option<u64> {
-        self.entries.iter().find(|e| e.key == key).map(|e| e.count)
-    }
-
-    /// Senders whose leaky bucket is still over `budget` after the drain —
-    /// i.e. sustained (not one-burst) rate offenders.
-    pub fn sustained_over(&self, budget: u64) -> Vec<u32> {
-        let mut v: Vec<u32> =
-            self.entries.iter().filter(|e| e.bucket.level() > budget).map(|e| e.key).collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// Drop `key`'s entry, if tracked. For departed/reset peers: the slot's
-    /// next occupant must not inherit a stranger's count or bucket level.
-    pub fn remove(&mut self, key: u32) {
-        self.entries.retain(|e| e.key != key);
-    }
-
-    /// Slots in use.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Bytes of table state at full capacity (what the backend budgets for).
-    pub fn state_bytes(&self) -> usize {
-        self.cap * std::mem::size_of::<HeavyHitter>()
-    }
-}
-
-/// A leaky bucket: `fill` adds volume, `drain` subtracts the per-tick budget
-/// (saturating at empty). A level still positive after the drain means the
-/// source exceeded the budget this window; a level that *stays* positive
-/// across drains means the overrun is sustained, not a single burst.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeakyBucket {
-    level: u64,
-}
-
-impl LeakyBucket {
-    /// A bucket pre-filled to `level`.
-    pub fn with_level(level: u64) -> Self {
-        LeakyBucket { level }
-    }
-
-    /// Add `amount` to the bucket.
-    pub fn fill(&mut self, amount: u64) {
-        self.level = self.level.saturating_add(amount);
-    }
-
-    /// Remove up to `budget` from the bucket.
-    pub fn drain(&mut self, budget: u64) {
-        self.level = self.level.saturating_sub(budget);
-    }
-
-    /// Current fill level.
-    pub fn level(&self) -> u64 {
-        self.level
-    }
-}
-
 /// The sketch `TrafficMonitor` backend: one pooled count-min arena over
 /// directed-edge keys (the fleet's aggregate sketch capacity — per-peer
 /// isolation would only change *which* keys collide, not the εN bound over
-/// the pooled stream), a space-saving top-k over senders, and that table's
-/// leaky buckets for the sustained-warning signal.
+/// the pooled stream), cleared and re-keyed every one-minute window.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SketchMonitor {
-    params: SketchParams,
     cms: CountMinSketch,
-    hh: SpaceSaving,
     /// Queries ingested this tick (the `N` of the εN error bound).
     items_tick: u64,
 }
@@ -369,27 +210,19 @@ impl SketchMonitor {
     /// A fresh monitor with zeroed state.
     pub fn new(params: SketchParams) -> Self {
         SketchMonitor {
-            params,
             cms: CountMinSketch::new(params.width_log2, params.depth, params.salt),
-            hh: SpaceSaving::new(params.topk as usize),
             items_tick: 0,
         }
     }
 
-    /// The configured geometry.
-    pub fn params(&self) -> SketchParams {
-        self.params
-    }
-
     /// Open a new one-minute window: clear the count-min counters, re-key
     /// the rows for the new window (so any key masked by a heavy cell-mate
-    /// this window almost surely escapes it next window), zero the ingest
-    /// tally, and drain every heavy hitter's bucket by `budget`.
-    pub fn begin_tick(&mut self, budget: u64) {
+    /// this window almost surely escapes it next window), and zero the
+    /// ingest tally.
+    pub fn begin_tick(&mut self) {
         self.cms.clear();
         self.cms.advance_window();
         self.items_tick = 0;
-        self.hh.drain_buckets(budget);
     }
 
     /// Ingest `count` accepted queries on the directed edge `src → dst`.
@@ -397,15 +230,6 @@ impl SketchMonitor {
     pub fn record_flow(&mut self, src: u32, dst: u32, count: u32) {
         self.cms.record(edge_key(src, dst), count);
         self.items_tick += count as u64;
-    }
-
-    /// Ingest `total` as `src`'s aggregate output this tick (one offer per
-    /// sender per tick keeps the top-k scan off the per-edge hot path).
-    #[inline]
-    pub fn note_sender_total(&mut self, src: u32, total: u64) {
-        if total > 0 {
-            self.hh.offer(src, total);
-        }
     }
 
     /// Estimated accepted queries on `src → dst` this tick (≥ true count).
@@ -431,29 +255,10 @@ impl SketchMonitor {
         std::f64::consts::E * self.items_tick as f64 / self.cms.width() as f64
     }
 
-    /// Top-k suspects by claimed output, descending.
-    pub fn top_suspects(&self) -> Vec<HeavyHitter> {
-        self.hh.top()
-    }
-
-    /// Senders whose leaky bucket stayed over `budget` after this tick's
-    /// drain — sustained warning-rate offenders.
-    pub fn sustained_warners(&self, budget: u64) -> Vec<u32> {
-        self.hh.sustained_over(budget)
-    }
-
-    /// Bytes of monitor state: the count-min arena plus the full-capacity
-    /// heavy-hitter table. Compare against [`exact_state_bytes`].
+    /// Bytes of monitor state: the count-min arena. Compare against
+    /// [`exact_state_bytes`].
     pub fn state_bytes(&self) -> usize {
-        self.cms.state_bytes() + self.hh.state_bytes()
-    }
-
-    /// Forget everything attributed to sender `key` in the cross-tick
-    /// heavy-hitter table (its count and bucket). Called when a peer departs
-    /// or resets, before the identity slot is recycled. The count-min window
-    /// needs no treatment: it is cleared wholesale every tick.
-    pub fn forget_sender(&mut self, key: u32) {
-        self.hh.remove(key);
+        self.cms.state_bytes()
     }
 }
 
@@ -463,27 +268,6 @@ pub fn exact_state_bytes(directed_half_edges: usize) -> usize {
     directed_half_edges * 2 * std::mem::size_of::<u32>()
 }
 
-impl Snapshottable for LeakyBucket {
-    fn save(&self, enc: &mut Enc) {
-        enc.u64(self.level);
-    }
-    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        Ok(LeakyBucket { level: dec.u64()? })
-    }
-}
-
-impl Snapshottable for HeavyHitter {
-    fn save(&self, enc: &mut Enc) {
-        enc.u32(self.key);
-        enc.u64(self.count);
-        enc.u64(self.err);
-        enc.put(&self.bucket);
-    }
-    fn load(dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
-        Ok(HeavyHitter { key: dec.u32()?, count: dec.u64()?, err: dec.u64()?, bucket: dec.get()? })
-    }
-}
-
 impl Snapshottable for SketchMonitor {
     /// Geometry is owned by the config (whose digest the defense already
     /// embeds), so only the mutable state is serialized — in declaration
@@ -491,10 +275,6 @@ impl Snapshottable for SketchMonitor {
     fn save(&self, enc: &mut Enc) {
         enc.put(&self.cms.cells);
         enc.u64(self.cms.epoch);
-        enc.usize(self.hh.entries.len());
-        for e in &self.hh.entries {
-            enc.put(e);
-        }
         enc.u64(self.items_tick);
     }
     fn load(_dec: &mut Dec<'_>) -> Result<Self, SnapshotError> {
@@ -518,17 +298,6 @@ impl SketchMonitor {
         }
         self.cms.cells = cells;
         self.cms.set_window(dec.u64()?);
-        let n = dec.len("heavy hitters")?;
-        if n > self.hh.cap {
-            return Err(SnapshotError::ContextMismatch {
-                expected: self.hh.cap as u64,
-                found: n as u64,
-            });
-        }
-        self.hh.entries.clear();
-        for _ in 0..n {
-            self.hh.entries.push(dec.get()?);
-        }
         self.items_tick = dec.u64()?;
         Ok(())
     }
@@ -630,49 +399,12 @@ mod tests {
     }
 
     #[test]
-    fn space_saving_guarantees_heavy_keys() {
-        let mut ss = SpaceSaving::new(8);
-        let mut n = 0u64;
-        // One elephant among many mice.
-        for round in 0..100u32 {
-            ss.offer(7, 50);
-            n += 50;
-            for mouse in 100..120u32 {
-                ss.offer(mouse + (round % 3) * 100, 1);
-                n += 1;
-            }
-        }
-        // true(7) = 5000 > N/cap, so 7 must be present with count ≥ truth.
-        assert!(5000 > n / 8);
-        let c = ss.count_of(7).expect("guaranteed heavy hitter evicted");
-        assert!(c >= 5000, "count {c} undercounts truth 5000");
-    }
-
-    #[test]
-    fn buckets_separate_sustained_from_burst() {
-        let mut ss = SpaceSaving::new(4);
-        // Sender 1 bursts once; sender 2 sustains. Budget 100 per tick.
-        ss.offer(1, 150);
-        ss.offer(2, 150);
-        ss.drain_buckets(100);
-        assert_eq!(ss.sustained_over(100), Vec::<u32>::new(), "one burst drains away");
-        for _ in 0..5 {
-            ss.offer(2, 250);
-            ss.drain_buckets(100);
-        }
-        assert_eq!(ss.sustained_over(100), vec![2], "sustained overrun accumulates");
-    }
-
-    #[test]
     fn monitor_snapshot_roundtrip_is_bit_identical() {
-        let p = SketchParams { width_log2: 8, depth: 3, topk: 8, salt: 404 };
+        let p = SketchParams { width_log2: 8, depth: 3, salt: 404 };
         let mut m = SketchMonitor::new(p);
-        m.begin_tick(500);
+        m.begin_tick();
         for i in 0..200u32 {
             m.record_flow(i % 40, (i + 1) % 40, i + 1);
-        }
-        for s in 0..40u32 {
-            m.note_sender_total(s, (s as u64 + 1) * 10);
         }
         let mut enc = Enc::new();
         enc.put(&m);
@@ -690,13 +422,12 @@ mod tests {
 
     #[test]
     fn monitor_refuses_foreign_geometry() {
-        let mut m = SketchMonitor::new(SketchParams { width_log2: 8, depth: 3, topk: 8, salt: 1 });
+        let mut m = SketchMonitor::new(SketchParams { width_log2: 8, depth: 3, salt: 1 });
         m.record_flow(1, 2, 3);
         let mut enc = Enc::new();
         enc.put(&m);
         let bytes = enc.into_bytes();
-        let mut other =
-            SketchMonitor::new(SketchParams { width_log2: 9, depth: 3, topk: 8, salt: 1 });
+        let mut other = SketchMonitor::new(SketchParams { width_log2: 9, depth: 3, salt: 1 });
         let err = other.restore_into(&mut Dec::new(&bytes)).expect_err("must refuse");
         assert!(matches!(err, SnapshotError::ContextMismatch { .. }), "got {err:?}");
     }
@@ -704,8 +435,8 @@ mod tests {
     #[test]
     fn backend_labels_are_stable() {
         assert_eq!(MonitorBackend::Exact.label(), "exact");
-        let p = SketchParams { width_log2: 16, depth: 2, topk: 128, ..SketchParams::default() };
-        assert_eq!(MonitorBackend::Sketch(p).label(), "sketch(w=2^16,d=2,k=128)");
+        let p = SketchParams { width_log2: 16, depth: 2, ..SketchParams::default() };
+        assert_eq!(MonitorBackend::Sketch(p).label(), "sketch(w=2^16,d=2)");
     }
 
     #[test]
@@ -713,8 +444,7 @@ mod tests {
         // 100k peers, BA m=3: ~300k edges, ~600k directed half-edges.
         let exact = exact_state_bytes(600_000);
         let sketch =
-            SketchMonitor::new(SketchParams { width_log2: 16, depth: 4, topk: 512, salt: 0 })
-                .state_bytes();
+            SketchMonitor::new(SketchParams { width_log2: 16, depth: 4, salt: 0 }).state_bytes();
         assert!(exact >= 4 * sketch, "exact {exact} must be ≥4× sketch {sketch} at 100k peers");
     }
 }

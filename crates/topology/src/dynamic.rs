@@ -16,7 +16,7 @@
 //! evolution under `swap_remove` is bit-identical to the nested-`Vec`
 //! layout, so positional counter mirrors remain valid.
 
-use crate::{Graph, NodeId, SegVec};
+use crate::{NodeId, SegVec};
 
 /// One directed half of an undirected overlay connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,15 +47,6 @@ impl DynamicGraph {
     /// Create a graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
         DynamicGraph { adj: SegVec::new(n, HOLE), edge_count: 0 }
-    }
-
-    /// Build from an immutable snapshot.
-    pub fn from_graph(g: &Graph) -> Self {
-        let mut dg = DynamicGraph::new(g.node_count());
-        for (u, v) in g.edges() {
-            dg.add_edge(u, v);
-        }
-        dg
     }
 
     /// Build from an undirected edge list over `n` nodes (duplicates ignored).
@@ -193,12 +184,6 @@ impl DynamicGraph {
         })
     }
 
-    /// Snapshot to CSR form.
-    pub fn to_graph(&self) -> Graph {
-        let edges: Vec<_> = self.edges().collect();
-        Graph::from_edges(self.node_count(), &edges)
-    }
-
     /// Verify the reciprocal-index invariant (twin pointers consistent, no
     /// self loops, no duplicate edges). Intended for tests and debug builds.
     pub fn check_invariants(&self) -> Result<(), String> {
@@ -307,17 +292,6 @@ mod tests {
         assert_eq!(n, nid(1));
         assert!(g.add_edge(nid(0), n));
         g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn to_graph_snapshot_matches() {
-        let mut g = DynamicGraph::new(4);
-        g.add_edge(nid(0), nid(1));
-        g.add_edge(nid(2), nid(3));
-        g.add_edge(nid(1), nid(2));
-        let csr = g.to_graph();
-        assert_eq!(csr.edge_count(), 3);
-        assert!(csr.contains_edge(nid(1), nid(2)));
     }
 
     #[test]

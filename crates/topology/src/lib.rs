@@ -12,23 +12,18 @@
 //! * [`generate::waxman`] — the geometric model BRITE implements natively.
 //! * [`generate::erdos_renyi`] — a uniform-degree control topology.
 //!
-//! Two graph representations are provided:
-//!
-//! * [`Graph`] — a compact CSR snapshot for read-only analysis,
-//! * [`DynamicGraph`] — the mutable overlay used by the simulator, with O(1)
-//!   edge removal and reciprocal-index bookkeeping so that per-directed-edge
-//!   traffic counters can be stored positionally.
+//! The overlay they build is a [`DynamicGraph`]: the mutable graph the
+//! simulator churns, with O(1) edge removal and reciprocal-index bookkeeping
+//! so that per-directed-edge traffic counters can be stored positionally.
 
 pub mod dynamic;
 pub mod generate;
-pub mod graph;
 pub mod partition;
 pub mod segvec;
 pub mod stats;
 
 pub use dynamic::{DynamicGraph, Half};
 pub use generate::{TopologyConfig, TopologyModel};
-pub use graph::Graph;
 pub use partition::{cross_partition_edges, Partition};
 pub use segvec::SegVec;
 

@@ -84,8 +84,9 @@ pub struct DdPoliceConfig {
     /// query counts from. [`MonitorBackend::Exact`] (the default) reads the
     /// overlay's exact counters, tick-for-tick identical to before the
     /// field existed; [`MonitorBackend::Sketch`] reads count-min estimates
-    /// (overestimate-only, so detection errs toward *investigating*, never
-    /// toward missing a flooder). Note this field feeds the snapshot config
+    /// (overestimate-only; excess on the Buddy Group's claims can still
+    /// hide a well-connected flooder, see DESIGN.md "indicator
+    /// compression"). Note this field feeds the snapshot config
     /// digest through `Debug`, so checkpoints refuse to resume under a
     /// different backend.
     pub monitor: MonitorBackend,

@@ -225,7 +225,7 @@ impl OracleDdPolice {
             if matches!(obs.report_behavior[j_idx], ddp_sim::ReportBehavior::Silent) {
                 continue;
             }
-            let Some(members) = obs.announced_list(j) else { continue };
+            let Some(members) = obs.frozen().announced_list(j) else { continue };
             for slot in 0..obs.overlay.degree(j) {
                 let i = obs.overlay.neighbors(j)[slot].peer;
                 // The announcer pays for the copy whether or not it arrives.
@@ -259,7 +259,7 @@ impl OracleDdPolice {
         if self.cfg.verify_lists {
             // §3.1's consistency check, observer exempt (it polices the
             // suspect because they share a live link).
-            members.retain(|&m| m == observer || obs.confirm_membership(m, suspect));
+            members.retain(|&m| m == observer || obs.frozen().confirm_membership(m, suspect));
         }
         if self.cfg.radius >= 2 {
             let current: Vec<NodeId> =
@@ -290,7 +290,7 @@ impl OracleDdPolice {
         obs: &TickObservation<'_>,
         retry_msgs: &mut u64,
     ) -> Option<TrafficReport> {
-        let answer = obs.request_report(reporter, suspect);
+        let answer = obs.frozen().request_report(reporter, suspect);
         let mut attempt = 0u32;
         loop {
             match obs.deliver_prepared_report(observer, reporter, suspect, answer, attempt) {

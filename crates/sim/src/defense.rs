@@ -262,31 +262,6 @@ impl<'a> TickObservation<'a> {
         }
     }
 
-    /// [`FrozenTick::request_report`], on the full observation.
-    pub fn request_report(&self, reporter: NodeId, suspect: NodeId) -> Option<TrafficReport> {
-        self.frozen().request_report(reporter, suspect)
-    }
-
-    /// [`FrozenTick::shape_report`], on the full observation.
-    pub fn shape_report(
-        &self,
-        reporter: NodeId,
-        suspect: NodeId,
-        base: TrafficReport,
-    ) -> Option<TrafficReport> {
-        self.frozen().shape_report(reporter, suspect, base)
-    }
-
-    /// [`FrozenTick::announced_list`], on the full observation.
-    pub fn announced_list(&self, announcer: NodeId) -> Option<Vec<NodeId>> {
-        self.frozen().announced_list(announcer)
-    }
-
-    /// [`FrozenTick::confirm_membership`], on the full observation.
-    pub fn confirm_membership(&self, member: NodeId, suspect: NodeId) -> bool {
-        self.frozen().confirm_membership(member, suspect)
-    }
-
     /// Route `reporter`'s answer about `suspect` (`None` = it refuses) to
     /// `requester` through the fault plane; `attempt` numbers this tick's
     /// retries so re-requests re-roll the transport dice.
@@ -646,8 +621,8 @@ mod tests {
     fn honest_report_matches_counters() {
         let (o, online, runs) = setup();
         let behavior = vec![ReportBehavior::Honest; 3];
-        let ob = obs(&o, &online, &runs, &behavior);
-        let r = ob.request_report(NodeId(0), NodeId(1)).unwrap();
+        let fr = obs(&o, &online, &runs, &behavior).frozen();
+        let r = fr.request_report(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(r.sent_to_suspect, 100);
         assert_eq!(r.received_from_suspect, 7);
     }
@@ -656,8 +631,8 @@ mod tests {
     fn silent_reporter_returns_none() {
         let (o, online, runs) = setup();
         let behavior = vec![ReportBehavior::Silent, ReportBehavior::Honest, ReportBehavior::Honest];
-        let ob = obs(&o, &online, &runs, &behavior);
-        assert!(ob.request_report(NodeId(0), NodeId(1)).is_none());
+        let fr = obs(&o, &online, &runs, &behavior).frozen();
+        assert!(fr.request_report(NodeId(0), NodeId(1)).is_none());
     }
 
     #[test]
@@ -665,13 +640,13 @@ mod tests {
         let (o, online, runs) = setup();
         let behavior =
             vec![ReportBehavior::Inflate(2.0), ReportBehavior::Honest, ReportBehavior::Honest];
-        let ob = obs(&o, &online, &runs, &behavior);
-        assert_eq!(ob.request_report(NodeId(0), NodeId(1)).unwrap().sent_to_suspect, 200);
+        let fr = obs(&o, &online, &runs, &behavior).frozen();
+        assert_eq!(fr.request_report(NodeId(0), NodeId(1)).unwrap().sent_to_suspect, 200);
 
         let behavior =
             vec![ReportBehavior::Deflate(0.1), ReportBehavior::Honest, ReportBehavior::Honest];
-        let ob = obs(&o, &online, &runs, &behavior);
-        assert_eq!(ob.request_report(NodeId(0), NodeId(1)).unwrap().sent_to_suspect, 10);
+        let fr = obs(&o, &online, &runs, &behavior).frozen();
+        assert_eq!(fr.request_report(NodeId(0), NodeId(1)).unwrap().sent_to_suspect, 10);
     }
 
     #[test]
@@ -679,12 +654,12 @@ mod tests {
         let (o, mut online, runs) = setup();
         let behavior = vec![ReportBehavior::Honest; 3];
         {
-            let ob = obs(&o, &online, &runs, &behavior);
-            assert!(ob.request_report(NodeId(0), NodeId(2)).is_none(), "not neighbors");
+            let fr = obs(&o, &online, &runs, &behavior).frozen();
+            assert!(fr.request_report(NodeId(0), NodeId(2)).is_none(), "not neighbors");
         }
         online[0] = false;
-        let ob = obs(&o, &online, &runs, &behavior);
-        assert!(ob.request_report(NodeId(0), NodeId(1)).is_none(), "offline");
+        let fr = obs(&o, &online, &runs, &behavior).frozen();
+        assert!(fr.request_report(NodeId(0), NodeId(1)).is_none(), "offline");
     }
 
     #[test]
@@ -693,13 +668,13 @@ mod tests {
         let behavior = vec![ReportBehavior::Honest; 3];
         let ob = obs(&o, &online, &runs, &behavior);
         let via = |requester, reporter, suspect| {
-            let answer = ob.request_report(reporter, suspect);
+            let answer = ob.frozen().request_report(reporter, suspect);
             ob.deliver_prepared_report(requester, reporter, suspect, answer, 0)
         };
         // Fresh delivery equals the unmediated oracle.
         assert_eq!(
             via(NodeId(2), NodeId(0), NodeId(1)),
-            ReportDelivery::Fresh(ob.request_report(NodeId(0), NodeId(1)).unwrap())
+            ReportDelivery::Fresh(ob.frozen().request_report(NodeId(0), NodeId(1)).unwrap())
         );
         // A non-neighbor refuses — that is protocol, not transport.
         assert_eq!(via(NodeId(1), NodeId(0), NodeId(2)), ReportDelivery::Refused);
@@ -719,7 +694,7 @@ mod tests {
         let mut ob = obs(&o, &online, &runs, &behavior);
         ob.faults = Some(&plane);
         let via = |requester, reporter, suspect| {
-            let answer = ob.request_report(reporter, suspect);
+            let answer = ob.frozen().request_report(reporter, suspect);
             ob.deliver_prepared_report(requester, reporter, suspect, answer, 0)
         };
         // Total loss: every answerable lookup comes back Faulted, but a
@@ -730,24 +705,9 @@ mod tests {
     }
 
     #[test]
-    fn frozen_view_is_sync_and_answers_like_the_observation() {
+    fn frozen_view_is_sync() {
         fn assert_sync<T: Sync>() {}
         assert_sync::<FrozenTick<'static>>();
-
-        let (o, online, runs) = setup();
-        let behavior =
-            vec![ReportBehavior::Inflate(2.0), ReportBehavior::Honest, ReportBehavior::Honest];
-        let ob = obs(&o, &online, &runs, &behavior);
-        let fr = ob.frozen();
-        assert_eq!(
-            fr.request_report(NodeId(0), NodeId(1)),
-            ob.request_report(NodeId(0), NodeId(1))
-        );
-        assert_eq!(fr.announced_list(NodeId(1)), ob.announced_list(NodeId(1)));
-        assert_eq!(
-            fr.confirm_membership(NodeId(2), NodeId(1)),
-            ob.confirm_membership(NodeId(2), NodeId(1))
-        );
     }
 
     #[test]

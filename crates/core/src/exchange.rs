@@ -10,9 +10,10 @@
 //! accuracy-vs-overhead tradeoff of Figure §3.7.1 comes entirely from this
 //! module's refresh schedule.
 //!
-//! Each peer's view is a short dense `Vec<(neighbor, Snapshot)>` rather than
-//! a `HashMap`: overlay degrees are single digits (mean 6, §3.5), where a
-//! linear scan beats hashing.
+//! Each peer's view is a short dense `Vec<Snapshot>` rather than a `HashMap`:
+//! overlay degrees are single digits (mean 6, §3.5), where a linear scan
+//! beats hashing. A snapshot names its announcer itself, which packs it into
+//! 24 bytes (a `(u32, Snapshot)` pair would pad to 32).
 //!
 //! One announcement is one value however many neighbors receive it: a
 //! refresh builds each announcer's list once and every receiver's snapshot
@@ -56,6 +57,8 @@ pub struct Snapshot {
     pub members: Arc<[NodeId]>,
     /// Tick the announcement was made.
     pub taken_at: Tick,
+    /// The neighbor that announced the list.
+    pub announcer: NodeId,
 }
 
 /// The exact transpose of a per-holder keyed store: `lists[key]` names every
@@ -112,10 +115,10 @@ impl HolderIndex {
 /// All peers' exchanged-list state.
 #[derive(Debug, Default)]
 pub struct ExchangeState {
-    /// `views[i]` holds `(neighbor id, snapshot of that neighbor's list)`
-    /// pairs as known to peer `i`. Order is insertion-incidental and never
-    /// observable: every access is a keyed lookup.
-    views: Vec<Vec<(u32, Snapshot)>>,
+    /// `views[i]` holds peer `i`'s snapshots of its neighbors' lists. Order
+    /// is insertion-incidental and never observable: every access is a
+    /// lookup by announcer.
+    views: Vec<Vec<Snapshot>>,
     /// Announcer `j` → the viewers `i` whose `views[i]` holds a snapshot of
     /// `j`, maintained at every push into and removal from a view.
     holders: HolderIndex,
@@ -136,14 +139,9 @@ fn periodic_refresh_due(minutes: u32, tick: Tick) -> bool {
 /// view so the sharded refresh can write through a disjoint chunk of views.
 /// Returns whether the snapshot is new to the view — the caller owes the
 /// holder index a `list`.
-fn store_in(
-    view: &mut Vec<(u32, Snapshot)>,
-    j: u32,
-    members: &Arc<[NodeId]>,
-    taken_at: Tick,
-) -> bool {
-    match view.iter_mut().find(|(k, _)| *k == j) {
-        Some((_, s)) => {
+fn store_in(view: &mut Vec<Snapshot>, j: u32, members: &Arc<[NodeId]>, taken_at: Tick) -> bool {
+    match view.iter_mut().find(|s| s.announcer.0 == j) {
+        Some(s) => {
             if !Arc::ptr_eq(&s.members, members) {
                 s.members = Arc::clone(members);
             }
@@ -151,7 +149,7 @@ fn store_in(
             false
         }
         None => {
-            view.push((j, Snapshot { members: Arc::clone(members), taken_at }));
+            view.push(Snapshot { members: Arc::clone(members), taken_at, announcer: NodeId(j) });
             true
         }
     }
@@ -169,7 +167,7 @@ impl ExchangeState {
 
     /// Peer `i`'s snapshot of neighbor `j`'s list, if any.
     pub fn snapshot(&self, i: NodeId, j: NodeId) -> Option<&Snapshot> {
-        self.views[i.index()].iter().find(|(k, _)| *k == j.0).map(|(_, s)| s)
+        self.views[i.index()].iter().find(|s| s.announcer == j)
     }
 
     /// [`store_in`] on peer `i`'s view, keeping the holder index exact.
@@ -275,8 +273,8 @@ impl ExchangeState {
     /// 1. **Announce** — what every peer announces is a pure function of the
     ///    frozen tick and of the views as the previous refresh left them
     ///    (nothing is stored before stage 3), computed per announcer range
-    ///    on the pool (inline at width 1; results come back in announcer
-    ///    order by construction).
+    ///    on the pool (inline at width 1), each worker writing its range of
+    ///    one `n`-slot vector.
     /// 2. **Account** — serially in ascending announcer order, then
     ///    adjacency order. A message costs the announcer whether or not the
     ///    transport delivers it. A reliable plane notes `lists_sent` in bulk;
@@ -302,15 +300,13 @@ impl ExchangeState {
         let frozen = obs.frozen();
         let part = Partition::by_degree(obs.overlay.graph(), threads);
         let this = &*self;
-        let announced: Vec<Option<Arc<[NodeId]>>> =
-            ddp_sim::pool::run_partitioned(threads, part.parts(), |p| {
-                let mut list = Vec::new();
-                let announce = |j_idx| this.announcement(&frozen, j_idx, &mut list);
-                part.range(p).map(announce).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut announced: Vec<Option<Arc<[NodeId]>>> = vec![None; n];
+        ddp_sim::pool::run_chunked(threads, &mut announced, part.boundaries(), |start, chunk| {
+            let mut list = Vec::new();
+            for (j_idx, slot) in (start..).zip(chunk) {
+                *slot = this.announcement(&frozen, j_idx, &mut list);
+            }
+        });
 
         let mut msgs = 0u64;
         // `(receiver, announcer)` of every copy the transport did not deliver.
@@ -403,7 +399,7 @@ impl ExchangeState {
     pub fn forget_edge(&mut self, u: NodeId, v: NodeId) {
         for (viewer, announcer) in [(u, v), (v, u)] {
             let view = &mut self.views[viewer.index()];
-            if let Some(pos) = view.iter().position(|(k, _)| *k == announcer.0) {
+            if let Some(pos) = view.iter().position(|s| s.announcer == announcer) {
                 view.swap_remove(pos);
                 self.holders.unlist(announcer.0, viewer.0);
             }
@@ -412,8 +408,8 @@ impl ExchangeState {
 
     /// Peer `u` left / was reset: its accumulated knowledge is gone.
     pub fn reset_peer(&mut self, u: NodeId) {
-        for (j, _) in &self.views[u.index()] {
-            self.holders.unlist(*j, u.0);
+        for s in &self.views[u.index()] {
+            self.holders.unlist(s.announcer.0, u.0);
         }
         self.views[u.index()].clear();
     }
@@ -428,7 +424,7 @@ impl ExchangeState {
     pub fn forget_about(&mut self, u: NodeId) {
         for &viewer in self.holders.holders(u.0) {
             let view = &mut self.views[viewer as usize];
-            if let Some(pos) = view.iter().position(|(k, _)| *k == u.0) {
+            if let Some(pos) = view.iter().position(|s| s.announcer == u) {
                 view.swap_remove(pos);
             }
         }
@@ -464,8 +460,8 @@ impl ExchangeState {
     pub fn all_snapshots(&self) -> Vec<(u32, u32, &Snapshot)> {
         let mut out: Vec<(u32, u32, &Snapshot)> = Vec::with_capacity(self.total_snapshots());
         for (i, view) in self.views.iter().enumerate() {
-            for (j, snap) in view {
-                out.push((i as u32, *j, snap));
+            for snap in view {
+                out.push((i as u32, snap.announcer.0, snap));
             }
         }
         out.sort_unstable_by_key(|&(i, j, _)| (i, j));
@@ -480,8 +476,8 @@ impl ExchangeState {
         enc.usize(self.views.len());
         for view in &self.views {
             enc.usize(view.len());
-            for (j, snap) in view {
-                enc.u32(*j);
+            for snap in view {
+                enc.u32(snap.announcer.0);
                 enc.usize(snap.members.len());
                 for m in snap.members.iter() {
                     enc.u32(m.0);
@@ -523,7 +519,8 @@ impl ExchangeState {
                     members.push(NodeId(m));
                 }
                 let taken_at = dec.u32()?;
-                view.push((j, Snapshot { members: Arc::from(&members[..]), taken_at }));
+                let members = Arc::from(&members[..]);
+                view.push(Snapshot { members, taken_at, announcer: NodeId(j) });
             }
             views.push(view);
         }
@@ -592,6 +589,14 @@ mod tests {
         }
         // Degenerate period 0 is treated as 1 (every tick), not a panic.
         assert!(periodic_refresh_due(0, 7));
+    }
+
+    /// A view entry carries its announcer, so it packs into 24 bytes: a
+    /// fat `Arc` pointer and two `u32`s.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_view_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Snapshot>(), 24);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! edit logs replayed in partition order, exactly as a tick does: `serial` in
 //! one shard over all observers, `sharded` in 2 or 4. After every op both must
 //! hold the same entries and both indexes must equal the transpose.
+//!
+//! Each observer's entries are one row kept strictly ascending by suspect id
+//! (lookups binary-search it, and the snapshot writes it as it is), so after
+//! every op each row must also be strictly ascending and save → load → save
+//! must give identical bytes.
 
 use ddp_police::verdict::VerdictShard;
 use ddp_police::{Hysteresis, ReadmissionPolicy, VerdictMachine};
@@ -165,6 +170,28 @@ fn index_divergence(m: &VerdictMachine) -> Option<String> {
         .then(|| format!("{listed_total} listed, {} entries", m.total_entries()))
 }
 
+fn saved(m: &VerdictMachine) -> Vec<u8> {
+    let mut enc = ddp_snapshot::Enc::new();
+    m.save_state(&mut enc);
+    enc.into_bytes()
+}
+
+/// Where a row is out of order or save → load → save changes a byte
+/// (`None` = neither).
+fn row_divergence(m: &VerdictMachine) -> Option<String> {
+    for o in 0..N as u32 {
+        let row = m.entries_of(NodeId(o));
+        if let Some(w) = row.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Some(format!("observer {o}'s row has {} before {}", w[0].0, w[1].0));
+        }
+    }
+    let bytes = saved(m);
+    match VerdictMachine::load_state(&mut ddp_snapshot::Dec::new(&bytes)) {
+        Ok(back) => (saved(&back) != bytes).then(|| "save → load → save moved a byte".into()),
+        Err(e) => Some(format!("a state just saved does not load: {e:?}")),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -216,9 +243,7 @@ proptest! {
                 }
                 Op::SaveLoad => {
                     for m in [&mut serial, &mut sharded] {
-                        let mut enc = ddp_snapshot::Enc::new();
-                        m.save_state(&mut enc);
-                        let bytes = enc.into_bytes();
+                        let bytes = saved(m);
                         *m = VerdictMachine::load_state(&mut ddp_snapshot::Dec::new(&bytes))
                             .expect("a state just saved loads");
                     }
@@ -226,6 +251,8 @@ proptest! {
             }
             prop_assert_eq!(index_divergence(&serial), None, "serial machine");
             prop_assert_eq!(index_divergence(&sharded), None, "sharded machine");
+            prop_assert_eq!(row_divergence(&serial), None, "serial machine");
+            prop_assert_eq!(row_divergence(&sharded), None, "sharded machine");
             for o in 0..N as u32 {
                 prop_assert_eq!(
                     serial.entries_of(NodeId(o)),

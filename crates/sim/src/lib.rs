@@ -50,7 +50,7 @@ pub use defense::{
 pub use engine::{CutRecord, RunResult, Simulation};
 pub use faults::{FaultConfig, FaultPlane, ReportOutcome};
 pub use flood::{FloodEngine, FloodOutcome};
-pub use node::{ListBehavior, NodeState, ReportBehavior, Role};
+pub use node::{ListBehavior, NodeState, ReportBehavior, Role, SlotState};
 pub use overlay::Overlay;
 pub use session::{SessionConfig, SessionStats, WhitewashConfig, WhitewashRecord};
 

@@ -36,8 +36,8 @@ pub const MAGIC: [u8; 8] = *b"DDPSNAP1";
 /// [`SnapshotError::BadVersion`], never misinterpreted. A payload change no
 /// old file can decode under keeps the version: restore refuses the old file
 /// with a typed decode error, and a test that restores the old layout shows
-/// it does.
-pub const FORMAT_VERSION: u32 = 1;
+/// it does. Version 2: a simulated node's membership is one slot state.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Container header length: magic + version + context + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;

@@ -165,9 +165,9 @@ const GOLDEN_DIGESTS: [[u64; 5]; 3] = [
     ], // faulty
     [
         0x5314cb8fcd53ba2a,
-        0xc84a82805716226b,
+        0x7fadc17722b7ec08,
         0x8db22cf1ed82a465,
-        0x0dc8f6ef43b4254e,
+        0x801017c530aa2ce8,
         0x1271a5decc80a09a,
     ], // collusion
 ];

@@ -9,8 +9,8 @@
 //! an attacker the defense missed. After every step of each run below:
 //!
 //! * the overlay's adjacency and counter mirror are consistent;
-//! * `is_online` agrees with the slot state, and an offline slot has
-//!   degree 0;
+//! * `is_online` agrees with the slot state, and an offline or isolated
+//!   slot has degree 0;
 //! * every free-list slot is `Free` and listed once, and every `Free` slot
 //!   is listed;
 //! * every `Dwell` slot is an offline agent whose rebirth is not overdue.
@@ -53,6 +53,12 @@ fn check_membership<D: Defense>(name: &str, sim: &Simulation<D>, dwell: u32) {
             online || degree == 0,
             "{name}: offline slot {i} ({:?}, {state:?}) holds {degree} links at tick {tick}",
             sim.role(node)
+        );
+        // Cut off means degree 0: a probe that links an isolated agent
+        // readmits it.
+        assert!(
+            !matches!(state, SlotState::Isolated { .. }) || degree == 0,
+            "{name}: isolated slot {i} holds {degree} links at tick {tick}"
         );
         assert_eq!(
             on_list,

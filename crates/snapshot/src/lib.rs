@@ -37,7 +37,9 @@ pub const MAGIC: [u8; 8] = *b"DDPSNAP1";
 /// old file can decode under keeps the version: restore refuses the old file
 /// with a typed decode error, and a test that restores the old layout shows
 /// it does. Version 2: a simulated node's membership is one slot state.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3: a node's bandwidth class sits beside its adjacency row, and
+/// neither its defense role nor the cut counts are stored.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Container header length: magic + version + context + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8 + 8;

@@ -17,10 +17,8 @@
 //! tolerance derivation rests on; the matrix test must report the missed
 //! cuts they cause as violations, not absorb them as borderline.
 
-use ddp_oracle::{scenario_matrix, ScenarioSpec};
-use ddp_police::{
-    DdPolice, DdPoliceConfig, JudgmentTrace, MonitorBackend, SketchParams, SketchStats,
-};
+use ddp_oracle::{scenario_matrix, DefenseKind, ScenarioSpec};
+use ddp_police::{DdPoliceConfig, JudgmentTrace, MonitorBackend, SketchParams, SketchStats};
 use std::collections::BTreeSet;
 
 /// Generous geometry for ≤ 80-peer matrix scenarios: at width 2^12 the
@@ -43,8 +41,11 @@ struct BackendRun {
 }
 
 fn run_backend(spec: &ScenarioSpec, monitor: MonitorBackend) -> BackendRun {
-    let cfg = DdPoliceConfig { monitor, ..spec.police_config() };
-    let mut sim = spec.instantiate(DdPolice::new(cfg, spec.peers));
+    let mut scenario = spec.scenario();
+    if let DefenseKind::DdPolice(cfg) = &mut scenario.defense {
+        cfg.monitor = monitor;
+    }
+    let mut sim = scenario.build_police();
     sim.defense_mut().set_tracing(true);
     let mut traces = Vec::new();
     for _ in 0..spec.ticks {
@@ -79,7 +80,9 @@ fn check_parity(spec: &ScenarioSpec) -> Parity {
     }
     let disagreeing: BTreeSet<u32> =
         exact.cuts.symmetric_difference(&sketch.cuts).copied().collect();
-    let cfg = spec.police_config();
+    let DefenseKind::DdPolice(cfg) = spec.scenario().defense else {
+        unreachable!("a spec deploys DD-POLICE")
+    };
     let tol = borderline_tolerance(&cfg, &sketch.stats);
     let ct = cfg.cut_threshold;
     let in_band = |t: &JudgmentTrace| (t.g - ct).abs() <= tol || (t.s - ct).abs() <= tol;

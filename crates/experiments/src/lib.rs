@@ -34,9 +34,9 @@
 //! | `soak` | no | crash-recovery soak on the wire ([`runners::soak`]) |
 
 pub mod bench_report;
+pub mod options;
 pub mod output;
 pub mod runners;
-pub mod scenario;
 
+pub use options::ExpOptions;
 pub use output::{ensure_writable_dir, OutputError, Table};
-pub use scenario::{DamageReport, DefenseKind, ExpOptions, Scenario, ScenarioReport};

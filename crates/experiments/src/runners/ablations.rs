@@ -1,9 +1,10 @@
 //! Ablations of DESIGN.md's called-out design choices.
 
 use super::{damage_means, par_map};
+use crate::options::ExpOptions;
 use crate::output::{f, on_off, pct, Table};
-use crate::scenario::{DamageReport, DefenseKind, ExpOptions};
-use ddp_attack::CheatStrategy;
+use ddp_attack::{AttackPlan, CheatStrategy};
+use ddp_oracle::{Attack, DamageReport, DefenseKind, Scenario};
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 use ddp_sim::ListBehavior;
 use ddp_topology::TopologyModel;
@@ -24,8 +25,10 @@ fn never_cut(dr: &DamageReport) -> f64 {
     dr.attacked.summary.attackers_never_cut as f64
 }
 
-/// The plain DD-POLICE deployment most ablations vary something around.
-const DD_POLICE: DefenseKind = DefenseKind::DdPolice { cut_threshold: 5.0 };
+/// `opts`' scenario under DD-POLICE configured as `cfg`.
+fn police(opts: &ExpOptions, cfg: DdPoliceConfig) -> Scenario {
+    Scenario { defense: DefenseKind::DdPolice(cfg), ..opts.scenario() }
+}
 
 /// Warning-threshold sweep (the §3.3 default is 500 queries/min): too low
 /// triggers constant Buddy-Group exchanges; too high delays detection.
@@ -33,7 +36,7 @@ pub fn ablate_warning(opts: &ExpOptions) -> Table {
     let thresholds = [100u32, 250, 500, 1_000, 2_000, 5_000];
     let rows = par_map(&thresholds, |ci, &w| {
         let cfg = DdPoliceConfig { warning_threshold_qpm: w, ..DdPoliceConfig::default() };
-        let scenario = opts.scenario().defense(DefenseKind::DdPoliceFull(cfg));
+        let scenario = police(opts, cfg);
         let [fneg, fpos, damage, control] = damage_means(opts, ci, &scenario, |dr| {
             [good_cut(dr), missed(dr), dr.stable_damage(), dr.attacked.summary.control_per_tick]
         });
@@ -62,10 +65,8 @@ pub fn ablate_radius(opts: &ExpOptions) -> Table {
             exchange: ExchangePolicy::Periodic { minutes: 4 }, // extra staleness
             ..DdPoliceConfig::default()
         };
-        let scenario = opts
-            .scenario()
-            .sim(|s| s.lifetime = LifetimeModel::LogNormal { mean_min: 5.0, var_min: 2.5 })
-            .defense(DefenseKind::DdPoliceFull(cfg));
+        let mut scenario = police(opts, cfg);
+        scenario.sim.lifetime = LifetimeModel::LogNormal { mean_min: 5.0, var_min: 2.5 };
         let [fneg, fpos, damage] =
             damage_means(opts, ci, &scenario, |dr| [good_cut(dr), missed(dr), dr.stable_damage()]);
         vec![format!("r={radius}"), f(fneg, 1), f(fpos, 1), pct(damage)]
@@ -84,10 +85,10 @@ pub fn ablate_forwarding(opts: &ExpOptions) -> Table {
     let configs = [
         ("fifo, no defense", DefenseKind::None),
         ("fair-share forwarding", DefenseKind::FairShare),
-        ("DD-POLICE (CT=5)", DD_POLICE),
+        ("DD-POLICE (CT=5)", DefenseKind::DdPolice(DdPoliceConfig::default())),
     ];
     let rows = par_map(&configs, |ci, (label, defense)| {
-        let scenario = opts.scenario().defense(defense.clone());
+        let scenario = Scenario { defense: defense.clone(), ..opts.scenario() };
         let [success, response, damage] = damage_means(opts, ci, &scenario, |dr| {
             let summary = &dr.attacked.summary;
             [summary.success_rate_stable, summary.response_time_mean_secs, dr.stable_damage()]
@@ -107,8 +108,8 @@ pub fn ablate_forwarding(opts: &ExpOptions) -> Table {
 pub fn ablate_rejoin(opts: &ExpOptions) -> Table {
     let delays = [("never (paper)", u32::MAX), ("10 min", 10), ("5 min", 5), ("2 min", 2)];
     let rows = par_map(&delays, |ci, &(label, delay)| {
-        let scenario =
-            opts.scenario().sim(|s| s.attacker_rejoin_delay_ticks = delay).defense(DD_POLICE);
+        let mut scenario = police(opts, DdPoliceConfig::default());
+        scenario.sim.attacker_rejoin_delay_ticks = delay;
         let [damage, cuts] = damage_means(opts, ci, &scenario, |dr| {
             [dr.stable_damage(), dr.attacked.summary.attackers_cut as f64]
         });
@@ -165,7 +166,8 @@ pub fn ablate_clamp(opts: &ExpOptions) -> Table {
     ];
     let rows = par_map(&configs, |_, &(label, cheat, clamp)| {
         let cfg = DdPoliceConfig { clamp_reports_to_link: clamp, ..DdPoliceConfig::default() };
-        let scenario = opts.scenario().cheat(cheat).defense(DefenseKind::DdPoliceFull(cfg));
+        let attack = Attack::Flood(AttackPlan::new(opts.agents).with_cheat(cheat));
+        let scenario = Scenario { attack, ..police(opts, cfg) };
         let [damage, never] =
             damage_means(opts, 0, &scenario, |dr| [dr.stable_damage(), never_cut(dr)]);
         vec![label.to_string(), pct(damage), f(never, 1)]
@@ -197,7 +199,7 @@ pub fn ablate_lists(opts: &ExpOptions) -> Table {
         .collect();
     let rows = par_map(&grid, |_, &(label, lists, verify)| {
         let cfg = DdPoliceConfig { verify_lists: verify, ..DdPoliceConfig::default() };
-        let scenario = opts.scenario().lists(lists).defense(DefenseKind::DdPoliceFull(cfg));
+        let scenario = Scenario { lists, ..police(opts, cfg) };
         let [damage, never, fneg] = damage_means(opts, 0, &scenario, |dr| {
             [dr.stable_damage(), never_cut(dr), good_cut(dr)]
         });
@@ -263,12 +265,11 @@ pub fn ablate_topology(opts: &ExpOptions) -> Table {
         ("super-peer 20%", TopologyModel::SuperPeer { super_fraction: 0.2, core_m: 3 }),
     ];
     let rows = par_map(&models, |_, &(label, model)| {
-        let on = |defense: DefenseKind| {
-            opts.scenario().sim(|s| s.topology.model = model).defense(defense)
-        };
-        let [undef] = damage_means(opts, 0, &on(DefenseKind::None), |dr| [dr.stable_damage()]);
-        let [def, fneg] =
-            damage_means(opts, 0, &on(DD_POLICE), |dr| [dr.stable_damage(), good_cut(dr)]);
+        let mut undefended = opts.scenario();
+        undefended.sim.topology.model = model;
+        let defended = Scenario { sim: undefended.sim.clone(), ..police(opts, Default::default()) };
+        let [undef] = damage_means(opts, 0, &undefended, |dr| [dr.stable_damage()]);
+        let [def, fneg] = damage_means(opts, 0, &defended, |dr| [dr.stable_damage(), good_cut(dr)]);
         vec![label.to_string(), pct(undef), pct(def), f(fneg, 1)]
     });
     Table::from_rows(

@@ -18,10 +18,12 @@
 //! `BENCH_churn.json` tracked PR-over-PR.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
+use crate::options::ExpOptions;
 use crate::output::{f, on_off, Column, Table};
-use crate::scenario::{damage_series, stable_damage, ExpOptions, Scenario};
 use ddp_attack::WhitewashPlan;
-use ddp_police::{DdPolice, DdPoliceConfig, ReadmissionPolicy};
+use ddp_oracle::scenario::{damage_series, stable_damage};
+use ddp_oracle::{Attack, DefenseKind, Scenario};
+use ddp_police::{DdPoliceConfig, ReadmissionPolicy};
 use ddp_sim::{CutRecord, RunResult, SessionConfig, SessionStats, WhitewashRecord};
 use ddp_topology::NodeId;
 use ddp_workload::LifetimeModel;
@@ -179,20 +181,18 @@ fn run_once(
         suspect_ttl_ticks: SUSPECT_TTL,
         ..DdPoliceConfig::default()
     };
-    let scenario = Scenario::builder()
-        .peers(peers)
-        .churn(false)
-        .seed(seed)
-        .sim(|s| s.session = Some(sess.clone()))
-        .build();
-    let mut sim = scenario.build_sim_with(DdPolice::new(police_cfg, peers));
-    let initial_agents = if agents > 0 {
-        // On the scenario's own placement stream, so a churn cell's agents
-        // sit on the same peers as the equivalent static scenario.
-        WhitewashPlan::new(agents, dwell).apply(&mut sim, &mut scenario.placement_rng())
-    } else {
-        Vec::new()
+    let mut scenario = Scenario {
+        defense: DefenseKind::DdPolice(police_cfg),
+        // On the placement stream, so a churn cell's agents sit on the same
+        // peers as the equivalent static scenario.
+        attack: Attack::Whitewash(WhitewashPlan::new(agents, dwell)),
+        seed,
+        ..ExpOptions { peers, ..ExpOptions::default() }.scenario()
     };
+    scenario.sim.churn = false;
+    scenario.sim.session = Some(sess.clone());
+    let mut sim = scenario.build_police();
+    let initial_agents = sim.attackers();
     for _ in 0..ticks {
         sim.step();
     }

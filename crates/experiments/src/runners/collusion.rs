@@ -16,14 +16,13 @@
 //! the backoff instead of lasting forever.
 
 use super::par_map;
+use crate::options::ExpOptions;
 use crate::output::{f, on_off, pct, Table};
-use crate::scenario::{ExpOptions, Scenario};
 use ddp_attack::CollusionPlan;
-use ddp_police::{AggregationPolicy, DdPolice, DdPoliceConfig, Hysteresis, ReadmissionPolicy};
-use ddp_sim::RunResult;
+use ddp_oracle::{Attack, DefenseKind, Scenario};
+use ddp_police::{AggregationPolicy, DdPoliceConfig, Hysteresis, ReadmissionPolicy};
+use ddp_sim::{ReportBehavior, RunResult};
 use ddp_topology::NodeId;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Swept colluder fractions (of the victim's neighborhood in frame mode; of
 /// `opts.agents` in shield mode). 0 = the no-colluder reference.
@@ -91,12 +90,6 @@ fn run_once(
     police_cfg: DdPoliceConfig,
     seed: u64,
 ) -> (RunResult, Option<NodeId>) {
-    // Churn off: the framed victim must keep its identity and links for the
-    // whole run, so wrongful-cut counts measure the defense, not session
-    // luck. No plain agents: the coalition is the attack.
-    let scenario = Scenario::builder().peers(opts.peers).churn(false).seed(seed).build();
-    let mut sim = scenario.build_sim_with(DdPolice::new(police_cfg, opts.peers));
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xc011_0de5);
     let plan = match mode {
         Mode::Frame => CollusionPlan::frame(fraction, FRAME_INFLATE),
         Mode::Shield => {
@@ -104,8 +97,24 @@ fn run_once(
             CollusionPlan::shield(agents, SHIELD_DEFLATE)
         }
     };
-    let outcome = plan.apply(&mut sim, &mut rng);
-    (sim.run(opts.ticks), outcome.victim)
+    // No plain agents: the coalition is the attack.
+    let mut scenario = Scenario {
+        defense: DefenseKind::DdPolice(police_cfg),
+        attack: Attack::Collusion(plan),
+        seed,
+        ..opts.scenario()
+    };
+    // Churn off: the framed victim must keep its identity and links for the
+    // whole run, so wrongful-cut counts measure the defense, not session
+    // luck.
+    scenario.sim.churn = false;
+    let sim = scenario.build_police();
+    // The framed victim is whom every framing colluder lies about.
+    let victim = sim.attackers().into_iter().find_map(|c| match sim.role(c).report_behavior() {
+        ReportBehavior::FrameVictim { victim, .. } => Some(victim),
+        _ => None,
+    });
+    (sim.run(opts.ticks), victim)
 }
 
 /// Run the full grid. Exposed separately from [`collusion`] so tests can

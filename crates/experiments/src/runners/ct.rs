@@ -2,8 +2,10 @@
 //! CT), and 14 (damage recovery time vs CT).
 
 use super::par_map;
+use crate::options::ExpOptions;
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions, Scenario};
+use ddp_oracle::{DamageReport, DefenseKind, Scenario};
+use ddp_police::DdPoliceConfig;
 
 /// Averaged outcome of one cut-threshold setting.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,10 +23,15 @@ pub struct CtRow {
     pub stable_damage: f64,
 }
 
-/// The CT-swept scenario, checkpointed under `name` when the command line
+/// The CT-swept damage pair, checkpointed under `name` when the command line
 /// asks for it: a killed sweep resumes with `--resume`, to bit-identical rows.
-fn ct_scenario(opts: &ExpOptions, defense: DefenseKind, seed: u64, name: &str) -> Scenario {
-    opts.scenario().defense(defense).seed(seed).checkpoint(opts.checkpoint(name)).build()
+fn damage_pair(opts: &ExpOptions, defense: DefenseKind, seed: u64, name: &str) -> DamageReport {
+    Scenario { defense, seed, ..opts.scenario() }.run_with_damage(opts.checkpoint(name).as_ref())
+}
+
+/// DD-POLICE with the paper's defaults at cut threshold `ct`.
+fn police(ct: f64) -> DefenseKind {
+    DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(ct))
 }
 
 /// Mean recovery time over the runs that recovered at all.
@@ -48,9 +55,7 @@ pub fn ct_sweep(opts: &ExpOptions, cts: &[f64]) -> Vec<CtRow> {
     par_map(cts, |_, &ct| {
         let mut recoveries = Vec::new();
         let [false_negative, false_positive, false_judgment, stable_damage] = opts.mean_over(|r| {
-            let defense = DefenseKind::DdPolice { cut_threshold: ct };
-            let dr = ct_scenario(opts, defense, opts.seed_for(0, r), &format!("ct{ct}_r{r}"))
-                .run_with_damage();
+            let dr = damage_pair(opts, police(ct), opts.seed_for(0, r), &format!("ct{ct}_r{r}"));
             recoveries.push(dr.recovery_ticks);
             let errors = &dr.attacked.summary.errors;
             let (fneg, fpos) = (errors.false_negative as f64, errors.false_positive as f64);
@@ -73,14 +78,13 @@ pub const CT_GRID: [f64; 9] = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 9.0, 12.0];
 /// Figure 12: damage rate over time for no defense and CT ∈ {3, 7, 10}.
 pub fn fig12(opts: &ExpOptions) -> Table {
     let damage = |defense: DefenseKind, name: &str| {
-        ct_scenario(opts, defense, opts.seed, name).run_with_damage().damage.values
+        damage_pair(opts, defense, opts.seed, name).damage.values
     };
     // Undefended reference.
     let mut runs =
         vec![("no DD-POLICE".to_string(), damage(DefenseKind::None, "fig12_undefended"))];
     runs.extend(par_map(&[3.0, 7.0, 10.0], |_, &ct| {
-        let defense = DefenseKind::DdPolice { cut_threshold: ct };
-        (format!("DD-POLICE-{ct:.0}"), damage(defense, &format!("fig12_ct{ct}")))
+        (format!("DD-POLICE-{ct:.0}"), damage(police(ct), &format!("fig12_ct{ct}")))
     }));
 
     let headers: Vec<&str> =

@@ -9,8 +9,8 @@
 //! divergence as a broken engine optimization.
 
 use super::par_map;
+use crate::options::ExpOptions;
 use crate::output::Table;
-use crate::scenario::ExpOptions;
 use ddp_oracle::{run_lockstep, shrink, ScenarioSpec};
 
 /// Scenarios in a `--smoke` campaign (the acceptance floor is 50).
@@ -66,10 +66,7 @@ pub fn fuzz(opts: &ExpOptions) -> Table {
         // of replaying the whole run under a debugger.
         if repro.divergence.tick > 1 {
             let snap_path = format!("tests/repro/fuzz_{fuzz_seed}.snap");
-            let mut engine = repro.spec.instantiate(ddp_police::DdPolice::new(
-                repro.spec.police_config(),
-                repro.spec.peers,
-            ));
+            let mut engine = repro.spec.scenario().build_police();
             engine.defense_mut().set_tracing(true);
             while engine.tick() + 1 < repro.divergence.tick {
                 engine.step();

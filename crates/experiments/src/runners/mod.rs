@@ -38,8 +38,9 @@ pub use structured::structured;
 pub use sweep::{agent_sweep, consequences, fig10, fig11, fig9, SweepRow};
 pub use testbed::testbed;
 
+use crate::options::ExpOptions;
 use crate::output::{OutputError, Table};
-use crate::scenario::{DamageReport, ExpOptions, ScenarioBuilder};
+use ddp_oracle::{DamageReport, Scenario};
 
 /// Map `f(index, item)` over a sweep grid on the simulation worker pool,
 /// one cell per claim, as wide as the host allows. Results come back in item
@@ -66,11 +67,13 @@ fn par_map_at<T: Sync, R: Send>(
 pub(crate) fn damage_means<const K: usize>(
     opts: &ExpOptions,
     config: usize,
-    scenario: &ScenarioBuilder,
+    scenario: &Scenario,
     mut measure: impl FnMut(&DamageReport) -> [f64; K],
 ) -> [f64; K] {
     opts.mean_over(|r| {
-        measure(&scenario.clone().seed(opts.seed_for(config, r)).build().run_with_damage())
+        measure(
+            &Scenario { seed: opts.seed_for(config, r), ..scenario.clone() }.run_with_damage(None),
+        )
     })
 }
 

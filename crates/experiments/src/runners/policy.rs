@@ -3,9 +3,10 @@
 
 use super::ct::{mean_recovery, recovery_cell};
 use super::{damage_means, par_map};
+use crate::options::ExpOptions;
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions};
-use ddp_attack::CheatStrategy;
+use ddp_attack::{AttackPlan, CheatStrategy};
+use ddp_oracle::{Attack, DefenseKind, Scenario};
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 
 /// §3.7.1: periodic exchange every s ∈ {1, 2, 4, 5, 10} minutes vs the
@@ -20,7 +21,7 @@ pub fn exchange(opts: &ExpOptions) -> Table {
     // Paired seeds: every policy sees the same churn and attack.
     let rows = par_map(&policies, |_, (label, policy)| {
         let cfg = DdPoliceConfig { exchange: *policy, ..DdPoliceConfig::default() };
-        let scenario = opts.scenario().defense(DefenseKind::DdPoliceFull(cfg));
+        let scenario = Scenario { defense: DefenseKind::DdPolice(cfg), ..opts.scenario() };
         let [control, fneg, fpos, damage] = damage_means(opts, 0, &scenario, |dr| {
             let summary = &dr.attacked.summary;
             [
@@ -46,8 +47,11 @@ pub fn exchange(opts: &ExpOptions) -> Table {
 pub fn cheating(opts: &ExpOptions) -> Table {
     // Paired seeds across strategies.
     let rows = par_map(&CheatStrategy::all(), |_, &strategy| {
-        let scenario =
-            opts.scenario().cheat(strategy).defense(DefenseKind::DdPolice { cut_threshold: 5.0 });
+        let scenario = Scenario {
+            defense: DefenseKind::DdPolice(DdPoliceConfig::default()),
+            attack: Attack::Flood(AttackPlan::new(opts.agents).with_cheat(strategy)),
+            ..opts.scenario()
+        };
         let mut recoveries = Vec::new();
         let [cut, never, fneg, damage] = damage_means(opts, 0, &scenario, |dr| {
             recoveries.push(dr.recovery_ticks);

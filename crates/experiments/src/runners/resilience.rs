@@ -9,8 +9,9 @@
 //! fault-free (loss = 0, delay = 0) cell.
 
 use super::par_map;
+use crate::options::ExpOptions;
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions};
+use ddp_oracle::{DefenseKind, Scenario};
 use ddp_police::{DdPoliceConfig, ExchangePolicy};
 use ddp_sim::{CutRecord, FaultConfig};
 use std::collections::HashMap;
@@ -78,18 +79,19 @@ pub fn resilience_grid(opts: &ExpOptions) -> Vec<ResilienceCell> {
             exchange: ExchangePolicy::Periodic { minutes: period },
             ..DdPoliceConfig::default()
         };
-        let scenario =
-            opts.scenario().defense(DefenseKind::DdPoliceFull(police)).faults(FaultConfig {
-                loss,
-                delay_prob: if delay > 0 { DELAY_PROB } else { 0.0 },
-                delay_ticks: delay.max(1),
-                crash_prob: 0.0,
-            });
+        let mut scenario = Scenario { defense: DefenseKind::DdPolice(police), ..opts.scenario() };
+        scenario.sim.faults = FaultConfig {
+            loss,
+            delay_prob: if delay > 0 { DELAY_PROB } else { 0.0 },
+            delay_ticks: delay.max(1),
+            crash_prob: 0.0,
+        };
         opts.mean_fields(
             |r| {
                 // Paired per period: every (loss, delay) cell of one period
                 // row sees identical topology/churn/attack.
-                let report = scenario.clone().seed(opts.seed_for(period as usize, r)).build().run();
+                let seed = opts.seed_for(period as usize, r);
+                let report = Scenario { seed, ..scenario.clone() }.run(None);
                 let res = &report.summary.resilience;
                 ResilienceCell {
                     period,

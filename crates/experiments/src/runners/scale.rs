@@ -10,10 +10,11 @@
 //! step loop, which is what every other experiment pays per data point.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
+use crate::options::ExpOptions;
 use crate::output::{f, Column, Table};
-use crate::scenario::{ExpOptions, Scenario};
 use ddp_metrics::CountingAlloc;
-use ddp_police::{DdPolice, DdPoliceConfig};
+use ddp_oracle::{DefenseKind, Scenario};
+use ddp_police::DdPoliceConfig;
 use std::time::{Duration, Instant};
 
 /// One measured grid cell.
@@ -95,8 +96,9 @@ pub fn measure_cell(
     if let Some(a) = alloc {
         a.reset();
     }
-    let scenario = Scenario::builder().peers(peers).attackers(agents).seed(seed).build();
-    let mut sim = scenario.build_sim_with(DdPolice::new(DdPoliceConfig::default(), peers));
+    let defense = DefenseKind::DdPolice(DdPoliceConfig::default());
+    let cell = ExpOptions { peers, agents, ..ExpOptions::default() };
+    let mut sim = Scenario { defense, seed, ..cell.scenario() }.build_police();
     sim.set_threads(threads);
     let allocs_before = alloc.map(|a| a.allocations() as u64).unwrap_or(0);
     let start = Instant::now();

@@ -13,9 +13,10 @@
 //! compression"). Emits `BENCH_sketch.json`.
 
 use crate::bench_report::{self, BenchCell, Field, Value};
+use crate::options::ExpOptions;
 use crate::output::{f, Column, Table};
-use crate::scenario::{ExpOptions, Scenario};
-use ddp_police::{DdPolice, DdPoliceConfig, MonitorBackend, SketchParams, SketchStats};
+use ddp_oracle::{DefenseKind, Scenario};
+use ddp_police::{DdPoliceConfig, MonitorBackend, SketchParams, SketchStats};
 use ddp_sim::RunResult;
 use ddp_sketch::exact_state_bytes;
 use ddp_topology::NodeId;
@@ -171,17 +172,14 @@ fn run_once(
     monitor: MonitorBackend,
     seed: u64,
 ) -> RunOutcome {
-    let scenario = Scenario::builder()
-        .peers(peers)
-        .attackers(agents)
-        .seed(seed)
-        .sim(|s| {
-            s.attacker_rate_qpm = attacker_rate_qpm;
-            s.ttl = flood_ttl(peers);
-        })
-        .build();
-    let police_cfg = DdPoliceConfig { monitor, ..DdPoliceConfig::default() };
-    let mut sim = scenario.build_sim_with(DdPolice::new(police_cfg, peers));
+    let mut scenario = Scenario {
+        defense: DefenseKind::DdPolice(DdPoliceConfig { monitor, ..DdPoliceConfig::default() }),
+        seed,
+        ..ExpOptions { peers, agents, ..ExpOptions::default() }.scenario()
+    };
+    scenario.sim.attacker_rate_qpm = attacker_rate_qpm;
+    scenario.sim.ttl = flood_ttl(peers);
+    let mut sim = scenario.build_police();
     let start = Instant::now();
     for _ in 0..ticks {
         sim.step();

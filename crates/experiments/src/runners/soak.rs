@@ -19,8 +19,8 @@
 //! Needs the `ddp-servent` binary (same profile, or `DDP_SERVENT_BIN`).
 
 use super::testbed::{wire_setup, WireSetup, ATTACKER, ATTACK_QPM};
+use crate::options::ExpOptions;
 use crate::output::Table;
-use crate::scenario::ExpOptions;
 use ddp_servent::wire::WireSummary;
 use ddp_testbed::{locate_servent_bin, ChaosPlan, ChaosSchedule, WireMesh};
 use std::path::Path;

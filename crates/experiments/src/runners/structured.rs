@@ -7,9 +7,12 @@
 //! origination detection local (no Buddy Group needed).
 
 use super::par_map;
+use crate::options::ExpOptions;
 use crate::output::{pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions};
+use ddp_attack::AttackPlan;
 use ddp_dht::{DhtAttack, DhtConfig, DhtPolice, DhtSimulation};
+use ddp_oracle::{Attack, DefenseKind, Scenario};
+use ddp_police::DdPoliceConfig;
 
 /// Compare flooding-overlay vs DHT under the same agent counts.
 pub fn structured(opts: &ExpOptions) -> Table {
@@ -18,8 +21,9 @@ pub fn structured(opts: &ExpOptions) -> Table {
 
     let rows = par_map(&ks, |_, &k| {
         let flood = |defense: DefenseKind| {
-            let scenario = opts.scenario().attackers(k).defense(defense).seed(opts.seed);
-            scenario.build().run().summary.success_rate_stable
+            let attack = Attack::Flood(AttackPlan::new(k));
+            let scenario = Scenario { defense, attack, seed: opts.seed, ..opts.scenario() };
+            scenario.run(None).summary.success_rate_stable
         };
         let dht = |attack: DhtAttack, defense: Option<DhtPolice>| {
             let mut sim = DhtSimulation::new(
@@ -32,7 +36,7 @@ pub fn structured(opts: &ExpOptions) -> Table {
         vec![
             k.to_string(),
             pct(flood(DefenseKind::None)),
-            pct(flood(DefenseKind::DdPolice { cut_threshold: 5.0 })),
+            pct(flood(DefenseKind::DdPolice(DdPoliceConfig::default()))),
             pct(dht(DhtAttack::Uniform, None)),
             pct(dht(DhtAttack::Uniform, Some(DhtPolice::default()))),
             pct(dht(DhtAttack::Hotspot { victim_key: 42 }, None)),

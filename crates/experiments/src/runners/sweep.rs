@@ -4,8 +4,11 @@
 //! with DD-POLICE.
 
 use super::par_map;
+use crate::options::ExpOptions;
 use crate::output::{f, pct, Table};
-use crate::scenario::{DefenseKind, ExpOptions};
+use ddp_attack::AttackPlan;
+use ddp_oracle::{Attack, DefenseKind, Scenario};
+use ddp_police::DdPoliceConfig;
 
 /// One sweep configuration's averaged results.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +52,13 @@ pub fn agent_sweep(opts: &ExpOptions) -> Vec<SweepRow> {
         let regime = |defense: DefenseKind| {
             opts.mean_fields(
                 |r| {
-                    let scenario = opts.scenario().attackers(k).defense(defense.clone());
-                    let summary = scenario.seed(opts.seed_for(ci, r)).build().run().summary;
+                    let scenario = Scenario {
+                        defense: defense.clone(),
+                        attack: Attack::Flood(AttackPlan::new(k)),
+                        seed: opts.seed_for(ci, r),
+                        ..opts.scenario()
+                    };
+                    let summary = scenario.run(None).summary;
                     RegimeStats {
                         traffic_per_tick: summary.traffic_per_tick,
                         response_secs: summary.response_time_mean_secs,
@@ -70,8 +78,8 @@ pub fn agent_sweep(opts: &ExpOptions) -> Vec<SweepRow> {
         };
         let undefended = regime(DefenseKind::None);
         // Nothing to defend against in the baseline cell.
-        let defended =
-            if k == 0 { undefended } else { regime(DefenseKind::DdPolice { cut_threshold: 5.0 }) };
+        let police = DefenseKind::DdPolice(DdPoliceConfig::default());
+        let defended = if k == 0 { undefended } else { regime(police) };
         // `baseline` is filled in below, once cell 0 has been measured.
         SweepRow { agents: k, baseline: undefended, undefended, defended }
     });

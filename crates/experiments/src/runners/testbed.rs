@@ -16,8 +16,8 @@
 //! torn sockets without hanging. Needs the `ddp-servent` binary on disk
 //! (`cargo build --release -p ddp-servent`, or `DDP_SERVENT_BIN`).
 
+use crate::options::ExpOptions;
 use crate::output::Table;
-use crate::scenario::ExpOptions;
 use ddp_servent::{Harness, HarnessConfig, ServentRole};
 use ddp_testbed::{MeshReport, MeshSpec, NodeSpec, WireMesh};
 use ddp_topology::{DynamicGraph, NodeId, TopologyConfig, TopologyModel};

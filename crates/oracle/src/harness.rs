@@ -1,7 +1,7 @@
 //! Lockstep differential runner: the optimized engine and the naive oracle
 //! side by side, state-compared after **every** tick.
 //!
-//! Both twins are instantiated from the same [`ScenarioSpec`], so topology,
+//! Both twins are built from the same [`ScenarioSpec::scenario`], so topology,
 //! workload, attack wiring, churn, and fault dice are identical as long as
 //! the two defenses take the same actions — which is exactly the property
 //! under test. The first observable difference is reported as a
@@ -10,6 +10,7 @@
 //! moment their actions differ.
 
 use crate::model::OracleDdPolice;
+use crate::scenario::Scenario;
 use crate::spec::ScenarioSpec;
 use ddp_police::DdPolice;
 use ddp_sim::{Simulation, Tick};
@@ -69,23 +70,19 @@ fn edge_set<D: ddp_sim::Defense>(sim: &Simulation<D>) -> Vec<(u32, u32)> {
     edges
 }
 
+/// The optimized engine built from `scenario`, recording judgment traces.
+fn traced_engine(scenario: &Scenario) -> Simulation<DdPolice> {
+    let mut engine = scenario.build_police();
+    engine.defense_mut().set_tracing(true);
+    engine
+}
+
 /// Run `spec` on the engine and the oracle in lockstep, comparing all
 /// observable defense state after every tick. `Err` carries the first
 /// divergence found.
 pub fn run_lockstep(spec: &ScenarioSpec) -> Result<LockstepStats, Divergence> {
-    let mut engine = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
-    engine.defense_mut().set_tracing(true);
-    let mut oracle = spec.instantiate(OracleDdPolice::new(spec.police_config()));
-
-    let mut stats = LockstepStats::default();
-    for _ in 0..spec.ticks {
-        engine.step();
-        oracle.step();
-        stats.ticks += 1;
-        stats.judgments += compare_tick(&mut engine, &mut oracle)?;
-    }
-    stats.cuts = engine.cut_log().len();
-    Ok(stats)
+    // A snapshot tick no run reaches: the engine twin is never torn down.
+    run_lockstep_with_restore(spec, Tick::MAX)
 }
 
 /// Run `spec` on two copies of the optimized engine — one serial, one
@@ -98,9 +95,9 @@ pub fn run_parallel_lockstep(
     spec: &ScenarioSpec,
     threads: usize,
 ) -> Result<LockstepStats, Divergence> {
+    let scenario = spec.scenario();
     let build = || {
-        let mut sim = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
-        sim.defense_mut().set_tracing(true);
+        let mut sim = traced_engine(&scenario);
         sim.enable_hash_trace();
         sim
     };
@@ -164,13 +161,9 @@ pub fn run_lockstep_with_restore(
     spec: &ScenarioSpec,
     snapshot_tick: Tick,
 ) -> Result<LockstepStats, Divergence> {
-    let build_engine = || {
-        let mut e = spec.instantiate(DdPolice::new(spec.police_config(), spec.peers));
-        e.defense_mut().set_tracing(true);
-        e
-    };
-    let mut engine = build_engine();
-    let mut oracle = spec.instantiate(OracleDdPolice::new(spec.police_config()));
+    let scenario = spec.scenario();
+    let mut engine = traced_engine(&scenario);
+    let mut oracle = scenario.build_sim_with(OracleDdPolice::new(*engine.defense().config()));
 
     let mut stats = LockstepStats::default();
     for _ in 0..spec.ticks {
@@ -178,7 +171,7 @@ pub fn run_lockstep_with_restore(
             let snap = |what: String| Divergence { tick: snapshot_tick, what };
             let bytes =
                 engine.save_snapshot().map_err(|e| snap(format!("snapshot save failed: {e}")))?;
-            let mut fresh = build_engine();
+            let mut fresh = traced_engine(&scenario);
             fresh
                 .restore_snapshot(&bytes)
                 .map_err(|e| snap(format!("snapshot restore failed: {e}")))?;

@@ -9,9 +9,13 @@
 //! * [`model::OracleDdPolice`] is a deliberately naive, allocation-happy
 //!   transcription of one DD-POLICE tick straight from the paper — HashMaps,
 //!   Vecs, no caches, no fast paths.
-//! * [`spec::ScenarioSpec`] is a flat, JSON-serializable description of one
-//!   fuzz scenario (topology, attack, faults, churn, protocol knobs) that
-//!   can instantiate twin simulations from the same seed.
+//! * [`scenario::Scenario`] is the one description of a simulation run
+//!   (engine config, defense, attack plan, length, seed) and its one
+//!   builder; every experiment table and every twin below is built by it.
+//! * [`spec::ScenarioSpec`] is a flat, JSON-serializable, shrinkable form of
+//!   one fuzz scenario (topology, attack, faults, churn, protocol knobs);
+//!   [`ScenarioSpec::scenario`] turns it into the `Scenario` both twins are
+//!   built from.
 //! * [`harness`] drives the engine and the oracle in lockstep and compares
 //!   their observable state after every tick: judgment traces (1-ulp),
 //!   verdict entries, exchange views, overlay edges, cut/verdict logs, and
@@ -21,6 +25,7 @@
 
 pub mod harness;
 pub mod model;
+pub mod scenario;
 pub mod shrink;
 pub mod spec;
 
@@ -28,5 +33,6 @@ pub use harness::{
     run_lockstep, run_lockstep_with_restore, run_parallel_lockstep, Divergence, LockstepStats,
 };
 pub use model::OracleDdPolice;
+pub use scenario::{Attack, Checkpoint, DamageReport, DefenseKind, Scenario};
 pub use shrink::{shrink, ShrunkRepro};
 pub use spec::{scenario_matrix, ScenarioSpec};

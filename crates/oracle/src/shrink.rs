@@ -3,12 +3,13 @@
 //!
 //! Greedy descent: each round proposes a fixed set of simplifying mutations
 //! (truncate ticks to the divergence point, halve the population, drop the
-//! attack, disable churn / sessions / whitewash / collusion, make the fault
-//! plane inert, reset protocol knobs to paper defaults) and keeps any
-//! mutation under which the check *still reports a divergence*. The loop
-//! re-runs until a full round changes nothing, so the result is locally
-//! minimal: every remaining deviation from the default spec is necessary to
-//! reproduce the bug. The check is a deterministic function of the spec —
+//! attack, disable churn / sessions / whitewash / collusion, reset each
+//! cheating, lying and coalition factor, make the fault plane inert, reset
+//! protocol knobs to paper defaults) and keeps any mutation under which the
+//! check *still reports a divergence*. The loop re-runs until a full round
+//! changes nothing, so the result is locally minimal: every remaining
+//! deviation from the default spec is necessary to reproduce the bug. The
+//! check is a deterministic function of the spec —
 //! [`run_lockstep`](crate::harness::run_lockstep) for the fuzz campaign — so
 //! the reproducer is exact: same spec, same divergence, forever.
 
@@ -48,7 +49,10 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         push(ScenarioSpec { agents: spec.agents / 2, ..spec.clone() });
     }
     push(ScenarioSpec { cheat: 0, ..spec.clone() });
+    push(ScenarioSpec { inflate: defaults.inflate, ..spec.clone() });
+    push(ScenarioSpec { deflate: defaults.deflate, ..spec.clone() });
     push(ScenarioSpec { lists: 0, ..spec.clone() });
+    push(ScenarioSpec { pad_extra: defaults.pad_extra, ..spec.clone() });
     push(ScenarioSpec {
         loss: 0.0,
         delay_prob: 0.0,
@@ -57,6 +61,9 @@ fn candidates(spec: &ScenarioSpec) -> Vec<ScenarioSpec> {
         ..spec.clone()
     });
     push(ScenarioSpec { collusion: 0, ..spec.clone() });
+    push(ScenarioSpec { shield_deflate: defaults.shield_deflate, ..spec.clone() });
+    push(ScenarioSpec { frame_fraction: defaults.frame_fraction, ..spec.clone() });
+    push(ScenarioSpec { frame_inflate: defaults.frame_inflate, ..spec.clone() });
     push(ScenarioSpec { churn: false, ..spec.clone() });
     push(ScenarioSpec { session_mean: 0.0, ..spec.clone() });
     push(ScenarioSpec { whitewash_dwell: 0, whitewash_quiet: 0, ..spec.clone() });
@@ -131,7 +138,19 @@ mod tests {
 
     #[test]
     fn shrinking_keeps_exactly_the_knobs_the_divergence_needs() {
-        let start = ScenarioSpec { clamp_reports: true, agents: 5, ..ScenarioSpec::random(11) };
+        // The six factor knobs `random` never varies start off their
+        // defaults too: none of them matters to the planted divergence.
+        let start = ScenarioSpec {
+            clamp_reports: true,
+            agents: 5,
+            inflate: 7.0,
+            deflate: 0.5,
+            pad_extra: 9,
+            shield_deflate: 0.3,
+            frame_fraction: 0.1,
+            frame_inflate: 9.0,
+            ..ScenarioSpec::random(11)
+        };
         assert!(start.peers > 8 && start.ticks > 3, "the start must have room to shrink");
         let repro = shrink(&start, 400, clamp_with_an_agent).expect("the start diverges");
         assert!(repro.spec.ticks <= 3, "cut at the divergence: {}", repro.spec.to_json());

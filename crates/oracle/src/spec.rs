@@ -3,18 +3,17 @@
 //!
 //! Every knob the harness varies is a scalar, so a spec serializes to a
 //! single flat JSON object (hand-rolled — the workspace has no JSON
-//! dependency) and shrinks by mutating one field at a time. The same spec
-//! instantiates the optimized engine and the naive oracle from the same
-//! seed, so any observable difference between the twins is the defense's
-//! fault, not the scenario's.
+//! dependency) and shrinks by mutating one field at a time. The spec's
+//! [`Scenario`] builds the optimized engine and the naive oracle from the
+//! same seed, so any observable difference between the twins is the
+//! defense's fault, not the scenario's.
 
+use crate::scenario::{Attack, DefenseKind, Scenario};
 use ddp_attack::{AttackPlan, CheatFactors, CheatStrategy, CollusionPlan, WhitewashPlan};
 use ddp_police::exchange::ExchangePolicy;
 use ddp_police::{AggregationPolicy, DdPoliceConfig, Hysteresis, ReadmissionPolicy};
-use ddp_sim::{Defense, FaultConfig, ListBehavior, SessionConfig, SimConfig, Simulation};
-use ddp_topology::{NodeId, TopologyConfig, TopologyModel};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use ddp_sim::{FaultConfig, ListBehavior, SessionConfig, SimConfig};
+use ddp_topology::{TopologyConfig, TopologyModel};
 
 /// One fuzz scenario: topology + attack wiring + fault plane + protocol
 /// knobs, all scalars.
@@ -212,32 +211,34 @@ impl ScenarioSpec {
         spec
     }
 
-    /// The simulation configuration both twins share.
-    pub fn sim_config(&self) -> SimConfig {
-        SimConfig {
-            topology: TopologyConfig {
-                n: self.peers,
-                model: TopologyModel::BarabasiAlbert { m: 3 },
-            },
-            churn: self.churn,
-            faults: FaultConfig {
-                loss: self.loss,
-                delay_prob: self.delay_prob,
-                delay_ticks: self.delay_ticks,
-                crash_prob: self.crash_prob,
-            },
-            session: if self.session_mean > 0.0 {
-                Some(SessionConfig::steady_state(self.peers, self.session_mean))
-            } else {
-                None
-            },
-            ..SimConfig::default()
-        }
-    }
-
-    /// The protocol configuration both twins share.
-    pub fn police_config(&self) -> DdPoliceConfig {
-        DdPoliceConfig {
+    /// The run this spec describes. Every twin is built from it by
+    /// [`Scenario::build_sim_with`], so both receive identical agent
+    /// selections, collusion clusters, and whitewash arming.
+    pub fn scenario(&self) -> Scenario {
+        let cheat = match self.cheat {
+            0 => CheatStrategy::Honest,
+            1 => CheatStrategy::InflateSent,
+            2 => CheatStrategy::DeflateSent,
+            _ => CheatStrategy::Silent,
+        };
+        let attack = if self.whitewash_dwell > 0 {
+            Attack::Whitewash(
+                WhitewashPlan::new(self.agents, self.whitewash_dwell)
+                    .with_quiet(self.whitewash_quiet)
+                    .with_cheat(cheat),
+            )
+        } else if self.collusion == 1 {
+            Attack::Collusion(CollusionPlan::shield(self.agents.max(1), self.shield_deflate))
+        } else if self.collusion == 2 {
+            Attack::Collusion(CollusionPlan::frame(self.frame_fraction, self.frame_inflate))
+        } else {
+            Attack::Flood(
+                AttackPlan::new(self.agents)
+                    .with_cheat(cheat)
+                    .with_factors(CheatFactors { inflate: self.inflate, deflate: self.deflate }),
+            )
+        };
+        let police = DdPoliceConfig {
             cut_threshold: self.cut_threshold,
             exchange: if self.exchange_minutes == 0 {
                 ExchangePolicy::EventDriven
@@ -259,185 +260,118 @@ impl ScenarioSpec {
             },
             suspect_ttl_ticks: self.suspect_ttl,
             ..DdPoliceConfig::default()
-        }
-    }
-
-    fn cheat_strategy(&self) -> CheatStrategy {
-        match self.cheat {
-            0 => CheatStrategy::Honest,
-            1 => CheatStrategy::InflateSent,
-            2 => CheatStrategy::DeflateSent,
-            _ => CheatStrategy::Silent,
-        }
-    }
-
-    fn list_behavior(&self) -> ListBehavior {
-        match self.lists {
-            0 => ListBehavior::Truthful,
-            1 => ListBehavior::Omit,
-            2 => ListBehavior::Refuse,
-            _ => ListBehavior::PadFake { extra: self.pad_extra },
-        }
-    }
-
-    /// Build one simulation around `defense` with the attack fully wired.
-    /// Called once per twin with the same spec, so both receive identical
-    /// agent selections, collusion clusters, and whitewash arming.
-    pub fn instantiate<D: Defense>(&self, defense: D) -> Simulation<D> {
-        let mut sim = Simulation::new(self.sim_config(), defense, self.seed);
-        let agents: Vec<NodeId> = if self.whitewash_dwell > 0 {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0xdd05_ee1f);
-            WhitewashPlan::new(self.agents, self.whitewash_dwell)
-                .with_quiet(self.whitewash_quiet)
-                .with_cheat(self.cheat_strategy())
-                .apply(&mut sim, &mut rng)
-        } else if self.collusion == 1 {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0c01_10de);
-            CollusionPlan::shield(self.agents.max(1), self.shield_deflate)
-                .apply(&mut sim, &mut rng)
-                .colluders
-        } else if self.collusion == 2 {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0x0c01_10de);
-            CollusionPlan::frame(self.frame_fraction, self.frame_inflate)
-                .apply(&mut sim, &mut rng)
-                .colluders
-        } else if self.agents > 0 {
-            let mut rng = StdRng::seed_from_u64(self.seed ^ 0xdd05_ee1f);
-            AttackPlan::new(self.agents)
-                .with_cheat(self.cheat_strategy())
-                .with_factors(CheatFactors { inflate: self.inflate, deflate: self.deflate })
-                .apply(&mut sim, &mut rng)
-        } else {
-            Vec::new()
         };
-        let behavior = self.list_behavior();
-        if behavior != ListBehavior::Truthful {
-            for &a in &agents {
-                sim.set_list_behavior(a, behavior);
-            }
+        Scenario {
+            sim: SimConfig {
+                topology: TopologyConfig {
+                    n: self.peers,
+                    model: TopologyModel::BarabasiAlbert { m: 3 },
+                },
+                churn: self.churn,
+                faults: FaultConfig {
+                    loss: self.loss,
+                    delay_prob: self.delay_prob,
+                    delay_ticks: self.delay_ticks,
+                    crash_prob: self.crash_prob,
+                },
+                session: (self.session_mean > 0.0)
+                    .then(|| SessionConfig::steady_state(self.peers, self.session_mean)),
+                ..SimConfig::default()
+            },
+            defense: DefenseKind::DdPolice(police),
+            attack,
+            lists: match self.lists {
+                0 => ListBehavior::Truthful,
+                1 => ListBehavior::Omit,
+                2 => ListBehavior::Refuse,
+                _ => ListBehavior::PadFake { extra: self.pad_extra },
+            },
+            ticks: self.ticks as usize,
+            seed: self.seed,
         }
-        sim
-    }
-
-    // ----- flat JSON (hand-rolled; the workspace carries no JSON dep) ----
-
-    /// Serialize to a flat JSON object, one key per field.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let mut field = |key: &str, value: String| {
-            s.push_str(&format!("  \"{key}\": {value},\n"));
-        };
-        field("peers", self.peers.to_string());
-        field("ticks", self.ticks.to_string());
-        field("seed", self.seed.to_string());
-        field("agents", self.agents.to_string());
-        field("cheat", self.cheat.to_string());
-        field("inflate", fmt_f64(self.inflate));
-        field("deflate", fmt_f64(self.deflate));
-        field("lists", self.lists.to_string());
-        field("pad_extra", self.pad_extra.to_string());
-        field("loss", fmt_f64(self.loss));
-        field("delay_prob", fmt_f64(self.delay_prob));
-        field("delay_ticks", self.delay_ticks.to_string());
-        field("crash_prob", fmt_f64(self.crash_prob));
-        field("collusion", self.collusion.to_string());
-        field("shield_deflate", fmt_f64(self.shield_deflate));
-        field("frame_fraction", fmt_f64(self.frame_fraction));
-        field("frame_inflate", fmt_f64(self.frame_inflate));
-        field("churn", self.churn.to_string());
-        field("session_mean", fmt_f64(self.session_mean));
-        field("whitewash_dwell", self.whitewash_dwell.to_string());
-        field("whitewash_quiet", self.whitewash_quiet.to_string());
-        field("cut_threshold", fmt_f64(self.cut_threshold));
-        field("exchange_minutes", self.exchange_minutes.to_string());
-        field("radius", self.radius.to_string());
-        field("verify_lists", self.verify_lists.to_string());
-        field("clamp_reports", self.clamp_reports.to_string());
-        field("aggregation", self.aggregation.to_string());
-        field("trim", fmt_f64(self.trim));
-        field("hys_required", self.hys_required.to_string());
-        field("hys_window", self.hys_window.to_string());
-        field("readmission", self.readmission.to_string());
-        field("suspect_ttl", self.suspect_ttl.to_string());
-        // Trim the trailing comma to stay valid JSON.
-        let end = s.trim_end_matches([',', '\n']).len();
-        s.truncate(end);
-        s.push_str("\n}\n");
-        s
-    }
-
-    /// Parse a flat JSON object produced by [`Self::to_json`] (or edited by
-    /// hand — key order and whitespace are free; unknown keys are errors so
-    /// a typo cannot silently replay a different scenario).
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let mut spec = ScenarioSpec::default();
-        let inner = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or("not a JSON object")?;
-        for part in inner.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            let (key, value) = part.split_once(':').ok_or_else(|| format!("bad pair {part:?}"))?;
-            let key = key.trim().trim_matches('"');
-            let value = value.trim();
-            let as_u64 = || -> Result<u64, String> {
-                value.parse::<u64>().map_err(|e| format!("{key}: {e}"))
-            };
-            let as_f64 = || -> Result<f64, String> {
-                value.parse::<f64>().map_err(|e| format!("{key}: {e}"))
-            };
-            let as_bool = || -> Result<bool, String> {
-                value.parse::<bool>().map_err(|e| format!("{key}: {e}"))
-            };
-            match key {
-                "peers" => spec.peers = as_u64()? as usize,
-                "ticks" => spec.ticks = as_u64()? as u32,
-                "seed" => spec.seed = as_u64()?,
-                "agents" => spec.agents = as_u64()? as usize,
-                "cheat" => spec.cheat = as_u64()? as u8,
-                "inflate" => spec.inflate = as_f64()?,
-                "deflate" => spec.deflate = as_f64()?,
-                "lists" => spec.lists = as_u64()? as u8,
-                "pad_extra" => spec.pad_extra = as_u64()? as u8,
-                "loss" => spec.loss = as_f64()?,
-                "delay_prob" => spec.delay_prob = as_f64()?,
-                "delay_ticks" => spec.delay_ticks = as_u64()? as u32,
-                "crash_prob" => spec.crash_prob = as_f64()?,
-                "collusion" => spec.collusion = as_u64()? as u8,
-                "shield_deflate" => spec.shield_deflate = as_f64()?,
-                "frame_fraction" => spec.frame_fraction = as_f64()?,
-                "frame_inflate" => spec.frame_inflate = as_f64()?,
-                "churn" => spec.churn = as_bool()?,
-                "session_mean" => spec.session_mean = as_f64()?,
-                "whitewash_dwell" => spec.whitewash_dwell = as_u64()? as u32,
-                "whitewash_quiet" => spec.whitewash_quiet = as_u64()? as u32,
-                "cut_threshold" => spec.cut_threshold = as_f64()?,
-                "exchange_minutes" => spec.exchange_minutes = as_u64()? as u32,
-                "radius" => spec.radius = as_u64()? as u8,
-                "verify_lists" => spec.verify_lists = as_bool()?,
-                "clamp_reports" => spec.clamp_reports = as_bool()?,
-                "aggregation" => spec.aggregation = as_u64()? as u8,
-                "trim" => spec.trim = as_f64()?,
-                "hys_required" => spec.hys_required = as_u64()? as u8,
-                "hys_window" => spec.hys_window = as_u64()? as u8,
-                "readmission" => spec.readmission = as_bool()?,
-                "suspect_ttl" => spec.suspect_ttl = as_u64()? as u32,
-                other => return Err(format!("unknown key {other:?}")),
-            }
-        }
-        Ok(spec)
     }
 }
 
-/// `f64` to JSON without losing bits: integers print plainly, everything
-/// else via `{:?}` (shortest round-trip representation).
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
+/// `to_json` and `from_json` over one list of the spec's fields, so the two
+/// cannot drift apart: each field is the flat JSON key of its own name,
+/// written with `{:?}` (an `f64` in its shortest round-trip form) and read
+/// back at the field's own type.
+macro_rules! flat_json {
+    ($($field:ident),* $(,)?) => {
+        impl ScenarioSpec {
+            /// Serialize to a flat JSON object, one key per field.
+            pub fn to_json(&self) -> String {
+                let pairs = [$(format!("  \"{}\": {:?}", stringify!($field), self.$field)),*];
+                format!("{{\n{}\n}}\n", pairs.join(",\n"))
+            }
+
+            /// Parse a flat JSON object produced by [`Self::to_json`] (or
+            /// edited by hand — key order and whitespace are free). Unknown
+            /// keys, repeated keys and values out of their field's range are
+            /// errors, so a typo cannot silently replay a different scenario.
+            pub fn from_json(text: &str) -> Result<Self, String> {
+                let mut spec = ScenarioSpec::default();
+                let inner = text
+                    .trim()
+                    .strip_prefix('{')
+                    .and_then(|t| t.strip_suffix('}'))
+                    .ok_or("not a JSON object")?;
+                let mut seen = Vec::new();
+                for part in inner.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+                    let (key, value) =
+                        part.split_once(':').ok_or_else(|| format!("bad pair {part:?}"))?;
+                    let (key, value) = (key.trim().trim_matches('"'), value.trim());
+                    if seen.contains(&key) {
+                        return Err(format!("repeated key {key:?}"));
+                    }
+                    seen.push(key);
+                    match key {
+                        $(stringify!($field) => {
+                            spec.$field = value.parse().map_err(|e| format!("{key}: {e}"))?
+                        })*
+                        other => return Err(format!("unknown key {other:?}")),
+                    }
+                }
+                Ok(spec)
+            }
+        }
+    };
 }
+
+flat_json!(
+    peers,
+    ticks,
+    seed,
+    agents,
+    cheat,
+    inflate,
+    deflate,
+    lists,
+    pad_extra,
+    loss,
+    delay_prob,
+    delay_ticks,
+    crash_prob,
+    collusion,
+    shield_deflate,
+    frame_fraction,
+    frame_inflate,
+    churn,
+    session_mean,
+    whitewash_dwell,
+    whitewash_quiet,
+    cut_threshold,
+    exchange_minutes,
+    radius,
+    verify_lists,
+    clamp_reports,
+    aggregation,
+    trim,
+    hys_required,
+    hys_window,
+    readmission,
+    suspect_ttl,
+);
 
 /// The named scenario matrix: one spec per engine subsystem, the same shapes
 /// the engine-vs-oracle differential suite pins. Every differential harness
@@ -549,9 +483,35 @@ mod tests {
     }
 
     #[test]
+    fn the_committed_reproducer_is_what_to_json_writes() {
+        let file = include_str!("../../../tests/repro/per_link_clamp.json");
+        assert_eq!(ScenarioSpec::from_json(file).unwrap().to_json(), file);
+    }
+
+    #[test]
     fn unknown_keys_are_rejected() {
         assert!(ScenarioSpec::from_json("{\"peerz\": 10}").is_err());
         assert!(ScenarioSpec::from_json("nonsense").is_err());
+    }
+
+    #[test]
+    fn out_of_range_integers_are_rejected() {
+        for json in [
+            "{\"cheat\": 256}",
+            "{\"radius\": 257}",
+            "{\"ticks\": 4294967296}",
+            "{\"pad_extra\": -1}",
+        ] {
+            assert!(ScenarioSpec::from_json(json).is_err(), "{json} must not parse");
+        }
+        let max = ScenarioSpec::from_json("{\"cheat\": 255, \"ticks\": 4294967295}").unwrap();
+        assert_eq!((max.cheat, max.ticks), (u8::MAX, u32::MAX));
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected() {
+        let err = ScenarioSpec::from_json("{\"agents\": 3, \"peers\": 20, \"agents\": 5}");
+        assert_eq!(err, Err("repeated key \"agents\"".to_string()));
     }
 
     #[test]
@@ -562,15 +522,15 @@ mod tests {
         assert!(distinct.len() >= 45, "only {} distinct specs in 50", distinct.len());
         for s in 0..50 {
             let spec = ScenarioSpec::random(s);
-            assert!(spec.sim_config().validate().is_ok(), "seed {s} generates invalid config");
+            assert!(spec.scenario().sim.validate().is_ok(), "seed {s} generates invalid config");
         }
     }
 
     #[test]
     fn both_twins_receive_identical_attack_wiring() {
         let spec = ScenarioSpec { agents: 4, cheat: 1, ..ScenarioSpec::default() };
-        let a = spec.instantiate(ddp_sim::NoDefense);
-        let b = spec.instantiate(ddp_sim::NoDefense);
+        let a = spec.scenario().build_sim_with(ddp_sim::NoDefense);
+        let b = spec.scenario().build_sim_with(ddp_sim::NoDefense);
         assert_eq!(a.attackers(), b.attackers());
     }
 }

@@ -1237,26 +1237,61 @@ mod tests {
         );
     }
 
-    #[test]
-    fn attacker_reconnects_after_isolation() {
+    /// Cuts every link of one ground-truth target on one tick only, so the
+    /// target's way back is the engine's rejoin policy alone.
+    struct CutOnce {
+        target: NodeId,
+        at: Tick,
+    }
+    impl Defense for CutOnce {
+        fn name(&self) -> &'static str {
+            "cut-once"
+        }
+        fn on_tick(&mut self, obs: &TickObservation<'_>, actions: &mut Actions) {
+            if obs.tick == self.at {
+                for h in obs.overlay.neighbors(self.target) {
+                    actions.cut(h.peer, self.target);
+                }
+            }
+        }
+    }
+
+    /// Agent 7, cut off at tick 2 with rejoin delay `delay`, stepped to tick
+    /// 10; each tick's slot state and degree after the step.
+    fn isolation_trace(delay: u32) -> Vec<(Tick, SlotState, usize)> {
         let mut cfg = small_cfg(60);
         cfg.churn = false;
-        cfg.attacker_rejoin_delay_ticks = 1;
-        let mut sim = Simulation::new(cfg, NoDefense, 3);
-        sim.make_attacker(NodeId(7), ReportBehavior::Honest);
-        // Manually isolate the attacker via the overlay: simulate a cut.
-        // (Use the engine path: a custom defense would do this; here we
-        // check the reconnect logic directly.)
-        let peers: Vec<_> = sim.overlay().neighbors(NodeId(7)).iter().map(|h| h.peer).collect();
-        for _p in peers {
-            // remove through engine-internal API is private; emulate by
-            // stepping with a cutting defense instead.
+        cfg.attacker_rejoin_delay_ticks = delay;
+        let agent = NodeId(7);
+        let mut sim = Simulation::new(cfg, CutOnce { target: agent, at: 2 }, 3);
+        sim.make_attacker(agent, ReportBehavior::Honest);
+        (0..10)
+            .map(|_| {
+                sim.step();
+                (sim.tick(), sim.slot_state(agent), sim.overlay().degree(agent))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn attacker_reconnects_after_isolation() {
+        let trace = isolation_trace(3);
+        let until = 2 + 3;
+        for &(tick, state, degree) in &trace {
+            if tick < 2 {
+                assert!(degree > 0, "tick {tick}: linked before the cut");
+            } else if tick < until {
+                assert_eq!(state, SlotState::Isolated { until }, "tick {tick}");
+                assert_eq!(degree, 0, "tick {tick}: isolated means cut off");
+            } else {
+                assert!(matches!(state, SlotState::Online { .. }), "tick {tick}: {state:?}");
+                assert!(degree > 0, "tick {tick}: the agent re-dials once its window is over");
+            }
         }
-        // Simplest: run a few ticks; the attacker stays connected (degree>0).
-        for _ in 0..3 {
-            sim.step();
+        for &(tick, state, degree) in &isolation_trace(u32::MAX)[1..] {
+            assert_eq!(state, SlotState::Isolated { until: u32::MAX }, "tick {tick}");
+            assert_eq!(degree, 0, "tick {tick}: a never-ending window never ends");
         }
-        assert!(sim.overlay().degree(NodeId(7)) > 0);
     }
 
     #[test]

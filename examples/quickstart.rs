@@ -4,25 +4,29 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ddpolice::experiments::DefenseKind;
 use ddpolice::prelude::*;
 
 fn main() {
     // A 1,000-peer Gnutella-style overlay, 20 simulated minutes, 20 DDoS
     // agents flooding at min(20,000, link) queries per minute each.
-    let scenario = Scenario::builder()
-        .peers(1_000)
-        .ticks(20)
-        .attackers(20)
-        .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-        .seed(7)
-        .build();
+    let scenario = Scenario {
+        sim: SimConfig {
+            topology: TopologyConfig { n: 1_000, ..TopologyConfig::default() },
+            ..SimConfig::default()
+        },
+        defense: DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(5.0)),
+        attack: Attack::Flood(AttackPlan::new(20)),
+        ticks: 20,
+        seed: 7,
+        ..Scenario::default()
+    };
 
     // `run_with_damage` also runs the paired no-attack baseline (same seed,
-    // same topology) so the paper's damage rate D(t) can be computed.
-    let report = scenario.run_with_damage();
+    // same topology) so the paper's damage rate D(t) can be computed; `None`
+    // leaves checkpointing off.
+    let report = scenario.run_with_damage(None);
 
-    println!("defense: {}", report.attacked.defense);
+    println!("defense: {}", scenario.defense.label());
     println!("baseline success rate: {:.1}%", report.baseline.summary.success_rate_mean * 100.0);
     println!(
         "attacked success rate: {:.1}% (stabilized {:.1}%)",

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Apply each catalogued mutant and check that its test catches it.
 
-    scripts/mutants.py [--matrix]
+    scripts/mutants.py [--matrix | --changed-since REV]
 
 Extracts HEAD (the `git archive` extraction of `scripts/ab.py`) under
 target/mutants/tree and reads `tests/mutants/catalogue.txt` from it.
@@ -12,6 +12,11 @@ is restored. A mutant whose test fails is killed; one whose test passes is a
 survivor; one that does not compile is an error, never a kill. All builds
 share one cargo target directory, target/mutants/build, so each mutant only
 rebuilds the crates its edit touches.
+
+`--changed-since REV` runs only the entries a change since REV can touch:
+those whose `file:` differs between REV and HEAD, and those that are new or
+edited in the catalogue since REV. Baseline and kill rules are the same; with
+no such entry it runs nothing and exits 0.
 
 `--matrix` additionally runs every test binary of the packages in PACKAGES,
 on the unmutated tree and under each mutant, and writes one row per test
@@ -86,6 +91,21 @@ def parse(text):
     if block is not None:
         finish()
     return entries
+
+
+def changed_since(entries, rev):
+    """The entries whose file differs between `rev` and HEAD, or that are
+    new or edited in the catalogue since `rev`."""
+
+    def git(*args, check=True):
+        return subprocess.run(
+            ["git", *args], cwd=ROOT, check=check, capture_output=True, text=True
+        ).stdout
+
+    files = set(git("diff", "--name-only", rev, "HEAD").splitlines())
+    # A revision without the catalogue makes every entry new.
+    before = {e["id"]: e for e in parse(git("show", f"{rev}:{CATALOGUE}", check=False))}
+    return [e for e in entries if e["file"] in files or before.get(e["id"]) != e]
 
 
 def cargo(args, timeout=None):
@@ -169,7 +189,9 @@ def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--matrix", action="store_true")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--matrix", action="store_true")
+    mode.add_argument("--changed-since", metavar="REV")
     args = parser.parse_args(argv[1:])
     started = time.monotonic()
 
@@ -181,6 +203,9 @@ def main(argv):
     for path in TREE.rglob("*"):
         os.utime(path)
     entries = parse((TREE / CATALOGUE).read_text())
+    if args.changed_since:
+        entries = changed_since(entries, args.changed_since)
+        say(f"{len(entries)} entries changed since {args.changed_since}")
 
     errors = 0
     for invocation in sorted({e["test"] for e in entries}):
@@ -237,7 +262,7 @@ def main(argv):
                 out.write("\t".join(row) + "\n")
         say(f"wrote {MATRIX.relative_to(ROOT)}: {len(rows)} rows")
 
-    width = max(len(r[0]) for r in results)
+    width = max((len(r[0]) for r in results), default=0)
     for mutant, verdict, seconds in results:
         print(f"{mutant:<{width}}  {verdict:<26}{seconds:>6.0f} s")
     killed = sum(r[1].startswith("killed") for r in results)

@@ -15,7 +15,7 @@
 //! | [`sim`]      | `ddp-sim` | the discrete-time overlay flooding simulator |
 //! | [`attack`]   | `ddp-attack` | overlay DDoS agent models and cheating strategies |
 //! | [`police`]   | `ddp-police` | **the paper's contribution**: DD-POLICE plus baseline defenses |
-//! | [`oracle`]   | `ddp-oracle` | naive reference model of DD-POLICE + differential fuzz harness |
+//! | [`oracle`]   | `ddp-oracle` | the one run description (`Scenario`), naive reference model of DD-POLICE + differential fuzz harness |
 //! | [`testbed`]  | `ddp-testbed` | the §2.3 single-peer capacity testbed (Figures 5–6) |
 //! | [`dht`] | `ddp-dht` | Chord-like structured overlay (the paper's §5 future work) |
 //! | [`servent`] | `ddp-servent` | protocol-level reference peer: wire messages on every hop |
@@ -25,17 +25,21 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ddpolice::experiments::{Scenario, DefenseKind};
+//! use ddpolice::prelude::*;
 //!
 //! // A small overlay, 30 simulated minutes, 10 DDoS agents, DD-POLICE on.
-//! let report = Scenario::builder()
-//!     .peers(500)
-//!     .ticks(30)
-//!     .attackers(10)
-//!     .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-//!     .seed(42)
-//!     .build()
-//!     .run();
+//! let scenario = Scenario {
+//!     sim: SimConfig {
+//!         topology: TopologyConfig { n: 500, ..TopologyConfig::default() },
+//!         ..SimConfig::default()
+//!     },
+//!     defense: DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(5.0)),
+//!     attack: Attack::Flood(AttackPlan::new(10)),
+//!     ticks: 30,
+//!     seed: 42,
+//!     ..Scenario::default()
+//! };
+//! let report = scenario.run(None);
 //! assert!(report.summary.success_rate_mean > 0.0);
 //! ```
 
@@ -55,10 +59,11 @@ pub use ddp_workload as workload;
 
 /// The most commonly used items, for glob import.
 pub mod prelude {
-    pub use ddp_attack::CheatStrategy;
+    pub use ddp_attack::{AttackPlan, CheatStrategy};
     pub use ddp_dht::{DhtConfig, DhtSimulation};
-    pub use ddp_experiments::{DefenseKind, ExpOptions, Scenario};
+    pub use ddp_experiments::ExpOptions;
     pub use ddp_metrics::summary::RunSummary;
+    pub use ddp_oracle::{Attack, DefenseKind, Scenario};
     pub use ddp_police::{DdPolice, DdPoliceConfig, ExchangePolicy, NaiveRateLimit};
     pub use ddp_servent::{Harness, HarnessConfig, Servent, ServentRole};
     pub use ddp_sim::config::SimConfig;

@@ -1,15 +1,23 @@
 //! Cross-crate integration: the full attack → detect → recover pipeline.
 
-use ddpolice::attack::CheatStrategy;
-use ddpolice::experiments::{DefenseKind, Scenario};
+use ddpolice::attack::{AttackPlan, CheatStrategy};
+use ddpolice::experiments::ExpOptions;
+use ddpolice::oracle::{Attack, DefenseKind, Scenario};
+use ddpolice::police::DdPoliceConfig;
 
 fn base(defense: DefenseKind, agents: usize, seed: u64) -> Scenario {
-    Scenario::builder().peers(600).ticks(12).attackers(agents).defense(defense).seed(seed).build()
+    let opts = ExpOptions { peers: 600, ticks: 12, agents, ..ExpOptions::default() };
+    Scenario { defense, seed, ..opts.scenario() }
+}
+
+/// DD-POLICE at the paper's defaults (CT = 5).
+fn police() -> DefenseKind {
+    DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(5.0))
 }
 
 #[test]
 fn undefended_attack_collapses_the_system() {
-    let dr = base(DefenseKind::None, 30, 1).run_with_damage();
+    let dr = base(DefenseKind::None, 30, 1).run_with_damage(None);
     assert!(
         dr.stable_damage() > 0.5,
         "30 agents on 600 peers without defense must be devastating: {}",
@@ -21,7 +29,7 @@ fn undefended_attack_collapses_the_system() {
 
 #[test]
 fn dd_police_detects_and_recovers() {
-    let dr = base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 30, 1).run_with_damage();
+    let dr = base(police(), 30, 1).run_with_damage(None);
     assert!(
         dr.stable_damage() < 0.30,
         "DD-POLICE should contain the attack: stable damage {}",
@@ -42,7 +50,7 @@ fn dd_police_detects_and_recovers() {
 fn recovery_time_is_short_with_default_ct() {
     // A moderate attack (2% of peers compromised — the paper's sweeps top
     // out at 1% on 20,000 peers) recovers within a few minutes at CT = 5.
-    let dr = base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 12, 3).run_with_damage();
+    let dr = base(police(), 12, 3).run_with_damage(None);
     match dr.recovery_ticks {
         Some(t) => assert!(t <= 6, "recovery took {t} minutes; the paper stresses it is short"),
         None => {
@@ -56,26 +64,20 @@ fn recovery_time_is_short_with_default_ct() {
 #[test]
 fn every_cheating_strategy_still_ends_with_agents_cut() {
     for strategy in CheatStrategy::all() {
-        let dr = base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 10, 5).run_with_damage();
-        let _ = strategy; // strategy applied below
-        let report = Scenario {
-            cheat: strategy,
-            ..base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 10, 5)
-        }
-        .run();
+        let attack = Attack::Flood(AttackPlan::new(10).with_cheat(strategy));
+        let report = Scenario { attack, ..base(police(), 10, 5) }.run(None);
         assert!(
             report.summary.attackers_cut > 0,
             "strategy {:?} produced no cuts",
             strategy.label()
         );
-        drop(dr);
     }
 }
 
 #[test]
 fn naive_rate_limiting_hurts_more_good_peers_than_dd_police() {
-    let naive = base(DefenseKind::NaiveRateLimit { threshold_qpm: 500 }, 20, 9).run();
-    let police = base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 20, 9).run();
+    let naive = base(DefenseKind::NaiveRateLimit { threshold_qpm: 500 }, 20, 9).run(None);
+    let police = base(police(), 20, 9).run(None);
     assert!(
         naive.summary.errors.false_negative > police.summary.errors.false_negative,
         "naive {} vs dd-police {} wrongly cut peers",
@@ -86,8 +88,8 @@ fn naive_rate_limiting_hurts_more_good_peers_than_dd_police() {
 
 #[test]
 fn whole_pipeline_is_deterministic() {
-    let a = base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 15, 11).run_with_damage();
-    let b = base(DefenseKind::DdPolice { cut_threshold: 5.0 }, 15, 11).run_with_damage();
+    let a = base(police(), 15, 11).run_with_damage(None);
+    let b = base(police(), 15, 11).run_with_damage(None);
     assert_eq!(a.damage, b.damage);
     assert_eq!(a.attacked.summary, b.attacked.summary);
     assert_eq!(a.baseline.summary, b.baseline.summary);

@@ -4,8 +4,11 @@
 //! scenario — an attacker is identified and isolated within minutes, the
 //! wrongful-cut collateral stays a small minority, and service survives.
 
-use ddpolice::experiments::{DefenseKind, Scenario};
+use ddpolice::attack::AttackPlan;
+use ddpolice::oracle::{Attack, DefenseKind, Scenario};
+use ddpolice::police::DdPoliceConfig;
 use ddpolice::servent::{Harness, HarnessConfig, ServentRole};
+use ddpolice::sim::SimConfig;
 use ddpolice::topology::{NodeId, TopologyConfig, TopologyModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,15 +17,19 @@ const MINUTES: usize = 4;
 
 /// Aggregate layer: one agent on a small overlay, DD-POLICE defaults.
 fn aggregate_outcome() -> (bool, u64, f64) {
-    let report = Scenario::builder()
-        .peers(120)
-        .ticks(MINUTES)
-        .attackers(1)
-        .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-        .churn(false)
-        .seed(3)
-        .build()
-        .run();
+    let report = Scenario {
+        sim: SimConfig {
+            topology: TopologyConfig { n: 120, model: TopologyModel::BarabasiAlbert { m: 3 } },
+            churn: false,
+            ..SimConfig::default()
+        },
+        defense: DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(5.0)),
+        attack: Attack::Flood(AttackPlan::new(1)),
+        ticks: MINUTES,
+        seed: 3,
+        ..Scenario::default()
+    }
+    .run(None);
     let attacker_cut = report.summary.attackers_never_cut == 0;
     (attacker_cut, report.summary.errors.false_negative, report.summary.success_rate_stable)
 }

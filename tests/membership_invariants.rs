@@ -19,10 +19,10 @@
 //! with readmission; a seeded sweep then draws the membership knobs.
 
 use ddpolice::attack::{AttackPlan, WhitewashPlan};
-use ddpolice::experiments::{DefenseKind, Scenario};
+use ddpolice::oracle::{Attack, DefenseKind, Scenario};
 use ddpolice::police::{DdPolice, DdPoliceConfig, ReadmissionPolicy};
-use ddpolice::sim::{Defense, SessionConfig, Simulation, SlotState};
-use ddpolice::topology::NodeId;
+use ddpolice::sim::{Defense, SessionConfig, SimConfig, Simulation, SlotState};
+use ddpolice::topology::{NodeId, TopologyConfig};
 use ddpolice::workload::LifetimeModel;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -86,6 +86,20 @@ fn step_checked<D: Defense>(name: &str, sim: &mut Simulation<D>, ticks: usize, d
     }
 }
 
+/// `agents` flooding agents placed on the scenario's own stream, under
+/// DD-POLICE at CT = 5 (a test that applies a plan of its own passes 0).
+fn police_run(peers: usize, agents: usize) -> Scenario {
+    Scenario {
+        sim: SimConfig {
+            topology: TopologyConfig { n: peers, ..TopologyConfig::default() },
+            ..SimConfig::default()
+        },
+        defense: DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(5.0)),
+        attack: Attack::Flood(AttackPlan::new(agents)),
+        ..Scenario::default()
+    }
+}
+
 fn open_membership(mean: f64, crash_fraction: f64) -> SessionConfig {
     SessionConfig {
         arrival_rate_per_tick: PEERS as f64 / mean,
@@ -97,30 +111,18 @@ fn open_membership(mean: f64, crash_fraction: f64) -> SessionConfig {
 
 #[test]
 fn legacy_churn_leaves_no_links_on_offline_slots() {
-    let scenario = Scenario::builder()
-        .peers(PEERS)
-        .churn(true)
-        .attackers(10)
-        .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-        .seed(3)
-        .sim(|s| {
-            s.lifetime = LifetimeModel::Exponential { mean_min: 4.0 };
-            s.rejoin_delay_ticks = 2;
-        })
-        .build();
+    let mut scenario = Scenario { seed: 3, ..police_run(PEERS, 10) };
+    scenario.sim.churn = true;
+    scenario.sim.lifetime = LifetimeModel::Exponential { mean_min: 4.0 };
+    scenario.sim.rejoin_delay_ticks = 2;
     step_checked("legacy churn", &mut scenario.build_sim(), 20, 0);
 }
 
 #[test]
 fn session_churn_leaves_no_links_on_offline_slots() {
-    let scenario = Scenario::builder()
-        .peers(PEERS)
-        .churn(false)
-        .attackers(10)
-        .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-        .seed(5)
-        .sim(|s| s.session = Some(open_membership(5.0, 0.25)))
-        .build();
+    let mut scenario = Scenario { seed: 5, ..police_run(PEERS, 10) };
+    scenario.sim.churn = false;
+    scenario.sim.session = Some(open_membership(5.0, 0.25));
     step_checked("session churn", &mut scenario.build_sim(), 20, 0);
 }
 
@@ -135,12 +137,9 @@ fn whitewash_dwell_under_readmission_leaves_no_links_on_offline_slots() {
             suspect_ttl_ticks: 8,
             ..DdPoliceConfig::default()
         };
-        let scenario = Scenario::builder()
-            .peers(PEERS)
-            .churn(false)
-            .seed(seed)
-            .sim(|s| s.session = Some(open_membership(10.0, 0.25)))
-            .build();
+        let mut scenario = Scenario { seed, ..police_run(PEERS, 0) };
+        scenario.sim.churn = false;
+        scenario.sim.session = Some(open_membership(10.0, 0.25));
         let mut sim = scenario.build_sim_with(DdPolice::new(police, PEERS));
         WhitewashPlan::new(20, 3).apply(&mut sim, &mut StdRng::seed_from_u64(seed));
         step_checked(&format!("whitewash seed {seed}"), &mut sim, 20, 3);
@@ -175,20 +174,16 @@ proptest! {
             suspect_ttl_ticks: 8,
             ..DdPoliceConfig::default()
         };
-        let scenario = Scenario::builder()
-            .peers(SWEEP_PEERS)
-            .churn(!session)
-            .seed(seed)
-            .sim(|s| {
-                s.attacker_rejoin_delay_ticks = rejoin_delay;
-                if session {
-                    s.session = Some(open_membership(6.0, f64::from(crash_pct) / 100.0));
-                } else {
-                    s.lifetime = LifetimeModel::Exponential { mean_min: 4.0 };
-                    s.rejoin_delay_ticks = 2;
-                }
-            })
-            .build();
+        let mut scenario = Scenario { seed, ..police_run(SWEEP_PEERS, 0) };
+        let s = &mut scenario.sim;
+        s.churn = !session;
+        s.attacker_rejoin_delay_ticks = rejoin_delay;
+        if session {
+            s.session = Some(open_membership(6.0, f64::from(crash_pct) / 100.0));
+        } else {
+            s.lifetime = LifetimeModel::Exponential { mean_min: 4.0 };
+            s.rejoin_delay_ticks = 2;
+        }
         let mut sim = scenario.build_sim_with(DdPolice::new(police, SWEEP_PEERS));
         let mut rng = StdRng::seed_from_u64(seed);
         if whitewash {

@@ -7,7 +7,9 @@
 //! paper-vs-measured comparison.
 
 use ddpolice::experiments::runners::{agent_sweep, ct_sweep, SweepRow};
-use ddpolice::experiments::{DefenseKind, ExpOptions, Scenario};
+use ddpolice::experiments::ExpOptions;
+use ddpolice::oracle::{DefenseKind, Scenario};
+use ddpolice::police::DdPoliceConfig;
 use ddpolice::testbed::ChainExperiment;
 use std::sync::OnceLock;
 
@@ -120,14 +122,9 @@ fn testbed_knee_and_terminal_drop_rate() {
 /// CT = 5 keep the system serviceable under a large attack.
 #[test]
 fn paper_default_configuration_works() {
-    let dr = Scenario::builder()
-        .peers(800)
-        .ticks(12)
-        .attackers(40)
-        .defense(DefenseKind::DdPolice { cut_threshold: 5.0 })
-        .seed(33)
-        .build()
-        .run_with_damage();
+    let opts = ExpOptions { peers: 800, ticks: 12, agents: 40, ..ExpOptions::default() };
+    let defense = DefenseKind::DdPolice(DdPoliceConfig::with_cut_threshold(5.0));
+    let dr = Scenario { defense, seed: 33, ..opts.scenario() }.run_with_damage(None);
     assert!(
         dr.attacked.summary.success_rate_stable > 0.5,
         "stabilized success {} too low",

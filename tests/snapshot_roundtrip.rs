@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 
 fn build(spec: &ScenarioSpec) -> Simulation<DdPolice> {
-    spec.instantiate(DdPolice::new(spec.police_config(), spec.peers))
+    spec.scenario().build_police()
 }
 
 /// Run `sim` up to the spec's tick count and finish it.

@@ -9,10 +9,14 @@
 //! of a shared chunk. `clone`, `slice`, `from_static` and `split_to`
 //! therefore each allocate and copy what they return; reading through
 //! [`Buf`] (`advance`, `copy_to_slice`, the `get_*` accessors) moves the
-//! offset and neither allocates nor moves the unread bytes. The hot path
-//! decodes from borrowed slices (`ddp_protocol::decode_frame`) and encodes
-//! each outbound frame into one `BytesMut`, so it pays one allocation per
-//! frame it creates and none per frame it reads.
+//! offset and neither allocates nor moves the unread bytes. Converting a
+//! `Bytes` into a `Vec<u8>` and back is free while nothing has been read
+//! from its front (after that, the first conversion moves the unread bytes
+//! down). The wire servent's relay path pays one allocation per frame: the
+//! reader copies each frame it checks in place (`ddp_protocol::check_frame`)
+//! out of its stream buffer into a `Bytes` of its own; a relayed Query is
+//! that `Bytes`, turned into a `Vec`, its TTL and hop bytes rewritten, and
+//! turned back, and only a fan-out to more than one neighbour `clone`s it.
 
 use std::ops::{Bound, Deref, RangeBounds};
 
@@ -95,6 +99,14 @@ impl From<Vec<u8>> for Bytes {
 impl From<&[u8]> for Bytes {
     fn from(data: &[u8]) -> Self {
         Bytes::from(data.to_vec())
+    }
+}
+
+impl From<Bytes> for Vec<u8> {
+    fn from(bytes: Bytes) -> Self {
+        let Bytes { mut data, pos } = bytes;
+        data.drain(..pos);
+        data
     }
 }
 
@@ -357,6 +369,14 @@ mod tests {
         let mut s: &[u8] = &[4, 5, 6];
         s.advance(1);
         assert_eq!(s.get_u16_le(), u16::from_le_bytes([5, 6]));
+    }
+
+    #[test]
+    fn into_vec_keeps_the_unread_bytes() {
+        let mut b = Bytes::from(vec![1, 2, 3]);
+        assert_eq!(Vec::from(b.clone()), vec![1, 2, 3]);
+        b.advance(1);
+        assert_eq!(Vec::from(b), vec![2, 3]);
     }
 
     #[test]

@@ -292,6 +292,24 @@ impl ScenarioSpec {
     }
 }
 
+impl ScenarioSpec {
+    /// Refuse an enum-coded knob past its last code: `scenario` would read
+    /// it as some other variant and replay a different run without a word.
+    fn check_codes(&self) -> Result<(), String> {
+        for (field, code, last) in [
+            ("cheat", self.cheat, 3),
+            ("lists", self.lists, 3),
+            ("collusion", self.collusion, 2),
+            ("aggregation", self.aggregation, 2),
+        ] {
+            if code > last {
+                return Err(format!("{field}: {code} is outside its range 0..={last}"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// `to_json` and `from_json` over one list of the spec's fields, so the two
 /// cannot drift apart: each field is the flat JSON key of its own name,
 /// written with `{:?}` (an `f64` in its shortest round-trip form) and read
@@ -332,6 +350,7 @@ macro_rules! flat_json {
                         other => return Err(format!("unknown key {other:?}")),
                     }
                 }
+                spec.check_codes()?;
                 Ok(spec)
             }
         }
@@ -504,8 +523,39 @@ mod tests {
         ] {
             assert!(ScenarioSpec::from_json(json).is_err(), "{json} must not parse");
         }
-        let max = ScenarioSpec::from_json("{\"cheat\": 255, \"ticks\": 4294967295}").unwrap();
-        assert_eq!((max.cheat, max.ticks), (u8::MAX, u32::MAX));
+        let max = ScenarioSpec::from_json("{\"radius\": 255, \"ticks\": 4294967295}").unwrap();
+        assert_eq!((max.radius, max.ticks), (u8::MAX, u32::MAX));
+    }
+
+    /// `from_json` accepts each enum-coded knob up to its last code and
+    /// refuses the next, naming the field's range.
+    fn assert_codes_end_at(field: &str, last: u8) {
+        let json = |code: u32| format!("{{\"{field}\": {code}}}");
+        assert!(ScenarioSpec::from_json(&json(u32::from(last))).is_ok(), "{field} {last}");
+        for code in [u32::from(last) + 1, 255] {
+            let want = format!("{field}: {code} is outside its range 0..={last}");
+            assert_eq!(ScenarioSpec::from_json(&json(code)), Err(want));
+        }
+    }
+
+    #[test]
+    fn cheat_codes_end_at_silent() {
+        assert_codes_end_at("cheat", 3);
+    }
+
+    #[test]
+    fn list_codes_end_at_pad_fake() {
+        assert_codes_end_at("lists", 3);
+    }
+
+    #[test]
+    fn collusion_codes_end_at_frame() {
+        assert_codes_end_at("collusion", 2);
+    }
+
+    #[test]
+    fn aggregation_codes_end_at_trimmed_mean() {
+        assert_codes_end_at("aggregation", 2);
     }
 
     #[test]

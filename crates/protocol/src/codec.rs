@@ -2,7 +2,7 @@
 
 use crate::error::ProtocolError;
 use crate::header::{Header, HEADER_LEN, MAX_PAYLOAD_LEN};
-use crate::message::{Message, Payload};
+use crate::message::{read_payload, Message, Payload};
 use bytes::{Buf, Bytes, BytesMut};
 
 /// Encode a full message (header + payload) to bytes, into one buffer.
@@ -27,6 +27,22 @@ pub fn encode_message(msg: &Message) -> Bytes {
 /// [`ProtocolError::TruncatedHeader`] and [`ProtocolError::TruncatedPayload`]
 /// mean `buf` ends before the message does (a stream reader waits for more).
 pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
+    let (header, payload, used) = read_frame::<true>(buf)?;
+    Ok((Message { header, payload }, used))
+}
+
+/// Check one full message at the front of `buf` in place: its header and the
+/// number of bytes it occupies, with nothing built or allocated.
+///
+/// It makes the reads [`decode_frame`] makes, so it accepts exactly the
+/// frames that one decodes, with the same length, and fails on every other
+/// input with the same error.
+pub fn check_frame(buf: &[u8]) -> Result<(Header, usize), ProtocolError> {
+    let (header, _, used) = read_frame::<false>(buf)?;
+    Ok((header, used))
+}
+
+fn read_frame<const KEEP: bool>(buf: &[u8]) -> Result<(Header, Payload, usize), ProtocolError> {
     let mut rest = buf;
     let header = Header::decode(&mut rest)?;
     let want = header.payload_len as usize;
@@ -34,11 +50,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Message, usize), ProtocolError> {
         return Err(ProtocolError::TruncatedPayload { want, have: rest.len() });
     }
     let mut body = &rest[..want];
-    let payload = Payload::decode(header.kind, &mut body)?;
+    let payload = read_payload::<KEEP>(header.kind, &mut body)?;
     if !body.is_empty() {
         return Err(ProtocolError::MalformedPayload("trailing bytes in payload"));
     }
-    Ok((Message { header, payload }, HEADER_LEN + want))
+    Ok((header, payload, HEADER_LEN + want))
 }
 
 /// Decode one full message from the front of `buf`, advancing it. On error
@@ -59,6 +75,8 @@ mod tests {
     fn roundtrip(payload: Payload) -> Message {
         let msg = Message::new(Guid::derived(9, 9), 7, payload);
         let mut wire = encode_message(&msg);
+        assert_eq!(msg.payload.encoded_len(), wire.len() - HEADER_LEN, "{msg:?}");
+        assert_eq!(check_frame(&wire), Ok((msg.header, wire.len())));
         let back = decode_message(&mut wire).expect("decode");
         assert!(wire.is_empty(), "no trailing bytes");
         assert_eq!(msg, back);
@@ -115,6 +133,41 @@ mod tests {
             outgoing_queries: 400,
             incoming_queries: 5_000,
         }));
+    }
+
+    #[test]
+    fn receipt_roundtrip() {
+        roundtrip(Payload::Receipt(Receipt {
+            subject_ip: Ipv4Addr::new(10, 0, 0, 9),
+            fresh_queries: 1_500,
+        }));
+    }
+
+    #[test]
+    fn empty_strings_and_lists_roundtrip() {
+        roundtrip(Payload::Query(Query { min_speed: 9, criteria: String::new() }));
+        roundtrip(Payload::Bye(Bye { code: 1, reason: String::new() }));
+        roundtrip(Payload::NeighborList(NeighborList::default()));
+        roundtrip(Payload::QueryHit(QueryHit {
+            addr: PeerAddr::from_node_index(1),
+            speed_kbps: 0,
+            results: vec![QueryHitResult { file_index: 0, file_size: 0, file_name: String::new() }],
+            servent_id: [0; 16],
+        }));
+    }
+
+    #[test]
+    fn non_utf8_strings_are_rejected_by_the_check_and_the_decoder() {
+        let msg = Message::new(
+            Guid::derived(5, 5),
+            5,
+            Payload::Query(Query { min_speed: 0, criteria: "ab".into() }),
+        );
+        let mut wire = encode_message(&msg).to_vec();
+        wire[HEADER_LEN + 2] = 0xff; // a byte no UTF-8 string holds
+        let err = ProtocolError::MalformedPayload("non-utf8 string");
+        assert_eq!(check_frame(&wire), Err(err.clone()));
+        assert_eq!(decode_frame(&wire), Err(err));
     }
 
     #[test]

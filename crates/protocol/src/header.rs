@@ -8,6 +8,13 @@ use bytes::{Buf, BufMut};
 /// hops(1) + payload length(4).
 pub const HEADER_LEN: usize = 23;
 
+/// Offset of the payload kind byte in an encoded header.
+pub const KIND_AT: usize = 16;
+/// Offset of the TTL byte in an encoded header.
+const TTL_AT: usize = 17;
+/// Offset of the hop-count byte in an encoded header.
+const HOPS_AT: usize = 18;
+
 /// Sanity cap on the payload length field; real servents drop anything
 /// claiming more (protects the decoder from hostile length fields).
 pub const MAX_PAYLOAD_LEN: usize = 64 * 1024;
@@ -106,13 +113,26 @@ impl Header {
     /// Returns `None` when the TTL is exhausted and the message must not be
     /// forwarded further.
     pub fn forwarded(mut self) -> Option<Self> {
-        if self.ttl <= 1 {
-            return None;
-        }
-        self.ttl -= 1;
-        self.hops = self.hops.saturating_add(1);
+        (self.ttl, self.hops) = next_hop(self.ttl, self.hops)?;
         Some(self)
     }
+}
+
+/// The forwarding rule on a `(ttl, hops)` pair: `None` once the TTL is spent.
+fn next_hop(ttl: u8, hops: u8) -> Option<(u8, u8)> {
+    (ttl > 1).then(|| (ttl - 1, hops.saturating_add(1)))
+}
+
+/// Forward an encoded frame in place: its TTL and hop-count bytes are
+/// rewritten by the rule of [`Header::forwarded`] and no other byte changes.
+/// Returns `false`, leaving the frame as it was, when the TTL is spent or the
+/// frame is shorter than a header.
+pub fn forward_frame(frame: &mut [u8]) -> bool {
+    let Some(&[ttl, hops]) = frame.get(TTL_AT..=HOPS_AT) else { return false };
+    let Some((ttl, hops)) = next_hop(ttl, hops) else { return false };
+    frame[TTL_AT] = ttl;
+    frame[HOPS_AT] = hops;
+    true
 }
 
 #[cfg(test)]
@@ -160,7 +180,7 @@ mod tests {
     fn unknown_kind_rejected() {
         let mut buf = BytesMut::new();
         sample().encode(&mut buf);
-        buf[16] = 0x7f; // bogus descriptor
+        buf[KIND_AT] = 0x7f; // bogus descriptor
         let mut bytes = buf.freeze();
         assert_eq!(Header::decode(&mut bytes), Err(ProtocolError::UnknownPayloadKind(0x7f)));
     }
@@ -192,5 +212,32 @@ mod tests {
         assert!(last.forwarded().is_none());
         last.ttl = 0;
         assert!(last.forwarded().is_none());
+        let saturated = Header { hops: u8::MAX, ..sample() }.forwarded().unwrap();
+        assert_eq!(saturated.hops, u8::MAX);
+    }
+
+    #[test]
+    fn forwarding_in_place_rewrites_two_bytes_by_the_same_rule() {
+        for ttl in 0..=u8::MAX {
+            for hops in [0, 1, 7, 254, u8::MAX] {
+                let h = Header { ttl, hops, ..sample() };
+                let mut frame = BytesMut::new();
+                h.encode(&mut frame);
+                let before = frame.to_vec();
+                match h.forwarded() {
+                    Some(next) => {
+                        assert!(forward_frame(&mut frame));
+                        let mut want = BytesMut::new();
+                        next.encode(&mut want);
+                        assert_eq!(frame[..], want[..], "ttl {ttl} hops {hops}");
+                    }
+                    None => {
+                        assert!(!forward_frame(&mut frame));
+                        assert_eq!(frame.to_vec(), before, "a spent frame is left as it was");
+                    }
+                }
+            }
+        }
+        assert!(!forward_frame(&mut [7u8; TTL_AT]), "too short to hold a TTL");
     }
 }

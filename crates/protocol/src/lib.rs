@@ -31,12 +31,12 @@ pub mod header;
 pub mod message;
 pub mod routing;
 
-pub use codec::{decode_frame, decode_message, encode_message};
+pub use codec::{check_frame, decode_frame, decode_message, encode_message};
 pub use error::ProtocolError;
 pub use guid::Guid;
-pub use header::{Header, PayloadKind, HEADER_LEN, MAX_PAYLOAD_LEN};
+pub use header::{forward_frame, Header, PayloadKind, HEADER_LEN, KIND_AT, MAX_PAYLOAD_LEN};
 pub use message::{
     Bye, Message, NeighborList, NeighborTraffic, Payload, PeerAddr, Ping, Pong, Query, QueryHit,
-    QueryHitResult, Receipt,
+    QueryHitResult, QueryRef, Receipt,
 };
 pub use routing::SeenTable;

@@ -5,6 +5,9 @@ use bytes::{Buf, BufMut};
 use std::fmt;
 use std::net::Ipv4Addr;
 
+/// Encoded length of a [`PeerAddr`]: four address bytes and the port.
+const PEER_ADDR_LEN: usize = 6;
+
 /// A peer's transport address as carried on the wire (IPv4 + port).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PeerAddr {
@@ -34,7 +37,7 @@ impl PeerAddr {
     }
 
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, ProtocolError> {
-        if buf.remaining() < 6 {
+        if buf.remaining() < PEER_ADDR_LEN {
             return Err(ProtocolError::MalformedPayload("truncated peer address"));
         }
         let mut oct = [0u8; 4];
@@ -237,128 +240,177 @@ impl Payload {
         }
     }
 
-    /// Decode a payload body of the given kind from exactly `buf`.
-    pub fn decode<B: Buf>(
+    /// Length in bytes of the encoded body, computed from the fields.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            Payload::Ping(_) => 0,
+            Payload::Pong(_) => PEER_ADDR_LEN + 8,
+            Payload::Bye(b) => 2 + b.reason.len() + 1,
+            Payload::Query(q) => 2 + q.criteria.len() + 1,
+            Payload::QueryHit(qh) => {
+                let results: usize = qh.results.iter().map(|r| 8 + r.file_name.len() + 2).sum();
+                1 + PEER_ADDR_LEN + 4 + results + 16
+            }
+            Payload::NeighborTraffic(_) => NEIGHBOR_TRAFFIC_LEN,
+            Payload::NeighborList(nl) => 2 + PEER_ADDR_LEN * nl.neighbors.len(),
+            Payload::Receipt(_) => 8,
+        }
+    }
+
+    /// Decode a payload body of the given kind from the front of `buf`,
+    /// taking ownership of every string it reads.
+    pub fn decode(
         kind: crate::header::PayloadKind,
-        buf: &mut B,
+        buf: &mut &[u8],
     ) -> Result<Self, ProtocolError> {
-        use crate::header::PayloadKind as K;
-        Ok(match kind {
-            K::Ping => Payload::Ping(Ping),
-            K::Pong => {
-                let addr = PeerAddr::decode(buf)?;
-                if buf.remaining() < 8 {
-                    return Err(ProtocolError::MalformedPayload("truncated pong"));
-                }
-                Payload::Pong(Pong {
-                    addr,
-                    shared_files: buf.get_u32_le(),
-                    shared_kb: buf.get_u32_le(),
-                })
-            }
-            K::Bye => {
-                if buf.remaining() < 2 {
-                    return Err(ProtocolError::MalformedPayload("truncated bye"));
-                }
-                let code = buf.get_u16_le();
-                let reason = read_cstring(buf)?;
-                Payload::Bye(Bye { code, reason })
-            }
-            K::Query => {
-                if buf.remaining() < 2 {
-                    return Err(ProtocolError::MalformedPayload("truncated query"));
-                }
-                let min_speed = buf.get_u16_le();
-                let criteria = read_cstring(buf)?;
-                Payload::Query(Query { min_speed, criteria })
-            }
-            K::QueryHit => {
-                if buf.remaining() < 1 {
-                    return Err(ProtocolError::MalformedPayload("truncated query hit"));
-                }
-                let n = buf.get_u8() as usize;
-                let addr = PeerAddr::decode(buf)?;
-                if buf.remaining() < 4 {
-                    return Err(ProtocolError::MalformedPayload("truncated query hit speed"));
-                }
-                let speed_kbps = buf.get_u32_le();
-                let mut results = Vec::with_capacity(n);
-                for _ in 0..n {
-                    if buf.remaining() < 8 {
-                        return Err(ProtocolError::MalformedPayload("truncated hit result"));
-                    }
-                    let file_index = buf.get_u32_le();
-                    let file_size = buf.get_u32_le();
-                    let file_name = read_cstring(buf)?;
-                    if buf.remaining() < 1 || buf.get_u8() != 0 {
-                        return Err(ProtocolError::MalformedPayload(
-                            "missing double-null after file name",
-                        ));
-                    }
-                    results.push(QueryHitResult { file_index, file_size, file_name });
-                }
-                if buf.remaining() < 16 {
-                    return Err(ProtocolError::MalformedPayload("truncated servent id"));
-                }
-                let mut servent_id = [0u8; 16];
-                buf.copy_to_slice(&mut servent_id);
-                Payload::QueryHit(QueryHit { addr, speed_kbps, results, servent_id })
-            }
-            K::NeighborTraffic => {
-                if buf.remaining() < NEIGHBOR_TRAFFIC_LEN {
-                    return Err(ProtocolError::MalformedPayload("truncated neighbor traffic"));
-                }
-                let mut src = [0u8; 4];
-                buf.copy_to_slice(&mut src);
-                let mut sus = [0u8; 4];
-                buf.copy_to_slice(&mut sus);
-                Payload::NeighborTraffic(NeighborTraffic {
-                    source_ip: Ipv4Addr::from(src),
-                    suspect_ip: Ipv4Addr::from(sus),
-                    timestamp: buf.get_u32_le(),
-                    outgoing_queries: buf.get_u32_le(),
-                    incoming_queries: buf.get_u32_le(),
-                })
-            }
-            K::NeighborList => {
-                if buf.remaining() < 2 {
-                    return Err(ProtocolError::MalformedPayload("truncated neighbor list"));
-                }
-                let n = buf.get_u16_le() as usize;
-                let mut neighbors = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    neighbors.push(PeerAddr::decode(buf)?);
-                }
-                Payload::NeighborList(NeighborList { neighbors })
-            }
-            K::Receipt => {
-                if buf.remaining() < 8 {
-                    return Err(ProtocolError::MalformedPayload("truncated receipt"));
-                }
-                let mut oct = [0u8; 4];
-                buf.copy_to_slice(&mut oct);
-                Payload::Receipt(Receipt {
-                    subject_ip: Ipv4Addr::from(oct),
-                    fresh_queries: buf.get_u32_le(),
-                })
-            }
-        })
+        read_payload::<true>(kind, buf)
     }
 }
 
-/// Read a NUL-terminated string: one scan for the terminator, one
-/// allocation of exactly the string's length.
-fn read_cstring<B: Buf>(buf: &mut B) -> Result<String, ProtocolError> {
-    let unread = buf.chunk();
+/// The one payload parser. With `KEEP` it builds the payload; without, it
+/// makes every read `decode` makes, so it fails exactly where `decode`
+/// fails, but leaves strings and lists empty and so allocates nothing.
+pub(crate) fn read_payload<const KEEP: bool>(
+    kind: crate::header::PayloadKind,
+    buf: &mut &[u8],
+) -> Result<Payload, ProtocolError> {
+    use crate::header::PayloadKind as K;
+    let own = |s: &str| if KEEP { s.to_owned() } else { String::new() };
+    Ok(match kind {
+        K::Ping => Payload::Ping(Ping),
+        K::Pong => {
+            let addr = PeerAddr::decode(buf)?;
+            if buf.remaining() < 8 {
+                return Err(ProtocolError::MalformedPayload("truncated pong"));
+            }
+            Payload::Pong(Pong {
+                addr,
+                shared_files: buf.get_u32_le(),
+                shared_kb: buf.get_u32_le(),
+            })
+        }
+        K::Bye => {
+            if buf.remaining() < 2 {
+                return Err(ProtocolError::MalformedPayload("truncated bye"));
+            }
+            let code = buf.get_u16_le();
+            Payload::Bye(Bye { code, reason: own(read_cstr(buf)?) })
+        }
+        K::Query => {
+            let q = QueryRef::read(buf)?;
+            Payload::Query(Query { min_speed: q.min_speed, criteria: own(q.criteria) })
+        }
+        K::QueryHit => {
+            if buf.remaining() < 1 {
+                return Err(ProtocolError::MalformedPayload("truncated query hit"));
+            }
+            let n = buf.get_u8() as usize;
+            let addr = PeerAddr::decode(buf)?;
+            if buf.remaining() < 4 {
+                return Err(ProtocolError::MalformedPayload("truncated query hit speed"));
+            }
+            let speed_kbps = buf.get_u32_le();
+            let mut results = Vec::with_capacity(if KEEP { n } else { 0 });
+            for _ in 0..n {
+                if buf.remaining() < 8 {
+                    return Err(ProtocolError::MalformedPayload("truncated hit result"));
+                }
+                let file_index = buf.get_u32_le();
+                let file_size = buf.get_u32_le();
+                let file_name = read_cstr(buf)?;
+                if buf.remaining() < 1 || buf.get_u8() != 0 {
+                    return Err(ProtocolError::MalformedPayload(
+                        "missing double-null after file name",
+                    ));
+                }
+                if KEEP {
+                    results.push(QueryHitResult {
+                        file_index,
+                        file_size,
+                        file_name: own(file_name),
+                    });
+                }
+            }
+            if buf.remaining() < 16 {
+                return Err(ProtocolError::MalformedPayload("truncated servent id"));
+            }
+            let mut servent_id = [0u8; 16];
+            buf.copy_to_slice(&mut servent_id);
+            Payload::QueryHit(QueryHit { addr, speed_kbps, results, servent_id })
+        }
+        K::NeighborTraffic => {
+            if buf.remaining() < NEIGHBOR_TRAFFIC_LEN {
+                return Err(ProtocolError::MalformedPayload("truncated neighbor traffic"));
+            }
+            let mut src = [0u8; 4];
+            buf.copy_to_slice(&mut src);
+            let mut sus = [0u8; 4];
+            buf.copy_to_slice(&mut sus);
+            Payload::NeighborTraffic(NeighborTraffic {
+                source_ip: Ipv4Addr::from(src),
+                suspect_ip: Ipv4Addr::from(sus),
+                timestamp: buf.get_u32_le(),
+                outgoing_queries: buf.get_u32_le(),
+                incoming_queries: buf.get_u32_le(),
+            })
+        }
+        K::NeighborList => {
+            if buf.remaining() < 2 {
+                return Err(ProtocolError::MalformedPayload("truncated neighbor list"));
+            }
+            let n = buf.get_u16_le() as usize;
+            let mut neighbors = Vec::with_capacity(if KEEP { n.min(1024) } else { 0 });
+            for _ in 0..n {
+                let addr = PeerAddr::decode(buf)?;
+                if KEEP {
+                    neighbors.push(addr);
+                }
+            }
+            Payload::NeighborList(NeighborList { neighbors })
+        }
+        K::Receipt => {
+            if buf.remaining() < 8 {
+                return Err(ProtocolError::MalformedPayload("truncated receipt"));
+            }
+            let mut oct = [0u8; 4];
+            buf.copy_to_slice(&mut oct);
+            Payload::Receipt(Receipt {
+                subject_ip: Ipv4Addr::from(oct),
+                fresh_queries: buf.get_u32_le(),
+            })
+        }
+    })
+}
+
+/// A Query body read in place: the search string borrows the frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueryRef<'a> {
+    pub min_speed: u16,
+    pub criteria: &'a str,
+}
+
+impl<'a> QueryRef<'a> {
+    /// Read a Query body from the front of `buf`, advancing past it.
+    pub fn read(buf: &mut &'a [u8]) -> Result<Self, ProtocolError> {
+        if buf.remaining() < 2 {
+            return Err(ProtocolError::MalformedPayload("truncated query"));
+        }
+        let min_speed = buf.get_u16_le();
+        Ok(QueryRef { min_speed, criteria: read_cstr(buf)? })
+    }
+}
+
+/// Read a NUL-terminated UTF-8 string in place, advancing past its NUL.
+fn read_cstr<'a>(buf: &mut &'a [u8]) -> Result<&'a str, ProtocolError> {
+    let unread: &'a [u8] = buf;
     let len = unread
         .iter()
         .position(|&b| b == 0)
         .ok_or(ProtocolError::MalformedPayload("unterminated string"))?;
-    let out = std::str::from_utf8(&unread[..len])
-        .map_err(|_| ProtocolError::MalformedPayload("non-utf8 string"))?
-        .to_owned();
-    buf.advance(len + 1);
-    Ok(out)
+    let text = std::str::from_utf8(&unread[..len])
+        .map_err(|_| ProtocolError::MalformedPayload("non-utf8 string"))?;
+    *buf = &unread[len + 1..];
+    Ok(text)
 }
 
 /// A complete message: header plus payload.
@@ -371,15 +423,13 @@ pub struct Message {
 impl Message {
     /// Build a message with a fresh header for the given payload.
     pub fn new(guid: crate::guid::Guid, ttl: u8, payload: Payload) -> Self {
-        let mut tmp = bytes::BytesMut::new();
-        payload.encode(&mut tmp);
         Message {
             header: crate::header::Header {
                 guid,
                 kind: payload.kind(),
                 ttl,
                 hops: 0,
-                payload_len: tmp.len() as u32,
+                payload_len: payload.encoded_len() as u32,
             },
             payload,
         }

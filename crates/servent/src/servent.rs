@@ -4,8 +4,9 @@ use bytes::Bytes;
 use ddp_police::{aggregate_group_traffic, indicator, DdPoliceConfig, TrafficReport};
 use ddp_protocol::routing::Offer;
 use ddp_protocol::{
-    decode_frame, encode_message, Bye, Guid, Header, Message, NeighborList, NeighborTraffic,
-    Payload, PayloadKind, PeerAddr, Pong, Query, QueryHit, QueryHitResult, Receipt, SeenTable,
+    check_frame, encode_message, forward_frame, Bye, Guid, Header, Message, NeighborList,
+    NeighborTraffic, Payload, PayloadKind, PeerAddr, Pong, Query, QueryHit, QueryHitResult,
+    QueryRef, Receipt, SeenTable, HEADER_LEN,
 };
 use ddp_snapshot::{Dec, Enc, SnapshotError, Snapshottable};
 use ddp_topology::NodeId;
@@ -230,10 +231,9 @@ impl Servent {
         }
     }
 
-    /// Send one query to every neighbor but `except`: encoded once, the
-    /// buffer copied for all receivers but the last, which takes it.
-    fn flood_query(&mut self, msg: &Message, except: Option<NodeId>, out: &mut Outbox) {
-        let mut frame = encode_message(msg);
+    /// Send one encoded query to every neighbor but `except`: the buffer is
+    /// copied for all receivers but the last, which takes it.
+    fn flood_query(&mut self, mut frame: Bytes, except: Option<NodeId>, out: &mut Outbox) {
         let mut receivers =
             self.links.iter_mut().filter(|(&peer, _)| Some(NodeId(peer)) != except).peekable();
         while let Some((&peer, link)) = receivers.next() {
@@ -255,7 +255,7 @@ impl Servent {
             self.cfg.ttl,
             Payload::Query(Query { min_speed: 0, criteria: criteria.into() }),
         );
-        self.flood_query(&msg, None, out);
+        self.flood_query(encode_message(&msg), None, out);
     }
 
     /// One wall-clock second: attackers emit their flood share; everyone
@@ -484,24 +484,22 @@ impl Servent {
         }
     }
 
-    /// Handle one inbound frame. Unknown/undecodable frames are dropped (a
-    /// real servent closes the connection; the harness has no byte errors).
-    pub fn handle_frame(&mut self, from: NodeId, frame: Bytes, now: u64, out: &mut Outbox) {
-        let Ok((msg, _)) = decode_frame(&frame) else { return };
-        self.handle_message(from, msg, now, out);
-    }
-
-    /// Handle one inbound message that has already been decoded (the wire
-    /// runtime's readers validate by decoding, and hand the result on).
+    /// Handle one inbound frame: exactly one message, as encoded. A frame
+    /// that does not check, or that has bytes past its header's length, is
+    /// dropped (the wire runtime's readers already disconnect a peer whose
+    /// bytes do not check; the harness has no byte errors).
     ///
-    /// Admission is decided here, per message, before liveness or any counter
+    /// Admission is decided here, per frame, before liveness or any counter
     /// is touched: overlay traffic needs a neighbor link. Bye must land on the
     /// peer being cut, and `Neighbor_Traffic` and the BG liveness Ping/Pong
     /// travel over *direct* connections between Buddy-Group members, who
     /// learned each other's addresses from the exchanged lists and are
     /// generally not overlay neighbors.
-    pub fn handle_message(&mut self, from: NodeId, msg: Message, now: u64, out: &mut Outbox) {
-        let Message { header, payload } = msg;
+    pub fn handle_frame(&mut self, from: NodeId, frame: Bytes, now: u64, out: &mut Outbox) {
+        let Ok((header, len)) = check_frame(&frame) else { return };
+        if len != frame.len() {
+            return;
+        }
         let direct = matches!(
             header.kind,
             PayloadKind::Bye | PayloadKind::NeighborTraffic | PayloadKind::Ping | PayloadKind::Pong
@@ -515,8 +513,12 @@ impl Servent {
         if linked || Self::on_an_announced_list(&self.links, from.0) {
             self.member_last_seen.insert(from.0, now);
         }
+        if header.kind == PayloadKind::Query {
+            return self.handle_query(from, header, frame, now, out);
+        }
+        let Ok(payload) = Payload::decode(header.kind, &mut &frame[HEADER_LEN..]) else { return };
         match payload {
-            Payload::Query(q) => self.handle_query(from, header, q, now, out),
+            Payload::Query(_) => {} // relayed as bytes, above
             Payload::QueryHit(qh) => self.handle_hit(header, qh, now, out),
             Payload::Ping(_) => {
                 let pong = Message::new(
@@ -546,15 +548,25 @@ impl Servent {
         }
     }
 
-    fn handle_query(&mut self, from: NodeId, header: Header, q: Query, now: u64, out: &mut Outbox) {
+    /// A fresh Query is answered from the library and relayed as the bytes it
+    /// arrived in, with only its TTL and hop count rewritten.
+    fn handle_query(
+        &mut self,
+        from: NodeId,
+        header: Header,
+        frame: Bytes,
+        now: u64,
+        out: &mut Outbox,
+    ) {
         if self.seen.offer(header.guid, from.0, now) == Offer::Duplicate {
             return; // duplicates are dropped *and excluded from In_query*
         }
         if let Some(link) = self.links.get_mut(&from.0) {
             link.in_cur += 1;
         }
+        let Ok(q) = QueryRef::read(&mut &frame[HEADER_LEN..]) else { return };
         // Local lookup: answer with a QueryHit routed back to `from`.
-        if self.cfg.library.iter().any(|item| item == &q.criteria) {
+        if self.cfg.library.iter().any(|item| item == q.criteria) {
             let hit = Message::new(
                 header.guid,
                 header.hops.saturating_add(2),
@@ -564,7 +576,7 @@ impl Servent {
                     results: vec![QueryHitResult {
                         file_index: 0,
                         file_size: 1,
-                        file_name: q.criteria.clone(),
+                        file_name: q.criteria.to_owned(),
                     }],
                     servent_id: *Guid::derived(self.id.0, 0).as_bytes(),
                 }),
@@ -572,8 +584,9 @@ impl Servent {
             out.push((from, self.frame(&hit)));
         }
         // Forward with decremented TTL to all other neighbors.
-        if let Some(header) = header.forwarded() {
-            self.flood_query(&Message { header, payload: Payload::Query(q) }, Some(from), out);
+        let mut frame = Vec::from(frame);
+        if forward_frame(&mut frame) {
+            self.flood_query(Bytes::from(frame), Some(from), out);
         }
     }
 
@@ -918,5 +931,70 @@ mod admission_tests {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod relay_tests {
+    use super::*;
+
+    /// Servent 0 with neighbors 1, 2 and 3 and an empty library.
+    fn servent() -> Servent {
+        let mut s = Servent::new(NodeId(0), ServentRole::Good, ServentConfig::default());
+        for p in 1..=3 {
+            s.connect(NodeId(p));
+        }
+        s
+    }
+
+    fn query(guid: Guid, ttl: u8, hops: u8) -> Message {
+        let payload = Payload::Query(Query { min_speed: 3, criteria: "relay-me".into() });
+        Message {
+            header: Header { ttl, hops, ..Message::new(guid, ttl, payload.clone()).header },
+            payload,
+        }
+    }
+
+    /// For every TTL and hop count, a fresh Query goes on to each other
+    /// neighbor as exactly the frame the forwarding rule encodes, and a
+    /// Query with TTL 1 goes nowhere.
+    #[test]
+    fn a_relayed_query_is_the_forwarded_encoding() {
+        let mut s = servent();
+        let mut seq = 0;
+        for ttl in 1..=u8::MAX {
+            for hops in 0..=u8::MAX {
+                seq += 1;
+                let Message { header, payload } = query(Guid::derived(1, seq), ttl, hops);
+                let mut out = Outbox::new();
+                let frame = encode_message(&Message { header, payload: payload.clone() });
+                s.handle_frame(NodeId(1), frame, 5, &mut out);
+                let want = match header.forwarded() {
+                    Some(header) => {
+                        let relayed = encode_message(&Message { header, payload });
+                        vec![(NodeId(2), relayed.clone()), (NodeId(3), relayed)]
+                    }
+                    None => Vec::new(),
+                };
+                assert_eq!(out, want, "ttl {ttl} hops {hops}");
+            }
+        }
+        s.on_minute(60, 1, &mut Outbox::new());
+        let fresh = u32::from(u8::MAX) * 256;
+        assert_eq!(s.prev_minute_counters(NodeId(1)), Some((0, fresh)), "every one was fresh");
+    }
+
+    /// A frame with bytes past its header's length is not one message: it
+    /// is dropped, never relayed with those bytes.
+    #[test]
+    fn bytes_past_the_header_length_are_never_relayed() {
+        let mut s = servent();
+        let mut frame = encode_message(&query(Guid::derived(1, 1), 4, 0)).to_vec();
+        frame.extend_from_slice(b"smuggled");
+        let mut out = Outbox::new();
+        s.handle_frame(NodeId(1), Bytes::from(frame), 5, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        s.on_minute(60, 1, &mut Outbox::new());
+        assert_eq!(s.prev_minute_counters(NodeId(1)), Some((0, 0)), "nothing was counted");
     }
 }

@@ -6,8 +6,8 @@
 //! * the **core loop** owns the canonical [`TcpStream`] and the
 //!   [`SendQueue`] handle; it is the only thread that decides a link's fate;
 //! * the **reader thread** owns a clone of the stream, reassembles and
-//!   decodes frames through [`FrameBuffer`](super::framing::FrameBuffer), and
-//!   reports the messages of each read as one event, and closures, to the
+//!   checks frames through [`FrameBuffer`](super::framing::FrameBuffer), and
+//!   reports the frames of each read as one event, and closures, to the
 //!   core over the bounded event channel (blocking on a full channel is
 //!   deliberate — it extends TCP backpressure into the process instead of
 //!   buffering without bound);
@@ -23,7 +23,6 @@
 
 use super::framing::FrameBuffer;
 use bytes::Bytes;
-use ddp_protocol::Message;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -337,9 +336,10 @@ pub enum Taken {
 /// Events the connection threads report to the core loop.
 #[derive(Debug)]
 pub enum ConnEvent {
-    /// The validated inbound messages of one read from `peer` on connection
-    /// `conn_gen`, in arrival order (never empty).
-    Frames { peer: u32, conn_gen: u64, messages: Vec<Message> },
+    /// The checked inbound frames of one read from `peer` on connection
+    /// `conn_gen`, each whole and in its own buffer, in arrival order (never
+    /// empty).
+    Frames { peer: u32, conn_gen: u64, frames: Vec<Bytes> },
     /// Connection `conn_gen` to `peer` is gone.
     Closed { peer: u32, conn_gen: u64, reason: CloseReason },
     /// An accepted socket finished its handshake.
@@ -366,8 +366,8 @@ pub enum CloseReason {
 /// Spawn the reader thread for an established connection.
 ///
 /// Reads with `read_timeout_ms` granularity so the `shutdown` flag is
-/// honored promptly; every complete frame is validated, by decoding it,
-/// before it is reported, and the frames one read completed travel as one
+/// honored promptly; every complete frame is checked in place before it is
+/// copied out and reported, and the frames one read completed travel as one
 /// event. A codec error reports `Closed(Codec)` and stops reading — hostile
 /// bytes disconnect, never panic.
 pub fn spawn_reader(
@@ -398,12 +398,11 @@ pub fn spawn_reader(
                     Ok(n) => {
                         stats.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
                         match fb.push(&chunk[..n]) {
-                            Ok(messages) if messages.is_empty() => {}
-                            Ok(messages) => {
-                                let frames = messages.len() as u64;
-                                stats.frames_received.fetch_add(frames, Ordering::Relaxed);
-                                if tx.send(ConnEvent::Frames { peer, conn_gen, messages }).is_err()
-                                {
+                            Ok(frames) if frames.is_empty() => {}
+                            Ok(frames) => {
+                                let count = frames.len() as u64;
+                                stats.frames_received.fetch_add(count, Ordering::Relaxed);
+                                if tx.send(ConnEvent::Frames { peer, conn_gen, frames }).is_err() {
                                     return; // core gone
                                 }
                             }

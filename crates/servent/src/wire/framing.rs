@@ -2,9 +2,10 @@
 //!
 //! TCP delivers bytes, not frames: a single `read` may return half a header,
 //! three frames and a tail, or one byte. [`FrameBuffer`] accumulates bytes
-//! and yields complete, *fully validated* messages — each frame is decoded
-//! once, from the buffer it arrived in, and what the servent state machine
-//! is handed is the decoded [`Message`], not bytes to decode again.
+//! and yields complete, *fully validated* frames — each is checked in place
+//! (`ddp_protocol::check_frame`: every read the decoder makes, nothing
+//! built), then copied out as the frame's own [`Bytes`], which is what the
+//! servent state machine is handed. A relayed Query goes on as those bytes.
 //!
 //! Hardening contract (the hostile-bytes half of the robustness story):
 //!
@@ -15,13 +16,14 @@
 //!   frame plus one read chunk, because a valid header caps the frame at
 //!   `HEADER_LEN + MAX_PAYLOAD_LEN` and an invalid one errors immediately.
 
+use bytes::Bytes;
 use ddp_protocol::header::{HEADER_LEN, MAX_PAYLOAD_LEN};
-use ddp_protocol::{decode_frame, Message, ProtocolError};
+use ddp_protocol::{check_frame, ProtocolError};
 
 /// Largest frame the wire accepts: header plus the codec's payload cap.
 pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD_LEN;
 
-/// Stream-to-message reassembly buffer.
+/// Stream-to-frame reassembly buffer.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -38,16 +40,16 @@ impl FrameBuffer {
         self.buf.len()
     }
 
-    /// Append `data` and decode every complete frame now available, in
-    /// order. What is left over — the start of a frame still arriving — is
+    /// Append `data` and check every complete frame now available, in
+    /// order, each copied out whole. What is left over — the start of a frame still arriving — is
     /// moved to the front of the buffer once, whatever the number of frames.
     ///
     /// On error the connection is poisoned: the typed error describes the
     /// first offense and the caller must drop the peer. An erroring push
-    /// yields no messages, not even those complete before the offense,
+    /// yields no frames, not even those complete before the offense,
     /// matching "hostile bytes disconnect"; earlier pushes already delivered
     /// theirs.
-    pub fn push(&mut self, data: &[u8]) -> Result<Vec<Message>, ProtocolError> {
+    pub fn push(&mut self, data: &[u8]) -> Result<Vec<Bytes>, ProtocolError> {
         self.buf.extend_from_slice(data);
         let mut out = Vec::new();
         let mut at = 0;
@@ -55,11 +57,11 @@ impl FrameBuffer {
             // The header is validated first: unknown kinds and oversized
             // length fields error before any payload is awaited, so a
             // hostile peer cannot park us waiting for 4 GiB that never
-            // comes. Then the whole message: the payload decodes cleanly
+            // comes. Then the whole message: the payload reads cleanly
             // with no trailing garbage.
-            match decode_frame(&self.buf[at..]) {
-                Ok((msg, used)) => {
-                    out.push(msg);
+            match check_frame(&self.buf[at..]) {
+                Ok((_, used)) => {
+                    out.push(Bytes::from(&self.buf[at..at + used]));
                     at += used;
                 }
                 Err(
@@ -76,20 +78,17 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use ddp_protocol::{encode_message, Guid, Message, Payload, Ping, Query};
     use proptest::prelude::*;
 
-    fn query(seq: u64) -> Message {
-        Message::new(
+    include!("../../../protocol/tests/common/mod.rs");
+
+    fn query_frame(seq: u64) -> Bytes {
+        encode_message(&Message::new(
             Guid::derived(1, seq),
             5,
             Payload::Query(Query { min_speed: 0, criteria: format!("q-{seq}") }),
-        )
-    }
-
-    fn query_frame(seq: u64) -> Bytes {
-        encode_message(&query(seq))
+        ))
     }
 
     #[test]
@@ -100,7 +99,7 @@ mod tests {
         for b in stream {
             got.extend(fb.push(&[b]).expect("clean stream"));
         }
-        assert_eq!(got, (0..4).map(query).collect::<Vec<_>>());
+        assert_eq!(got, (0..4).map(query_frame).collect::<Vec<_>>());
         assert_eq!(fb.pending(), 0);
     }
 
@@ -112,10 +111,10 @@ mod tests {
         stream.extend_from_slice(&b[..10]);
         let mut fb = FrameBuffer::new();
         let got = fb.push(&stream).unwrap();
-        assert_eq!(got, vec![query(1)]);
+        assert_eq!(got, vec![a]);
         assert_eq!(fb.pending(), 10);
         let got2 = fb.push(&b[10..]).unwrap();
-        assert_eq!(got2, vec![query(2)]);
+        assert_eq!(got2, vec![b]);
     }
 
     #[test]
@@ -143,7 +142,11 @@ mod tests {
     #[test]
     fn an_offense_mid_read_yields_nothing_from_that_read() {
         let mut fb = FrameBuffer::new();
-        assert_eq!(fb.push(&query_frame(1)).unwrap(), vec![query(1)], "earlier reads deliver");
+        assert_eq!(
+            fb.push(&query_frame(1)).unwrap(),
+            vec![query_frame(1)],
+            "earlier reads deliver"
+        );
         let mut read = query_frame(2).to_vec();
         let mut hostile = query_frame(3).to_vec();
         hostile[16] = 0x42;
@@ -162,19 +165,14 @@ mod tests {
         assert!(fb.push(&frame).is_err());
     }
 
-    /// Frames from 23 bytes to most of the 64 KiB cap, so that reads split
-    /// headers, split payloads, and carry many frames at once.
-    fn arb_message() -> impl Strategy<Value = Message> {
-        let payload = prop_oneof![
-            3 => Just(Payload::Ping(Ping)),
-            6 => "[a-z0-9-]{0,40}"
-                .prop_map(|criteria| Payload::Query(Query { min_speed: 0, criteria })),
-            1 => (0u32..10_000).prop_map(|n| {
-                let neighbors = (0..n).map(ddp_protocol::PeerAddr::from_node_index).collect();
-                Payload::NeighborList(ddp_protocol::NeighborList { neighbors })
-            }),
-        ];
-        (payload, any::<u64>()).prop_map(|(p, seq)| Message::new(Guid::derived(2, seq), 4, p))
+    /// A Query whose search string is not UTF-8 is an offense like any
+    /// other: it is never handed on, so never relayed.
+    #[test]
+    fn a_query_that_is_not_utf8_is_an_offense() {
+        let mut frame = query_frame(1).to_vec();
+        frame[HEADER_LEN + 2] = 0xff; // the first byte of the search string
+        let mut fb = FrameBuffer::new();
+        assert_eq!(fb.push(&frame), Err(ProtocolError::MalformedPayload("non-utf8 string")));
     }
 
     /// Read sizes from a one-byte dribble to a 64 KiB burst.
@@ -185,7 +183,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// However the stream is cut into reads, the same messages come out
+        /// However the stream is cut into reads, the same frames come out
         /// in the same order, and the buffer stays within one maximum frame
         /// plus one read.
         #[test]
@@ -193,7 +191,8 @@ mod tests {
             messages in proptest::collection::vec(arb_message(), 1..40),
             reads in proptest::collection::vec(arb_read(), 1..64),
         ) {
-            let stream: Vec<u8> = messages.iter().flat_map(|m| encode_message(m).to_vec()).collect();
+            let frames: Vec<Bytes> = messages.iter().map(encode_message).collect();
+            let stream: Vec<u8> = frames.iter().flat_map(|f| f.to_vec()).collect();
             let mut fb = FrameBuffer::new();
             let mut got = Vec::new();
             let mut rest = &stream[..];
@@ -207,7 +206,7 @@ mod tests {
                 prop_assert!(fb.pending() < MAX_FRAME_LEN, "only an incomplete frame stays");
             }
             prop_assert_eq!(fb.pending(), 0);
-            prop_assert_eq!(got, messages);
+            prop_assert_eq!(got, frames);
         }
     }
 }

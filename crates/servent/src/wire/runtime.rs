@@ -5,7 +5,7 @@
 //!
 //! * **core loop** (the thread that calls [`WireServent::run`]) — owns the
 //!   state machine, the link table, and all supervision decisions; receives
-//!   every read's messages and every close/dial/accept event over one
+//!   every read's frames and every close/dial/accept event over one
 //!   bounded channel ([`EVENT_CHANNEL_READS`]);
 //! * **acceptor** — nonblocking `accept` poll; hands each socket to a
 //!   one-shot handshake thread so a slow-lorising dialer cannot stall the
@@ -24,7 +24,7 @@ use super::conn::{self, CloseReason, ConnEvent, HandshakeError, SendQueue, WireS
 use crate::servent::{Outbox, Servent, ServentRole};
 use bytes::Bytes;
 use ddp_metrics::ConnCounters;
-use ddp_protocol::PayloadKind;
+use ddp_protocol::{PayloadKind, KIND_AT};
 use ddp_snapshot::SnapshotError;
 use ddp_topology::NodeId;
 use rand::rngs::StdRng;
@@ -38,12 +38,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Events the channel between the connection threads and the core holds
-/// before a sender blocks. A reader's event is the messages of one read (at
+/// before a sender blocks. A reader's event is the frames of one read (at
 /// most 8 KiB of small frames, and the one frame of up to 64 KiB it may
-/// have completed), so what can sit decoded between the readers and the
-/// core is bounded in bytes — under 7 MB, see DESIGN.md — whatever the
-/// frame sizes; beyond it the readers stop reading and TCP backpressure
-/// reaches the senders.
+/// have completed), each a `Bytes` of its own, so what can sit between the
+/// readers and the core is bounded in bytes — under 6 MB, see DESIGN.md —
+/// whatever the frame sizes; beyond it the readers stop reading and TCP
+/// backpressure reaches the senders.
 pub const EVENT_CHANNEL_READS: usize = 64;
 
 /// Knobs of the socket runtime. All timeouts that supervise *protocol*
@@ -454,7 +454,7 @@ impl WireServent {
                     }
                 }
             }
-            ConnEvent::Frames { peer, conn_gen, messages } => {
+            ConnEvent::Frames { peer, conn_gen, frames } => {
                 let live = self.links.get_mut(&peer).filter(|l| l.gen == conn_gen);
                 let Some(link) = live else { return };
                 link.last_heard_tick = cur_tick;
@@ -463,10 +463,10 @@ impl WireServent {
                 }
                 let from = NodeId(peer);
                 let mut outbox = std::mem::take(&mut self.outbox);
-                for msg in messages {
-                    let is_bye = msg.header.kind == PayloadKind::Bye;
+                for frame in frames {
+                    let is_bye = frame.get(KIND_AT) == Some(&(PayloadKind::Bye as u8));
                     // The state machine decides admission, frame by frame.
-                    self.servent.handle_message(from, msg, cur_tick, &mut outbox);
+                    self.servent.handle_frame(from, frame, cur_tick, &mut outbox);
                     if is_bye {
                         // The peer cut us: the state machine already dropped
                         // the neighbor; retire the transport too, once what

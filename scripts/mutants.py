@@ -14,9 +14,16 @@ share one cargo target directory, target/mutants/build, so each mutant only
 rebuilds the crates its edit touches.
 
 `--changed-since REV` runs only the entries a change since REV can touch:
-those whose `file:` differs between REV and HEAD, and those that are new or
-edited in the catalogue since REV. Baseline and kill rules are the same; with
-no such entry it runs nothing and exits 0.
+those whose `file:` differs between REV and HEAD; those whose killing tests
+live in a file that differs, where the killing tests are the entry's own
+`test:` and every test `tests/mutants/kill_matrix.tsv` lists against it; and
+those that are new or edited in the catalogue since REV. A test is located
+from its package (the directory of the manifest naming it), its target
+(`tests/<target>.rs` for an integration test, `src/lib.rs` for `lib`) and its
+module path, followed from `src/lib.rs` through `<module>.rs` or
+`<module>/mod.rs` files until a module is inline; a bare test name, as a
+`test:` line gives it, is found by the `fn` that defines it. Baseline and kill
+rules are the same; with no such entry it runs nothing and exits 0.
 
 `--matrix` additionally runs every test binary of the packages in PACKAGES,
 on the unmutated tree and under each mutant, and writes one row per test
@@ -93,9 +100,87 @@ def parse(text):
     return entries
 
 
+ROOT_PACKAGE = "ddpolice"
+
+
+def package_dirs():
+    """Package name -> its directory (relative), from the extracted tree's
+    manifests."""
+    dirs = {}
+    for manifest in sorted(TREE.glob("**/Cargo.toml")):
+        if "target" in manifest.relative_to(TREE).parts:
+            continue
+        package = re.search(r"^\[package\]\s*\nname\s*=\s*\"([^\"]+)\"", manifest.read_text(), re.M)
+        if package:
+            dirs[package.group(1)] = manifest.parent.relative_to(TREE)
+    return dirs
+
+
+def test_files(crate, target, test):
+    """The files (relative paths) that may hold `test` of `target` in the
+    package at `crate`. `test` is a module path ending in the test's name, or
+    a bare name; `target` is `lib`, an integration test's name, or None for
+    every target."""
+    *modules, name = test.split("::")
+    if target not in (None, "lib"):
+        for candidate in (crate / "tests" / f"{target}.rs", crate / "tests" / target / "main.rs"):
+            if (TREE / candidate).exists():
+                return {str(candidate)}
+        return set()
+    if modules:
+        here, file = crate / "src", crate / "src" / "lib.rs"
+        for module in modules:
+            for candidate in (here / f"{module}.rs", here / module / "mod.rs"):
+                if (TREE / candidate).exists():
+                    here, file = here / module, candidate
+                    break
+            else:
+                break  # an inline module: the test is in `file`
+        return {str(file)}
+    roots = [crate / "src"] + ([crate / "tests"] if target is None else [])
+    defines = re.compile(rf"\bfn {re.escape(name)}\b")
+    return {
+        str(path.relative_to(TREE))
+        for root in roots
+        for path in (TREE / root).rglob("*.rs")
+        if defines.search(path.read_text())
+    }
+
+
+def invocation_files(invocation, dirs):
+    """The files of the test a `test:` line runs."""
+    words = test_args(invocation)[1:]
+    package, target, names = ROOT_PACKAGE, None, []
+    while words:
+        word = words.pop(0)
+        if word == "--":
+            break
+        if word in ("-p", "--package"):
+            package = words.pop(0)
+        elif word == "--test":
+            target = words.pop(0)
+        elif word == "--lib":
+            target = "lib"
+        elif not word.startswith("-"):
+            names.append(word)
+    return set().union(*(test_files(dirs[package], target, n) for n in names or ["*"]))
+
+
+def killing_files(entries, matrix):
+    """Entry id -> the files holding the tests that kill it: its `test:` and
+    its rows in the kill matrix."""
+    dirs = package_dirs()
+    files = {e["id"]: invocation_files(e["test"], dirs) for e in entries}
+    for line in matrix.splitlines()[1:]:
+        mutant, package, target, test = line.split("\t")
+        if mutant in files and package in dirs and test not in ("-", "*"):
+            files[mutant] |= test_files(dirs[package], target, test)
+    return files
+
+
 def changed_since(entries, rev):
-    """The entries whose file differs between `rev` and HEAD, or that are
-    new or edited in the catalogue since `rev`."""
+    """The entries whose file or a killing test's file differs between `rev`
+    and HEAD, or that are new or edited in the catalogue since `rev`."""
 
     def git(*args, check=True):
         return subprocess.run(
@@ -105,7 +190,13 @@ def changed_since(entries, rev):
     files = set(git("diff", "--name-only", rev, "HEAD").splitlines())
     # A revision without the catalogue makes every entry new.
     before = {e["id"]: e for e in parse(git("show", f"{rev}:{CATALOGUE}", check=False))}
-    return [e for e in entries if e["file"] in files or before.get(e["id"]) != e]
+    matrix = TREE / MATRIX.relative_to(ROOT)
+    killers = killing_files(entries, matrix.read_text() if matrix.exists() else "")
+    return [
+        e
+        for e in entries
+        if e["file"] in files or killers[e["id"]] & files or before.get(e["id"]) != e
+    ]
 
 
 def cargo(args, timeout=None):

@@ -9,9 +9,11 @@
 //! come back to the source. `CountingAlloc` is this binary's global
 //! allocator: the process's heap high-water must stay under 16 MiB (the
 //! seen-GUID table is bounded; an unbounded one holds 300 000 GUIDs in about
-//! 26 MB) and the relay may allocate at most 4 times per frame (decoding a
-//! frame, encoding it, and amortized batch buffers; one `write` and one
-//! channel event per frame used to make it 12).
+//! 26 MB) and the relay may allocate at most twice per frame. What is left
+//! is the reader's copy of each frame, plus buffers reused across frames (a
+//! read's event, the send batch): a relayed Query goes on as the bytes it
+//! arrived in. Decoding and re-encoding each frame made it 2.04, one `write`
+//! and one channel event per frame 12.
 //!
 //! Nothing here asserts on wall time. The servent lives a fixed twelve
 //! seconds, which is what the test takes; a host too slow to relay the
@@ -41,7 +43,7 @@ const SINK: u32 = 2;
 const FRAMES: u64 = 300_000;
 const WINDOW: u64 = 256;
 const MAX_HEAP_BYTES: usize = 16 << 20;
-const MAX_ALLOCS_PER_FRAME: f64 = 4.0;
+const MAX_ALLOCS_PER_FRAME: f64 = 2.0;
 /// Byte 16 of the header is the payload kind.
 const KIND_AT: usize = 16;
 const KIND_QUERY: u8 = 0x80;

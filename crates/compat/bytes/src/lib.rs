@@ -4,28 +4,52 @@
 //! [`BytesMut`], and the [`Buf`]/[`BufMut`] traits with little-endian
 //! accessors.
 //!
-//! What it costs, since the wire servent's frame path runs on it: a
-//! [`Bytes`] is an owned `Vec<u8>` plus a read offset, not a refcounted view
-//! of a shared chunk. `clone`, `slice`, `from_static` and `split_to`
-//! therefore each allocate and copy what they return; reading through
-//! [`Buf`] (`advance`, `copy_to_slice`, the `get_*` accessors) moves the
-//! offset and neither allocates nor moves the unread bytes. Converting a
-//! `Bytes` into a `Vec<u8>` and back is free while nothing has been read
-//! from its front (after that, the first conversion moves the unread bytes
-//! down). The wire servent's relay path pays one allocation per frame: the
-//! reader copies each frame it checks in place (`ddp_protocol::check_frame`)
-//! out of its stream buffer into a `Bytes` of its own; a relayed Query is
-//! that `Bytes`, turned into a `Vec`, its TTL and hop bytes rewritten, and
-//! turned back, and only a fan-out to more than one neighbour `clone`s it.
+//! What it costs, since the wire servent's frame path runs on it. A
+//! [`Bytes`] is not a refcounted view of a shared chunk: it owns its bytes,
+//! either inside the value itself (up to [`INLINE_CAP`] bytes, with no heap
+//! block at all) or in a `Vec<u8>`, and reads them from the front through an
+//! offset. Which one is decided by the length of what it is made from:
+//!
+//! | operation | result of at most `INLINE_CAP` bytes | longer result |
+//! |---|---|---|
+//! | `From<&[u8]>`, `from_static`, `slice`, `split_to` (the part returned), `clone` | copied into the value, no allocation | one allocation and copy |
+//! | `From<Vec<u8>>`, `BytesMut::freeze` | keeps the vector: no copy, always on the heap | the same |
+//! | `Vec::from(bytes)` | one allocation and copy from an inline value | free from a heap one while nothing was read from its front, else the unread bytes move down |
+//! | `advance`, `copy_to_slice`, the `get_*` accessors, `make_mut` | move the offset or lend the bytes: no allocation, no copy | the same |
+//!
+//! A `Bytes` is 56 bytes on a 64-bit target, whatever it holds. The wire
+//! servent's relay path allocates nothing per small frame: the reader copies
+//! each frame it checks in place (`ddp_protocol::check_frame`) out of its
+//! stream buffer into a `Bytes` of its own, a relayed Query has its TTL and
+//! hop bytes rewritten through [`Bytes::make_mut`], and a fan-out to more
+//! than one neighbour `clone`s it.
 
 use std::ops::{Bound, Deref, RangeBounds};
 
-/// An owned byte buffer read from the front (a `Vec<u8>` and an offset).
-#[derive(Clone, Default)]
-pub struct Bytes {
-    data: Vec<u8>,
-    /// Bytes already consumed from the front of `data`.
-    pos: usize,
+/// The longest byte string a [`Bytes`] holds inside itself.
+///
+/// The frames the servents exchange are mostly 23–43 bytes (Ping, Receipt,
+/// a Query with a short search string, Pong, `Neighbor_Traffic`, a
+/// three-neighbour list); 53 is the most that keeps a `Bytes` at seven
+/// words, and also holds a Bye and a four-neighbour list.
+pub const INLINE_CAP: usize = 53;
+
+/// An owned byte buffer read from the front: stored inline up to
+/// [`INLINE_CAP`] bytes, in a `Vec<u8>` beyond.
+#[derive(Default)]
+pub struct Bytes(Repr);
+
+enum Repr {
+    /// `buf[start..end]` are the unread bytes.
+    Inline { start: u8, end: u8, buf: [u8; INLINE_CAP] },
+    /// `data[pos..]` are the unread bytes.
+    Heap { data: Vec<u8>, pos: usize },
+}
+
+impl Default for Repr {
+    fn default() -> Self {
+        Repr::Inline { start: 0, end: 0, buf: [0; INLINE_CAP] }
+    }
 }
 
 impl Bytes {
@@ -41,7 +65,7 @@ impl Bytes {
 
     /// Number of bytes.
     pub fn len(&self) -> usize {
-        self.data.len() - self.pos
+        self[..].len()
     }
 
     /// Whether the buffer is empty.
@@ -67,7 +91,7 @@ impl Bytes {
     /// Split off and return the first `at` bytes, advancing `self` past them.
     pub fn split_to(&mut self, at: usize) -> Bytes {
         let head = Bytes::from(&self[..at]);
-        self.pos += at;
+        self.advance(at);
         head
     }
 
@@ -75,12 +99,27 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self[..].to_vec()
     }
+
+    /// The unread bytes, writable in place.
+    ///
+    /// Not in the `bytes` crate, whose `Bytes` may share its storage and is
+    /// never written. Here every `Bytes` owns its bytes, so the write is in
+    /// place, with no copy and no allocation, inline or not.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        match &mut self.0 {
+            Repr::Inline { start, end, buf } => &mut buf[*start as usize..*end as usize],
+            Repr::Heap { data, pos } => &mut data[*pos..],
+        }
+    }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.pos..]
+        match &self.0 {
+            Repr::Inline { start, end, buf } => &buf[*start as usize..*end as usize],
+            Repr::Heap { data, pos } => &data[*pos..],
+        }
     }
 }
 
@@ -90,28 +129,44 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
+/// A clone holds the unread bytes only, inline when they fit.
+impl Clone for Bytes {
+    fn clone(&self) -> Self {
+        Bytes::from(&self[..])
+    }
+}
+
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Bytes { data, pos: 0 }
+        Bytes(Repr::Heap { data, pos: 0 })
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
+        if data.len() > INLINE_CAP {
+            return Bytes::from(data.to_vec());
+        }
+        let mut buf = [0; INLINE_CAP];
+        buf[..data.len()].copy_from_slice(data);
+        Bytes(Repr::Inline { start: 0, end: data.len() as u8, buf })
     }
 }
 
 impl From<Bytes> for Vec<u8> {
     fn from(bytes: Bytes) -> Self {
-        let Bytes { mut data, pos } = bytes;
-        data.drain(..pos);
-        data
+        match bytes.0 {
+            Repr::Inline { start, end, buf } => buf[start as usize..end as usize].to_vec(),
+            Repr::Heap { mut data, pos } => {
+                data.drain(..pos);
+                data
+            }
+        }
     }
 }
 
 // Identity is the unread bytes: two buffers that differ only in what was
-// already consumed are equal.
+// already consumed, or in where they keep their bytes, are equal.
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
         self[..] == other[..]
@@ -264,7 +319,10 @@ impl Buf for Bytes {
 
     fn advance(&mut self, cnt: usize) {
         assert!(cnt <= self.len(), "buffer underflow");
-        self.pos += cnt;
+        match &mut self.0 {
+            Repr::Inline { start, .. } => *start += cnt as u8,
+            Repr::Heap { pos, .. } => *pos += cnt,
+        }
     }
 }
 
@@ -336,6 +394,12 @@ impl<B: BufMut + ?Sized> BufMut for &mut B {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::hash::{BuildHasher, RandomState};
+
+    fn is_inline(b: &Bytes) -> bool {
+        matches!(b.0, Repr::Inline { .. })
+    }
 
     #[test]
     fn roundtrip_little_endian() {
@@ -386,6 +450,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "buffer underflow")]
+    fn advancing_an_inline_value_past_the_end_panics() {
+        Bytes::from(&[1u8][..]).advance(2);
+    }
+
+    #[test]
     fn split_and_slice() {
         let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
         let head = b.split_to(2);
@@ -393,5 +463,144 @@ mod tests {
         assert_eq!(&b[..], &[3, 4, 5]);
         assert_eq!(&b.slice(..2)[..], &[3, 4]);
         assert_eq!(&b.slice(1..)[..], &[4, 5]);
+    }
+
+    /// Seven words: every queue and event vector of frames pays this per
+    /// frame, inline or not.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn a_bytes_is_seven_words() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 56);
+    }
+
+    /// Everything at or under the capacity is stored inline, everything
+    /// over it on the heap, and both read back what they were given.
+    #[test]
+    fn the_capacity_is_the_last_inline_length() {
+        for len in [INLINE_CAP - 1, INLINE_CAP, INLINE_CAP + 1] {
+            let data: Vec<u8> = (1..=len as u8).collect();
+            let fits = len <= INLINE_CAP;
+            let b = Bytes::from(&data[..]);
+            assert_eq!((&b[..], is_inline(&b)), (&data[..], fits), "from a slice, {len} bytes");
+            let c = Bytes::from(data.clone()).clone();
+            assert_eq!((&c[..], is_inline(&c)), (&data[..], fits), "a clone, {len} bytes");
+            let mut long = Bytes::from([&[0u8][..], &data, &[0]].concat());
+            let s = long.slice(1..=len);
+            assert_eq!((&s[..], is_inline(&s)), (&data[..], fits), "a slice, {len} bytes");
+            long.advance(1);
+            let head = long.split_to(len);
+            assert_eq!((&head[..], is_inline(&head)), (&data[..], fits), "split_to, {len} bytes");
+            assert_eq!(&long[..], &[0]);
+            let mut m = b.clone();
+            m.make_mut()[len - 1] = 0;
+            assert_eq!((m.len(), m[len - 1]), (len, 0), "make_mut, {len} bytes");
+            assert_eq!(Vec::from(b), data);
+        }
+    }
+
+    /// One operation on a `Bytes` and on its `Vec<u8>` model. Positions are
+    /// drawn raw and taken modulo what is there.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Advance(usize),
+        SplitTo(usize),
+        Slice(usize, usize),
+        Clone,
+        MakeMut(u8),
+        IntoVec,
+        FromSlice,
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0usize..1 << 16).prop_map(Op::Advance),
+            (0usize..1 << 16).prop_map(Op::SplitTo),
+            (0usize..1 << 16, 0usize..1 << 16).prop_map(|(a, b)| Op::Slice(a, b)),
+            Just(Op::Clone),
+            (1u8..u8::MAX).prop_map(Op::MakeMut),
+            Just(Op::IntoVec),
+            Just(Op::FromSlice),
+        ]
+    }
+
+    /// Lengths up to twice the capacity, with the three around it drawn
+    /// often.
+    fn arb_data() -> impl Strategy<Value = Vec<u8>> {
+        prop_oneof![
+            3 => 0..2 * INLINE_CAP + 1,
+            1 => INLINE_CAP - 1..INLINE_CAP + 2,
+        ]
+        .prop_flat_map(|len| proptest::collection::vec(any::<u8>(), len))
+    }
+
+    /// `b` and `model` hold the same bytes under every view: deref, length,
+    /// conversion back to a vector, and `Eq`/`Ord`/`Hash` against a `Bytes`
+    /// built the other way and against a different byte string.
+    fn agree(b: &Bytes, model: &[u8], other: &[u8], hasher: &RandomState) {
+        assert_eq!((&b[..], b.len(), b.is_empty()), (model, model.len(), model.is_empty()));
+        assert_eq!(b.chunk(), model);
+        assert_eq!(Vec::from(b.clone()), model);
+        for twin in [Bytes::from(model), Bytes::from(model.to_vec())] {
+            assert_eq!(b, &twin);
+            assert_eq!(b.cmp(&twin), std::cmp::Ordering::Equal);
+            assert_eq!(hasher.hash_one(b), hasher.hash_one(&twin));
+        }
+        let other_bytes = Bytes::from(other);
+        assert_eq!(b == &other_bytes, model == other);
+        assert_eq!(b.cmp(&other_bytes), model.cmp(other));
+        assert_eq!(b.partial_cmp(&other_bytes), Some(model.cmp(other)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every operation does to a `Bytes`, inline or on the heap, what it
+        /// does to a plain `Vec<u8>`.
+        #[test]
+        fn bytes_behaves_like_a_vec(
+            data in arb_data(),
+            from_vec in any::<bool>(),
+            ops in proptest::collection::vec(arb_op(), 0..12),
+            other in arb_data(),
+        ) {
+            let hasher = RandomState::new();
+            let mut b = if from_vec { Bytes::from(data.clone()) } else { Bytes::from(&data[..]) };
+            let mut model = data;
+            agree(&b, &model, &other, &hasher);
+            for op in ops {
+                let len = model.len();
+                match op {
+                    Op::Advance(n) => {
+                        let n = n % (len + 1);
+                        b.advance(n);
+                        model.drain(..n);
+                    }
+                    Op::SplitTo(at) => {
+                        let at = at % (len + 1);
+                        let head = b.split_to(at);
+                        let model_head: Vec<u8> = model.drain(..at).collect();
+                        agree(&head, &model_head, &other, &hasher);
+                    }
+                    Op::Slice(from, to) => {
+                        let (from, to) = (from % (len + 1), to % (len + 1));
+                        let (from, to) = (from.min(to), from.max(to));
+                        agree(&b.slice(from..to), &model[from..to], &other, &hasher);
+                        agree(&b.slice(from..), &model[from..], &other, &hasher);
+                        agree(&b.slice(..to), &model[..to], &other, &hasher);
+                    }
+                    Op::Clone => b = b.clone(),
+                    Op::MakeMut(k) => {
+                        // Each byte moves by its own amount, so a view that
+                        // starts anywhere else cannot write the same result.
+                        let step = |(i, x): (usize, &mut u8)| *x = x.wrapping_add(k ^ i as u8);
+                        b.make_mut().iter_mut().enumerate().for_each(step);
+                        model.iter_mut().enumerate().for_each(step);
+                    }
+                    Op::IntoVec => b = Bytes::from(Vec::from(b)),
+                    Op::FromSlice => b = Bytes::from(&b[..]),
+                }
+                agree(&b, &model, &other, &hasher);
+            }
+        }
     }
 }

@@ -84,6 +84,25 @@ mod tests {
     }
 
     #[test]
+    fn the_longest_neighbor_list_is_the_longest_that_decodes() {
+        let list = |n: u32| {
+            let neighbors = (0..n).map(PeerAddr::from_node_index).collect();
+            encode_message(&Message::new(
+                Guid::derived(1, 1),
+                1,
+                Payload::NeighborList(NeighborList { neighbors }),
+            ))
+        };
+        let most = list(NeighborList::MAX_NEIGHBORS as u32);
+        assert_eq!(check_frame(&most).map(|(_, used)| used), Ok(most.len()));
+        assert!(most.len() - HEADER_LEN > MAX_PAYLOAD_LEN - 6, "no room for one more");
+        assert!(matches!(
+            check_frame(&list(NeighborList::MAX_NEIGHBORS as u32 + 1)),
+            Err(ProtocolError::OversizedPayload { .. })
+        ));
+    }
+
+    #[test]
     fn ping_roundtrip() {
         let m = roundtrip(Payload::Ping(Ping));
         assert_eq!(m.header.payload_len, 0);

@@ -1,6 +1,7 @@
 //! Payload types and their wire encodings.
 
 use crate::error::ProtocolError;
+use crate::header::MAX_PAYLOAD_LEN;
 use bytes::{Buf, BufMut};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -140,6 +141,14 @@ pub const NEIGHBOR_TRAFFIC_LEN: usize = 20;
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NeighborList {
     pub neighbors: Vec<PeerAddr>,
+}
+
+impl NeighborList {
+    /// The most neighbors one list carries: 10 922. The body is a 2-byte
+    /// count and 6 bytes per peer, and every receiver refuses a body over
+    /// [`MAX_PAYLOAD_LEN`] (and disconnects its sender), so a longer list
+    /// must never be sent.
+    pub const MAX_NEIGHBORS: usize = (MAX_PAYLOAD_LEN - 2) / PEER_ADDR_LEN;
 }
 
 /// `0x86` — per-link fresh-query receipt (extension; not in the paper).

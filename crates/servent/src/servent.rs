@@ -173,9 +173,13 @@ impl Servent {
         self.links.contains_key(&peer.0)
     }
 
-    /// Attach a neighbor (handshake done out of band).
+    /// Attach a neighbor (handshake done out of band). A servent that has
+    /// [`NeighborList::MAX_NEIGHBORS`] neighbors attaches no more: its list
+    /// must fit in one frame its peers accept.
     pub fn connect(&mut self, peer: NodeId) {
-        self.links.entry(peer.0).or_default();
+        if self.links.len() < NeighborList::MAX_NEIGHBORS {
+            self.links.entry(peer.0).or_default();
+        }
     }
 
     /// Detach a neighbor locally (the far side is told via Bye elsewhere).
@@ -205,14 +209,19 @@ impl Servent {
         if !self.answers_control() {
             return;
         }
+        let frame = self.neighbor_list_frame();
+        for peer in self.neighbors() {
+            out.push((peer, frame.clone()));
+        }
+    }
+
+    /// The current neighbor list as one frame, under a fresh GUID.
+    fn neighbor_list_frame(&mut self) -> Bytes {
         let list = NeighborList {
             neighbors: self.neighbors().iter().map(|p| PeerAddr::from_node_index(p.0)).collect(),
         };
         let msg = Message::new(self.next_guid(), 1, Payload::NeighborList(list));
-        let frame = self.frame(&msg);
-        for peer in self.neighbors() {
-            out.push((peer, frame.clone()));
-        }
+        self.frame(&msg)
     }
 
     fn next_guid(&mut self) -> Guid {
@@ -554,7 +563,7 @@ impl Servent {
         &mut self,
         from: NodeId,
         header: Header,
-        frame: Bytes,
+        mut frame: Bytes,
         now: u64,
         out: &mut Outbox,
     ) {
@@ -584,9 +593,8 @@ impl Servent {
             out.push((from, self.frame(&hit)));
         }
         // Forward with decremented TTL to all other neighbors.
-        let mut frame = Vec::from(frame);
-        if forward_frame(&mut frame) {
-            self.flood_query(Bytes::from(frame), Some(from), out);
+        if forward_frame(frame.make_mut()) {
+            self.flood_query(frame, Some(from), out);
         }
     }
 
@@ -714,7 +722,10 @@ impl Servent {
         if dec.u8()? != SERVENT_STATE_VERSION {
             return Err(SnapshotError::Unsupported { what: "servent state version" });
         }
-        let links = dec.get()?;
+        let links: BTreeMap<u32, LinkState> = dec.get()?;
+        if links.len() > NeighborList::MAX_NEIGHBORS {
+            return Err(SnapshotError::Corrupt { what: "servent links over the list cap" });
+        }
         let horizon = dec.u64()?;
         let seen: Vec<([u8; 16], u32, u64)> = dec.get()?;
         let guid_seq = dec.get()?;
@@ -792,6 +803,23 @@ mod state_tests {
         assert_eq!(bytes, state_bytes(&restored), "save→load→save is bit-identical");
         assert_eq!(original.neighbors(), restored.neighbors());
         assert_eq!(original.cut_log, restored.cut_log);
+    }
+
+    /// A checkpoint cannot bring back more neighbors than `connect` admits.
+    #[test]
+    fn restore_refuses_links_over_the_list_cap() {
+        let mut over = Servent::new(NodeId(0), ServentRole::Good, ServentConfig::default());
+        over.links = (1..=NeighborList::MAX_NEIGHBORS as u32 + 1)
+            .map(|p| (p, LinkState::default()))
+            .collect();
+        let bytes = state_bytes(&over);
+        let mut s = busy_servent();
+        let before = state_bytes(&s);
+        assert_eq!(
+            s.restore_state(&mut Dec::new(&bytes)).err().map(|e| e.to_string()),
+            Some(SnapshotError::Corrupt { what: "servent links over the list cap" }.to_string())
+        );
+        assert_eq!(state_bytes(&s), before, "a refused restore leaves the servent as it was");
     }
 
     #[test]
@@ -982,6 +1010,41 @@ mod relay_tests {
         s.on_minute(60, 1, &mut Outbox::new());
         let fresh = u32::from(u8::MAX) * 256;
         assert_eq!(s.prev_minute_counters(NodeId(1)), Some((0, fresh)), "every one was fresh");
+    }
+
+    /// A servent offered one neighbor more than a list can carry keeps
+    /// [`NeighborList::MAX_NEIGHBORS`], and every frame its minute and its
+    /// announcement build is one its peers accept. The announcement goes to
+    /// each neighbor as a copy of one 64 KiB frame (716 MB in all), so that
+    /// frame is checked where it is built, and `on_minute` runs on a minute
+    /// that does not announce.
+    #[test]
+    fn a_servent_at_the_neighbor_cap_sends_only_frames_its_peers_accept() {
+        let cfg = ServentConfig {
+            police: DdPoliceConfig {
+                exchange: ddp_police::ExchangePolicy::Periodic { minutes: 2 },
+                ..DdPoliceConfig::default()
+            },
+            ..ServentConfig::default()
+        };
+        let mut s = Servent::new(NodeId(0), ServentRole::Good, cfg);
+        let offered = NeighborList::MAX_NEIGHBORS as u32 + 1;
+        for p in 1..=offered {
+            s.connect(NodeId(p));
+        }
+        assert_eq!(s.neighbors().len(), NeighborList::MAX_NEIGHBORS);
+        assert!(!s.is_neighbor(NodeId(offered)), "the one over the cap is not attached");
+        let list = s.neighbor_list_frame();
+        assert_eq!(
+            check_frame(&list).map(|(h, used)| (h.kind, used)),
+            Ok((PayloadKind::NeighborList, list.len()))
+        );
+        let mut out = Outbox::new();
+        s.on_minute(60, 1, &mut out);
+        assert_eq!(out.len(), NeighborList::MAX_NEIGHBORS, "one receipt per neighbor");
+        for (to, frame) in &out {
+            assert_eq!(check_frame(frame).map(|(_, used)| used), Ok(frame.len()), "to {to:?}");
+        }
     }
 
     /// A frame with bytes past its header's length is not one message: it

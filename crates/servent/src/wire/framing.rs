@@ -7,6 +7,14 @@
 //! built), then copied out as the frame's own [`Bytes`], which is what the
 //! servent state machine is handed. A relayed Query goes on as those bytes.
 //!
+//! What a read costs: the check records where each frame ends in a vector
+//! the buffer keeps across reads, then the read's `Vec<Bytes>` is allocated
+//! once, at exactly the number of frames. A frame of at most
+//! `bytes::INLINE_CAP` bytes (every Ping, Pong, receipt and
+//! `Neighbor_Traffic`, and a Query whose search string has at most 27
+//! bytes) is copied into its `Bytes` with no heap block of its own, so a
+//! read of small frames allocates once, however many frames it holds.
+//!
 //! Hardening contract (the hostile-bytes half of the robustness story):
 //!
 //! * a malformed header (unknown kind, lying/oversized length) or payload
@@ -27,6 +35,9 @@ pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD_LEN;
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// Where each complete frame of the current read ends in `buf`: scratch
+    /// kept across reads.
+    ends: Vec<usize>,
 }
 
 impl FrameBuffer {
@@ -41,8 +52,9 @@ impl FrameBuffer {
     }
 
     /// Append `data` and check every complete frame now available, in
-    /// order, each copied out whole. What is left over — the start of a frame still arriving — is
-    /// moved to the front of the buffer once, whatever the number of frames.
+    /// order, each copied out whole. What is left over — the start of a
+    /// frame still arriving — is moved to the front of the buffer once,
+    /// whatever the number of frames.
     ///
     /// On error the connection is poisoned: the typed error describes the
     /// first offense and the caller must drop the peer. An erroring push
@@ -51,7 +63,7 @@ impl FrameBuffer {
     /// theirs.
     pub fn push(&mut self, data: &[u8]) -> Result<Vec<Bytes>, ProtocolError> {
         self.buf.extend_from_slice(data);
-        let mut out = Vec::new();
+        self.ends.clear();
         let mut at = 0;
         loop {
             // The header is validated first: unknown kinds and oversized
@@ -61,14 +73,20 @@ impl FrameBuffer {
             // with no trailing garbage.
             match check_frame(&self.buf[at..]) {
                 Ok((_, used)) => {
-                    out.push(Bytes::from(&self.buf[at..at + used]));
                     at += used;
+                    self.ends.push(at);
                 }
                 Err(
                     ProtocolError::TruncatedHeader { .. } | ProtocolError::TruncatedPayload { .. },
                 ) => break,
                 Err(offense) => return Err(offense),
             }
+        }
+        let mut out = Vec::with_capacity(self.ends.len());
+        let mut start = 0;
+        for &end in &self.ends {
+            out.push(Bytes::from(&self.buf[start..end]));
+            start = end;
         }
         self.buf.drain(..at);
         Ok(out)

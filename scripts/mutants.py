@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Apply each catalogued mutant and check that its test catches it.
 
-    scripts/mutants.py [--matrix | --changed-since REV]
+    scripts/mutants.py [--matrix] [--changed-since REV]
 
 Extracts HEAD (the `git archive` extraction of `scripts/ab.py`) under
 target/mutants/tree and reads `tests/mutants/catalogue.txt` from it.
@@ -31,7 +31,10 @@ function that fails under a mutant (and passed unmutated) to
 tests/mutants/kill_matrix.tsv in the working tree: which tests kill which
 mutant. A mutant no test kills gets a row with `-` for its test. The
 `mutant_catalogue` lint fails under every mutant (the `old` text is gone)
-and is left out.
+and is left out. With `--changed-since REV` as well, only the selected
+entries' rows are rewritten: every other entry keeps its rows byte for byte,
+and rows of entries no longer in the catalogue are dropped. The file lists
+entries in catalogue order.
 
 Exits non-zero on any survivor, error, or baseline failure. Python 3
 standard library only.
@@ -51,6 +54,7 @@ TREE = OUT / "tree"
 CATALOGUE = "tests/mutants/catalogue.txt"
 MATRIX = ROOT / "tests" / "mutants" / "kill_matrix.tsv"
 PACKAGES = [
+    "bytes",
     "ddpolice",
     "ddp-police",
     "ddp-sim",
@@ -276,14 +280,47 @@ def matrix_row(package_failures, baseline):
     }
 
 
-def main(argv):
+MATRIX_HEADER = "mutant\tpackage\ttarget\ttest\n"
+
+
+def merge_matrix(old, order, fresh):
+    r"""The kill matrix with the rows of the entries in `fresh` (id -> rows)
+    replaced and those of every other entry of `order` (the catalogue's ids)
+    kept as they were in `old`, the current file's text.
+
+    >>> old = MATRIX_HEADER + "a\tp\tlib\tt1\nb\tp\tlib\tt2\ngone\tp\tlib\tt3\n"
+    >>> merge_matrix(old, ["a", "b", "c"], {"b": [], "c": [("c", "-", "-", "-")]}).splitlines()
+    ['mutant\tpackage\ttarget\ttest', 'a\tp\tlib\tt1', 'c\t-\t-\t-']
+    """
+    kept = {}
+    for line in old.splitlines(keepends=True)[1:]:
+        kept.setdefault(line.split("\t", 1)[0], []).append(line)
+    lines = [MATRIX_HEADER]
+    for mutant in order:
+        if mutant in fresh:
+            lines.extend("\t".join(row) + "\n" for row in fresh[mutant])
+        else:
+            lines.extend(kept.get(mutant, []))
+    return "".join(lines)
+
+
+def parse_args(argv):
+    """The command line; the two options combine.
+
+    >>> args = parse_args(["--matrix", "--changed-since", "HEAD~1"])
+    >>> args.matrix, args.changed_since
+    (True, 'HEAD~1')
+    """
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--matrix", action="store_true")
-    mode.add_argument("--changed-since", metavar="REV")
-    args = parser.parse_args(argv[1:])
+    parser.add_argument("--matrix", action="store_true")
+    parser.add_argument("--changed-since", metavar="REV")
+    return parser.parse_args(argv)
+
+
+def main(argv):
+    args = parse_args(argv[1:])
     started = time.monotonic()
 
     say("extracting HEAD")
@@ -294,6 +331,7 @@ def main(argv):
     for path in TREE.rglob("*"):
         os.utime(path)
     entries = parse((TREE / CATALOGUE).read_text())
+    order = [e["id"] for e in entries]
     if args.changed_since:
         entries = changed_since(entries, args.changed_since)
         say(f"{len(entries)} entries changed since {args.changed_since}")
@@ -316,7 +354,7 @@ def main(argv):
             if baseline[package]:
                 say(f"{package} fails unmutated, excluded from the matrix: {baseline[package]}")
 
-    results, rows = [], []
+    results, rows = [], {}
     for n, entry in enumerate(entries, 1):
         path = TREE / entry["file"]
         original = path.read_text()
@@ -337,9 +375,9 @@ def main(argv):
                 verdict = {0: "SURVIVED", None: "killed (timeout)"}.get(code, "killed")
                 if args.matrix:
                     killed = matrix_row({p: failures(p) for p in PACKAGES}, baseline)
-                    rows.extend((entry["id"], *row) for row in sorted(killed))
-                    if not killed:
-                        rows.append((entry["id"], "-", "-", "-"))
+                    rows[entry["id"]] = [(entry["id"], *row) for row in sorted(killed)] or [
+                        (entry["id"], "-", "-", "-")
+                    ]
         finally:
             path.write_text(original)
         seconds = time.monotonic() - t0
@@ -347,11 +385,10 @@ def main(argv):
         results.append((entry["id"], verdict, seconds))
 
     if args.matrix:
-        with open(MATRIX, "w") as out:
-            out.write("mutant\tpackage\ttarget\ttest\n")
-            for row in rows:
-                out.write("\t".join(row) + "\n")
-        say(f"wrote {MATRIX.relative_to(ROOT)}: {len(rows)} rows")
+        old = MATRIX.read_text() if MATRIX.exists() else MATRIX_HEADER
+        MATRIX.write_text(merge_matrix(old, order, rows))
+        written = sum(len(r) for r in rows.values())
+        say(f"wrote {MATRIX.relative_to(ROOT)}: {written} rows for {len(rows)} mutants")
 
     width = max((len(r[0]) for r in results), default=0)
     for mutant, verdict, seconds in results:

@@ -9,11 +9,12 @@
 //! come back to the source. `CountingAlloc` is this binary's global
 //! allocator: the process's heap high-water must stay under 16 MiB (the
 //! seen-GUID table is bounded; an unbounded one holds 300 000 GUIDs in about
-//! 26 MB) and the relay may allocate at most twice per frame. What is left
-//! is the reader's copy of each frame, plus buffers reused across frames (a
-//! read's event, the send batch): a relayed Query goes on as the bytes it
-//! arrived in. Decoding and re-encoding each frame made it 2.04, one `write`
-//! and one channel event per frame 12.
+//! 26 MB) and the relay may allocate at most once per four frames. A
+//! relayed Query goes on as the bytes it arrived in, and a frame this small
+//! lives inside its `Bytes`, so what is left is one vector per read (the
+//! event's frames) plus buffers reused across frames (the send batch).
+//! Copying each frame to the heap made it 1.04, decoding and re-encoding
+//! each frame 2.04, one `write` and one channel event per frame 12.
 //!
 //! Nothing here asserts on wall time. The servent lives a fixed twelve
 //! seconds, which is what the test takes; a host too slow to relay the
@@ -43,7 +44,7 @@ const SINK: u32 = 2;
 const FRAMES: u64 = 300_000;
 const WINDOW: u64 = 256;
 const MAX_HEAP_BYTES: usize = 16 << 20;
-const MAX_ALLOCS_PER_FRAME: f64 = 2.0;
+const MAX_ALLOCS_PER_FRAME: f64 = 0.25;
 /// Byte 16 of the header is the payload kind.
 const KIND_AT: usize = 16;
 const KIND_QUERY: u8 = 0x80;
@@ -251,6 +252,7 @@ fn a_flooded_servent_relays_every_frame_in_bounded_memory() {
         "heap high-water {peak} B is over {MAX_HEAP_BYTES} B: something grows with the flood"
     );
     let per_frame = allocs as f64 / FRAMES as f64;
+    println!("{per_frame:.4} allocations per relayed frame, heap high-water {peak} B");
     assert!(
         per_frame <= MAX_ALLOCS_PER_FRAME,
         "{per_frame:.2} allocations per relayed frame, bound {MAX_ALLOCS_PER_FRAME}"

@@ -135,6 +135,18 @@ mod tests {
         assert_eq!(got2, vec![b]);
     }
 
+    /// The frames of one read come in one vector allocated at exactly their
+    /// number, however many reads came before.
+    #[test]
+    fn a_read_allocates_its_frame_vector_at_its_length() {
+        let mut fb = FrameBuffer::new();
+        for frames in [7, 1, 300, 0, 2] {
+            let stream: Vec<u8> = (0..frames).flat_map(|seq| query_frame(seq).to_vec()).collect();
+            let got = fb.push(&stream).unwrap();
+            assert_eq!((got.len(), got.capacity()), (frames as usize, frames as usize));
+        }
+    }
+
     #[test]
     fn unknown_kind_errors_instead_of_waiting_for_payload() {
         let mut frame = query_frame(1).to_vec();

@@ -5,26 +5,31 @@
 //! accessors.
 //!
 //! What it costs, since the wire servent's frame path runs on it. A
-//! [`Bytes`] is not a refcounted view of a shared chunk: it owns its bytes,
-//! either inside the value itself (up to [`INLINE_CAP`] bytes, with no heap
-//! block at all) or in a `Vec<u8>`, and reads them from the front through an
-//! offset. Which one is decided by the length of what it is made from:
+//! [`Bytes`] keeps its bytes either inside the value itself (up to
+//! [`INLINE_CAP`] bytes, with no heap block at all) or in one
+//! reference-counted heap buffer that its clones share, and reads them from
+//! the front through an offset. Which one is decided by the length of what
+//! it is made from:
 //!
 //! | operation | result of at most `INLINE_CAP` bytes | longer result |
 //! |---|---|---|
-//! | `From<&[u8]>`, `from_static`, `slice`, `split_to` (the part returned), `clone` | copied into the value, no allocation | one allocation and copy |
-//! | `From<Vec<u8>>`, `BytesMut::freeze` | keeps the vector: no copy, always on the heap | the same |
-//! | `Vec::from(bytes)` | one allocation and copy from an inline value | free from a heap one while nothing was read from its front, else the unread bytes move down |
-//! | `advance`, `copy_to_slice`, the `get_*` accessors, `make_mut` | move the offset or lend the bytes: no allocation, no copy | the same |
+//! | `From<&[u8]>`, `From<Vec<u8>>`, `BytesMut::freeze`, `from_static`, `slice`, `split_to` (the part returned) | copied into the value, no allocation | one allocation and copy |
+//! | `clone` | copies the value, no allocation | shares the buffer: no allocation, no copy |
+//! | `make_mut` | lends the bytes in place | in place while no clone shares the buffer, else one allocation and copy of the unread bytes first |
+//! | `Vec::from(bytes)` | one allocation and copy | the same: a shared buffer cannot become a vector |
+//! | `advance`, `copy_to_slice`, the `get_*` accessors | move the offset or lend the bytes: no allocation, no copy | the same |
 //!
-//! A `Bytes` is 56 bytes on a 64-bit target, whatever it holds. The wire
-//! servent's relay path allocates nothing per small frame: the reader copies
-//! each frame it checks in place (`ddp_protocol::check_frame`) out of its
-//! stream buffer into a `Bytes` of its own, a relayed Query has its TTL and
-//! hop bytes rewritten through [`Bytes::make_mut`], and a fan-out to more
-//! than one neighbour `clone`s it.
+//! A `Bytes` is 56 bytes on a 64-bit target, whatever it holds, and `Send`.
+//! The wire servent's relay path allocates nothing per small frame: the
+//! reader copies each frame it checks in place (`ddp_protocol::check_frame`)
+//! out of its stream buffer into a `Bytes` of its own, a relayed Query has
+//! its TTL and hop bytes rewritten through [`Bytes::make_mut`], and a
+//! fan-out to more than one neighbour `clone`s it. A long frame sent to
+//! many neighbours, such as a neighbour list, is one buffer however many
+//! receivers hold it.
 
 use std::ops::{Bound, Deref, RangeBounds};
+use std::sync::Arc;
 
 /// The longest byte string a [`Bytes`] holds inside itself.
 ///
@@ -34,16 +39,18 @@ use std::ops::{Bound, Deref, RangeBounds};
 /// words, and also holds a Bye and a four-neighbour list.
 pub const INLINE_CAP: usize = 53;
 
-/// An owned byte buffer read from the front: stored inline up to
-/// [`INLINE_CAP`] bytes, in a `Vec<u8>` beyond.
-#[derive(Default)]
+/// A byte buffer read from the front: stored inline up to [`INLINE_CAP`]
+/// bytes, in a heap buffer its clones share beyond. A clone of an inline
+/// value is a copy; a clone of a heap one shares its buffer.
+#[derive(Default, Clone)]
 pub struct Bytes(Repr);
 
+#[derive(Clone)]
 enum Repr {
     /// `buf[start..end]` are the unread bytes.
     Inline { start: u8, end: u8, buf: [u8; INLINE_CAP] },
-    /// `data[pos..]` are the unread bytes.
-    Heap { data: Vec<u8>, pos: usize },
+    /// `data[pos..]` are the unread bytes; clones share `data`.
+    Heap { data: Arc<[u8]>, pos: usize },
 }
 
 impl Default for Repr {
@@ -102,13 +109,20 @@ impl Bytes {
 
     /// The unread bytes, writable in place.
     ///
-    /// Not in the `bytes` crate, whose `Bytes` may share its storage and is
-    /// never written. Here every `Bytes` owns its bytes, so the write is in
-    /// place, with no copy and no allocation, inline or not.
+    /// Not in the `bytes` crate, whose `Bytes` is never written. Here an
+    /// inline value, or a heap buffer no clone shares, is written in place
+    /// with no copy and no allocation; a shared buffer is first copied,
+    /// unread bytes only, so that no clone sees the write.
     pub fn make_mut(&mut self) -> &mut [u8] {
         match &mut self.0 {
             Repr::Inline { start, end, buf } => &mut buf[*start as usize..*end as usize],
-            Repr::Heap { data, pos } => &mut data[*pos..],
+            Repr::Heap { data, pos } => {
+                if Arc::get_mut(data).is_none() {
+                    *data = Arc::from(&data[*pos..]);
+                    *pos = 0;
+                }
+                &mut Arc::get_mut(data).expect("no clone shares a fresh copy")[*pos..]
+            }
         }
     }
 }
@@ -129,23 +143,16 @@ impl AsRef<[u8]> for Bytes {
     }
 }
 
-/// A clone holds the unread bytes only, inline when they fit.
-impl Clone for Bytes {
-    fn clone(&self) -> Self {
-        Bytes::from(&self[..])
-    }
-}
-
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Bytes(Repr::Heap { data, pos: 0 })
+        Bytes::from(&data[..])
     }
 }
 
 impl From<&[u8]> for Bytes {
     fn from(data: &[u8]) -> Self {
         if data.len() > INLINE_CAP {
-            return Bytes::from(data.to_vec());
+            return Bytes(Repr::Heap { data: Arc::from(data), pos: 0 });
         }
         let mut buf = [0; INLINE_CAP];
         buf[..data.len()].copy_from_slice(data);
@@ -155,13 +162,7 @@ impl From<&[u8]> for Bytes {
 
 impl From<Bytes> for Vec<u8> {
     fn from(bytes: Bytes) -> Self {
-        match bytes.0 {
-            Repr::Inline { start, end, buf } => buf[start as usize..end as usize].to_vec(),
-            Repr::Heap { mut data, pos } => {
-                data.drain(..pos);
-                data
-            }
-        }
+        bytes.to_vec()
     }
 }
 
@@ -465,12 +466,31 @@ mod tests {
         assert_eq!(&b.slice(1..)[..], &[4, 5]);
     }
 
-    /// Seven words: every queue and event vector of frames pays this per
-    /// frame, inline or not.
+    /// Seven words: every send queue of frames pays this per frame, inline
+    /// or not. And a frame can be handed to another thread.
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn a_bytes_is_seven_words() {
+    fn a_bytes_is_seven_words_and_send() {
+        fn send<T: Send>() {}
+        send::<Bytes>();
         assert_eq!(std::mem::size_of::<Bytes>(), 56);
+    }
+
+    /// A clone of a long frame is the same buffer; writing one of the two
+    /// copies it first and leaves the other as it was.
+    #[test]
+    fn clones_share_a_heap_buffer_until_one_is_written() {
+        let data: Vec<u8> = (0..=INLINE_CAP as u8).collect();
+        let a = Bytes::from(&data[..]);
+        let mut b = a.clone();
+        assert_eq!(a.as_ptr(), b.as_ptr());
+        b.make_mut()[0] = 99;
+        assert_ne!(a.as_ptr(), b.as_ptr());
+        assert_eq!((&a[..], b[0]), (&data[..], 99));
+        // The last holder writes in place.
+        let before = b.as_ptr();
+        b.make_mut()[1] = 98;
+        assert_eq!(b.as_ptr(), before);
     }
 
     /// Everything at or under the capacity is stored inline, everything
@@ -507,6 +527,8 @@ mod tests {
         Slice(usize, usize),
         Clone,
         MakeMut(u8),
+        /// Clone, then write the clone (`true`) or the original.
+        MakeMutShared(u8, bool),
         IntoVec,
         FromSlice,
     }
@@ -518,6 +540,7 @@ mod tests {
             (0usize..1 << 16, 0usize..1 << 16).prop_map(|(a, b)| Op::Slice(a, b)),
             Just(Op::Clone),
             (1u8..u8::MAX).prop_map(Op::MakeMut),
+            (1u8..u8::MAX, any::<bool>()).prop_map(|(k, twin)| Op::MakeMutShared(k, twin)),
             Just(Op::IntoVec),
             Just(Op::FromSlice),
         ]
@@ -549,6 +572,12 @@ mod tests {
         assert_eq!(b == &other_bytes, model == other);
         assert_eq!(b.cmp(&other_bytes), model.cmp(other));
         assert_eq!(b.partial_cmp(&other_bytes), Some(model.cmp(other)));
+    }
+
+    /// What `make_mut` writes: each byte moves by its own amount, so a view
+    /// that starts anywhere else cannot write the same result.
+    fn step(k: u8) -> impl Fn((usize, &mut u8)) {
+        move |(i, x)| *x = x.wrapping_add(k ^ i as u8)
     }
 
     proptest! {
@@ -590,11 +619,22 @@ mod tests {
                     }
                     Op::Clone => b = b.clone(),
                     Op::MakeMut(k) => {
-                        // Each byte moves by its own amount, so a view that
-                        // starts anywhere else cannot write the same result.
-                        let step = |(i, x): (usize, &mut u8)| *x = x.wrapping_add(k ^ i as u8);
-                        b.make_mut().iter_mut().enumerate().for_each(step);
-                        model.iter_mut().enumerate().for_each(step);
+                        b.make_mut().iter_mut().enumerate().for_each(step(k));
+                        model.iter_mut().enumerate().for_each(step(k));
+                    }
+                    Op::MakeMutShared(k, twin) => {
+                        // The clone that is not written must not change.
+                        let mut other_clone = b.clone();
+                        let (written, kept) =
+                            if twin { (&mut other_clone, &b) } else { (&mut b, &other_clone) };
+                        written.make_mut().iter_mut().enumerate().for_each(step(k));
+                        let mut written_model = model.clone();
+                        written_model.iter_mut().enumerate().for_each(step(k));
+                        agree(kept, &model, &other, &hasher);
+                        agree(written, &written_model, &other, &hasher);
+                        if !twin {
+                            model = written_model;
+                        }
                     }
                     Op::IntoVec => b = Bytes::from(Vec::from(b)),
                     Op::FromSlice => b = Bytes::from(&b[..]),

@@ -1,8 +1,8 @@
 //! `ddp-servent` — one DD-POLICE servent as a real networked process.
 //!
-//! Speaks the 23-byte Gnutella wire format over TCP (threaded `std::net`
-//! reactor, no async runtime). Launched in fleets by the `ddp-testbed`
-//! chaos driver; runs standalone too:
+//! Speaks the 23-byte Gnutella wire format over TCP (one `poll(2)` loop over
+//! `std::net` sockets, no async runtime). Launched in fleets by the
+//! `ddp-testbed` chaos driver; runs standalone too:
 //!
 //! ```text
 //! ddp-servent --id 0 --listen 127.0.0.1:7000 \

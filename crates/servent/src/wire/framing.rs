@@ -7,13 +7,11 @@
 //! built), then copied out as the frame's own [`Bytes`], which is what the
 //! servent state machine is handed. A relayed Query goes on as those bytes.
 //!
-//! What a read costs: the check records where each frame ends in a vector
-//! the buffer keeps across reads, then the read's `Vec<Bytes>` is allocated
-//! once, at exactly the number of frames. A frame of at most
-//! `bytes::INLINE_CAP` bytes (every Ping, Pong, receipt and
-//! `Neighbor_Traffic`, and a Query whose search string has at most 27
-//! bytes) is copied into its `Bytes` with no heap block of its own, so a
-//! read of small frames allocates once, however many frames it holds.
+//! What a read costs: the frames go into a vector the caller keeps across
+//! reads, and a frame of at most `bytes::INLINE_CAP` bytes (every Ping,
+//! Pong, receipt and `Neighbor_Traffic`, and a Query whose search string has
+//! at most 27 bytes) is copied into its `Bytes` with no heap block of its
+//! own, so a read of small frames allocates nothing.
 //!
 //! Hardening contract (the hostile-bytes half of the robustness story):
 //!
@@ -35,9 +33,6 @@ pub const MAX_FRAME_LEN: usize = HEADER_LEN + MAX_PAYLOAD_LEN;
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
-    /// Where each complete frame of the current read ends in `buf`: scratch
-    /// kept across reads.
-    ends: Vec<usize>,
 }
 
 impl FrameBuffer {
@@ -51,19 +46,19 @@ impl FrameBuffer {
         self.buf.len()
     }
 
-    /// Append `data` and check every complete frame now available, in
-    /// order, each copied out whole. What is left over — the start of a
-    /// frame still arriving — is moved to the front of the buffer once,
-    /// whatever the number of frames.
+    /// Append `data`, check every complete frame now available and append
+    /// each, in order and copied out whole, to `frames`. What is left over —
+    /// the start of a frame still arriving — is moved to the front of the
+    /// buffer once, whatever the number of frames.
     ///
     /// On error the connection is poisoned: the typed error describes the
     /// first offense and the caller must drop the peer. An erroring push
-    /// yields no frames, not even those complete before the offense,
+    /// appends no frames, not even those complete before the offense,
     /// matching "hostile bytes disconnect"; earlier pushes already delivered
     /// theirs.
-    pub fn push(&mut self, data: &[u8]) -> Result<Vec<Bytes>, ProtocolError> {
+    pub fn push(&mut self, data: &[u8], frames: &mut Vec<Bytes>) -> Result<(), ProtocolError> {
         self.buf.extend_from_slice(data);
-        self.ends.clear();
+        let first = frames.len();
         let mut at = 0;
         loop {
             // The header is validated first: unknown kinds and oversized
@@ -73,23 +68,20 @@ impl FrameBuffer {
             // with no trailing garbage.
             match check_frame(&self.buf[at..]) {
                 Ok((_, used)) => {
+                    frames.push(Bytes::from(&self.buf[at..at + used]));
                     at += used;
-                    self.ends.push(at);
                 }
                 Err(
                     ProtocolError::TruncatedHeader { .. } | ProtocolError::TruncatedPayload { .. },
                 ) => break,
-                Err(offense) => return Err(offense),
+                Err(offense) => {
+                    frames.truncate(first);
+                    return Err(offense);
+                }
             }
         }
-        let mut out = Vec::with_capacity(self.ends.len());
-        let mut start = 0;
-        for &end in &self.ends {
-            out.push(Bytes::from(&self.buf[start..end]));
-            start = end;
-        }
         self.buf.drain(..at);
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -109,13 +101,19 @@ mod tests {
         ))
     }
 
+    /// The frames of one push.
+    fn push(fb: &mut FrameBuffer, data: &[u8]) -> Result<Vec<Bytes>, ProtocolError> {
+        let mut frames = Vec::new();
+        fb.push(data, &mut frames).map(|()| frames)
+    }
+
     #[test]
     fn one_byte_dribble_reassembles_every_frame() {
         let stream: Vec<u8> = (0..4).flat_map(|seq| query_frame(seq).to_vec()).collect();
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
         for b in stream {
-            got.extend(fb.push(&[b]).expect("clean stream"));
+            fb.push(&[b], &mut got).expect("clean stream");
         }
         assert_eq!(got, (0..4).map(query_frame).collect::<Vec<_>>());
         assert_eq!(fb.pending(), 0);
@@ -128,23 +126,26 @@ mod tests {
         let mut stream = a.to_vec();
         stream.extend_from_slice(&b[..10]);
         let mut fb = FrameBuffer::new();
-        let got = fb.push(&stream).unwrap();
+        let got = push(&mut fb, &stream).unwrap();
         assert_eq!(got, vec![a]);
         assert_eq!(fb.pending(), 10);
-        let got2 = fb.push(&b[10..]).unwrap();
+        let got2 = push(&mut fb, &b[10..]).unwrap();
         assert_eq!(got2, vec![b]);
     }
 
-    /// The frames of one read come in one vector allocated at exactly their
-    /// number, however many reads came before.
+    /// Frames are appended to what the vector already holds, and an
+    /// offense takes back only what its own push appended.
     #[test]
-    fn a_read_allocates_its_frame_vector_at_its_length() {
+    fn frames_are_appended_and_an_offense_appends_none() {
         let mut fb = FrameBuffer::new();
-        for frames in [7, 1, 300, 0, 2] {
-            let stream: Vec<u8> = (0..frames).flat_map(|seq| query_frame(seq).to_vec()).collect();
-            let got = fb.push(&stream).unwrap();
-            assert_eq!((got.len(), got.capacity()), (frames as usize, frames as usize));
-        }
+        let mut frames = vec![query_frame(0)];
+        fb.push(&[&query_frame(1)[..], &query_frame(2)[..]].concat(), &mut frames).unwrap();
+        assert_eq!(frames, (0..3).map(query_frame).collect::<Vec<_>>());
+        let mut hostile = query_frame(4).to_vec();
+        hostile[16] = 0x42;
+        let read = [&query_frame(3)[..], &hostile[..]].concat();
+        assert!(fb.push(&read, &mut frames).is_err());
+        assert_eq!(frames.len(), 3);
     }
 
     #[test]
@@ -152,7 +153,7 @@ mod tests {
         let mut frame = query_frame(1).to_vec();
         frame[16] = 0x42; // bogus descriptor byte
         let mut fb = FrameBuffer::new();
-        assert!(matches!(fb.push(&frame), Err(ProtocolError::UnknownPayloadKind(0x42))));
+        assert!(matches!(push(&mut fb, &frame), Err(ProtocolError::UnknownPayloadKind(0x42))));
     }
 
     #[test]
@@ -162,7 +163,7 @@ mod tests {
         let mut fb = FrameBuffer::new();
         // The header alone is enough: no byte of the claimed 4 GiB is awaited.
         assert!(matches!(
-            fb.push(&frame[..HEADER_LEN]),
+            push(&mut fb, &frame[..HEADER_LEN]),
             Err(ProtocolError::OversizedPayload { .. })
         ));
         // The buffer never grew toward the lie.
@@ -173,7 +174,7 @@ mod tests {
     fn an_offense_mid_read_yields_nothing_from_that_read() {
         let mut fb = FrameBuffer::new();
         assert_eq!(
-            fb.push(&query_frame(1)).unwrap(),
+            push(&mut fb, &query_frame(1)).unwrap(),
             vec![query_frame(1)],
             "earlier reads deliver"
         );
@@ -182,7 +183,7 @@ mod tests {
         hostile[16] = 0x42;
         read.extend_from_slice(&hostile);
         read.extend_from_slice(&query_frame(4));
-        assert_eq!(fb.push(&read), Err(ProtocolError::UnknownPayloadKind(0x42)));
+        assert_eq!(push(&mut fb, &read), Err(ProtocolError::UnknownPayloadKind(0x42)));
     }
 
     #[test]
@@ -192,7 +193,7 @@ mod tests {
         frame[19] = 2; // claim 2 payload bytes that are not a valid Ping body
         frame.extend_from_slice(&[0xde, 0xad]);
         let mut fb = FrameBuffer::new();
-        assert!(fb.push(&frame).is_err());
+        assert!(push(&mut fb, &frame).is_err());
     }
 
     /// A Query whose search string is not UTF-8 is an offense like any
@@ -202,7 +203,7 @@ mod tests {
         let mut frame = query_frame(1).to_vec();
         frame[HEADER_LEN + 2] = 0xff; // the first byte of the search string
         let mut fb = FrameBuffer::new();
-        assert_eq!(fb.push(&frame), Err(ProtocolError::MalformedPayload("non-utf8 string")));
+        assert_eq!(push(&mut fb, &frame), Err(ProtocolError::MalformedPayload("non-utf8 string")));
     }
 
     /// Read sizes from a one-byte dribble to a 64 KiB burst.
@@ -232,7 +233,7 @@ mod tests {
                 }
                 let (read, tail) = rest.split_at(size.min(rest.len()));
                 rest = tail;
-                got.extend(fb.push(read).expect("a valid stream"));
+                fb.push(read, &mut got).expect("a valid stream");
                 prop_assert!(fb.pending() < MAX_FRAME_LEN, "only an incomplete frame stays");
             }
             prop_assert_eq!(fb.pending(), 0);
